@@ -11,6 +11,15 @@
 //	        [-cpuprofile f] [-memprofile f] [-globals] [-stats] [-stats-json]
 //	        file.c
 //
+// -workers defaults to 0: the sequential global worklist, the fastest
+// solver on every machine measured so far. -workers N≥1 opts into the
+// partitioned component solver on N goroutines, which fires more transfers
+// and can widen elsewhere than the sequential solve (and the sequential
+// restricted solves of -restricted), so its alarms can differ on generated
+// programs. -snapshot-in and -snapshot-out need the component solver: given
+// without -workers they select -workers 1; an explicit -workers 0 is
+// rejected as an invalid configuration.
+//
 // Exit codes:
 //
 //	0 — analysis completed, no alarms
@@ -75,6 +84,17 @@ func parseBytes(s string) (uint64, error) {
 	return n << shift, nil
 }
 
+// flagSet reports whether name was given on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
+}
+
 // run is the testable entry point: it parses args, analyzes the file, and
 // returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -90,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline per analysis attempt; on breach the engine degrades (see -no-degrade) or exits 4 (0 = none)")
 	memBudget := fs.String("mem-budget", "", "soft heap budget with optional K/M/G suffix, e.g. 512M; on breach the engine degrades or exits 4 (\"\" = none)")
 	noDegrade := fs.Bool("no-degrade", false, "fail immediately (exit 4) on a deadline/memory breach instead of retrying cheaper configurations")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the parallel phases (0 = sequential code path)")
+	workers := fs.Int("workers", 0, "0 = sequential global worklist; N >= 1 = partitioned component solver and parallel phases on N goroutines, which can widen elsewhere (default 0, or 1 with -snapshot-in/-snapshot-out)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	globals := fs.Bool("globals", false, "print the final interval of every global variable")
@@ -142,6 +162,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
+	if (*snapshotIn != "" || *snapshotOut != "") && !flagSet(fs, "workers") {
+		// Incremental replay records the component solver's schedule.
+		*workers = 1
+	}
 	budget, err := parseBytes(*memBudget)
 	if err != nil {
 		fmt.Fprintln(stderr, "sparrow:", err)

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"sparrow/internal/cgen"
 	"sparrow/internal/metrics"
 )
 
@@ -211,7 +213,8 @@ func TestSnapshotFlags(t *testing.T) {
 	if codeW != 0 {
 		t.Fatalf("warm: exit %d, stderr: %s", codeW, errbW)
 	}
-	codeC, outC, errbC := runCLI(t, "-globals", editedPath)
+	// The cold run uses the component solver that the warm run replays.
+	codeC, outC, errbC := runCLI(t, "-workers", "1", "-globals", editedPath)
 	if codeC != 0 {
 		t.Fatalf("cold edited: exit %d, stderr: %s", codeC, errbC)
 	}
@@ -269,6 +272,64 @@ func TestSnapshotFlags(t *testing.T) {
 		if code, _, errb := runCLI(t, args...); code != 3 {
 			t.Errorf("%v: exit %d, stderr %q (want rejection, exit 3)", args, code, errb)
 		}
+	}
+}
+
+// TestDefaultWorkers pins the solver choice: a plain run uses the sequential
+// global worklist (-workers 0), and -snapshot-in/-snapshot-out without
+// -workers select the component solver that incremental replay records
+// (-workers 1). An explicit -workers 0 beside a snapshot stays an invalid
+// configuration (exit 3).
+func TestDefaultWorkers(t *testing.T) {
+	workers := func(args ...string) int {
+		t.Helper()
+		code, out, errb := runCLI(t, append([]string{"-stats-json"}, args...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb)
+		}
+		var rep metrics.Report
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return rep.Workers
+	}
+	if w := workers("testdata/good.c"); w != 0 {
+		t.Errorf("default run: workers=%d, want 0", w)
+	}
+	snap := filepath.Join(t.TempDir(), "s.json")
+	if w := workers("-snapshot-out", snap, "testdata/good.c"); w != 1 {
+		t.Errorf("-snapshot-out: workers=%d, want 1", w)
+	}
+	if w := workers("-snapshot-in", snap, "testdata/good.c"); w != 1 {
+		t.Errorf("-snapshot-in: workers=%d, want 1", w)
+	}
+	for _, flag := range []string{"-snapshot-out", "-snapshot-in"} {
+		code, _, errb := runCLI(t, "-workers", "0", flag, snap, "testdata/good.c")
+		if code != 3 || !strings.Contains(errb, "Incr+Workers") {
+			t.Errorf("-workers 0 %s: exit %d, stderr %q (want the Incr+Workers error, exit 3)", flag, code, errb)
+		}
+	}
+}
+
+// TestRestrictedAgreesWithDefault is a generated program on which the
+// component solver (-workers N >= 1) widens elsewhere than the sequential
+// solves and reports no alarms, while the restricted buffer-overrun solve
+// reports two. Under the CLI defaults the alarm list and the restricted
+// count must agree.
+func TestRestrictedAgreesWithDefault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gen3000.c")
+	if err := os.WriteFile(path, []byte(cgen.Generate(cgen.Default(22<<16|4, 3000))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb := runCLI(t, "-checkers", "all", "-restricted", path)
+	if code != 1 {
+		t.Fatalf("exit %d want 1 (alarms found), stderr: %s", code, errb)
+	}
+	if !regexp.MustCompile(`(?m)^restricted\[buf\]: .* alarms=2$`).MatchString(out) {
+		t.Errorf("restricted[buf] does not report 2 alarms:\n%s", out)
+	}
+	if n := strings.Count(out, ": buffer-overrun: "); n != 2 || !strings.Contains(out, "2 alarm(s):") {
+		t.Errorf("alarm list has %d buffer overruns, want 2:\n%s", n, out)
 	}
 }
 

@@ -30,22 +30,10 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 	if src.AlwaysKills == nil {
 		panic("dug: BuildDefUseChains requires Source.AlwaysKills")
 	}
-	if opt.MaxSpliceFanout == 0 {
-		opt.MaxSpliceFanout = 256
-	}
-	b := &builder{
-		prog:   prog,
-		src:    src,
-		opt:    opt,
-		g:      &Graph{Prog: prog, PointCount: len(prog.Points)},
-	}
+	b := newBuilder(src, opt)
 	b.initNodes()
 	info := cfg.Compute(prog, src.CG, src.Callees)
-	for i := range prog.Points {
-		if info.Widen[i] {
-			b.g.Widen[i] = true
-		}
-	}
+	copy(b.g.Widen, info.Widen)
 	for _, pr := range prog.Procs {
 		b.buildProcChains(pr)
 	}

@@ -21,8 +21,8 @@
 package dug
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"sparrow/internal/callgraph"
@@ -251,38 +251,12 @@ func IntervalSource(prog *ir.Program, pre *prean.Result) *Source {
 	}
 }
 
-// triple is one staged dependency edge ⟨from, loc, to⟩.
+// triple is one staged dependency edge ⟨from, loc, to⟩. Inside a procedure's
+// staging, negative node IDs name the procedure's own phis (see phiRef).
 type triple struct {
 	from NodeID
 	loc  ir.LocID
 	to   NodeID
-}
-
-// adjRows is one node's adjacency during construction: parallel sorted
-// location keys and neighbor rows, built once from the staged triples. The
-// bypass optimization mutates row contents but (invariant) never needs a
-// new location key — a splice only reconnects nodes that already carry
-// edges on the spliced location.
-type adjRows struct {
-	locs []ir.LocID
-	rows [][]NodeID
-}
-
-// find returns the index of l in the sorted key array, or -1.
-func (a *adjRows) find(l ir.LocID) int {
-	lo, hi := 0, len(a.locs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.locs[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(a.locs) && a.locs[lo] == l {
-		return lo
-	}
-	return -1
 }
 
 // arena hands out stable []ir.LocID views backed by large shared blocks, so
@@ -312,6 +286,9 @@ type builder struct {
 	opt  Options
 
 	g *Graph
+	// access[p] is UseSummary[p] ∪ DefSummary[p]: everything a call of p
+	// relays, p's entry defines and p's exit returns.
+	access [][]ir.LocID
 	// defs/uses/pass are the per-node D̂/Û/linkage-only sets as sorted
 	// deduplicated slices (pass members are the bypass candidates). The
 	// bypass optimization shrinks them in place.
@@ -321,7 +298,30 @@ type builder struct {
 	// triples stages dependency edges flat, duplicates included; one sort
 	// in buildAdjacency replaces the per-edge map dedup of earlier layouts.
 	triples []triple
-	out, in []adjRows
+	adj     adjacency
+}
+
+// newBuilder sizes the per-point tables and the per-procedure access sets.
+func newBuilder(src *Source, opt Options) *builder {
+	if opt.MaxSpliceFanout == 0 {
+		opt.MaxSpliceFanout = 256
+	}
+	prog := src.Prog
+	n := len(prog.Points)
+	b := &builder{
+		prog:   prog,
+		src:    src,
+		opt:    opt,
+		g:      &Graph{Prog: prog, PointCount: n, Widen: make([]bool, n)},
+		access: make([][]ir.LocID, len(prog.Procs)),
+		defs:   make([][]ir.LocID, n),
+		uses:   make([][]ir.LocID, n),
+		pass:   make([][]ir.LocID, n),
+	}
+	for p := range b.access {
+		b.access[p] = ir.MergeLocs(nil, src.UseSummary[p], src.DefSummary[p])
+	}
+	return b
 }
 
 // Build constructs the def-use graph of prog from the non-relational
@@ -335,16 +335,8 @@ func Build(prog *ir.Program, pre *prean.Result, opt Options) *Graph {
 // BuildFrom constructs the def-use graph from an arbitrary Source.
 func BuildFrom(src *Source, opt Options) *Graph {
 	prog := src.Prog
-	if opt.MaxSpliceFanout == 0 {
-		opt.MaxSpliceFanout = 256
-	}
-	b := &builder{
-		prog: prog,
-		src:  src,
-		opt:  opt,
-		g:    &Graph{Prog: prog, PointCount: len(prog.Points)},
-	}
 	opt.Budget.Checkpoint(rt.PhaseDUG)
+	b := newBuilder(src, opt)
 	b.initNodes()
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	info := cfg.Compute(prog, src.CG, src.Callees)
@@ -352,25 +344,20 @@ func BuildFrom(src *Source, opt Options) *Graph {
 	// entries and return sites); phis get theirs during placement. Widening
 	// nodes are also pinned by the bypass optimization so that every
 	// dependency cycle keeps a widening point.
-	for i := range prog.Points {
-		if info.Widen[i] {
-			b.g.Widen[i] = true
-		}
-	}
+	copy(b.g.Widen, info.Widen)
 	// Stage the per-procedure SSA passes (dominators, phi placement,
 	// renaming) — each reads only the shared per-point tables, so they fan
 	// out — then merge in procedure order, which assigns phi node IDs
 	// exactly as a sequential build would.
 	staged := make([]*procBuild, len(prog.Procs))
 	par.For(len(prog.Procs), opt.Workers, func(lo, hi int) {
+		var sc stageScratch
 		for i := lo; i < hi; i++ {
-			staged[i] = b.stageProc(prog.Procs[i], info)
+			staged[i] = b.stageProc(prog.Procs[i], &sc)
 		}
 	})
 	opt.Budget.Checkpoint(rt.PhaseDUG)
-	for i, pr := range prog.Procs {
-		b.mergeProc(pr, staged[i])
-	}
+	b.mergeProcs(staged)
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	b.linkInterproc()
 	opt.Budget.Checkpoint(rt.PhaseDUG)
@@ -403,20 +390,11 @@ func (g *Graph) flushMetrics(col *metrics.Collector) {
 	col.Add(metrics.CtrDUGUses, uses)
 }
 
-// ensureNode grows the per-node tables to cover node n.
-func (b *builder) ensureNode(n NodeID) {
-	for len(b.defs) <= int(n) {
-		b.defs = append(b.defs, nil)
-		b.uses = append(b.uses, nil)
-		b.pass = append(b.pass, nil)
-		b.g.Widen = append(b.g.Widen, false)
-	}
-}
-
 // initScratch carries one worker's reusable buffers through initNode.
 type initScratch struct {
 	ownD, ownU []ir.LocID // command-local D̂/Û
-	d, u, p    []ir.LocID // accumulated sets, duplicates allowed
+	d, u, p    []ir.LocID // the node's final sets
+	acc, tmp   []ir.LocID // union of several callees' access sets
 	ret        []ir.LocID // return channels of a RetBind's callees
 	ar         arena
 }
@@ -424,9 +402,8 @@ type initScratch struct {
 // initNodes computes the per-point D̂/Û including interprocedural linkage
 // sets, and records which memberships are linkage-only (bypassable). Each
 // point writes only its own node's tables, so the sweep fans out across
-// workers after the tables are grown to their final point count.
+// workers.
 func (b *builder) initNodes() {
-	b.ensureNode(NodeID(len(b.prog.Points) - 1))
 	par.For(len(b.prog.Points), b.opt.Workers, func(lo, hi int) {
 		var sc initScratch
 		for i := lo; i < hi; i++ {
@@ -435,15 +412,32 @@ func (b *builder) initNodes() {
 	})
 }
 
-// initNode fills the D̂/Û/pass tables of one point.
+// calleeAccess returns the union of the callees' access sets, in sc's
+// buffers when there is more than one callee.
+func (b *builder) calleeAccess(callees []ir.ProcID, sc *initScratch) []ir.LocID {
+	switch len(callees) {
+	case 0:
+		return nil
+	case 1:
+		return b.access[callees[0]]
+	}
+	acc := append(sc.acc[:0], b.access[callees[0]]...)
+	for _, pr := range callees[1:] {
+		sc.tmp = ir.MergeLocs(sc.tmp[:0], acc, b.access[pr])
+		acc, sc.tmp = sc.tmp, acc
+	}
+	sc.acc = acc
+	return acc
+}
+
+// initNode fills the D̂/Û/pass tables of one point. Every set is built by
+// merging sorted sets, never by sorting their concatenation.
 func (b *builder) initNode(pt *ir.Point, sc *initScratch) {
 	n := NodeID(pt.ID)
 	ownD, ownU := b.src.DefsUsesAppend(pt, sc.ownD[:0], sc.ownU[:0])
 	ownD, ownU = ir.DedupLocs(ownD), ir.DedupLocs(ownU)
 	sc.ownD, sc.ownU = ownD, ownU
-	d := append(sc.d[:0], ownD...)
-	u := append(sc.u[:0], ownU...)
-	p := sc.p[:0]
+	d, u, p := ownD, ownU, []ir.LocID(nil)
 	// Interprocedural linkage (Section 5): a call uses everything its
 	// callees access — including the locations they may (weakly or
 	// spuriously) define, so that stale caller values flow *through*
@@ -457,33 +451,26 @@ func (b *builder) initNode(pt *ir.Point, sc *initScratch) {
 		// callees access: its definition values are the identity on the
 		// caller's reaching values (plus the formal bindings), carried
 		// into the callee entry by the call→entry edges.
-		for _, pr := range b.src.Callees(pt.ID) {
-			for _, summ := range [2][]ir.LocID{b.src.UseSummary[pr], b.src.DefSummary[pr]} {
-				for _, l := range summ {
-					if !ir.LocsContain(ownU, l) && !ir.LocsContain(ownD, l) {
-						p = append(p, l)
-					}
-					u = append(u, l)
-					d = append(d, l)
-				}
-			}
-		}
+		acc := b.calleeAccess(b.src.Callees(pt.ID), sc)
+		sc.u = ir.MergeLocs(sc.u[:0], ownU, acc)
+		sc.d = ir.MergeLocs(sc.d[:0], ownD, acc)
+		sc.p = removeLocs(removeLocs(append(sc.p[:0], acc...), ownU), ownD)
+		d, u, p = sc.d, sc.u, sc.p
 	case ir.Entry:
-		pr := b.prog.ProcByID(pt.Proc)
-		if pr.Entry == pt.ID {
-			for _, summ := range [2][]ir.LocID{b.src.UseSummary[pt.Proc], b.src.DefSummary[pt.Proc]} {
-				d = append(d, summ...)
-				p = append(p, summ...)
-			}
+		if b.prog.ProcByID(pt.Proc).Entry == pt.ID {
+			acc := b.access[pt.Proc]
+			sc.d = ir.MergeLocs(sc.d[:0], ownD, acc)
+			sc.p = append(sc.p[:0], acc...)
 			if b.src.EntryMarks != nil {
 				// Marked locations are genuine definitions of the entry
 				// transfer (possibly-uninitialized seeds), not relayed
 				// linkage: the bypass must not splice the entry out of
 				// their chains, so they leave the pass set.
 				if marks := b.src.EntryMarks(pt.Proc); len(marks) > 0 {
-					p = removeLocs(ir.DedupLocs(p), marks)
+					sc.p = removeLocs(sc.p, marks)
 				}
 			}
+			d, p = sc.d, sc.p
 		}
 	case ir.Exit:
 		// The exit both uses and defines (relays) everything the body
@@ -494,50 +481,47 @@ func (b *builder) initNode(pt *ir.Point, sc *initScratch) {
 		// sparse graph must reproduce exactly that flow, or the sparse
 		// fixpoint comes out strictly tighter than the baseline at
 		// multi-site callees (breaking Lemma 2 fidelity).
-		for _, summ := range [2][]ir.LocID{b.src.UseSummary[pt.Proc], b.src.DefSummary[pt.Proc]} {
-			for _, l := range summ {
-				if !ir.LocsContain(ownU, l) {
-					p = append(p, l)
-				}
-				u = append(u, l)
-				d = append(d, l)
-			}
-		}
+		acc := b.access[pt.Proc]
+		sc.p = removeLocs(append(sc.p[:0], acc...), ownU)
+		sc.u = ir.MergeLocs(sc.u[:0], ownU, acc)
+		sc.d = ir.MergeLocs(sc.d[:0], ownD, acc)
 		if rl := b.src.RetChan(pt.Proc); rl != ir.None {
-			u = append(u, rl)
-			d = append(d, rl)
+			sc.u = insertLoc(sc.u, rl)
+			sc.d = insertLoc(sc.d, rl)
 		}
+		d, u, p = sc.d, sc.u, sc.p
 	case ir.RetBind:
 		// Mirror of the exit: the return site defines everything any
-		// callee accessed (the localized return memory).
-		rets := sc.ret[:0]
-		for _, pr := range b.src.Callees(c.CallPt) {
-			rl := b.src.RetChan(pr)
-			for _, summ := range [2][]ir.LocID{b.src.UseSummary[pr], b.src.DefSummary[pr]} {
-				for _, l := range summ {
-					if l != rl && !ir.LocsContain(ownD, l) && !ir.LocsContain(ownU, l) {
-						p = append(p, l)
-					}
-					d = append(d, l)
+		// callee accessed (the localized return memory). A callee's own
+		// return channel is not linkage of its contribution.
+		callees := b.src.Callees(c.CallPt)
+		sc.d = ir.MergeLocs(sc.d[:0], ownD, b.calleeAccess(callees, sc))
+		rets, pass := sc.ret[:0], sc.p[:0]
+		for _, pr := range callees {
+			own := b.access[pr]
+			if rl := b.src.RetChan(pr); rl != ir.None {
+				rets = append(rets, rl)
+				if ir.LocsContain(own, rl) {
+					sc.tmp = removeLoc(append(sc.tmp[:0], own...), rl)
+					own = sc.tmp
 				}
 			}
-			if rl != ir.None {
-				rets = append(rets, rl)
-			}
+			sc.acc = ir.MergeLocs(sc.acc[:0], pass, own)
+			pass, sc.acc = sc.acc, pass
 		}
-		sc.ret = rets
+		sc.ret, sc.p = rets, removeLocs(removeLocs(pass, ownD), ownU)
+		d, p = sc.d, sc.p
 		// The return channel must arrive exclusively over the
 		// exit→return-site edge; caller-side SSA wiring of it would
 		// join stale pre-call values into the delivered result.
 		if len(rets) > 0 {
-			u = removeLocs(ir.DedupLocs(u), ir.DedupLocs(rets))
+			sc.u = removeLocs(append(sc.u[:0], ownU...), ir.DedupLocs(rets))
+			u = sc.u
 		}
 	}
-	d, u, p = ir.DedupLocs(d), ir.DedupLocs(u), ir.DedupLocs(p)
 	b.defs[n] = sc.ar.place(d)
 	b.uses[n] = sc.ar.place(u)
 	b.pass[n] = sc.ar.place(p)
-	sc.d, sc.u, sc.p = d, u, p
 }
 
 // removeLocs deletes the members of sorted rem from sorted s in place.
@@ -561,20 +545,20 @@ func removeLocs(s, rem []ir.LocID) []ir.LocID {
 
 // removeLoc deletes l from the sorted set s in place.
 func removeLoc(s []ir.LocID, l ir.LocID) []ir.LocID {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(s) || s[lo] != l {
+	i, ok := slices.BinarySearch(s, l)
+	if !ok {
 		return s
 	}
-	copy(s[lo:], s[lo+1:])
-	return s[:len(s)-1]
+	return slices.Delete(s, i, i+1)
+}
+
+// insertLoc adds l to the sorted set s.
+func insertLoc(s []ir.LocID, l ir.LocID) []ir.LocID {
+	i, ok := slices.BinarySearch(s, l)
+	if ok {
+		return s
+	}
+	return slices.Insert(s, i, l)
 }
 
 // procBuild is the staged output of one procedure's SSA pass. Phi nodes are
@@ -585,24 +569,45 @@ type procBuild struct {
 	recursive bool
 	phis      []Phi
 	phiWiden  []bool
-	edges     []stagedEdge
-}
-
-type stagedEdge struct {
-	from NodeID // >= 0: point node; < 0: local phi ref
-	loc  ir.LocID
-	to   NodeID
+	edges     []triple
 }
 
 // phiRef encodes local phi index i as a negative NodeID placeholder.
 func phiRef(i int) NodeID { return NodeID(-1 - i) }
+
+// noDef marks a location with no reaching definition during renaming.
+const noDef = NodeID(math.MaxInt32)
+
+// stageScratch carries one worker's dense tables through stageProc. The
+// point and location tables are indexed by global ID and hold local index+1
+// (0 = absent); stageProc clears every entry it sets before returning.
+type stageScratch struct {
+	rpo  []int32 // point → RPO index in the current procedure
+	lidx []int32 // location → index among the procedure's defined locations
+	keys []uint64
+	locs []ir.LocID
+	// sites is a scratch list of one location's definition sites.
+	sites []int
+	// phiHead[i] is the last local phi placed at RPO index i, and
+	// phiNext[k] the phi placed there before phi k (-1 ends the chain).
+	phiHead, phiNext []int32
+	// top[li] is the reaching definition of local location li; undo logs
+	// the overwritten tops so the dominator-tree walk can restore them.
+	top  []NodeID
+	undo []reaching
+}
+
+type reaching struct {
+	li   int32
+	prev NodeID
+}
 
 // stageProc runs per-location SSA over one procedure: phi placement at
 // iterated dominance frontiers of definition sites, then a single renaming
 // walk over the dominator tree collecting def→use dependency edges. It only
 // reads the shared per-point tables (complete after initNodes), so stages
 // for different procedures are safe to run concurrently.
-func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
+func (b *builder) stageProc(pr *ir.Proc, sc *stageScratch) *procBuild {
 	if len(pr.Points) == 0 || pr.Entry == ir.None {
 		return nil
 	}
@@ -610,133 +615,175 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 	heads := cfg.LoopHeads(b.prog, pr)
 	pb := &procBuild{recursive: b.src.CG.InCycle(pr.ID)}
 
-	// Collect tracked locations and their definition sites (RPO indices).
-	defSites := map[ir.LocID][]int{}
+	if len(sc.rpo) < len(b.prog.Points) {
+		sc.rpo = make([]int32, len(b.prog.Points))
+	}
+	for i, id := range dom.Order {
+		sc.rpo[id] = int32(i + 1)
+	}
+	// Every (location, RPO index) definition, sorted: the groups are the
+	// tracked locations in ascending order, each with its definition sites
+	// in ascending RPO order.
+	keys := sc.keys[:0]
 	for i, id := range dom.Order {
 		for _, l := range b.defs[id] {
-			defSites[l] = append(defSites[l], i)
+			keys = append(keys, uint64(uint32(l))<<32|uint64(i))
 		}
 	}
-	// Deterministic iteration order over locations.
-	locs := make([]ir.LocID, 0, len(defSites))
-	for l := range defSites {
-		locs = append(locs, l)
+	slices.Sort(keys)
+	sc.keys = keys
+	if len(keys) > 0 {
+		if need := int(keys[len(keys)-1]>>32) + 1; len(sc.lidx) < need {
+			sc.lidx = make([]int32, need)
+		}
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 
-	// Phi placement.
-	phiAt := make([]map[ir.LocID]NodeID, len(dom.Order))
-	for _, l := range locs {
-		for _, i := range dom.IteratedFrontier(defSites[l]) {
+	// Phi placement, location by location.
+	head := slices.Grow(sc.phiHead[:0], len(dom.Order))[:len(dom.Order)]
+	for i := range head {
+		head[i] = -1
+	}
+	locs, next := sc.locs[:0], sc.phiNext[:0]
+	idf := dom.NewIDF()
+	for j := 0; j < len(keys); {
+		l := ir.LocID(keys[j] >> 32)
+		sites := sc.sites[:0]
+		for ; j < len(keys) && ir.LocID(keys[j]>>32) == l; j++ {
+			sites = append(sites, int(uint32(keys[j])))
+		}
+		sc.sites = sites
+		locs = append(locs, l)
+		sc.lidx[l] = int32(len(locs))
+		for _, i := range idf.Of(sites) {
 			pid := dom.Order[i]
-			n := phiRef(len(pb.phis))
 			pb.phis = append(pb.phis, Phi{At: pid, Loc: l})
 			pb.phiWiden = append(pb.phiWiden, heads[pid])
-			if phiAt[i] == nil {
-				phiAt[i] = map[ir.LocID]NodeID{}
-			}
-			phiAt[i][l] = n
+			next = append(next, head[i])
+			head[i] = int32(len(next) - 1)
 		}
 	}
+	sc.locs, sc.phiHead, sc.phiNext = locs, head, next
 
-	addEdge := func(from NodeID, l ir.LocID, to NodeID) {
-		pb.edges = append(pb.edges, stagedEdge{from: from, loc: l, to: to})
+	top := slices.Grow(sc.top[:0], len(locs))[:len(locs)]
+	for i := range top {
+		top[i] = noDef
 	}
-
-	// Renaming: one preorder walk of the dominator tree with a stack per
-	// location.
-	stacks := map[ir.LocID][]NodeID{}
-	top := func(l ir.LocID) (NodeID, bool) {
-		s := stacks[l]
-		if len(s) == 0 {
-			return 0, false
+	undo := sc.undo[:0]
+	push := func(li int32, d NodeID) {
+		undo = append(undo, reaching{li, top[li]})
+		top[li] = d
+	}
+	local := func(l ir.LocID) int32 {
+		if int(l) < len(sc.lidx) {
+			return sc.lidx[l] - 1
 		}
-		return s[len(s)-1], true
+		return -1
 	}
+
+	// Renaming: one preorder walk of the dominator tree.
 	var visit func(i int)
 	visit = func(i int) {
+		mark := len(undo)
 		pid := dom.Order[i]
 		n := NodeID(pid)
-		var pushed []ir.LocID
 		// Phis first: they join the incoming paths and dominate the point's
 		// own use/def.
-		phiLocs := make([]ir.LocID, 0, len(phiAt[i]))
-		for l := range phiAt[i] {
-			phiLocs = append(phiLocs, l)
-		}
-		sort.Slice(phiLocs, func(a, c int) bool { return phiLocs[a] < phiLocs[c] })
-		for _, l := range phiLocs {
-			stacks[l] = append(stacks[l], phiAt[i][l])
-			pushed = append(pushed, l)
+		for k := head[i]; k >= 0; k = next[k] {
+			push(sc.lidx[pb.phis[k].Loc]-1, phiRef(int(k)))
 		}
 		// Uses read the value reaching the point (after phis).
 		for _, l := range b.uses[n] {
-			if d, ok := top(l); ok {
-				addEdge(d, l, n)
+			if li := local(l); li >= 0 && top[li] != noDef {
+				pb.edges = append(pb.edges, triple{top[li], l, n})
 			}
 		}
 		// Defs kill for dominated points. (Weak definitions are also uses,
 		// so their incoming value still flows — Definition 3's treatment of
 		// may-kills.)
 		for _, l := range b.defs[n] {
-			stacks[l] = append(stacks[l], n)
-			pushed = append(pushed, l)
+			push(sc.lidx[l]-1, n)
 		}
 		// Feed phi inputs of CFG successors.
 		for _, s := range b.prog.Point(pid).Succs {
-			si, ok := dom.Index[s]
-			if !ok {
+			si := int(sc.rpo[s]) - 1
+			if si < 0 {
 				continue
 			}
-			for l, ph := range phiAt[si] {
-				if d, ok := top(l); ok {
-					addEdge(d, l, ph)
+			for k := head[si]; k >= 0; k = next[k] {
+				l := pb.phis[k].Loc
+				if d := top[sc.lidx[l]-1]; d != noDef {
+					pb.edges = append(pb.edges, triple{d, l, phiRef(int(k))})
 				}
 			}
 		}
 		for _, c := range dom.Children[i] {
 			visit(c)
 		}
-		for _, l := range pushed {
-			stacks[l] = stacks[l][:len(stacks[l])-1]
+		for len(undo) > mark {
+			u := undo[len(undo)-1]
+			top[u.li] = u.prev
+			undo = undo[:len(undo)-1]
 		}
 	}
 	visit(0)
+	sc.top, sc.undo = top, undo
+
+	for _, id := range dom.Order {
+		sc.rpo[id] = 0
+	}
+	for _, l := range locs {
+		sc.lidx[l] = 0
+	}
 	return pb
 }
 
-// mergeProc folds one staged procedure into the shared builder state,
-// assigning global phi NodeIDs. Called in procedure order, it numbers phis
-// exactly as the former sequential per-procedure loop did.
-func (b *builder) mergeProc(pr *ir.Proc, pb *procBuild) {
-	if pb == nil {
-		return
-	}
-	if pb.recursive {
-		b.g.Widen[pr.Entry] = true
-	}
-	base := NodeID(b.g.PointCount + len(b.g.Phis))
-	for i, ph := range pb.phis {
-		n := base + NodeID(i)
-		b.g.Phis = append(b.g.Phis, ph)
-		b.ensureNode(n)
-		// One allocation carries both singleton sets; bypass never touches
-		// phi sets (their pass set is empty), but keep them separable.
-		s := []ir.LocID{ph.Loc, ph.Loc}
-		b.defs[n] = s[:1:1]
-		b.uses[n] = s[1:2:2]
-		if pb.phiWiden[i] {
-			b.g.Widen[n] = true
+// mergeProcs folds the staged procedures into the shared builder state in
+// procedure order, which numbers phis exactly as a sequential
+// per-procedure loop would.
+func (b *builder) mergeProcs(staged []*procBuild) {
+	nPhis, nEdges := 0, 0
+	for _, pb := range staged {
+		if pb != nil {
+			nPhis += len(pb.phis)
+			nEdges += len(pb.edges)
 		}
 	}
-	resolve := func(n NodeID) NodeID {
-		if n < 0 {
-			return base + NodeID(-1-int(n))
+	b.g.Phis = make([]Phi, 0, nPhis)
+	b.g.Widen = append(b.g.Widen, make([]bool, nPhis)...)
+	b.defs = append(b.defs, make([][]ir.LocID, nPhis)...)
+	b.uses = append(b.uses, make([][]ir.LocID, nPhis)...)
+	b.pass = append(b.pass, make([][]ir.LocID, nPhis)...)
+	b.triples = slices.Grow(b.triples, nEdges)
+	// One backing array carries both singleton sets of every phi; bypass
+	// never touches phi sets (their pass set is empty).
+	sets := make([]ir.LocID, 2*nPhis)
+	for i, pr := range b.prog.Procs {
+		pb := staged[i]
+		if pb == nil {
+			continue
 		}
-		return n
-	}
-	for _, e := range pb.edges {
-		b.addEdge(resolve(e.from), e.loc, resolve(e.to))
+		if pb.recursive {
+			b.g.Widen[pr.Entry] = true
+		}
+		base := NodeID(b.g.PointCount + len(b.g.Phis))
+		for k, ph := range pb.phis {
+			n := base + NodeID(k)
+			j := 2 * (len(b.g.Phis) + k)
+			sets[j], sets[j+1] = ph.Loc, ph.Loc
+			b.defs[n] = sets[j : j+1 : j+1]
+			b.uses[n] = sets[j+1 : j+2 : j+2]
+			b.g.Widen[n] = pb.phiWiden[k]
+		}
+		b.g.Phis = append(b.g.Phis, pb.phis...)
+		for _, e := range pb.edges {
+			if e.from < 0 {
+				e.from = base - 1 - e.from
+			}
+			if e.to < 0 {
+				e.to = base - 1 - e.to
+			}
+			b.triples = append(b.triples, e)
+		}
 	}
 }
 
@@ -751,51 +798,31 @@ func (b *builder) addEdge(from NodeID, l ir.LocID, to NodeID) {
 	b.triples = append(b.triples, triple{from: from, loc: l, to: to})
 }
 
-func containsNode(s []NodeID, n NodeID) bool {
-	for _, m := range s {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
-
-// removeNode deletes the first occurrence of n (order is irrelevant: the
-// rows are sorted in finalize).
-func removeNode(s []NodeID, n NodeID) []NodeID {
-	for i, m := range s {
-		if m == n {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
-}
-
 // linkInterproc adds the call→entry and exit→return-site dependencies.
 func (b *builder) linkInterproc() {
-	// retBindOf maps a call point to its return-site point.
-	retBindOf := map[ir.PointID]ir.PointID{}
+	// retBindOf[c] is the return-site point of call point c.
+	retBindOf := make([]ir.PointID, len(b.prog.Points))
+	for i := range retBindOf {
+		retBindOf[i] = ir.None
+	}
 	for _, pt := range b.prog.Points {
 		if rb, ok := pt.Cmd.(ir.RetBind); ok {
 			retBindOf[rb.CallPt] = pt.ID
 		}
 	}
-	var retChans, accAll []ir.LocID
+	var sc initScratch
+	var retChans []ir.LocID
 	for _, pt := range b.prog.Points {
 		if _, ok := pt.Cmd.(ir.Call); !ok {
 			continue
 		}
 		callees := b.src.Callees(pt.ID)
 		for _, p := range callees {
-			callee := b.prog.ProcByID(p)
-			for _, l := range b.src.UseSummary[p] {
-				b.addEdge(NodeID(pt.ID), l, NodeID(callee.Entry))
-			}
 			// Def-summary locations flow in too: stale caller values pass
 			// through the callee and are killed by its strong definitions.
-			for _, l := range b.src.DefSummary[p] {
-				b.addEdge(NodeID(pt.ID), l, NodeID(callee.Entry))
+			entry := NodeID(b.prog.ProcByID(p).Entry)
+			for _, l := range b.access[p] {
+				b.addEdge(NodeID(pt.ID), l, entry)
 			}
 		}
 		// An indirect call can have callees with different access sets. The
@@ -807,23 +834,20 @@ func (b *builder) linkInterproc() {
 		// around that callee), and no exit edge delivers it. Ret channels
 		// are excluded — they arrive exclusively over exit→return-site
 		// edges (see initNode).
-		if rs, ok := retBindOf[pt.ID]; ok && len(callees) > 1 {
-			retChans, accAll = retChans[:0], accAll[:0]
+		if rs := retBindOf[pt.ID]; rs != ir.None && len(callees) > 1 {
+			retChans = retChans[:0]
 			for _, p := range callees {
 				if rl := b.src.RetChan(p); rl != ir.None {
 					retChans = append(retChans, rl)
 				}
-				accAll = append(accAll, b.src.UseSummary[p]...)
-				accAll = append(accAll, b.src.DefSummary[p]...)
 			}
 			retChans = ir.DedupLocs(retChans)
-			accAll = ir.DedupLocs(accAll)
-			for _, l := range accAll {
+			for _, l := range b.calleeAccess(callees, &sc) {
 				if ir.LocsContain(retChans, l) {
 					continue
 				}
 				for _, p := range callees {
-					if !ir.LocsContain(b.src.UseSummary[p], l) && !ir.LocsContain(b.src.DefSummary[p], l) {
+					if !ir.LocsContain(b.access[p], l) {
 						b.addEdge(NodeID(pt.ID), l, NodeID(rs))
 						break
 					}
@@ -832,57 +856,70 @@ func (b *builder) linkInterproc() {
 		}
 	}
 	for p, sites := range b.src.RetSites {
-		callee := b.prog.Procs[p]
-		exit := NodeID(callee.Exit)
+		exit := NodeID(b.prog.Procs[p].Exit)
+		rl := b.src.RetChan(ir.ProcID(p))
 		for _, rs := range sites {
-			for _, l := range b.src.UseSummary[p] {
+			for _, l := range b.access[p] {
 				b.addEdge(exit, l, NodeID(rs))
 			}
-			for _, l := range b.src.DefSummary[p] {
-				b.addEdge(exit, l, NodeID(rs))
-			}
-			if rl := b.src.RetChan(ir.ProcID(p)); rl != ir.None {
+			if rl != ir.None {
 				b.addEdge(exit, rl, NodeID(rs))
 			}
 		}
 	}
 }
 
-// buildAdjacency turns the staged triples into per-node adjacency rows:
-// counting-sort by from-node, sort each node's group by packed (loc, to)
-// keys, deduplicate in place, and carve the out/in rows from exact-size
-// backing arrays. This single sort replaces the per-edge map lookups that
-// used to dominate the build.
+// edgeRef is one adjacency entry during construction: the neighbor node and
+// the index of the neighbor's row for the same location in the opposite
+// direction, so a splice edits both endpoints of an edge without searching
+// for their rows.
+type edgeRef struct {
+	node NodeID
+	row  int32
+}
+
+// adjacency is the graph under construction: per node, sorted location keys
+// with one row of neighbors each, in both directions. Node n's out-keys are
+// outLocs[outStart[n]:outStart[n+1]] and its rows the same range of outRows;
+// likewise for in. The bypass optimization edits row contents but
+// (invariant) never needs a new key — a splice only reconnects nodes that
+// already carry edges on the spliced location — so row indices are stable.
+type adjacency struct {
+	outStart, inStart []int32
+	outLocs, inLocs   []ir.LocID
+	outRows, inRows   [][]edgeRef
+}
+
+// buildAdjacency turns the staged triples into adjacency rows: counting-sort
+// by from-node, sort each node's group by packed (loc, to) keys and
+// deduplicate, carve the out rows, then counting-sort the survivors by
+// to-node for the in rows, linking each entry to its partner row. Rows are
+// views into exact-size backing arrays, full-cap'd so a bypass append copies
+// out instead of clobbering a neighbor.
 func (b *builder) buildAdjacency() {
 	n := b.g.NumNodes()
 	ts := b.triples
 	b.triples = nil
-	b.out = make([]adjRows, n)
-	b.in = make([]adjRows, n)
+	a := &b.adj
 
-	group := func(ts []triple, key func(t triple) NodeID) (grouped []triple, start []int32) {
-		start = make([]int32, n+1)
-		for _, t := range ts {
-			start[key(t)+1]++
-		}
-		for i := 0; i < n; i++ {
-			start[i+1] += start[i]
-		}
-		pos := make([]int32, n)
-		copy(pos, start[:n])
-		grouped = make([]triple, len(ts))
-		for _, t := range ts {
-			grouped[pos[key(t)]] = t
-			pos[key(t)]++
-		}
-		return grouped, start
+	// Group by from-node, then sort and deduplicate each group into ded
+	// (reusing the staging array): ded is sorted by (from, loc, to).
+	start := make([]int32, n+1)
+	for _, t := range ts {
+		start[t.from+1]++
 	}
-
-	// Out direction, with dedup.
-	grouped, start := group(ts, func(t triple) NodeID { return t.from })
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	grouped := make([]triple, len(ts))
+	fill := slices.Clone(start[:n])
+	for _, t := range ts {
+		grouped[fill[t.from]] = t
+		fill[t.from]++
+	}
+	ded := ts[:0]
 	var keys []uint64
-	glen := make([]int32, n)
-	nLocs, nEdges := 0, 0
+	nRows := 0
 	for i := 0; i < n; i++ {
 		g := grouped[start[i]:start[i+1]]
 		if len(g) == 0 {
@@ -893,147 +930,124 @@ func (b *builder) buildAdjacency() {
 			keys = append(keys, uint64(uint32(t.loc))<<32|uint64(uint32(t.to)))
 		}
 		slices.Sort(keys)
-		m := 0
-		prevLoc := ir.LocID(-1)
 		for j, k := range keys {
 			if j > 0 && k == keys[j-1] {
 				continue
 			}
 			l := ir.LocID(k >> 32)
-			g[m] = triple{from: NodeID(i), loc: l, to: NodeID(uint32(k))}
-			if l != prevLoc {
-				nLocs++
-				prevLoc = l
+			if j == 0 || l != ir.LocID(keys[j-1]>>32) {
+				nRows++
 			}
-			m++
+			ded = append(ded, triple{from: NodeID(i), loc: l, to: NodeID(uint32(k))})
 		}
-		glen[i] = int32(m)
-		nEdges += m
 	}
-	b.emitRows(b.out, grouped, start, glen, nLocs, nEdges, false)
+	grouped = nil
+	m := len(ded)
 
-	// Compact the deduplicated edge set (reusing the staging array) and
-	// build the in direction; no further dedup needed.
-	ded := ts[:0]
-	for i := 0; i < n; i++ {
-		ded = append(ded, grouped[start[i]:start[i]+glen[i]]...)
+	// Out rows: the runs of equal (from, loc) in ded; outBack[k] is ded[k].
+	outBack := make([]edgeRef, m)
+	rowOf := make([]int32, m) // out row of ded[k]
+	a.outStart = make([]int32, n+1)
+	a.outLocs = make([]ir.LocID, 0, nRows)
+	a.outRows = make([][]edgeRef, 0, nRows)
+	for k := 0; k < m; {
+		t := ded[k]
+		r := int32(len(a.outLocs))
+		e := k
+		for ; e < m && ded[e].from == t.from && ded[e].loc == t.loc; e++ {
+			outBack[e].node = ded[e].to
+			rowOf[e] = r
+		}
+		a.outLocs = append(a.outLocs, t.loc)
+		a.outRows = append(a.outRows, outBack[k:e:e])
+		a.outStart[t.from+1]++
+		k = e
 	}
-	grouped, start = group(ded, func(t triple) NodeID { return t.to })
-	nLocs = 0
 	for i := 0; i < n; i++ {
-		g := grouped[start[i]:start[i+1]]
+		a.outStart[i+1] += a.outStart[i]
+	}
+
+	// In rows: group the ded indices by to-node (stable, so each group is in
+	// from order), then sort each group by (loc, index) — within one
+	// location, index order is from order.
+	clear(start)
+	for _, t := range ded {
+		start[t.to+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	byTo := make([]int32, m)
+	copy(fill, start[:n])
+	for k, t := range ded {
+		byTo[fill[t.to]] = int32(k)
+		fill[t.to]++
+	}
+	inBack := make([]edgeRef, m)
+	a.inStart = make([]int32, n+1)
+	a.inLocs = make([]ir.LocID, 0, nRows)
+	a.inRows = make([][]edgeRef, 0, nRows)
+	j := 0
+	for i := 0; i < n; i++ {
+		g := byTo[start[i]:start[i+1]]
 		if len(g) == 0 {
-			glen[i] = 0
+			a.inStart[i+1] = int32(len(a.inLocs))
 			continue
 		}
 		keys = keys[:0]
-		for _, t := range g {
-			keys = append(keys, uint64(uint32(t.loc))<<32|uint64(uint32(t.from)))
+		for _, k := range g {
+			keys = append(keys, uint64(uint32(ded[k].loc))<<32|uint64(k))
 		}
 		slices.Sort(keys)
-		prevLoc := ir.LocID(-1)
-		for j, k := range keys {
-			l := ir.LocID(k >> 32)
-			g[j] = triple{from: NodeID(uint32(k)), loc: l, to: NodeID(i)}
-			if l != prevLoc {
-				nLocs++
-				prevLoc = l
+		rowStart := j
+		for x, key := range keys {
+			l, k := ir.LocID(key>>32), uint32(key)
+			if x > 0 && l != ir.LocID(keys[x-1]>>32) {
+				a.inRows = append(a.inRows, inBack[rowStart:j:j])
+				rowStart = j
 			}
-		}
-		glen[i] = int32(len(g))
-	}
-	b.emitRows(b.in, grouped, start, glen, nLocs, nEdges, true)
-}
-
-// emitRows carves adjacency rows out of exact-size backing arrays from
-// grouped (per-node, loc-sorted, deduplicated) triples. The backing never
-// grows, so the row views stay valid; rows are full-cap'd so a bypass append
-// copies out instead of clobbering a neighbor.
-func (b *builder) emitRows(dst []adjRows, grouped []triple, start, glen []int32, nLocs, nEdges int, useFrom bool) {
-	locsBack := make([]ir.LocID, 0, nLocs)
-	rowsBack := make([][]NodeID, 0, nLocs)
-	nodeBack := make([]NodeID, 0, nEdges)
-	for i := range dst {
-		g := grouped[start[i] : start[i]+glen[i]]
-		if len(g) == 0 {
-			continue
-		}
-		locOff, rowOff := len(locsBack), len(rowsBack)
-		rowStart := len(nodeBack)
-		for j, t := range g {
-			if j == 0 || t.loc != g[j-1].loc {
-				if j > 0 {
-					rowsBack = append(rowsBack, nodeBack[rowStart:len(nodeBack):len(nodeBack)])
-				}
-				rowStart = len(nodeBack)
-				locsBack = append(locsBack, t.loc)
+			if x == 0 || l != ir.LocID(keys[x-1]>>32) {
+				a.inLocs = append(a.inLocs, l)
 			}
-			if useFrom {
-				nodeBack = append(nodeBack, t.from)
-			} else {
-				nodeBack = append(nodeBack, t.to)
-			}
+			inBack[j] = edgeRef{node: ded[k].from, row: rowOf[k]}
+			outBack[k].row = int32(len(a.inLocs) - 1)
+			j++
 		}
-		rowsBack = append(rowsBack, nodeBack[rowStart:len(nodeBack):len(nodeBack)])
-		dst[i] = adjRows{
-			locs: locsBack[locOff:len(locsBack):len(locsBack)],
-			rows: rowsBack[rowOff:len(rowsBack):len(rowsBack)],
-		}
+		a.inRows = append(a.inRows, inBack[rowStart:j:j])
+		a.inStart[i+1] = int32(len(a.inLocs))
 	}
 }
 
-// spliceAdd inserts the edge ⟨from, l, to⟩ into the adjacency rows (dedup'd)
-// during bypass. The rows for l exist by the splice invariant; the insert
-// fallback keeps the builder correct if it is ever violated.
-func (b *builder) spliceAdd(from NodeID, l ir.LocID, to NodeID) {
-	ri := b.out[from].find(l)
-	if ri < 0 {
-		ri = insertRow(&b.out[from], l)
+// findRow advances the cursor i over the sorted keys to l and returns the
+// row index base+i, or -1 if l is not a key.
+func findRow(keys []ir.LocID, i *int, base int32, l ir.LocID) int32 {
+	for *i < len(keys) && keys[*i] < l {
+		*i++
 	}
-	row := b.out[from].rows[ri]
-	if containsNode(row, to) {
-		return
+	if *i < len(keys) && keys[*i] == l {
+		return base + int32(*i)
 	}
-	b.out[from].rows[ri] = append(row, to)
-	ti := b.in[to].find(l)
-	if ti < 0 {
-		ti = insertRow(&b.in[to], l)
-	}
-	b.in[to].rows[ti] = append(b.in[to].rows[ti], from)
+	return -1
 }
 
-// spliceDel removes the edge ⟨from, l, to⟩ from the adjacency rows.
-func (b *builder) spliceDel(from NodeID, l ir.LocID, to NodeID) {
-	if ri := b.out[from].find(l); ri >= 0 {
-		b.out[from].rows[ri] = removeNode(b.out[from].rows[ri], to)
-	}
-	if ti := b.in[to].find(l); ti >= 0 {
-		b.in[to].rows[ti] = removeNode(b.in[to].rows[ti], from)
-	}
-}
-
-// insertRow adds an empty row keyed l to a, returning its index.
-func insertRow(a *adjRows, l ir.LocID) int {
-	lo, hi := 0, len(a.locs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.locs[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
+func hasRef(row []edgeRef, n NodeID) bool {
+	for _, e := range row {
+		if e.node == n {
+			return true
 		}
 	}
-	// Copy out: the key/row arrays are views into shared backing.
-	locs := make([]ir.LocID, 0, len(a.locs)+1)
-	locs = append(locs, a.locs[:lo]...)
-	locs = append(locs, l)
-	locs = append(locs, a.locs[lo:]...)
-	rows := make([][]NodeID, 0, len(a.rows)+1)
-	rows = append(rows, a.rows[:lo]...)
-	rows = append(rows, nil)
-	rows = append(rows, a.rows[lo:]...)
-	a.locs, a.rows = locs, rows
-	return lo
+	return false
+}
+
+// removeRef deletes the entry of n by moving the last entry into its place.
+func removeRef(row []edgeRef, n NodeID) []edgeRef {
+	for i, e := range row {
+		if e.node == n {
+			row[i] = row[len(row)-1]
+			return row[:len(row)-1]
+		}
+	}
+	return row
 }
 
 // bypass applies the Section 5 optimization until convergence: a node that
@@ -1041,6 +1055,7 @@ func insertRow(a *adjRows, l ir.LocID) int {
 // linkage only, neither defining nor using l itself) is spliced out,
 // connecting its predecessors directly to its successors.
 func (b *builder) bypass() {
+	a := &b.adj
 	work := make([]NodeID, 0, len(b.pass))
 	inWork := make([]bool, len(b.pass))
 	for n := range b.pass {
@@ -1050,8 +1065,8 @@ func (b *builder) bypass() {
 		}
 	}
 	rootProc := b.prog.ProcByID(b.prog.Main)
-	var snap []ir.LocID
-	var preds, succs []NodeID
+	var preds, succs []edgeRef
+	var spliced []ir.LocID
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -1065,20 +1080,26 @@ func (b *builder) bypass() {
 		if n == NodeID(rootProc.Entry) {
 			continue // the root entry injects the initial state
 		}
-		snap = append(snap[:0], b.pass[n]...)
-		for _, l := range snap {
+		inKeys := a.inLocs[a.inStart[n]:a.inStart[n+1]]
+		outKeys := a.outLocs[a.outStart[n]:a.outStart[n+1]]
+		ii, oi := 0, 0
+		spliced = spliced[:0]
+		// pass[n] is ascending and only shrinks after the loop, so n's own
+		// rows are found by two cursors.
+		for _, l := range b.pass[n] {
 			preds, succs = preds[:0], succs[:0]
-			inRow, outRow := b.in[n].find(l), b.out[n].find(l)
+			inRow := findRow(inKeys, &ii, a.inStart[n], l)
+			outRow := findRow(outKeys, &oi, a.outStart[n], l)
 			if inRow >= 0 {
-				for _, p := range b.in[n].rows[inRow] {
-					if p != n {
+				for _, p := range a.inRows[inRow] {
+					if p.node != n {
 						preds = append(preds, p)
 					}
 				}
 			}
 			if outRow >= 0 {
-				for _, s := range b.out[n].rows[outRow] {
-					if s != n {
+				for _, s := range a.outRows[outRow] {
+					if s.node != n {
 						succs = append(succs, s)
 					}
 				}
@@ -1089,38 +1110,34 @@ func (b *builder) bypass() {
 			// Remove the relay (including any self-loop, which is an
 			// identity cycle at a pure relay) and reconnect; a pred that is
 			// also a succ becomes a self-edge carrying the collapsed cycle.
-			// Each neighbor's row is found once and both edited in place:
-			// drop n, then merge in the opposite side (out[p][l] ∋ s iff
+			// Each neighbor entry names the partner row directly: drop n,
+			// then merge in the opposite side (out[p][l] ∋ s iff
 			// in[s][l] ∋ p, so the paired dedup checks agree).
 			for _, p := range preds {
-				a := &b.out[p]
-				ri := a.find(l)
-				row := removeNode(a.rows[ri], n)
+				row := removeRef(a.outRows[p.row], n)
 				for _, s := range succs {
-					if !containsNode(row, s) {
+					if !hasRef(row, s.node) {
 						row = append(row, s)
 					}
 				}
-				a.rows[ri] = row
+				a.outRows[p.row] = row
 			}
 			for _, s := range succs {
-				a := &b.in[s]
-				ri := a.find(l)
-				row := removeNode(a.rows[ri], n)
+				row := removeRef(a.inRows[s.row], n)
 				for _, p := range preds {
-					if !containsNode(row, p) {
+					if !hasRef(row, p.node) {
 						row = append(row, p)
 					}
 				}
-				a.rows[ri] = row
+				a.inRows[s.row] = row
 			}
 			// The relay's own rows are now fully dead (all preds, succs, and
 			// any self-loop removed).
 			if inRow >= 0 {
-				b.in[n].rows[inRow] = b.in[n].rows[inRow][:0]
+				a.inRows[inRow] = a.inRows[inRow][:0]
 			}
 			if outRow >= 0 {
-				b.out[n].rows[outRow] = b.out[n].rows[outRow][:0]
+				a.outRows[outRow] = a.outRows[outRow][:0]
 			}
 			requeue := func(m NodeID) {
 				if !inWork[m] && ir.LocsContain(b.pass[m], l) {
@@ -1130,16 +1147,19 @@ func (b *builder) bypass() {
 			}
 			if len(preds) > 0 {
 				for _, s := range succs {
-					requeue(s)
+					requeue(s.node)
 				}
 			}
 			for _, p := range preds {
-				requeue(p)
+				requeue(p.node)
 			}
 			b.g.SplicedTriples += len(preds) + len(succs)
-			b.pass[n] = removeLoc(b.pass[n], l)
-			b.defs[n] = removeLoc(b.defs[n], l)
-			b.uses[n] = removeLoc(b.uses[n], l)
+			spliced = append(spliced, l)
+		}
+		if len(spliced) > 0 {
+			b.pass[n] = removeLocs(b.pass[n], spliced)
+			b.defs[n] = removeLocs(b.defs[n], spliced)
+			b.uses[n] = removeLocs(b.uses[n], spliced)
 		}
 	}
 }
@@ -1176,13 +1196,12 @@ func (b *builder) finalize(info *cfg.Info) {
 			g.Prio[i] = info.Prio[g.Phis[i-g.PointCount].At]*2 - 1
 		}
 	}
+	a := &b.adj
 	var nLocs, nEdges int
-	for i := range b.out {
-		for ri := range b.out[i].rows {
-			if len(b.out[i].rows[ri]) > 0 {
-				nLocs++
-				nEdges += len(b.out[i].rows[ri])
-			}
+	for _, row := range a.outRows {
+		if len(row) > 0 {
+			nLocs++
+			nEdges += len(row)
 		}
 	}
 	g.edgeLocs = make([]ir.LocID, 0, nLocs)
@@ -1191,19 +1210,21 @@ func (b *builder) finalize(info *cfg.Info) {
 	g.succs = make([]NodeID, 0, nEdges)
 	for i := 0; i < n; i++ {
 		g.edgeRow[i] = int32(len(g.edgeLocs))
-		a := &b.out[i]
-		for ri, l := range a.locs {
-			row := a.rows[ri]
+		for r := a.outStart[i]; r < a.outStart[i+1]; r++ {
+			row := a.outRows[r]
 			if len(row) == 0 {
 				continue
 			}
-			slices.Sort(row)
-			g.edgeLocs = append(g.edgeLocs, l)
+			g.edgeLocs = append(g.edgeLocs, a.outLocs[r])
 			g.succOff = append(g.succOff, int32(len(g.succs)))
-			g.succs = append(g.succs, row...)
-			g.EdgeCount += len(row)
+			off := len(g.succs)
+			for _, e := range row {
+				g.succs = append(g.succs, e.node)
+			}
+			slices.Sort(g.succs[off:])
 		}
 	}
+	g.EdgeCount = len(g.succs)
 	g.edgeRow[n] = int32(len(g.edgeLocs))
 	g.succOff = append(g.succOff, int32(len(g.succs)))
 }

@@ -7,11 +7,11 @@
 // slice-based localization are built from.
 package ir
 
-import "sort"
+import "slices"
 
 // SortLocs sorts s ascending in place.
 func SortLocs(s []LocID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }
 
 // DedupLocs sorts s and removes duplicates in place, returning the

@@ -163,30 +163,45 @@ func (d *Dom) Dominates(a, b int) bool {
 	return a == 0
 }
 
-// IteratedFrontier returns the iterated dominance frontier of the given set
-// of RPO indices — the phi placement sites for a location defined at those
-// points.
-func (d *Dom) IteratedFrontier(defs []int) []int {
-	inDF := make([]bool, len(d.Order))
-	var out []int
-	work := append([]int(nil), defs...)
-	onWork := make([]bool, len(d.Order))
-	for _, w := range work {
-		onWork[w] = true
+// IDF computes iterated dominance frontiers of one Dom — the phi placement
+// sites of a location defined at given points — for many definition sets,
+// reusing its marks and buffers across calls.
+type IDF struct {
+	d *Dom
+	// inDF[i] and onWork[i] hold the number of the call that last marked
+	// index i, so a new call starts with every mark clear.
+	inDF, onWork []int32
+	call         int32
+	work, out    []int
+}
+
+// NewIDF returns an iterated-frontier calculator for d.
+func (d *Dom) NewIDF() *IDF {
+	return &IDF{d: d, inDF: make([]int32, len(d.Order)), onWork: make([]int32, len(d.Order))}
+}
+
+// Of returns the iterated dominance frontier of defs (RPO indices), in
+// discovery order. The result is valid until the next call.
+func (f *IDF) Of(defs []int) []int {
+	f.call++
+	f.out = f.out[:0]
+	f.work = append(f.work[:0], defs...)
+	for _, w := range f.work {
+		f.onWork[w] = f.call
 	}
-	for len(work) > 0 {
-		x := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, y := range d.Frontier[x] {
-			if !inDF[y] {
-				inDF[y] = true
-				out = append(out, y)
-				if !onWork[y] {
-					onWork[y] = true
-					work = append(work, y)
+	for len(f.work) > 0 {
+		x := f.work[len(f.work)-1]
+		f.work = f.work[:len(f.work)-1]
+		for _, y := range f.d.Frontier[x] {
+			if f.inDF[y] != f.call {
+				f.inDF[y] = f.call
+				f.out = append(f.out, y)
+				if f.onWork[y] != f.call {
+					f.onWork[y] = f.call
+					f.work = append(f.work, y)
 				}
 			}
 		}
 	}
-	return out
+	return f.out
 }

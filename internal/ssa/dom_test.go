@@ -85,7 +85,7 @@ func TestLoopFrontier(t *testing.T) {
 		t.Errorf("DF(head) = %v want {head}", df)
 	}
 	// Iterated DF of a def in the body is {h}.
-	idf := d.IteratedFrontier([]int{d.Index[b]})
+	idf := d.NewIDF().Of([]int{d.Index[b]})
 	if len(idf) != 1 || d.Order[idf[0]] != h {
 		t.Errorf("IDF(body) = %v want {head}", idf)
 	}
@@ -151,7 +151,7 @@ int main() {
 	for i := range all {
 		all[i] = i
 	}
-	idf := d.IteratedFrontier(all)
+	idf := d.NewIDF().Of(all)
 	for _, x := range idf {
 		if x < 0 || x >= len(d.Order) {
 			t.Errorf("IDF out of range: %d", x)
