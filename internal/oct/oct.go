@@ -5,6 +5,13 @@
 //
 // This is the relational domain R# of the paper's packed relational
 // analysis (Section 4); each variable pack gets its own small octagon.
+//
+// The kernel is copy-free: an operation allocates at most the one matrix it
+// returns, builds it in place, and closes it in place. The strong closure of
+// an octagon is computed once — closed octagons are their own closure, and
+// the only unclosed octagons that leave the package (widening results) carry
+// theirs from construction — so comparisons, joins, transfers and
+// projections of stored values never re-run the cubic closure.
 package oct
 
 import (
@@ -38,42 +45,95 @@ func satAdd(a, b int64) int64 {
 // 2k+1 is -x_k; m[i][j] bounds v_j - v_i.
 //
 // Octs are immutable from the caller's perspective: every operation returns
-// a new octagon.
+// a new octagon or, when the result equals one, a closed argument. Closed
+// octagons with equal matrices are interchangeable (a closed matrix is its
+// own closure and its own widening argument), so that sharing is exact.
 type Oct struct {
 	n      int
 	bot    bool
-	m      []int64 // (2n)×(2n), row-major; nil when bot
 	closed bool
+	m      []int64 // (2n)×(2n), row-major; nil when bot
+	// cl is the strong closure of an unclosed octagon, set when the octagon
+	// is built; nil for closed and bottom octagons.
+	cl *Oct
+}
+
+// Octagons over up to four variables (most packs) are allocated together
+// with their matrix, one allocation per octagon.
+type (
+	oct1 struct {
+		o Oct
+		a [4]int64
+	}
+	oct2 struct {
+		o Oct
+		a [16]int64
+	}
+	oct3 struct {
+		o Oct
+		a [36]int64
+	}
+	oct4 struct {
+		o Oct
+		a [64]int64
+	}
+)
+
+// alloc returns a non-bottom, unclosed octagon over n variables whose
+// matrix the caller fills.
+func alloc(n int) *Oct {
+	var o *Oct
+	switch n {
+	case 1:
+		b := new(oct1)
+		b.o.m = b.a[:]
+		o = &b.o
+	case 2:
+		b := new(oct2)
+		b.o.m = b.a[:]
+		o = &b.o
+	case 3:
+		b := new(oct3)
+		b.o.m = b.a[:]
+		o = &b.o
+	case 4:
+		b := new(oct4)
+		b.o.m = b.a[:]
+		o = &b.o
+	default:
+		o = &Oct{m: make([]int64, 4*n*n)}
+	}
+	o.n = n
+	return o
 }
 
 // Top returns the octagon with no constraints over n variables.
 func Top(n int) *Oct {
-	o := &Oct{n: n, m: newMat(n), closed: true}
+	o := alloc(n)
+	for i := range o.m {
+		o.m[i] = inf
+	}
+	d := 2 * n
+	for i := 0; i < d; i++ {
+		o.m[i*d+i] = 0
+	}
+	o.closed = true
 	return o
 }
 
 // Bottom returns the empty octagon over n variables.
 func Bottom(n int) *Oct { return &Oct{n: n, bot: true} }
 
-func newMat(n int) []int64 {
-	d := 2 * n
-	m := make([]int64, d*d)
-	for i := range m {
-		m[i] = inf
-	}
-	for i := 0; i < d; i++ {
-		m[i*d+i] = 0
-	}
-	return m
-}
-
+// clone returns a private copy of o's matrix as stored (not closed), for an
+// operation to build its result in.
 func (o *Oct) clone() *Oct {
 	if o.bot {
-		return &Oct{n: o.n, bot: true}
+		return Bottom(o.n)
 	}
-	m := make([]int64, len(o.m))
-	copy(m, o.m)
-	return &Oct{n: o.n, m: m, closed: o.closed}
+	c := alloc(o.n)
+	copy(c.m, o.m)
+	c.closed = o.closed
+	return c
 }
 
 // N returns the number of variables.
@@ -96,12 +156,20 @@ func bar(i int) int { return i ^ 1 }
 // Closed returns the strongly-closed form of o (its normal form), or a
 // bottom octagon if o is unsatisfiable. The receiver is not modified.
 func (o *Oct) Closed() *Oct {
-	if o.bot || o.closed {
+	switch {
+	case o.bot || o.closed:
 		return o
+	case o.cl != nil:
+		return o.cl
 	}
-	c := o.clone()
+	return o.clone().closeOwned()
+}
+
+// closeOwned closes c — a matrix the current operation built and nothing
+// else references — in place and returns it, or bottom when unsatisfiable.
+func (c *Oct) closeOwned() *Oct {
 	if !c.closeInPlace() {
-		return Bottom(o.n)
+		return Bottom(c.n)
 	}
 	return c
 }
@@ -111,19 +179,23 @@ func (o *Oct) Closed() *Oct {
 // false when a negative cycle (emptiness) is found.
 func (c *Oct) closeInPlace() bool {
 	d := 2 * c.n
+	m := c.m
 	// Floyd–Warshall.
 	for k := 0; k < d; k++ {
+		rowK := m[k*d : k*d+d]
 		for i := 0; i < d; i++ {
-			ik := c.at(i, k)
+			rowI := m[i*d : i*d+d]
+			ik := rowI[k]
 			if ik == inf {
 				continue
 			}
-			for j := 0; j < d; j++ {
-				kj := c.at(k, j)
+			for j, kj := range rowK {
 				if kj == inf {
 					continue
 				}
-				c.tighten(i, j, satAdd(ik, kj))
+				if s := satAdd(ik, kj); s < rowI[j] {
+					rowI[j] = s
+				}
 			}
 		}
 	}
@@ -141,12 +213,16 @@ func (c *Oct) closeInPlace() bool {
 		if ui == inf {
 			continue
 		}
+		hi := floorDiv(ui, 2)
+		row := m[bar(i)*d : bar(i)*d+d]
 		for j := 0; j < d; j++ {
 			uj := c.at(bar(j), j)
 			if uj == inf {
 				continue
 			}
-			c.tighten(bar(i), j, floorDiv(ui, 2)+floorDiv(uj, 2))
+			if s := hi + floorDiv(uj, 2); s < row[j] {
+				row[j] = s
+			}
 		}
 	}
 	for i := 0; i < d; i++ {
@@ -169,6 +245,9 @@ func floorDiv(a, b int64) int64 {
 
 // Eq reports semantic equality (on closed forms).
 func (o *Oct) Eq(p *Oct) bool {
+	if o == p {
+		return true
+	}
 	oc, pc := o.Closed(), p.Closed()
 	if oc.bot || pc.bot {
 		return oc.bot == pc.bot
@@ -183,6 +262,9 @@ func (o *Oct) Eq(p *Oct) bool {
 
 // LessEq reports inclusion o ⊑ p (on closed forms).
 func (o *Oct) LessEq(p *Oct) bool {
+	if o == p {
+		return true
+	}
 	oc := o.Closed()
 	if oc.bot {
 		return true
@@ -201,50 +283,41 @@ func (o *Oct) LessEq(p *Oct) bool {
 
 // Join returns the least upper bound (pointwise max of closed forms).
 func (o *Oct) Join(p *Oct) *Oct {
-	oc := o.Closed()
-	if oc.bot {
-		return p.Closed()
-	}
-	pc := p.Closed()
-	if pc.bot {
-		return oc
-	}
-	out := oc.clone()
-	for i := range out.m {
-		if pc.m[i] > out.m[i] {
-			out.m[i] = pc.m[i]
-		}
-	}
-	out.closed = true // max of two closed DBMs is closed
-	return out
+	j, _ := o.JoinChanged(p)
+	return j
 }
 
 // JoinChanged returns o.Join(p) together with whether the join differs
-// semantically from o, detected during the pointwise max itself: the result
-// equals closed(o) exactly when no entry of closed(p) exceeds it. This fuses
-// the Join-then-Eq pair of the fixpoint loops, whose separate Eq had to
-// re-close o (cubic in the pack size) on every delivery. The returned
-// octagon is identical — representation included — to what Join returns.
+// semantically from o. The change is detected before anything is built:
+// the join equals closed(o) exactly when no entry of closed(p) exceeds it,
+// and then closed(o) itself is returned. Otherwise the pointwise max is
+// built in one fresh matrix (the max of two closed DBMs is closed).
 func (o *Oct) JoinChanged(p *Oct) (*Oct, bool) {
 	oc := o.Closed()
+	pc := p.Closed()
 	if oc.bot {
-		pc := p.Closed()
 		return pc, !pc.bot
 	}
-	pc := p.Closed()
-	if pc.bot {
+	if pc.bot || oc == pc {
+		return oc, false
+	}
+	first := -1
+	for i, v := range pc.m {
+		if v > oc.m[i] {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
 		return oc, false
 	}
 	out := oc.clone()
-	changed := false
-	for i := range out.m {
-		if pc.m[i] > out.m[i] {
-			out.m[i] = pc.m[i]
-			changed = true
+	for i := first; i < len(out.m); i++ {
+		if v := pc.m[i]; v > out.m[i] {
+			out.m[i] = v
 		}
 	}
-	out.closed = true // max of two closed DBMs is closed
-	return out, changed
+	return out, true
 }
 
 // Meet returns the greatest lower bound (pointwise min, then closure).
@@ -253,19 +326,19 @@ func (o *Oct) Meet(p *Oct) *Oct {
 		return Bottom(o.n)
 	}
 	out := o.clone()
-	for i := range out.m {
-		if p.m[i] < out.m[i] {
-			out.m[i] = p.m[i]
+	for i, v := range p.m {
+		if v < out.m[i] {
+			out.m[i] = v
 		}
 	}
-	out.closed = false
-	return out.Closed()
+	return out.closeOwned()
 }
 
 // Widen returns the standard octagon widening: constraints of o that p does
 // not satisfy are dropped to +∞. The left argument is used as stored
 // (closing it between widenings would break termination); the right is
-// closed.
+// closed. The result keeps its unclosed matrix for the next widening and
+// carries its closure, computed here once, for everything else.
 func (o *Oct) Widen(p *Oct) *Oct {
 	if o.bot {
 		return p.Closed()
@@ -275,12 +348,13 @@ func (o *Oct) Widen(p *Oct) *Oct {
 		return o
 	}
 	out := o.clone()
-	for i := range out.m {
-		if pc.m[i] > out.m[i] {
+	for i, v := range pc.m {
+		if v > out.m[i] {
 			out.m[i] = inf
 		}
 	}
 	out.closed = false
+	out.cl = out.clone().closeOwned()
 	return out
 }
 
@@ -290,15 +364,31 @@ func (o *Oct) Narrow(p *Oct) *Oct {
 	if o.bot || p.bot {
 		return Bottom(o.n)
 	}
-	pc := p.Closed()
-	out := o.Closed().clone()
-	for i := range out.m {
-		if out.m[i] == inf {
+	oc, pc := o.Closed(), p.Closed()
+	if oc.bot || pc.bot {
+		return Bottom(o.n)
+	}
+	out := oc.clone()
+	for i, v := range out.m {
+		if v == inf {
 			out.m[i] = pc.m[i]
 		}
 	}
-	out.closed = false
-	return out.Closed()
+	return out.closeOwned()
+}
+
+// forget clears every constraint involving variable x in place. Removing
+// rows and columns of a closed DBM keeps it closed.
+func (o *Oct) forget(x int) {
+	d := 2 * o.n
+	for _, i := range [2]int{2 * x, 2*x + 1} {
+		for j := 0; j < d; j++ {
+			if i != j {
+				o.set(i, j, inf)
+				o.set(j, i, inf)
+			}
+		}
+	}
 }
 
 // Forget removes every constraint involving variable x (projection),
@@ -309,16 +399,7 @@ func (o *Oct) Forget(x int) *Oct {
 		return oc
 	}
 	out := oc.clone()
-	d := 2 * o.n
-	for _, i := range []int{2 * x, 2*x + 1} {
-		for j := 0; j < d; j++ {
-			if i != j {
-				out.set(i, j, inf)
-				out.set(j, i, inf)
-			}
-		}
-	}
-	out.closed = true // removing rows/cols of a closed DBM keeps closure
+	out.forget(x)
 	return out
 }
 
@@ -358,46 +439,97 @@ func loBound(v itv.Itv) int64 {
 
 // AssignInterval models x := [a, b].
 func (o *Oct) AssignInterval(x int, v itv.Itv) *Oct {
+	r, _ := o.assignInterval(x, v)
+	return r
+}
+
+// WeakAssignInterval models the weak update of x with [a, b]: o joined with
+// o.AssignInterval(x, v), built in the assignment's matrix.
+func (o *Oct) WeakAssignInterval(x int, v itv.Itv) *Oct {
+	return o.weak(o.assignInterval(x, v))
+}
+
+// AssignAddVar models x := ±y + [a, b] exactly (the octagon-expressible
+// assignments). neg selects -y. For y == x the bounds are shifted in place
+// (after negating x when neg), keeping all relations.
+func (o *Oct) AssignAddVar(x, y int, neg bool, v itv.Itv) *Oct {
+	r, _ := o.assignAddVar(x, y, neg, v)
+	return r
+}
+
+// WeakAssignAddVar models the weak update of x with ±y + [a, b]: o joined
+// with o.AssignAddVar(x, y, neg, v), built in the assignment's matrix.
+func (o *Oct) WeakAssignAddVar(x, y int, neg bool, v itv.Itv) *Oct {
+	return o.weak(o.assignAddVar(x, y, neg, v))
+}
+
+// weak joins r, the result of an assignment to o, with o. When fresh, r's
+// matrix belongs to this operation and takes the pointwise max in place.
+func (o *Oct) weak(r *Oct, fresh bool) *Oct {
+	if !fresh {
+		return o.Join(r)
+	}
+	oc := o.Closed()
+	switch {
+	case oc.bot:
+		return r
+	case r.bot:
+		return oc
+	}
+	for i, v := range oc.m {
+		if v > r.m[i] {
+			r.m[i] = v
+		}
+	}
+	return r
+}
+
+// assignInterval is AssignInterval; fresh reports that the result was built
+// by this call and is referenced by nothing else.
+func (o *Oct) assignInterval(x int, v itv.Itv) (r *Oct, fresh bool) {
 	if o.bot {
-		return o
+		return o, false
 	}
 	if v.IsBot() {
-		return Bottom(o.n)
+		return Bottom(o.n), true
 	}
-	out := o.Forget(x).clone()
+	oc := o.Closed()
+	if oc.bot {
+		return oc, false
+	}
+	out := oc.clone()
+	out.forget(x)
 	if h := hiBound(v); h != inf {
 		out.set(bar(2*x), 2*x, 2*h) // 2x ≤ 2h
 	}
 	if l := loBound(v); l != inf {
 		out.set(2*x, bar(2*x), 2*l) // -2x ≤ -2a
 	}
-	out.closed = false
-	return out.Closed()
+	return out.closeOwned(), true
 }
 
-// AssignAddVar models x := ±y + [a, b] exactly (the octagon-expressible
-// assignments). neg selects -y. For y == x (and !neg) the bounds are
-// shifted in place, keeping all relations.
-func (o *Oct) AssignAddVar(x, y int, neg bool, v itv.Itv) *Oct {
+// assignAddVar is AssignAddVar, with fresh as in assignInterval.
+func (o *Oct) assignAddVar(x, y int, neg bool, v itv.Itv) (r *Oct, fresh bool) {
 	if o.bot {
-		return o
+		return o, false
 	}
 	if v.IsBot() {
-		return Bottom(o.n)
+		return Bottom(o.n), true
 	}
-	if x == y {
-		if !neg {
-			return o.shift(x, v)
-		}
-		// x := -x + [a,b]: negate x in place, then shift.
-		return o.negate(x).shift(x, v)
-	}
-	a, b := v.Lo(), v.Hi()
 	oc := o.Closed()
 	if oc.bot {
-		return oc
+		return oc, false
 	}
-	out := oc.Forget(x).clone()
+	out := oc.clone()
+	if x == y {
+		if neg {
+			out.negate(x)
+		}
+		out.shift(x, v)
+		return out.closeOwned(), true
+	}
+	a, b := v.Lo(), v.Hi()
+	out.forget(x)
 	py, ny := 2*y, 2*y+1
 	if neg {
 		py, ny = ny, py // x relates to -y
@@ -411,36 +543,25 @@ func (o *Oct) AssignAddVar(x, y int, neg bool, v itv.Itv) *Oct {
 		out.set(2*x, py, -a.Int())
 		out.set(bar(py), bar(2*x), -a.Int())
 	}
-	out.closed = false
-	return out.Closed()
+	return out.closeOwned(), true
 }
 
-// negate models x := -x exactly by swapping the +x and -x rows and columns.
-func (o *Oct) negate(x int) *Oct {
-	oc := o.Closed()
-	if oc.bot {
-		return oc
-	}
-	out := oc.clone()
+// negate models x := -x exactly by swapping the +x and -x rows and columns
+// in place; a row/column permutation of a closed DBM stays closed.
+func (o *Oct) negate(x int) {
 	d := 2 * o.n
 	px, nx := 2*x, 2*x+1
 	for j := 0; j < d; j++ {
-		out.m[px*d+j], out.m[nx*d+j] = out.m[nx*d+j], out.m[px*d+j]
+		o.m[px*d+j], o.m[nx*d+j] = o.m[nx*d+j], o.m[px*d+j]
 	}
 	for i := 0; i < d; i++ {
-		out.m[i*d+px], out.m[i*d+nx] = out.m[i*d+nx], out.m[i*d+px]
+		o.m[i*d+px], o.m[i*d+nx] = o.m[i*d+nx], o.m[i*d+px]
 	}
-	out.closed = true // a row/column permutation of a closed DBM stays closed
-	return out
 }
 
-// shift models x := x + [a, b].
-func (o *Oct) shift(x int, v itv.Itv) *Oct {
-	oc := o.Closed()
-	if oc.bot {
-		return oc
-	}
-	out := oc.clone()
+// shift models x := x + [a, b] in place, leaving the matrix to be closed.
+// Each entry it writes depends only on that entry's own old value.
+func (o *Oct) shift(x int, v itv.Itv) {
 	d := 2 * o.n
 	px, nx := 2*x, 2*x+1
 	a, b := v.Lo(), v.Hi()
@@ -457,33 +578,31 @@ func (o *Oct) shift(x int, v itv.Itv) *Oct {
 		if j == px || j == nx {
 			continue
 		}
-		// v_j - (+x) ≤ c: x grows by ≥a ⇒ bound decreases by a... x_new = x_old + δ, δ∈[a,b]:
+		// x_new = x_old + δ, δ ∈ [a,b]:
 		// v_j - x_new = v_j - x_old - δ ≤ c - a (largest when δ smallest).
-		out.set(px, j, addB(oc.at(px, j), a, false))
+		o.set(px, j, addB(o.at(px, j), a, false))
 		// x_new - v_j ≤ c + b
-		out.set(j, px, addB(oc.at(j, px), b, true))
+		o.set(j, px, addB(o.at(j, px), b, true))
 		// v_j - (-x_new) = v_j + x_new ≤ c + b
-		out.set(nx, j, addB(oc.at(nx, j), b, true))
+		o.set(nx, j, addB(o.at(nx, j), b, true))
 		// -x_new - v_j ≤ c - a
-		out.set(j, nx, addB(oc.at(j, nx), a, false))
+		o.set(j, nx, addB(o.at(j, nx), a, false))
 	}
 	// Unary bounds: 2x ≤ c + 2b ; -2x ≤ c - 2a.
-	if c := oc.at(nx, px); c != inf {
+	if c := o.at(nx, px); c != inf {
 		if b.IsFinite() {
-			out.set(nx, px, satAdd(c, 2*b.Int()))
+			o.set(nx, px, satAdd(c, 2*b.Int()))
 		} else {
-			out.set(nx, px, inf)
+			o.set(nx, px, inf)
 		}
 	}
-	if c := oc.at(px, nx); c != inf {
+	if c := o.at(px, nx); c != inf {
 		if a.IsFinite() {
-			out.set(px, nx, satAdd(c, -2*a.Int()))
+			o.set(px, nx, satAdd(c, -2*a.Int()))
 		} else {
-			out.set(px, nx, inf)
+			o.set(px, nx, inf)
 		}
 	}
-	out.closed = false
-	return out.Closed()
 }
 
 // TestOp enumerates the octagon test constraints.
@@ -539,8 +658,7 @@ func (o *Oct) AssumeAll(cs ...Constraint) *Oct {
 	for _, c := range cs {
 		out.apply(c)
 	}
-	out.closed = false
-	return out.Closed()
+	return out.closeOwned()
 }
 
 // String renders the non-trivial constraints of the closed form.

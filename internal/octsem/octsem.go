@@ -223,26 +223,25 @@ func (s *Sem) assign(l ir.LocID, e ir.Expr, strong bool, m OMem) OMem {
 			continue // strict: unreached pack stays bottom
 		}
 		xi := s.Packs.IndexIn(l, p)
-		var next *oct.Oct
 		if linear {
 			if yi := s.Packs.IndexIn(y, p); yi >= 0 {
-				next = old.AssignAddVar(xi, yi, neg, c)
-			} else {
-				// y outside the pack: project it to an interval (the px
-				// transformation) and fall back.
-				yv := s.projLoc(y, m)
-				if neg {
-					yv = yv.Neg()
+				if strong {
+					m = m.Set(p, old.AssignAddVar(xi, yi, neg, c))
+				} else {
+					m = m.Set(p, old.WeakAssignAddVar(xi, yi, neg, c))
 				}
-				next = old.AssignInterval(xi, yv.Add(c))
+				continue
 			}
-		} else {
-			next = old.AssignInterval(xi, iv)
+			// y outside the pack: project it to an interval (the px
+			// transformation) and fall back.
+			yv := s.projLoc(y, m)
+			if neg {
+				yv = yv.Neg()
+			}
+			m = m.Set(p, setItv(old, xi, yv.Add(c), strong))
+			continue
 		}
-		if !strong {
-			next = old.Join(next)
-		}
-		m = m.Set(p, next)
+		m = m.Set(p, setItv(old, xi, iv, strong))
 	}
 	return m
 }
@@ -342,13 +341,17 @@ func (s *Sem) assignItv(l ir.LocID, iv itv.Itv, strong bool, m OMem) OMem {
 		if old == nil {
 			continue
 		}
-		next := old.AssignInterval(s.Packs.IndexIn(l, p), iv)
-		if !strong {
-			next = old.Join(next)
-		}
-		m = m.Set(p, next)
+		m = m.Set(p, setItv(old, s.Packs.IndexIn(l, p), iv, strong))
 	}
 	return m
+}
+
+// setItv models the strong or weak update of variable x of o with iv.
+func setItv(o *oct.Oct, x int, iv itv.Itv, strong bool) *oct.Oct {
+	if strong {
+		return o.AssignInterval(x, iv)
+	}
+	return o.WeakAssignInterval(x, iv)
 }
 
 // BindFormals models the call edge: formals := actuals (relational when an

@@ -58,7 +58,8 @@ func (m OMem) Join(o OMem) OMem {
 		if a == b {
 			return a, true
 		}
-		return a.Join(b), false
+		j := a.Join(b)
+		return j, j == a
 	})}
 }
 
@@ -77,15 +78,16 @@ func (m OMem) Widen(o OMem) OMem {
 // Join-then-Eq pair of the dense octagon solver. When unchanged, m itself is
 // returned — keeping m's stored representations and omitting explicit-bottom
 // packs of o, exactly like the keep-the-old-map path it replaces; when
-// changed, every common pack carries the freshly joined (closed) octagon
-// that plain Join would have produced.
+// changed, every common pack carries the (closed) octagon plain Join would
+// have produced, which is the old closed octagon itself where that pack did
+// not change.
 func (m OMem) JoinChanged(o OMem) (OMem, bool) {
 	r, ch := pmap.MergeChanged(m.m, o.m, func(_ int32, a, b *oct.Oct) (*oct.Oct, bool, bool) {
 		if a == b {
 			return a, true, false
 		}
 		j, jch := a.JoinChanged(b)
-		return j, false, jch
+		return j, j == a, jch
 	}, octNonBot)
 	if !ch {
 		return m, false

@@ -9,6 +9,7 @@ import (
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
+	"sparrow/internal/oct"
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
@@ -42,10 +43,10 @@ const (
 
 // Result is the sparse relational fixpoint.
 type Result struct {
-	Acc      []octsem.OMem
-	Out      []octsem.OMem
-	Reached  []bool
-	Steps    int
+	Acc     []octsem.OMem
+	Out     []octsem.OMem
+	Reached []bool
+	Steps   int
 	// Joins counts per-pack pushes that changed a node's stored output;
 	// Widenings the effective widening applications among them (widened
 	// state ≠ plain join).
@@ -233,21 +234,28 @@ func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
 		sv.res.Out[n] = sv.res.Out[n].Set(l, joined)
 		for _, succ := range cur.Seek(l) {
 			sacc := sv.res.Acc[succ]
-			sold := sacc.Get(l)
-			if sold != nil && joined.LessEq(sold) {
+			next, ok := deliver(sacc.Get(l), joined)
+			if !ok {
 				continue
 			}
-			if sold == nil {
-				sv.res.Acc[succ] = sacc.Set(l, joined)
-			} else {
-				sv.res.Acc[succ] = sacc.Set(l, sold.Join(joined))
-			}
+			sv.res.Acc[succ] = sacc.Set(l, next)
 			sv.wl.Add(int(succ))
 		}
 	}
 	if changed {
 		sv.counts[n]++
 	}
+}
+
+// deliver joins a pushed pack value v into a successor's accumulated value
+// old (nil when none has arrived) and reports whether the accumulation
+// changed. Change detection and the join are one pass: nothing is built
+// when v is already included.
+func deliver(old, v *oct.Oct) (*oct.Oct, bool) {
+	if old == nil {
+		return v, true
+	}
+	return old.JoinChanged(v)
 }
 
 // ValueAt returns the fixpoint pack state tracked at point pt for pack p.

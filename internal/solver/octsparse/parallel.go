@@ -565,26 +565,16 @@ func (w *opworker) pushOuts(n dug.NodeID, m octsem.OMem) {
 			cs := st.p.Comp[succ]
 			if cs == w.comp {
 				sacc := st.res.Acc[succ]
-				sold := sacc.Get(l)
-				if sold != nil && joined.LessEq(sold) {
-					continue
+				if next, ok := deliver(sacc.Get(l), joined); ok {
+					st.res.Acc[succ] = sacc.Set(l, next)
+					w.wl.Add(int(succ))
 				}
-				if sold == nil {
-					st.res.Acc[succ] = sacc.Set(l, joined)
-				} else {
-					st.res.Acc[succ] = sacc.Set(l, sold.Join(joined))
-				}
-				w.wl.Add(int(succ))
 				continue
 			}
 			st.mu[cs].Lock()
 			sacc := st.res.Acc[succ]
-			sold := sacc.Get(l)
-			if sold == nil {
-				st.res.Acc[succ] = sacc.Set(l, joined)
-				st.seeds[cs] = append(st.seeds[cs], int32(succ))
-			} else if !joined.LessEq(sold) {
-				st.res.Acc[succ] = sacc.Set(l, sold.Join(joined))
+			if next, ok := deliver(sacc.Get(l), joined); ok {
+				st.res.Acc[succ] = sacc.Set(l, next)
 				st.seeds[cs] = append(st.seeds[cs], int32(succ))
 			}
 			st.mu[cs].Unlock()
