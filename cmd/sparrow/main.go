@@ -330,9 +330,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	for _, cr := range runs {
-		fmt.Fprintf(stdout, "restricted[%s]: locs=%d triples=%d/%d (%.1f%%) solve=%v alarms=%d\n",
+		solve := cr.SolveTime.String()
+		if cr.SharedWith != nil {
+			solve = "shared(" + cr.SharedWith.ShortName() + ")"
+		}
+		fmt.Fprintf(stdout, "restricted[%s]: locs=%d triples=%d/%d (%.1f%%) solve=%s alarms=%d\n",
 			cr.Kind.ShortName(), cr.Keep, cr.Triples, cr.FullTriples,
-			100*float64(cr.Triples)/float64(max(cr.FullTriples, 1)), cr.SolveTime, len(cr.Alarms))
+			100*float64(cr.Triples)/float64(max(cr.FullTriples, 1)), solve, len(cr.Alarms))
 	}
 	if *globals {
 		fmt.Fprintln(stdout, "final global invariants:")

@@ -311,6 +311,27 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestRestrictedSharedSolve pins the -restricted line of a kind that reused
+// another kind's solve: on overruns.c the buffer-overrun and null checkers
+// close to the same universe, so null prints solve=shared(buf) where an own
+// solve prints its duration, and the rest of the line is unchanged.
+func TestRestrictedSharedSolve(t *testing.T) {
+	code, out, errb := runCLI(t, "-checkers", "all", "-restricted", "../../testdata/corpus/overruns.c")
+	if code != 1 {
+		t.Fatalf("exit %d want 1 (alarms found), stderr: %s", code, errb)
+	}
+	for _, line := range []string{
+		`restricted\[buf\]: locs=7 triples=32/49 \(65\.3%\) solve=[0-9.]+[µnm]?s alarms=2`,
+		`restricted\[null\]: locs=7 triples=32/49 \(65\.3%\) solve=shared\(buf\) alarms=1`,
+		`restricted\[div\]: locs=2 triples=16/49 \(32\.7%\) solve=[0-9.]+[µnm]?s alarms=0`,
+		`restricted\[uninit\]: locs=10 triples=47/49 \(95\.9%\) solve=[0-9.]+[µnm]?s alarms=0`,
+	} {
+		if !regexp.MustCompile(`(?m)^` + line + `$`).MatchString(out) {
+			t.Errorf("no line matching %s in:\n%s", line, out)
+		}
+	}
+}
+
 // TestRestrictedAgreesWithDefault is a generated program on which the
 // component solver (-workers N >= 1) widens elsewhere than the sequential
 // solves and reports no alarms, while the restricted buffer-overrun solve

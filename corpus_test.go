@@ -142,9 +142,11 @@ func TestCorpusGoldenAlarms(t *testing.T) {
 
 // TestCorpusGoldenKinds pins the per-kind alarm counts and the restricted
 // dependency-graph sizes of the per-checker solves for three corpus
-// programs (all four checkers enabled). The triple counts are goldens:
-// update them deliberately when the graph construction changes, and note
-// that every restricted count must stay strictly below the full graph's.
+// programs (all four checkers enabled), and for every corpus program which
+// kinds reuse another kind's restricted solve when the kinds run in report
+// order. The triple counts are goldens: update them deliberately when the
+// graph construction changes, and note that every restricted count must
+// stay strictly below the full graph's.
 func TestCorpusGoldenKinds(t *testing.T) {
 	type kindGold struct {
 		buf, null, div, uninit int
@@ -208,6 +210,48 @@ func TestCorpusGoldenKinds(t *testing.T) {
 		}
 		if got != exp {
 			t.Errorf("%s: per-kind golden drift:\n got %+v\nwant %+v", name, got, exp)
+		}
+	}
+
+	// kind=solver for each run that reused the solve of an earlier kind.
+	sharing := map[string]string{
+		"bitops.c":       "null=buf div=buf",
+		"fpdispatch.c":   "null=buf",
+		"gotoloop.c":     "null=buf",
+		"linkedlist.c":   "null=buf div=buf",
+		"matrix.c":       "null=buf",
+		"overruns.c":     "null=buf",
+		"ringbuf.c":      "null=buf",
+		"sortcheck.c":    "null=buf div=buf",
+		"stack.c":        "null=buf",
+		"statemachine.c": "null=buf div=buf",
+		"switchcase.c":   "null=buf",
+		"tokenizer.c":    "null=buf",
+		"uninit.c":       "null=buf div=buf",
+		"workqueue.c":    "null=buf div=buf",
+	}
+	if len(sharing) != len(corpus) {
+		t.Errorf("sharing golden covers %d files, corpus has %d", len(sharing), len(corpus))
+	}
+	for name, src := range corpus {
+		res, err := sparrow.AnalyzeSource(name, src, sparrow.Options{
+			Domain: sparrow.Interval, Mode: sparrow.Sparse, Checkers: check.AllKinds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shared []string
+		for _, k := range check.AllKinds {
+			run, err := res.AnalyzeChecker(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.SharedWith != nil {
+				shared = append(shared, k.ShortName()+"="+run.SharedWith.ShortName())
+			}
+		}
+		if got := strings.Join(shared, " "); got != sharing[name] {
+			t.Errorf("%s: shared solves %q, want %q", name, got, sharing[name])
 		}
 	}
 }

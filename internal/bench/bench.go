@@ -295,7 +295,8 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 			// sparsification numbers: all four checkers on the full solve,
 			// then one restricted solve per kind, filling the restr_* size
 			// counters (gated exactly like every other counter) and the
-			// per-kind solve times (report-only).
+			// per-kind solve times (report-only; zero for a kind that
+			// reused an earlier kind's solve).
 			sparsified := cfg.Domain == core.Interval && cfg.Mode == core.Sparse
 			if sparsified {
 				copt.Checkers = check.AllKinds

@@ -503,7 +503,7 @@ func checkDeref(prog *ir.Program, s *sem.Sem, pt *ir.Point, d deref, m mem.Mem) 
 // read. An analysis that computes the full fixpoint only on the backward
 // data-dependency closure of this set (plus the branch-condition locations
 // that steer reachability) reproduces this kind's report exactly — that
-// closure is prean.ObservedClosure, and the restricted graph is
+// closure is prean.ClosureIndex.Closure, and the restricted graph is
 // dug.BuildRestricted.
 type Checker struct {
 	Kind Kind

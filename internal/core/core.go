@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"sparrow/internal/check"
@@ -231,10 +232,15 @@ type Result struct {
 	graph *dug.Graph // sparse only
 	col   *metrics.Collector
 	// marks is the per-procedure entry mark function when the uninit
-	// checker is enabled (nil otherwise); ctrlSeeds memoizes the
-	// branch-condition seed set of the per-checker closures.
+	// checker is enabled (nil otherwise); ctrlSeeds and closure memoize the
+	// kind-independent inputs of the per-checker closures (branch-condition
+	// seeds, D̂/Û closure index), and lastSolve keeps the most recent
+	// restricted solve for reuse by the next kind (restrict.go).
 	marks     func(ir.ProcID) []ir.LocID
 	ctrlSeeds []ir.LocID
+	closure   *prean.ClosureIndex
+	solveMu   sync.Mutex
+	lastSolve *restrictedSolve
 
 	dres  *dense.Result
 	sres  *sparse.Result

@@ -2,16 +2,24 @@ package core
 
 import (
 	"fmt"
-	"reflect"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"sparrow/internal/cgen"
 	"sparrow/internal/check"
+	"sparrow/internal/ir"
+	"sparrow/internal/solver/sparse"
 )
 
 // TestAnalyzeCheckersMatchesSequential pins the fan-out contract: running
 // every checker's restricted pipeline concurrently yields runs bit-identical
-// to the sequential per-kind calls (alarms, restriction statistics, steps).
+// to the sequential per-kind calls (alarms, restriction statistics, steps),
+// both on the Result whose kept solve the sequential calls left behind and
+// on a fresh one, where concurrent kinds race for the solve memo (run it
+// under -race).
 func TestAnalyzeCheckersMatchesSequential(t *testing.T) {
 	srcs := map[string]string{"demo.c": demo}
 	for seed := uint64(31); seed < 34; seed++ {
@@ -31,28 +39,15 @@ func TestAnalyzeCheckersMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{2, 4} {
-			runs, err := res.AnalyzeCheckers(check.AllKinds, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, run := range runs {
-				want := seq[i]
-				if run.Kind != want.Kind || run.Keep != want.Keep ||
-					run.Nodes != want.Nodes || run.Rows != want.Rows ||
-					run.Triples != want.Triples || run.Steps != want.Steps {
-					t.Errorf("%s workers=%d %v: stats (keep %d nodes %d rows %d triples %d steps %d) vs sequential (%d %d %d %d %d)",
-						name, workers, run.Kind, run.Keep, run.Nodes, run.Rows, run.Triples, run.Steps,
-						want.Keep, want.Nodes, want.Rows, want.Triples, want.Steps)
+			for _, target := range []*Result{res, analyzeAllKinds(t, name, src)} {
+				runs, err := target.AnalyzeCheckers(check.AllKinds, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
-				var got, exp []string
-				for _, a := range run.Alarms {
-					got = append(got, a.String())
-				}
-				for _, a := range want.Alarms {
-					exp = append(exp, a.String())
-				}
-				if !reflect.DeepEqual(got, exp) {
-					t.Errorf("%s workers=%d %v: alarms %v vs sequential %v", name, workers, run.Kind, got, exp)
+				for i, run := range runs {
+					if diff := sameRun(run, seq[i]); diff != "" {
+						t.Errorf("%s workers=%d: %s (vs sequential)", name, workers, diff)
+					}
 				}
 			}
 		}
@@ -67,5 +62,211 @@ func TestAnalyzeCheckersPrecondition(t *testing.T) {
 	}
 	if _, err := res.AnalyzeCheckers(check.AllKinds, 4); err == nil {
 		t.Fatal("AnalyzeCheckers on a non-sparse run: want error")
+	}
+}
+
+// sharedSolveSources are the programs of the solve-sharing tests: the
+// corpus, three small generated programs and one gen-3000 program.
+func sharedSolveSources(t testing.TB) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]string{}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".c") {
+			srcs[e.Name()] = corpusFile(t, e.Name())
+		}
+	}
+	for seed := uint64(41); seed < 44; seed++ {
+		srcs[fmt.Sprintf("gen%d.c", seed)] = cgen.Generate(cgen.Default(seed, 120))
+	}
+	srcs["gen3000.c"] = cgen.Generate(cgen.Default(7<<16, 3000))
+	return srcs
+}
+
+// analyzeAllKinds is the full sparse interval run the restricted pipelines
+// start from.
+func analyzeAllKinds(t testing.TB, name, src string) *Result {
+	t.Helper()
+	res, err := AnalyzeSource(name, src, Options{Domain: Interval, Mode: Sparse, Checkers: check.AllKinds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameRun reports how got differs from want in everything a shared solve
+// must reproduce: alarms, universe and graph sizes, and solver steps.
+func sameRun(got, want *CheckerRun) string {
+	alarmStrings := func(as []check.Alarm) []string {
+		var out []string
+		for _, a := range as {
+			out = append(out, a.String())
+		}
+		return out
+	}
+	if got.Kind != want.Kind || got.Keep != want.Keep || got.Nodes != want.Nodes ||
+		got.Rows != want.Rows || got.Triples != want.Triples || got.Steps != want.Steps ||
+		got.TimedOut != want.TimedOut {
+		return fmt.Sprintf("%v keep %d nodes %d rows %d triples %d steps %d timedout %v; want %v %d %d %d %d %d %v",
+			got.Kind, got.Keep, got.Nodes, got.Rows, got.Triples, got.Steps, got.TimedOut,
+			want.Kind, want.Keep, want.Nodes, want.Rows, want.Triples, want.Steps, want.TimedOut)
+	}
+	if g, w := alarmStrings(got.Alarms), alarmStrings(want.Alarms); !slices.Equal(g, w) {
+		return fmt.Sprintf("%v alarms %v; want %v", got.Kind, g, w)
+	}
+	return ""
+}
+
+// TestSharedSolveExact pins the sharing contract: whatever order the kinds
+// run in on one Result, each run equals that kind's run alone on a fresh
+// Result, and a run reuses a solve exactly when its keep set equals the
+// previous run's.
+func TestSharedSolveExact(t *testing.T) {
+	orders := [][]check.Kind{
+		{check.BufferOverrun, check.NullDeref, check.DivByZero, check.UninitRead},
+		{check.BufferOverrun, check.UninitRead, check.NullDeref, check.DivByZero},
+	}
+	for name, src := range sharedSolveSources(t) {
+		alone := map[check.Kind]*CheckerRun{}
+		for _, k := range check.AllKinds {
+			run, err := analyzeAllKinds(t, name, src).AnalyzeChecker(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.SharedWith != nil || run.TimedOut {
+				t.Fatalf("%s %v: first run on a fresh Result shared %v / timed out %v", name, k, run.SharedWith, run.TimedOut)
+			}
+			alone[k] = run
+		}
+		for _, order := range orders {
+			res := analyzeAllKinds(t, name, src)
+			shared := 0
+			var prevKeep []ir.LocID
+			var solvedBy check.Kind
+			for i, k := range order {
+				keep := res.keepSet(k)
+				run, err := res.AnalyzeChecker(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameRun(run, alone[k]); diff != "" {
+					t.Errorf("%s order %v: %s", name, order, diff)
+				}
+				equal := i > 0 && slices.Equal(keep, prevKeep)
+				switch {
+				case equal && (run.SharedWith == nil || *run.SharedWith != solvedBy):
+					t.Errorf("%s order %v: %v has the keep set of %v's solve but SharedWith = %v",
+						name, order, k, solvedBy, run.SharedWith)
+				case !equal && run.SharedWith != nil:
+					t.Errorf("%s order %v: %v shares %v's solve with a different keep set",
+						name, order, k, *run.SharedWith)
+				case equal && run.SolveTime != 0:
+					t.Errorf("%s order %v: shared %v reports solve time %v", name, order, k, run.SolveTime)
+				}
+				if equal {
+					shared++
+				} else {
+					solvedBy = k
+				}
+				prevKeep = keep
+			}
+			if shared == 0 && slices.Equal(order, orders[0]) {
+				t.Errorf("%s order %v: no run shared a solve (buf and null close alike on every program here)", name, order)
+			}
+		}
+	}
+}
+
+// TestSharedSolveTimedOut: a restricted solve cut short by MaxSteps is
+// never reused, and a later complete solve of the same universe is.
+func TestSharedSolveTimedOut(t *testing.T) {
+	res := analyzeAllKinds(t, "overruns.c", corpusFile(t, "overruns.c"))
+	if !slices.Equal(res.keepSet(check.BufferOverrun), res.keepSet(check.NullDeref)) {
+		t.Fatal("overruns.c: buf and null universes differ; the test needs them equal")
+	}
+	res.Opts.MaxSteps = 3
+	for _, k := range []check.Kind{check.BufferOverrun, check.NullDeref} {
+		run, err := res.AnalyzeChecker(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.TimedOut || run.SharedWith != nil {
+			t.Errorf("MaxSteps=3 %v: timed out %v, shared %v; want a timed-out unshared solve", k, run.TimedOut, run.SharedWith)
+		}
+	}
+	res.Opts.MaxSteps = 0
+	for i, k := range []check.Kind{check.NullDeref, check.BufferOverrun} {
+		run, err := res.AnalyzeChecker(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.TimedOut || (run.SharedWith != nil) != (i == 1) {
+			t.Errorf("unbounded %v: timed out %v, shared %v; want shared only for the second call", k, run.TimedOut, run.SharedWith)
+		}
+	}
+}
+
+// TestSharedSolveGraphSwap: the kept solve is keyed on the graph, so it is
+// not reused after solveRestricted replaces the graph, even for an equal
+// keep set, and runs on the swapped graph match a fresh Result's.
+func TestSharedSolveGraphSwap(t *testing.T) {
+	src := corpusFile(t, "uninit.c")
+	swap := func(res *Result) {
+		res.solveRestricted(res.Opts, sparse.Options{Narrow: res.Opts.Narrow, EntryMarks: res.marks})
+	}
+	res := analyzeAllKinds(t, "uninit.c", src)
+	before, err := res.AnalyzeChecker(check.UninitRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := res.keepSet(check.UninitRead)
+	swap(res)
+	if !slices.Equal(res.keepSet(check.UninitRead), keep) {
+		t.Fatal("uninit.c: the swap changed uninit's keep set; the test needs it unchanged")
+	}
+	after, err := res.AnalyzeChecker(check.UninitRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.SharedWith != nil || after.FullTriples >= before.FullTriples {
+		t.Errorf("after the swap: shared %v, full triples %d (before %d); want an own solve on the smaller graph",
+			after.SharedWith, after.FullTriples, before.FullTriples)
+	}
+	fresh := analyzeAllKinds(t, "uninit.c", src)
+	swap(fresh)
+	want, err := fresh.AnalyzeChecker(check.UninitRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameRun(after, want); diff != "" {
+		t.Error(diff)
+	}
+}
+
+var corpusDir = filepath.Join("..", "..", "testdata", "corpus")
+
+// corpusFile reads one corpus program.
+func corpusFile(t testing.TB, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(corpusDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// BenchmarkAnalyzeCheckers times the restricted per-checker layer alone:
+// all four kinds, sequentially, on one gen-3000 program, from a cold
+// closure index and an empty solve memo each iteration.
+func BenchmarkAnalyzeCheckers(b *testing.B) {
+	res := analyzeAllKinds(b, "gen3000.c", cgen.Generate(cgen.Default(7<<16, 3000)))
+	for b.Loop() {
+		res.closure, res.lastSolve = nil, nil
+		if _, err := res.AnalyzeCheckers(check.AllKinds, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

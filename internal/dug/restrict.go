@@ -9,7 +9,7 @@ import (
 )
 
 // BuildRestricted filters full down to the locations in keep (sorted,
-// deduplicated — an ObservedClosure result). The restricted graph shares
+// deduplicated — a prean.ClosureIndex.Closure result). The restricted graph shares
 // the node universe, phi descriptors, widening marks, and priorities of the
 // full graph; its D̂/Û sets are the full ones intersected with keep and its
 // CSR carries exactly the full triples whose location is in keep. Because

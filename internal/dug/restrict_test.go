@@ -21,7 +21,7 @@ func keepSets(prog *ir.Program, pre *prean.Result, s *sem.Sem) map[string][]ir.L
 		}
 	}
 	return map[string][]ir.LocID{
-		"closure": pre.ObservedClosure(prog, s, pre.ControlSeeds(prog, s)),
+		"closure": pre.ClosureIndex(prog, s).Closure(pre.ControlSeeds(prog, s)),
 		"thin":    thin,
 		"all":     all,
 		"none":    nil,

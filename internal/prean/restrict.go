@@ -33,20 +33,25 @@ func (r *Result) ControlSeeds(prog *ir.Program, s *sem.Sem) []ir.LocID {
 	return ir.DedupLocs(locs)
 }
 
-// ObservedClosure computes the restricted location universe of a checker:
-// the transitive backward data-dependency closure of seeds (the checker's
-// observed locations unioned with the control seeds) over the
-// command-local D̂/Û pairs of the program, judged against the invariant.
-// The closure rule is per command: if any location a command defines is in
-// the universe, every location it uses joins the universe — exactly the
-// dependencies the restricted def-use graph must carry for the values of
-// the universe to come out identical to the full solve. Interprocedural
-// linkage relays (call/entry/exit/return-site summary carriers) are
-// per-location identities and need no extra rule. The result is sorted.
-func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID) []ir.LocID {
+// ClosureIndex is the seed-independent part of a checker's restricted
+// location universe: every command's local D̂/Û judged against the
+// invariant, staged flat with offsets, and a CSR index from each defined
+// location to the commands defining it. It depends on the program and the
+// pre-analysis only, and is read-only once built, so one index serves the
+// Closure walks of every checker kind, concurrent ones included.
+type ClosureIndex struct {
+	nLocs  int
+	uses   []ir.LocID
+	useOff []int32 // uses of command i: uses[useOff[i]:useOff[i+1]]
+	start  []int32 // commands defining l: byDef[start[l]:start[l+1]]
+	byDef  []int32
+}
+
+// ClosureIndex stages the D̂/Û pairs of prog's commands against the
+// invariant and indexes them by defined location.
+func (r *Result) ClosureIndex(prog *ir.Program, s *sem.Sem) *ClosureIndex {
 	nLocs := prog.Locs.Len()
 	nPts := len(prog.Points)
-	// Stage every command's local D̂/Û once, flat with offsets.
 	var defs, uses []ir.LocID
 	defOff := make([]int32, nPts+1)
 	useOff := make([]int32, nPts+1)
@@ -55,7 +60,6 @@ func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID)
 		defOff[i+1] = int32(len(defs))
 		useOff[i+1] = int32(len(uses))
 	}
-	// CSR index from defined location to the commands defining it.
 	start := make([]int32, nLocs+1)
 	for _, l := range defs {
 		start[l+1]++
@@ -71,13 +75,27 @@ func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID)
 			fill[l]++
 		}
 	}
+	return &ClosureIndex{nLocs: nLocs, uses: uses, useOff: useOff, start: start, byDef: byDef}
+}
+
+// Closure computes the restricted location universe of a checker: the
+// transitive backward data-dependency closure of seeds (the checker's
+// observed locations unioned with the control seeds) over the indexed
+// command-local D̂/Û pairs. The closure rule is per command: if any
+// location a command defines is in the universe, every location it uses
+// joins the universe — exactly the dependencies the restricted def-use
+// graph must carry for the values of the universe to come out identical to
+// the full solve. Interprocedural linkage relays (call/entry/exit/return-site
+// summary carriers) are per-location identities and need no extra rule.
+// The result is sorted.
+func (ix *ClosureIndex) Closure(seeds []ir.LocID) []ir.LocID {
 	// Worklist closure. A command's uses are pulled at most once (pulled is
 	// monotone), so the sweep is linear in the staged pair sizes.
-	inL := make([]bool, nLocs)
-	pulled := make([]bool, nPts)
+	inL := make([]bool, ix.nLocs)
+	pulled := make([]bool, len(ix.useOff)-1)
 	queue := make([]ir.LocID, 0, len(seeds))
 	push := func(l ir.LocID) {
-		if l >= 0 && int(l) < nLocs && !inL[l] {
+		if l >= 0 && int(l) < ix.nLocs && !inL[l] {
 			inL[l] = true
 			queue = append(queue, l)
 		}
@@ -88,18 +106,18 @@ func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID)
 	for len(queue) > 0 {
 		l := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, pi := range byDef[start[l]:start[l+1]] {
+		for _, pi := range ix.byDef[ix.start[l]:ix.start[l+1]] {
 			if pulled[pi] {
 				continue
 			}
 			pulled[pi] = true
-			for _, u := range uses[useOff[pi]:useOff[pi+1]] {
+			for _, u := range ix.uses[ix.useOff[pi]:ix.useOff[pi+1]] {
 				push(u)
 			}
 		}
 	}
 	var out []ir.LocID
-	for l := 0; l < nLocs; l++ {
+	for l := 0; l < ix.nLocs; l++ {
 		if inL[l] {
 			out = append(out, ir.LocID(l))
 		}

@@ -2,6 +2,7 @@ package prean
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sparrow/internal/cgen"
@@ -34,7 +35,8 @@ func TestObservedClosureProperties(t *testing.T) {
 		s.InCycle = pre.CG.InCycle
 
 		seeds := pre.ControlSeeds(prog, s)
-		closure := pre.ObservedClosure(prog, s, seeds)
+		ix := pre.ClosureIndex(prog, s)
+		closure := ix.Closure(seeds)
 
 		inL := map[ir.LocID]bool{}
 		for i, l := range closure {
@@ -78,7 +80,11 @@ func TestObservedClosureProperties(t *testing.T) {
 		for l := 0; l < prog.Locs.Len(); l += 2 {
 			allSeeds = append(allSeeds, ir.LocID(l))
 		}
-		bigger := pre.ObservedClosure(prog, s, ir.MergeLocs(nil, seeds, allSeeds))
+		bigger := ix.Closure(ir.MergeLocs(nil, seeds, allSeeds))
+		// The index is read-only: walking it again repeats the first walk.
+		if again := ix.Closure(seeds); !slices.Equal(again, closure) {
+			t.Errorf("seed %d: second walk over one index gave %d locations, first %d", seed, len(again), len(closure))
+		}
 		inBig := map[ir.LocID]bool{}
 		for _, l := range bigger {
 			inBig[l] = true
