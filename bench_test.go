@@ -160,33 +160,6 @@ func BenchmarkBypassAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseParallel measures the partitioned parallel sparse solver at
-// several worker counts against the sequential solver on the same 2000-stmt
-// program. The component DAG is built (and cached) outside the timed loop,
-// so the numbers isolate the fixpoint itself.
-func BenchmarkSparseParallel(b *testing.B) {
-	_, prog, pre := benchProgram(b, 2000)
-	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	p := g.Partition()
-	b.Logf("components=%d max=%d islands=%d", p.NumComps(), p.MaxComp, p.NumIslands)
-	b.Run("sequential", func(b *testing.B) {
-		for b.Loop() {
-			if sparse.Analyze(prog, pre, g, sparse.Options{}).TimedOut {
-				b.Fatal("timed out")
-			}
-		}
-	})
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for b.Loop() {
-				if sparse.AnalyzeParallel(prog, pre, g, sparse.Options{Workers: w}).TimedOut {
-					b.Fatal("timed out")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDUGBuild measures dependency-graph construction itself (the
 // paper's "Dep" column is dominated by this phase).
 func BenchmarkDUGBuild(b *testing.B) {

@@ -19,21 +19,12 @@
 // the unchanged program) and writes the report-only timing file to FILE —
 // the artifact CI archives as the incremental-performance trajectory.
 //
-// With -scaling, the multi-core scaling ladder runs instead of the suite:
-// the generated programs' sparse configurations at workers 1/2/4/8, written
-// as a report-only JSON snapshot (-scaling-out) and a Markdown table
-// (-scaling-md). -scaling-gate F additionally fails the run (exit 1) when
-// gen-1000's fixpoint speedup at workers=4 falls below F — the coarse CI
-// floor on a multi-core runner; leave it 0 on single-core machines.
-//
 // Usage:
 //
 //	sparrow-bench [-corpus DIR] [-out FILE] [-check] [-snapshot FILE]
 //	              [-tol F] [-timings] [-times FILE] [-workers N] [-v]
 //	sparrow-bench -compare OLD.json NEW.json
 //	sparrow-bench -incr BENCH_incr.json
-//	sparrow-bench -scaling [-scaling-out FILE] [-scaling-md FILE]
-//	              [-scaling-reps N] [-scaling-gate F]
 package main
 
 import (
@@ -66,11 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "print one line per completed entry")
 	compare := fs.Bool("compare", false, "diff two times snapshots (old.json new.json) instead of running")
 	incrOut := fs.String("incr", "", "run the warm-vs-cold incremental timing comparison and write it to this file (report-only)")
-	scaling := fs.Bool("scaling", false, "run the multi-core scaling ladder (generated suite, workers 1/2/4/8) instead of the counter suite")
-	scalingOut := fs.String("scaling-out", "BENCH_scaling.json", "scaling snapshot output path (report-only)")
-	scalingMD := fs.String("scaling-md", "bench/scaling.md", "scaling Markdown table output path (empty disables)")
-	scalingReps := fs.Int("scaling-reps", 3, "repetitions per scaling cell (best time wins)")
-	scalingGate := fs.Float64("scaling-gate", 0, "minimum gen-1000 fixpoint speedup at workers=4 (0 disables the gate)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -101,36 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *scaling {
-		sopt := bench.ScalingOptions{Reps: *scalingReps}
-		if *verbose {
-			sopt.Progress = func(line string) { fmt.Fprintln(stderr, line) }
-		}
-		snap, err := bench.CollectScaling(sopt)
-		if err != nil {
-			return fail(err)
-		}
-		if err := snap.Save(*scalingOut); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "sparrow-bench: wrote report-only scaling snapshot (%d cells) to %s\n",
-			len(snap.Entries), *scalingOut)
-		if *scalingMD != "" {
-			if err := os.WriteFile(*scalingMD, []byte(snap.ScalingMarkdown()), 0o644); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "sparrow-bench: wrote scaling table to %s\n", *scalingMD)
-		}
-		if *scalingGate > 0 {
-			if err := snap.ScalingGate("gen-1000", 4, *scalingGate); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "sparrow-bench: scaling gate passed (gen-1000 workers=4 >= %.2fx)\n", *scalingGate)
-		}
-		return 0
-	}
-
 	progs, err := bench.CorpusPrograms(*corpus)
 	if err != nil {
 		return fail(err)

@@ -11,14 +11,17 @@
 //	        [-cpuprofile f] [-memprofile f] [-globals] [-stats] [-stats-json]
 //	        file.c
 //
-// -workers defaults to 0: the sequential global worklist, the fastest
-// solver on every machine measured so far. -workers N≥1 opts into the
-// partitioned component solver on N goroutines, which fires more transfers
-// and can widen elsewhere than the sequential solve (and the sequential
-// restricted solves of -restricted), so its alarms can differ on generated
-// programs. -snapshot-in and -snapshot-out need the component solver: given
-// without -workers they select -workers 1; an explicit -workers 0 is
-// rejected as an invalid configuration.
+// -workers defaults to 0: the global-worklist solver, the fastest solver on
+// every machine measured so far, with every phase sequential. -workers N≥1
+// selects the sequential component solver and runs the parallel phases (the
+// pre-analysis sweeps and def-use-graph construction) on N goroutines. The
+// component solver fires more transfers and can widen elsewhere than the
+// global worklist (and the restricted solves of -restricted, which always
+// use the global worklist), so its alarms can differ on generated programs;
+// they never depend on N.
+// -snapshot-in and -snapshot-out need the component solver: given without
+// -workers they select -workers 1; an explicit -workers 0 is rejected as an
+// invalid configuration.
 //
 // Exit codes:
 //
@@ -110,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline per analysis attempt; on breach the engine degrades (see -no-degrade) or exits 4 (0 = none)")
 	memBudget := fs.String("mem-budget", "", "soft heap budget with optional K/M/G suffix, e.g. 512M; on breach the engine degrades or exits 4 (\"\" = none)")
 	noDegrade := fs.Bool("no-degrade", false, "fail immediately (exit 4) on a deadline/memory breach instead of retrying cheaper configurations")
-	workers := fs.Int("workers", 0, "0 = sequential global worklist; N >= 1 = partitioned component solver and parallel phases on N goroutines, which can widen elsewhere (default 0, or 1 with -snapshot-in/-snapshot-out)")
+	workers := fs.Int("workers", 0, "0 = global-worklist solver, every phase sequential; N >= 1 = sequential component solver (can widen elsewhere) and the parallel phases on N goroutines (default 0, or 1 with -snapshot-in/-snapshot-out)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	globals := fs.Bool("globals", false, "print the final interval of every global variable")
@@ -317,9 +320,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "sparse: edges=%d phis=%d avg|D̂(c)|=%.2f avg|Û(c)|=%.2f\n",
 				s.DepEdges, s.Phis, s.AvgDefs, s.AvgUses)
 		}
-		if s.Workers > 0 {
-			fmt.Fprintf(stdout, "parallel: workers=%d components=%d maxcomp=%d islands=%d rounds=%d\n",
-				s.Workers, s.Components, s.MaxComponent, s.Islands, s.Rounds)
+		if s.Components > 0 {
+			fmt.Fprintf(stdout, "components: n=%d maxcomp=%d islands=%d rounds=%d\n",
+				s.Components, s.MaxComponent, s.Islands, s.Rounds)
 		}
 		if opt.Incr != nil {
 			fmt.Fprintf(stdout, "incremental: hits=%d misses=%d resolved=%d cached=%d\n",

@@ -311,6 +311,28 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestComponentsStatsLine pins the -stats line of the component solver on
+// one corpus file: -workers 1 prints the partition and the wave count, and
+// -workers 2 prints the identical line (the solver is sequential; only the
+// parallel phases change). The default global worklist prints none.
+func TestComponentsStatsLine(t *testing.T) {
+	const file = "../../testdata/corpus/workqueue.c"
+	const want = "components: n=91 maxcomp=10 islands=37 rounds=7\n"
+	for _, w := range []string{"1", "2"} {
+		code, out, errb := runCLI(t, "-workers", w, "-stats", file)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d, stderr: %s", w, code, errb)
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("-workers %s: missing %q in:\n%s", w, want, out)
+		}
+	}
+	_, out, _ := runCLI(t, "-stats", file)
+	if strings.Contains(out, "components:") {
+		t.Errorf("default run printed a components line:\n%s", out)
+	}
+}
+
 // TestRestrictedSharedSolve pins the -restricted line of a kind that reused
 // another kind's solve: on overruns.c the buffer-overrun and null checkers
 // close to the same universe, so null prints solve=shared(buf) where an own

@@ -98,11 +98,11 @@ type Options struct {
 	MaxSteps int
 	// PackCap bounds octagon pack sizes (0 = the paper's 10).
 	PackCap int
-	// Workers sets the goroutine budget of the parallel phases: the
-	// pre-analysis sweeps, def-use-graph construction, and — for the sparse
-	// interval analyzer — the partitioned component solver, whose result is
-	// deterministic across worker counts. 0 keeps every phase on the
-	// original sequential code path.
+	// Workers selects the sparse fixpoint solver and sets the goroutine
+	// budget of the parallel phases. 0 runs the global-worklist solver and
+	// keeps every phase sequential. N >= 1 runs the sequential component
+	// solver (both domains) and gives N goroutines to the pre-analysis
+	// sweeps and def-use-graph construction; results do not depend on N.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
 	// frontend, pre-analysis, def-use-graph construction, partitioning, the
@@ -155,7 +155,6 @@ type Options struct {
 	restricted bool
 }
 
-// kinds returns the effective checker selection.
 // Kinds returns the checker kinds the run reports: Options.Checkers, or
 // check.DefaultKinds when unset.
 func (o Options) Kinds() []check.Kind { return o.kinds() }
@@ -199,8 +198,7 @@ type Stats struct {
 	PackCount int     // octagon only
 	PackAvg   float64 // octagon only: avg non-singleton pack size
 
-	// Parallel-solver statistics (sparse interval with Workers >= 1).
-	Workers      int // goroutines used by the component solver
+	// Component-solver statistics (sparse with Workers >= 1).
 	Components   int // SCCs of the def-use graph
 	MaxComponent int // nodes in the largest component
 	Islands      int // weakly-connected islands of the condensation
@@ -542,7 +540,6 @@ func (r *Result) runInterval(opt Options) error {
 			Timeout:    opt.Timeout,
 			MaxSteps:   opt.MaxSteps,
 			Narrow:     opt.Narrow,
-			Workers:    opt.Workers,
 			Metrics:    opt.Metrics,
 			EntryMarks: r.marks,
 			Budget:     r.bud,
@@ -576,10 +573,9 @@ func (r *Result) runInterval(opt Options) error {
 				r.Stats.IncrMisses = istats.Misses
 				r.Stats.IncrResolved = istats.Resolved
 			} else {
-				r.sres = sparse.AnalyzeParallel(prog, pre, r.graph, sopt)
+				r.sres = sparse.AnalyzeComponents(prog, pre, r.graph, sopt)
 			}
 			stop()
-			r.Stats.Workers = opt.Workers
 			r.Stats.Components = p.NumComps()
 			r.Stats.MaxComponent = p.MaxComp
 			r.Stats.Islands = p.NumIslands
@@ -645,12 +641,9 @@ func (r *Result) runOctagon(opt Options) error {
 			MaxSteps: opt.MaxSteps,
 			Metrics:  opt.Metrics,
 			Budget:   r.bud,
-			Workers:  opt.Workers,
 		}
 		if opt.Workers >= 1 {
-			// Partitioned component scheduler, mirroring the interval path:
-			// workers=1 is the canonical sequential wave schedule, higher
-			// counts reproduce it bit for bit.
+			// Component solver, mirroring the interval path.
 			stop = opt.Metrics.Phase(metrics.PhasePartition)
 			p := r.graph.Partition()
 			stop()
@@ -658,9 +651,8 @@ func (r *Result) runOctagon(opt Options) error {
 			opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
 			opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
 			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.osres = octsparse.AnalyzeParallel(prog, pre, osem, r.graph, oopt)
+			r.osres = octsparse.AnalyzeComponents(prog, pre, osem, r.graph, oopt)
 			stop()
-			r.Stats.Workers = opt.Workers
 			r.Stats.Components = p.NumComps()
 			r.Stats.MaxComponent = p.MaxComp
 			r.Stats.Islands = p.NumIslands

@@ -93,9 +93,10 @@ func assertSameAnalysis(t *testing.T, label string, a, b *Result) {
 }
 
 // TestAnalyzeDeterministicAcrossWorkers runs the full pipeline at several
-// worker counts and requires bit-identical outcomes: the parallel phases are
-// shape-deterministic and the component solver's schedule is canonical, so
-// the worker count must never leak into results.
+// worker counts and requires bit-identical outcomes: the parallel phases
+// (pre-analysis sweeps, def-use-graph staging) are shape-deterministic and
+// the component solver is sequential, so the worker count must never leak
+// into results.
 func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 	sources := map[string]string{
 		"handwritten": determinismSrc,
@@ -122,8 +123,8 @@ func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestWorkersZeroMatchesLegacy pins the compatibility contract: Workers=0
-// runs the original sequential pipeline, and its results agree with the
-// parallel driver on this corpus.
+// runs the global-worklist pipeline, and its results agree with the
+// component solver (and the parallel phases) on this corpus.
 func TestWorkersZeroMatchesLegacy(t *testing.T) {
 	for _, d := range []Domain{Interval, Octagon} {
 		seq := runWorkers(t, d, determinismSrc, 0)

@@ -158,7 +158,6 @@ func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	rg := dug.BuildRestricted(r.graph, keep)
 	stop()
 	r.graph = rg
-	sopt.Workers = 0
 	stop = r.col.Phase(metrics.PhaseFix)
 	r.sres = sparse.Analyze(r.Prog, r.pre, rg, sopt)
 	stop()
@@ -220,10 +219,10 @@ func (r *Result) checkerPrecondition() error {
 // It requires a completed sparse interval run (the full graph is filtered,
 // never rebuilt) and uses the run's own semantics — in particular the same
 // entry-mark configuration — so the restricted alarms are bit-identical to
-// the full sequential run's alarms of the kind. The restricted solve is
-// sequential (Workers is deliberately not inherited: the contract is stated
-// against the sequential solver's widening order, and AnalyzeCheckers
-// parallelizes across kinds instead). The restricted graph is rarely small:
+// the full sequential run's alarms of the kind. The restricted solve always
+// runs the global-worklist solver (Workers is deliberately not inherited:
+// the contract is stated against that solver's widening order, and
+// AnalyzeCheckers parallelizes across kinds instead). The restricted graph is rarely small:
 // on generated programs it keeps 99.1–99.8% of the full triples, which is
 // why solves are shared. If kind's keep set equals that of the previous
 // restricted solve on the same graph (and that solve did not time out),

@@ -73,9 +73,9 @@ func TestInjectedPanicBecomesAnalysisError(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicJoined checks that a panic raised on a solver worker
-// goroutine (parallel component scheduler) is recovered and surfaces as an
-// *AnalysisError with the worker stacks preserved.
+// TestWorkerPanicJoined checks that a panic raised inside the component
+// solver of a four-worker run is recovered and surfaces as an
+// *AnalysisError with its stack preserved.
 func TestWorkerPanicJoined(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	plan := faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Phase: rt.PhaseFix, At: 1})
@@ -244,7 +244,7 @@ func TestBudgetedRunBitIdentical(t *testing.T) {
 }
 
 // TestMidFlightCancellationNoLeaks drives mid-flight cancellation (an
-// injected Cancel fault) through the parallel solver and the graph builder
+// injected Cancel fault) through the component solver and the graph builder
 // and checks no goroutine survives the aborted analysis.
 func TestMidFlightCancellationNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))

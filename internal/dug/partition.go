@@ -1,4 +1,4 @@
-// Partitioning of the def-use graph for the parallel sparse engine.
+// Partitioning of the def-use graph for the component sparse solvers.
 //
 // The dependency relation ↝ decomposes into strongly-connected components
 // (the value cycles that need in-place iteration with widening) whose
@@ -6,8 +6,8 @@
 // islands that share no dependency path at all. Both levels are exactly the
 // independence the sparse framework exposes: values flow only along ↝, so a
 // component's fixpoint depends on nothing but its condensation predecessors,
-// and islands are mutually independent outright. The parallel solver
-// schedules components over this structure.
+// and islands are mutually independent outright. The component solvers
+// schedule components over this structure.
 package dug
 
 import (

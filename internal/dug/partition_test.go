@@ -23,8 +23,8 @@ func buildGraph(t *testing.T, src string, opt Options) *Graph {
 	return Build(prog, pre, opt)
 }
 
-// checkPartition verifies the structural invariants the parallel solver
-// relies on: exact node cover (disjoint memories), topological component
+// checkPartition verifies the structural invariants the component solvers
+// rely on: exact node cover (disjoint memories), topological component
 // numbering along every dependency edge, sorted condensation neighbor
 // lists, and island consistency.
 func checkPartition(t *testing.T, g *Graph) *Partition {
@@ -143,7 +143,7 @@ func TestPartitionGenerated(t *testing.T) {
 }
 
 // TestPartitionDeterministic checks that two independent builds of the same
-// program partition identically (the parallel solver's canonical schedule
+// program partition identically (the component solvers' canonical schedule
 // depends on it).
 func TestPartitionDeterministic(t *testing.T) {
 	src := cgen.Generate(cgen.Default(42, 300))
@@ -159,4 +159,26 @@ func TestPartitionDeterministic(t *testing.T) {
 				n, a.Comp[n], b.Comp[n], a.LocalIdx[n], b.LocalIdx[n])
 		}
 	}
+}
+
+// BenchmarkPartition times the component decomposition (SCCs, condensation
+// DAG, islands) of the seeded gen-1000 program's def-use graph, which is
+// built before the timer starts. It calls the uncached computation:
+// Graph.Partition memoizes it.
+func BenchmarkPartition(b *testing.B) {
+	f, err := parser.Parse("gen-1000.c", cgen.Generate(cgen.Default(43, 1000)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := lower.File(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := Build(prog, prean.Run(prog), Options{Bypass: true})
+	b.ReportAllocs()
+	var p *Partition
+	for b.Loop() {
+		p = g.computePartition()
+	}
+	b.ReportMetric(float64(p.NumComps()), "components")
 }

@@ -1,8 +1,8 @@
 // Package fuzz is the differential-testing subsystem: it generates
 // randomized C programs (internal/cgen's fuzz mode), runs each through all
 // six analyzer configurations (Interval/Octagon × Vanilla/Base/Sparse) plus
-// the concrete interpreter and the parallel sparse driver, and checks seven
-// oracles over the results:
+// the concrete interpreter and the sparse pipeline at several worker counts,
+// and checks seven oracles over the results:
 //
 //	soundness    — every concretely observed value lies inside the vanilla
 //	               and sparse interval results, and every concretely visited
@@ -14,8 +14,9 @@
 //	               surface); widened fixpoints are genuinely incomparable;
 //	agreement    — base alarms ⊆ vanilla alarms (access-based localization
 //	               never loses precision), and the octagon analyzers complete;
-//	determinism  — the parallel sparse driver is bit-identical across worker
-//	               counts 1/2/8, including step and round counters;
+//	determinism  — the sparse interval run (component solver) is
+//	               bit-identical across worker counts 1/2/4/8 of the
+//	               parallel phases, including step and round counters;
 //	incremental  — snapshot the sparse solve, apply a deterministic one-edit
 //	               mutation (internal/cgen's Mutate), and re-solve warm from
 //	               the codec-round-tripped snapshot: alarms, final memories,
@@ -77,7 +78,7 @@ const (
 )
 
 // parallelWorkerCounts are the worker counts the determinism oracle
-// compares; 4 is the count CI's multi-core scaling gate runs at.
+// compares.
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
 // Exec bundles the analysis runs of one program.
@@ -649,10 +650,11 @@ func checkAgreement(ex *Exec) []Violation {
 	return vs
 }
 
-// checkDeterminism compares the parallel sparse runs pairwise against the
-// 1-worker run: bit-identical fixpoints, reachability, steps and rounds
-// (the canonical component schedule of DESIGN.md §8), plus identical alarm
-// sets rendered to strings.
+// checkDeterminism compares the multi-worker sparse runs pairwise against
+// the 1-worker run: bit-identical fixpoints, reachability, steps and rounds
+// (the sequential component schedule of DESIGN.md §8 behind parallel
+// pre-analysis and graph construction), plus identical alarm sets rendered
+// to strings.
 func checkDeterminism(ex *Exec) []Violation {
 	ref := ex.Parallel[parallelWorkerCounts[0]]
 	refAlarms := alarmStrings(ref)

@@ -29,7 +29,7 @@ type pipeline struct {
 	namer *ir.StableNamer
 }
 
-func build(t *testing.T, src string) *pipeline {
+func build(t testing.TB, src string) *pipeline {
 	t.Helper()
 	f, err := parser.Parse("t.c", src)
 	if err != nil {
@@ -150,7 +150,7 @@ int main() { f(); k(); return 0; }
 }
 
 // solveInto runs the incremental solver over src into a fresh cache.
-func solveInto(t *testing.T, src string) *incr.Cache {
+func solveInto(t testing.TB, src string) *incr.Cache {
 	t.Helper()
 	p := build(t, src)
 	cache := incr.NewCache(0, 0)

@@ -13,15 +13,15 @@
 //
 // Determinism contract: every Counter is schedule-independent — for a given
 // program and analyzer configuration its value is bit-identical across
-// worker counts (the parallel solver's canonical schedule guarantees this;
-// internal/core's tests enforce it). Wall-clock timings and the heap gauge
+// worker counts (the parallel phases are shape-deterministic and every
+// solver is sequential; internal/core's tests enforce it). Wall-clock timings and the heap gauge
 // are explicitly NOT deterministic and live in a separate report section
 // that regression tooling treats as report-only.
 //
 // All Collector methods are nil-receiver-safe: a nil *Collector is the
 // disabled instrument, so call sites never branch. Counter updates are
 // single atomic adds with no allocation, safe under -race from the parallel
-// solver's workers.
+// phases' goroutines.
 package metrics
 
 import (
@@ -106,7 +106,7 @@ const (
 	CtrJoins     // value-changing join applications
 	CtrWidenings // effective widenings (widened value ≠ plain join)
 	CtrBypasses  // access-based localization bypass deliveries (dense base)
-	CtrRounds    // component-wave rounds of the parallel solver
+	CtrRounds    // component-wave rounds of the component solver
 
 	// Result shape.
 	CtrReachedPoints   // control points proved reachable

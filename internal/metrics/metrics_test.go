@@ -114,7 +114,7 @@ func TestPhaseTimers(t *testing.T) {
 }
 
 // TestConcurrentCounters hammers the collector from many goroutines — run
-// under -race this is the safety proof for the parallel solver's use, and
+// under -race this is the safety proof for the parallel phases' use, and
 // the summed expectation checks no increment is lost.
 func TestConcurrentCounters(t *testing.T) {
 	c := New()

@@ -31,9 +31,6 @@ type Options struct {
 	// polled at the Timeout stride; a breach stops the solver like a
 	// timeout (TimedOut set). nil is free.
 	Budget *rt.Budget
-	// Workers is the pool size for AnalyzeParallel (ignored by the plain
-	// sequential Analyze); values below 1 become 1.
-	Workers int
 }
 
 const (
@@ -52,8 +49,8 @@ type Result struct {
 	// state ≠ plain join).
 	Joins     int
 	Widenings int
-	// Rounds counts the component scheduler's waves (AnalyzeParallel only;
-	// the plain sequential solver has no rounds and leaves it zero).
+	// Rounds counts the component solver's waves (AnalyzeComponents only;
+	// the global-worklist solver has no rounds and leaves it zero).
 	Rounds   int
 	TimedOut bool
 }

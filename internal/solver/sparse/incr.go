@@ -1,7 +1,7 @@
 // Incremental sparse solver: a trace-replay memoization layer over the
-// canonical sequential component schedule. The driver mirrors AnalyzeParallel
-// with one worker — same scheduling DAG, same round barriers, same worklist
-// loop — but brackets every component run with a memo protocol:
+// canonical sequential component schedule. The driver mirrors
+// AnalyzeComponents — same scheduling DAG, same waves, same worklist loop —
+// but brackets every component run with a memo protocol:
 //
 //	key(c, run k) = H(chain_{k-1}(c) ∥ inputHash_k(c)),  chain_0 = structHash(c)
 //
@@ -41,6 +41,7 @@ import (
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
+	"sparrow/internal/solver/compsched"
 	"sparrow/internal/worklist"
 )
 
@@ -61,7 +62,7 @@ type IncrStats struct {
 // AnalyzeIncremental runs the sparse interval analysis through the memo
 // cache: components whose key hits the cache replay their recorded
 // transcript, everything else runs live and is recorded. The result is
-// bit-identical to AnalyzeParallel on the same program — with an empty cache
+// bit-identical to AnalyzeComponents on the same program — with an empty cache
 // it IS the same computation, instrumented.
 //
 // Only the plain ascending solve is supported: narrowing, timeouts, step
@@ -120,12 +121,13 @@ func AnalyzeIncremental(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt O
 		liveRun:      make([]bool, p.NumComps()),
 	}
 	d.counts = make([]int32, d.cbase[n])
-	d.schedSuccs, _ = buildSched(prog, pre, p)
+	d.sched = compsched.BuildSched(prog, pre, p)
 
 	d.applyMarks([]ir.PointID{prog.ProcByID(prog.Main).Entry})
+	hasWork := func(c int32) bool { return len(d.seeds[c]) > 0 }
 	for d.anySeeds() {
 		d.res.Rounds++
-		d.runRound()
+		d.sched.Wave(hasWork, d.runComponent)
 		sort.Slice(d.deferred, func(i, j int) bool { return d.deferred[i] < d.deferred[j] })
 		d.applyMarks(d.deferred)
 		d.deferred = d.deferred[:0]
@@ -151,8 +153,8 @@ type extIn struct {
 }
 
 // idriver is the single-threaded record/replay driver. Its live execution
-// path is the sequential specialization of pstate/pworker, plus the pending
-// input bookkeeping and the transcript recorder.
+// path is the component solver's (csolver), plus the pending input
+// bookkeeping and the transcript recorder.
 type idriver struct {
 	prog *ir.Program
 	pre  *prean.Result
@@ -172,8 +174,7 @@ type idriver struct {
 	seeds    [][]int32
 	deferred []ir.PointID
 
-	schedSuccs [][]int32
-	pending    []bool // heap membership, per component (runRound scratch)
+	sched *compsched.Sched
 
 	// chain[c] is the component's hash chain (see package comment); advanced
 	// on every run, hit or miss.
@@ -193,7 +194,7 @@ type idriver struct {
 	liveRun                 []bool
 }
 
-// applyMarks mirrors pstate.applyMarks: flips arriving outside any component
+// applyMarks mirrors csolver.applyMarks: flips arriving outside any component
 // run are external inputs of the flipped point's component, so each one is
 // also appended to that component's pending reach list.
 func (d *idriver) applyMarks(queue []ir.PointID) {
@@ -213,28 +214,8 @@ func (d *idriver) applyMarks(queue []ir.PointID) {
 		d.seeds[c] = append(d.seeds[c], int32(t))
 		d.pendingReach[c] = append(d.pendingReach[c], t)
 		pt := d.prog.Point(t)
-		switch pt.Cmd.(type) {
-		case ir.Assume:
-			// Gated on values; propagates when it fires.
-		case ir.Call:
-			callees := d.pre.CalleesOf(pt.ID)
-			if len(callees) == 0 {
-				for _, s := range pt.Succs {
-					push(s)
-				}
-				break
-			}
-			for _, cp := range callees {
-				push(d.prog.ProcByID(cp).Entry)
-			}
-		case ir.Exit:
-			for _, rs := range d.pre.RetSites[pt.Proc] {
-				push(rs)
-			}
-		default:
-			for _, s := range pt.Succs {
-				push(s)
-			}
+		if _, isAssume := pt.Cmd.(ir.Assume); !isAssume {
+			compsched.ReachTargets(d.prog, d.pre, pt, push)
 		}
 	}
 }
@@ -246,68 +227,6 @@ func (d *idriver) anySeeds() bool {
 		}
 	}
 	return false
-}
-
-// runRound is runRoundSeq verbatim: a min-heap over seeded component ids,
-// popped ascending, so every component sees its predecessors stabilized.
-func (d *idriver) runRound() {
-	if d.pending == nil {
-		d.pending = make([]bool, d.p.NumComps())
-	}
-	pending := d.pending
-	var heap []int32
-	push := func(c int32) {
-		if pending[c] {
-			return
-		}
-		pending[c] = true
-		heap = append(heap, c)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p] <= heap[i] {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() int32 {
-		c := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && heap[l] < heap[m] {
-				m = l
-			}
-			if r < len(heap) && heap[r] < heap[m] {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-		pending[c] = false
-		return c
-	}
-	for c := range d.seeds {
-		if len(d.seeds[c]) > 0 {
-			push(int32(c))
-		}
-	}
-	for len(heap) > 0 {
-		c := pop()
-		d.runComponent(c)
-		for _, s := range d.schedSuccs[c] {
-			if len(d.seeds[s]) > 0 {
-				push(s)
-			}
-		}
-	}
 }
 
 // runComponent is the memo protocol around one component run: hash the
@@ -499,7 +418,7 @@ func sortedDefSlots(p *dug.Partition, set map[defSlot]struct{}) []defSlot {
 	return out
 }
 
-// fire mirrors pworker.fire; a successful firing is recorded so replay can
+// fire mirrors csolver.fire; a successful firing is recorded so replay can
 // re-run the reach propagation.
 func (d *idriver) fire(n dug.NodeID) {
 	if d.g.IsPhi(n) {
@@ -525,11 +444,11 @@ func (d *idriver) fire(n dug.NodeID) {
 		return
 	}
 	d.rec.fired[d.p.LocalIdx[n]] = struct{}{}
-	d.propagateReach(pt)
+	compsched.ReachTargets(d.prog, d.pre, pt, d.mark)
 	d.pushOuts(n, out)
 }
 
-// mark mirrors pworker.mark; flips landing in a scheduling successor are that
+// mark mirrors csolver.mark; flips landing in a scheduling successor are that
 // component's external inputs and join its pending reach list.
 func (d *idriver) mark(t ir.PointID) {
 	ct := d.p.Comp[t]
@@ -539,7 +458,7 @@ func (d *idriver) mark(t ir.PointID) {
 			d.res.Reached[t] = true
 			d.wl.Add(int(t))
 		}
-	case schedHasSucc(d.schedSuccs, d.comp, ct):
+	case d.sched.HasSucc(d.comp, ct):
 		if !d.res.Reached[t] {
 			d.res.Reached[t] = true
 			d.seeds[ct] = append(d.seeds[ct], int32(t))
@@ -550,32 +469,7 @@ func (d *idriver) mark(t ir.PointID) {
 	}
 }
 
-// propagateReach mirrors pworker.propagateReach.
-func (d *idriver) propagateReach(pt *ir.Point) {
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := d.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				d.mark(s)
-			}
-			return
-		}
-		for _, cp := range callees {
-			d.mark(d.prog.ProcByID(cp).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range d.pre.RetSites[pt.Proc] {
-			d.mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			d.mark(s)
-		}
-	}
-}
-
-// pushOuts mirrors pworker.pushOuts, recording the changed slots and the
+// pushOuts mirrors csolver.pushOuts, recording the changed slots and the
 // external pushes' targets.
 func (d *idriver) pushOuts(n dug.NodeID, m mem.Mem) {
 	isEntry := false
@@ -719,7 +613,7 @@ func (d *idriver) replay(c int32, run *incr.Run) bool {
 	return true
 }
 
-// replayReach is propagateReach with the replay marking rule: internal flips
+// replayReach is fire's reach propagation with the replay marking rule: internal flips
 // need no worklist (the whole run is replayed), external ones behave exactly
 // like live marks.
 func (d *idriver) replayReach(c int32, pt *ir.Point) {
@@ -728,7 +622,7 @@ func (d *idriver) replayReach(c int32, pt *ir.Point) {
 		switch {
 		case ct == c:
 			d.res.Reached[t] = true
-		case schedHasSucc(d.schedSuccs, c, ct):
+		case d.sched.HasSucc(c, ct):
 			if !d.res.Reached[t] {
 				d.res.Reached[t] = true
 				d.seeds[ct] = append(d.seeds[ct], int32(t))
@@ -738,25 +632,5 @@ func (d *idriver) replayReach(c int32, pt *ir.Point) {
 			d.deferred = append(d.deferred, t)
 		}
 	}
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := d.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				mark(s)
-			}
-			return
-		}
-		for _, cp := range callees {
-			mark(d.prog.ProcByID(cp).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range d.pre.RetSites[pt.Proc] {
-			mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			mark(s)
-		}
-	}
+	compsched.ReachTargets(d.prog, d.pre, pt, mark)
 }

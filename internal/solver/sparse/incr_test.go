@@ -31,21 +31,21 @@ func assertSameCounters(t *testing.T, label string, a, b *Result) {
 }
 
 // TestIncrementalColdMatchesParallel checks that the instrumented driver with
-// an empty cache is the same computation as the parallel driver: identical
+// an empty cache is the same computation as the component solver: identical
 // memories, reachability, and work counters.
 func TestIncrementalColdMatchesParallel(t *testing.T) {
-	for _, prog := range parallelCorpus {
+	for _, prog := range componentCorpus {
 		for _, bypass := range []bool{false, true} {
 			p, _ := buildPipeline(t, prog.src, dug.Options{Bypass: bypass})
-			par := AnalyzeParallel(p.prog, p.pre, p.g, Options{Workers: 1})
+			comp := AnalyzeComponents(p.prog, p.pre, p.g, Options{})
 			cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
 			inc, stats, err := AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, cache)
 			if err != nil {
 				t.Fatalf("%s: %v", prog.name, err)
 			}
 			label := fmt.Sprintf("%s bypass=%v", prog.name, bypass)
-			assertSameResult(t, label, p.g, par, inc)
-			assertSameCounters(t, label, par, inc)
+			assertSameResult(t, label, p.g, comp, inc)
+			assertSameCounters(t, label, comp, inc)
 			// Hits on an empty cache are legitimate: the table is
 			// content-addressed, so structurally identical components at
 			// equal input histories share entries within one solve.
@@ -63,7 +63,7 @@ func TestIncrementalColdMatchesParallel(t *testing.T) {
 // snapshot (round-tripped through the codec): every component run must hit,
 // and the result must be bit-identical.
 func TestIncrementalWarmIdentical(t *testing.T) {
-	for _, prog := range parallelCorpus {
+	for _, prog := range componentCorpus {
 		p, _ := buildPipeline(t, prog.src, dug.Options{Bypass: true})
 		cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
 		cold, _, err := AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, cache)
@@ -191,7 +191,7 @@ func TestIncrementalEditMatchesCold(t *testing.T) {
 				t.Fatalf("%s: decode: %v", e.name, err)
 			}
 			ed, _ := buildPipeline(t, e.edit, dug.Options{Bypass: bypass})
-			cold := AnalyzeParallel(ed.prog, ed.pre, ed.g, Options{Workers: 1})
+			cold := AnalyzeComponents(ed.prog, ed.pre, ed.g, Options{})
 			warm, stats, err := AnalyzeIncremental(ed.prog, ed.pre, ed.g, Options{}, loaded)
 			if err != nil {
 				t.Fatalf("%s: warm: %v", e.name, err)

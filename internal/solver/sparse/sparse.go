@@ -42,15 +42,10 @@ type Options struct {
 	// to widening. Each sweep recomputes every node's incoming values from
 	// the current outputs and narrows the accumulated inputs towards them.
 	Narrow int
-	// Workers bounds the goroutines AnalyzeParallel solves independent
-	// def-use-graph components on (values below 1 mean 1). Analyze ignores
-	// it: the sequential solver has a single global worklist.
-	Workers int
 	// Metrics, when non-nil, receives the solver's work counters (node
 	// firings, value-changing joins, effective widenings, rounds) when the
-	// run completes. Counting happens in Result fields on the hot path —
-	// per-worker-local in AnalyzeParallel — and flushes once, so the
-	// instrumented counters stay bit-identical across worker counts.
+	// run completes. Counting happens in Result fields on the hot path and
+	// flushes once, so the instrumented counters equal the Result's.
 	Metrics *metrics.Collector
 	// EntryMarks is forwarded to the semantics (sem.Sem.EntryMarks): the
 	// per-procedure locations an Entry marks possibly-uninitialized for the
@@ -89,11 +84,10 @@ type Result struct {
 	// least fixpoint (see the dense counterpart).
 	Widenings int
 	// Joins counts per-location pushes that changed a node's stored output
-	// (ascending phase only). Like Steps and Widenings it is identical
-	// across worker counts: the parallel schedule is canonical.
+	// (ascending phase only).
 	Joins int
-	// Rounds counts the component-wave rounds of AnalyzeParallel (0 for the
-	// sequential solver).
+	// Rounds counts the component-wave rounds of AnalyzeComponents (0 for
+	// the global-worklist solver).
 	Rounds int
 	// TimedOut reports an aborted run.
 	TimedOut bool
