@@ -9,18 +9,33 @@ import (
 )
 
 // BenchmarkRun times the flow-insensitive pre-analysis of the first program
-// of the seed-7 gen-4000 suite.
+// of the seed-7 gen-4000 suite and of `cgen -seed 7 -stmts 12000`, reporting
+// how many points the global-invariant sweep applied per run (the rest of
+// the passes × points visits were skipped).
 func BenchmarkRun(b *testing.B) {
-	f, err := parser.Parse("gen-4000.c", cgen.Generate(cgen.Default(7<<16|0, 4000)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := lower.File(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		Run(prog)
+	for _, bc := range []struct {
+		name string
+		cfg  cgen.Config
+	}{
+		{"gen-4000", cgen.Default(7<<16|0, 4000)},
+		{"gen-12000", cgen.Default(7, 12000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f, err := parser.Parse(bc.name+".c", cgen.Generate(bc.cfg))
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := lower.File(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var r *Result
+			for b.Loop() {
+				r = Run(prog)
+			}
+			b.ReportMetric(float64(r.applications), "applications/op")
+			b.ReportMetric(float64(r.Passes*len(prog.Points)), "visits/op")
+		})
 	}
 }

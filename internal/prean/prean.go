@@ -10,11 +10,20 @@
 //  3. it provides per-procedure accessed-location summaries used both by
 //     access-based localization (Interval_base) and by the interprocedural
 //     def-use-graph construction.
+//
+// The global invariant is computed by a sequential semi-naive sweep: passes
+// alternate direction over every point and thread one accumulator, but a
+// point is re-applied only when a location it read has changed since its
+// last application, and it weakly sets only the locations it defines. The
+// invariant, and the number of passes, are those of re-applying every point
+// in every pass (see sweeper). Call resolution and summary collection run
+// afterwards and may fan out across workers.
 package prean
 
 import (
 	"sparrow/internal/callgraph"
 	"sparrow/internal/ir"
+	"sparrow/internal/lattice/itv"
 	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
 	"sparrow/internal/par"
@@ -45,6 +54,10 @@ type Result struct {
 	// Passes is the number of global iterations until stabilization.
 	Passes int
 
+	// applications counts the points the global-invariant sweep applied
+	// (a skipped point is not counted).
+	applications int
+
 	// accessed memoizes Accessed per procedure: the union of the def and
 	// use summaries never changes after Run, and Accessed sits on the
 	// localization hot path (every call boundary restricts through it).
@@ -74,64 +87,38 @@ func (r *Result) Accessed(p ir.ProcID) []ir.LocID {
 const joinPasses = 3
 
 // Run computes the pre-analysis of prog sequentially.
-func Run(prog *ir.Program) *Result { return RunWorkers(prog, 1) }
+func Run(prog *ir.Program) *Result { return RunBudget(prog, 1, nil) }
 
-// RunWorkers computes the pre-analysis, fanning the order-free per-point and
-// per-procedure sweeps (call-graph resolution, access-set collection) across
-// up to workers goroutines. The global-invariant sweep itself stays
-// sequential: its alternating direction threads one accumulator through
-// every point, which is exactly what makes it converge in few passes. The
-// result is identical for every worker count: parallel chunks write only
-// disjoint per-point/per-procedure slots.
-func RunWorkers(prog *ir.Program, workers int) *Result {
-	return RunBudget(prog, workers, nil)
+// RunBudget computes the pre-analysis under a cooperative budget, fanning
+// the order-free per-point and per-procedure stages (call-graph resolution,
+// access-set collection) across up to workers goroutines. The
+// global-invariant sweep itself stays sequential: its alternating direction
+// threads one accumulator through every point, which is exactly what makes
+// it converge in few passes. The result is identical for every worker
+// count: parallel chunks write only disjoint per-point/per-procedure slots.
+//
+// bud is checkpointed between global-invariant passes, in-pass every 2048
+// points visited, and between the post-fixpoint stages, always on the
+// coordinating goroutine. A pre-analysis cannot produce a partial result, so
+// a breach aborts via rt.Abort (recovered at the core boundary). bud == nil
+// never aborts.
+func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
+	sw := newSweeper(prog)
+	g, passes := sw.run(bud)
+	r := finish(prog, g, passes, workers, bud)
+	r.applications = sw.applications
+	return r
 }
 
-// RunBudget is RunWorkers under a cooperative budget: bud is checkpointed
-// between global-invariant passes, in-pass every few thousand points, and
-// between the post-fixpoint stages, always on the coordinating goroutine.
-// A pre-analysis cannot produce a partial result, so a breach aborts via
-// rt.Abort (recovered at the core boundary). bud == nil is RunWorkers.
-func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
-	s := sem.New(prog)
-	g := mem.Bot
-	pass := 0
-	for {
-		pass++
-		bud.Checkpoint(rt.PhasePrean)
-		next := g
-		// Alternate sweep direction: argument values flow down the call
-		// graph and return values flow up, so a fixed direction propagates
-		// long call chains one level per pass (quadratic overall);
-		// alternating sweeps cover both directions in two passes.
-		if pass%2 == 1 {
-			for i, pt := range prog.Points {
-				if bud != nil && i%2048 == 2047 {
-					bud.Checkpoint(rt.PhasePrean)
-				}
-				next = step(s, pt, next, next)
-			}
-		} else {
-			for i := len(prog.Points) - 1; i >= 0; i-- {
-				if bud != nil && i%2048 == 2047 {
-					bud.Checkpoint(rt.PhasePrean)
-				}
-				next = step(s, prog.Points[i], next, next)
-			}
-		}
-		if pass > joinPasses {
-			next = g.Widen(next)
-		}
-		if next.Eq(g) {
-			break
-		}
-		g = next
-	}
+// finish derives everything but the invariant from the global invariant g
+// reached after passes sweeps: the resolved call graph, the def/use
+// summaries and the call/return sites.
+func finish(prog *ir.Program, g mem.Mem, passes, workers int, bud *rt.Budget) *Result {
 	bud.Checkpoint(rt.PhasePrean)
-
 	r := &Result{
 		Mem:     g,
 		Callees: make(map[ir.PointID][]ir.ProcID),
+		Passes:  passes,
 	}
 	// Resolve the call graph from the final invariant. Each call point is
 	// resolved independently against the (now immutable) invariant, so the
@@ -156,7 +143,6 @@ func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
 	}
 	bud.Checkpoint(rt.PhasePrean)
 	r.CG = callgraph.Build(prog, r.CalleesOf)
-	r.Passes = pass
 	se.InCycle = r.CG.InCycle
 	r.buildSummaries(prog, se, workers)
 	bud.Checkpoint(rt.PhasePrean)
@@ -181,56 +167,239 @@ func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
 	return r
 }
 
-// step folds the contribution of one point into the accumulating global
-// invariant. acc is threaded so one pass applies every command once.
-func step(s *sem.Sem, pt *ir.Point, cur, acc mem.Mem) mem.Mem {
-	switch c := pt.Cmd.(type) {
-	case ir.Call:
-		// Bind formals of every currently-resolved callee.
-		fv := s.Eval(c.F, cur)
-		for _, p := range fv.Fns() {
-			callee := s.Prog.ProcByID(p)
-			for i, f := range callee.Formals {
-				var v val.Val
-				if i < len(c.Args) {
-					v = s.Eval(c.Args[i], cur)
-				} else {
-					v = val.TopInt
+// sweeper computes the global invariant semi-naively. Every pass visits
+// the points in alternating direction and threads one accumulator through
+// them, but a point is re-applied only when a location it read at its last
+// application has changed since, and an application weakly sets only the
+// locations the point defines. Skipping is exact: the accumulator only
+// grows (weak sets, and widening returns an upper bound of its input), so a
+// point whose reads are unchanged would produce the values it produced
+// before, which the accumulator already covers — its re-application is a
+// no-op join. Every pass therefore ends on the memory a full re-application
+// sweep reaches, with the same pass count.
+//
+// Change is tracked with a monotone clock: stamp[l] is the clock of l's
+// last value change, seen[i] the clock when point i was last applied and
+// reads[i] the locations it read then.
+type sweeper struct {
+	s   *sem.Sem
+	acc mem.Mem
+
+	clock int
+	stamp []int
+	seen  []int
+	reads [][]ir.LocID
+
+	// passStart is the clock when the current pass began; changed lists,
+	// once each, the locations whose value changed during the pass.
+	passStart int
+	changed   []ir.LocID
+
+	buf     []ir.LocID // reads of the point being applied
+	addRead func(ir.LocID)
+	args    []val.Val
+
+	applications int
+}
+
+func newSweeper(prog *ir.Program) *sweeper {
+	sw := &sweeper{
+		s:     sem.New(prog),
+		stamp: make([]int, prog.Locs.Len()),
+		seen:  make([]int, len(prog.Points)),
+		reads: make([][]ir.LocID, len(prog.Points)),
+	}
+	for i := range sw.seen {
+		sw.seen[i] = -1 // never applied
+	}
+	sw.addRead = func(l ir.LocID) { sw.buf = append(sw.buf, l) }
+	return sw
+}
+
+// run iterates passes to the global invariant and returns it with the
+// number of passes.
+func (sw *sweeper) run(bud *rt.Budget) (mem.Mem, int) {
+	points := sw.s.Prog.Points
+	g := mem.Bot
+	pass := 0
+	for {
+		pass++
+		bud.Checkpoint(rt.PhasePrean)
+		sw.passStart = sw.clock
+		sw.changed = sw.changed[:0]
+		// Alternate sweep direction: argument values flow down the call
+		// graph and return values flow up, so a fixed direction propagates
+		// long call chains one level per pass (quadratic overall);
+		// alternating sweeps cover both directions in two passes.
+		if pass%2 == 1 {
+			for i, pt := range points {
+				if bud != nil && i%2048 == 2047 {
+					bud.Checkpoint(rt.PhasePrean)
 				}
-				acc = acc.WeakSet(f, v)
+				sw.visit(i, pt)
+			}
+		} else {
+			for i := len(points) - 1; i >= 0; i-- {
+				if bud != nil && i%2048 == 2047 {
+					bud.Checkpoint(rt.PhasePrean)
+				}
+				sw.visit(i, points[i])
 			}
 		}
-		return acc
+		next := sw.acc
+		if pass > joinPasses {
+			// Only a location that changed during the pass can differ
+			// between next and g, so only those can move under widening.
+			w := g.Widen(next)
+			for _, l := range sw.changed {
+				if !w.Get(l).Eq(next.Get(l)) {
+					sw.clock++
+					sw.stamp[l] = sw.clock
+				}
+			}
+			next = w
+			sw.acc = w
+		}
+		if next.Eq(g) {
+			return g, pass
+		}
+		g = next
+	}
+}
+
+// visit applies point i unless it was applied before and no location it
+// read then has changed since.
+func (sw *sweeper) visit(i int, pt *ir.Point) {
+	if seen := sw.seen[i]; seen >= 0 {
+		stale := false
+		for _, l := range sw.reads[i] {
+			if int(l) < len(sw.stamp) && sw.stamp[l] > seen {
+				stale = true
+				break
+			}
+		}
+		if !stale {
+			return
+		}
+	}
+	sw.applications++
+	// Stamp the application before its own writes, so a point that reads
+	// what it writes (x = x + 1) is re-applied on the next pass.
+	sw.seen[i] = sw.clock
+	sw.buf = sw.reads[i][:0]
+	sw.apply(pt)
+	sw.reads[i] = sw.buf
+}
+
+// apply folds the contribution of one point into the accumulator: the
+// values of every location it may define, joined weakly. Every value is
+// evaluated before the first write, against the accumulator as the point
+// found it.
+func (sw *sweeper) apply(pt *ir.Point) {
+	prog := sw.s.Prog
+	switch c := pt.Cmd.(type) {
+	case ir.Set:
+		sw.weakSet(c.L, sw.eval(c.E))
+	case ir.Store:
+		sw.store(c.P, c.E, "")
+	case ir.StoreField:
+		sw.store(c.P, c.E, c.F)
+	case ir.Alloc:
+		n := sw.eval(c.N).Itv()
+		al := prog.Locs.Alloc(c.Site)
+		sw.weakSet(al, val.TopInt) // heap cells start indeterminate
+		sw.weakSet(c.L, val.FromPtr(al, val.Region{Off: itv.Single(0), Sz: n}))
+	case ir.Return:
+		if rl := prog.ProcByID(pt.Proc).RetLoc; c.E != nil && rl != ir.None {
+			sw.weakSet(rl, sw.eval(c.E))
+		}
+	case ir.Call:
+		// Bind formals of every currently-resolved callee. Each argument
+		// is evaluated once, and only if some callee has a formal for it.
+		fns := sw.eval(c.F).Fns()
+		n := 0
+		for _, p := range fns {
+			n = max(n, len(prog.ProcByID(p).Formals))
+		}
+		args := sw.args[:0]
+		for _, a := range c.Args[:min(n, len(c.Args))] {
+			args = append(args, sw.eval(a))
+		}
+		sw.args = args
+		for _, p := range fns {
+			for i, f := range prog.ProcByID(p).Formals {
+				v := val.TopInt
+				if i < len(args) {
+					v = args[i]
+				}
+				sw.weakSet(f, v)
+			}
+		}
 	case ir.RetBind:
 		if c.L == ir.None {
-			return acc
+			return
 		}
-		call := s.Prog.Point(c.CallPt).Cmd.(ir.Call)
-		fv := s.Eval(call.F, cur)
+		call := prog.Point(c.CallPt).Cmd.(ir.Call)
+		fns := sw.eval(call.F).Fns()
 		v := val.Bot
-		if len(fv.Fns()) == 0 {
+		if len(fns) == 0 {
 			v = val.TopInt
 		}
-		for _, p := range fv.Fns() {
-			rl := s.Prog.ProcByID(p).RetLoc
-			if rl != ir.None {
-				v = v.Join(cur.Get(rl))
-			} else {
+		for _, p := range fns {
+			rl := prog.ProcByID(p).RetLoc
+			if rl == ir.None {
 				v = v.Join(val.TopInt)
+				continue
 			}
+			sw.buf = append(sw.buf, rl)
+			v = v.Join(sw.acc.Get(rl))
 		}
-		return acc.WeakSet(c.L, v)
-	case ir.Assume:
-		// Refinement is meaningless against a global invariant; assumes
-		// contribute nothing (their uses are still counted for D̂/Û).
-		return acc
-	default:
-		out, ok := s.Transfer(pt, cur)
-		if !ok {
-			return acc
-		}
-		return acc.Join(out)
+		sw.weakSet(c.L, v)
 	}
+	// Assume contributes nothing: refinement is meaningless against a
+	// global invariant (its uses still count for D̂/Û). Entry marks nothing
+	// without the uninit checker, and Exit and Skip have no effect.
+}
+
+// store weakly writes the value of ve to every target of the pointer pe
+// (field f of it, when f is non-empty).
+func (sw *sweeper) store(pe, ve ir.Expr, f string) {
+	pv := sw.eval(pe)
+	v := sw.eval(ve)
+	for _, t := range pv.Ptr() {
+		l := t.Loc
+		if f != "" {
+			l = sw.s.Prog.Locs.Field(l, f)
+		}
+		sw.weakSet(l, v)
+	}
+}
+
+// eval evaluates e against the accumulator and records the locations it
+// reads. Evaluation first: the reads interned by UseOf are a subset of
+// those interned by Eval, so locations are interned in evaluation order.
+func (sw *sweeper) eval(e ir.Expr) val.Val {
+	v := sw.s.Eval(e, sw.acc)
+	sw.s.UseOf(e, sw.acc, sw.addRead)
+	return v
+}
+
+// weakSet joins v into l and stamps l if its binding changed.
+func (sw *sweeper) weakSet(l ir.LocID, v val.Val) {
+	next := sw.acc.WeakSet(l, v)
+	if next.Same(sw.acc) {
+		return
+	}
+	sw.acc = next
+	if n := sw.s.Prog.Locs.Len(); n > len(sw.stamp) {
+		// The sweep interns field and allocation locations as it goes.
+		sw.stamp = append(sw.stamp, make([]int, n-len(sw.stamp))...)
+	}
+	if sw.stamp[l] <= sw.passStart {
+		sw.changed = append(sw.changed, l)
+	}
+	sw.clock++
+	sw.stamp[l] = sw.clock
 }
 
 // buildSummaries computes transitive def/use summaries bottom-up over the

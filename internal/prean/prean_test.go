@@ -1,12 +1,21 @@
 package prean
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"sparrow/internal/cgen"
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/itv"
+	"sparrow/internal/lattice/val"
+	"sparrow/internal/mem"
+	"sparrow/internal/sem"
 )
 
 func run(t *testing.T, src string) (*ir.Program, *Result) {
@@ -155,4 +164,201 @@ int main() { return loop(); }
 	}
 	// g must have been widened to an upper-unbounded interval.
 	// (checked indirectly: analysis finished.)
+}
+
+// referenceSweep is the naive global-invariant sweep the semi-naive sweeper
+// must reproduce: every pass re-applies every point through the full
+// transfer function and joins the whole result into the accumulator.
+func referenceSweep(prog *ir.Program) (mem.Mem, int) {
+	s := sem.New(prog)
+	g := mem.Bot
+	pass := 0
+	for {
+		pass++
+		next := g
+		if pass%2 == 1 {
+			for _, pt := range prog.Points {
+				next = referenceStep(s, pt, next, next)
+			}
+		} else {
+			for i := len(prog.Points) - 1; i >= 0; i-- {
+				next = referenceStep(s, prog.Points[i], next, next)
+			}
+		}
+		if pass > joinPasses {
+			next = g.Widen(next)
+		}
+		if next.Eq(g) {
+			return g, pass
+		}
+		g = next
+	}
+}
+
+// referenceStep folds the contribution of one point into the accumulating
+// global invariant. acc is threaded so one pass applies every command once.
+func referenceStep(s *sem.Sem, pt *ir.Point, cur, acc mem.Mem) mem.Mem {
+	switch c := pt.Cmd.(type) {
+	case ir.Call:
+		fv := s.Eval(c.F, cur)
+		for _, p := range fv.Fns() {
+			callee := s.Prog.ProcByID(p)
+			for i, f := range callee.Formals {
+				var v val.Val
+				if i < len(c.Args) {
+					v = s.Eval(c.Args[i], cur)
+				} else {
+					v = val.TopInt
+				}
+				acc = acc.WeakSet(f, v)
+			}
+		}
+		return acc
+	case ir.RetBind:
+		if c.L == ir.None {
+			return acc
+		}
+		call := s.Prog.Point(c.CallPt).Cmd.(ir.Call)
+		fv := s.Eval(call.F, cur)
+		v := val.Bot
+		if len(fv.Fns()) == 0 {
+			v = val.TopInt
+		}
+		for _, p := range fv.Fns() {
+			rl := s.Prog.ProcByID(p).RetLoc
+			if rl != ir.None {
+				v = v.Join(cur.Get(rl))
+			} else {
+				v = v.Join(val.TopInt)
+			}
+		}
+		return acc.WeakSet(c.L, v)
+	case ir.Assume:
+		return acc
+	default:
+		out, ok := s.Transfer(pt, cur)
+		if !ok {
+			return acc
+		}
+		return acc.Join(out)
+	}
+}
+
+// checkSweepMatchesReference lowers src twice — the sweeps intern locations
+// into the program they run on — and requires the semi-naive pre-analysis
+// to agree with the reference sweep on the invariant, the pass count, the
+// interned locations, the resolved callees and the def/use summaries. It
+// returns the program and its semi-naive result, or nils when src does not
+// parse or lower.
+func checkSweepMatchesReference(t *testing.T, name, src string) (*ir.Program, *Result) {
+	t.Helper()
+	lowerSrc := func() *ir.Program {
+		f, err := parser.Parse(name, src)
+		if err != nil {
+			return nil
+		}
+		prog, err := lower.File(f)
+		if err != nil {
+			return nil
+		}
+		return prog
+	}
+	refProg, prog := lowerSrc(), lowerSrc()
+	if prog == nil {
+		return nil, nil
+	}
+	g, passes := referenceSweep(refProg)
+	want := finish(refProg, g, passes, 1, nil)
+	got := Run(prog)
+	if !got.Mem.Eq(want.Mem) || got.Mem.Len() != want.Mem.Len() {
+		t.Errorf("%s: invariant differs from the reference\n got %s\nwant %s", name, got.Mem, want.Mem)
+	}
+	if got.Passes != want.Passes {
+		t.Errorf("%s: %d passes, reference %d", name, got.Passes, want.Passes)
+	}
+	if n, m := prog.Locs.Len(), refProg.Locs.Len(); n != m {
+		t.Errorf("%s: %d interned locations, reference %d", name, n, m)
+	} else {
+		for l := range n {
+			if a, b := prog.Locs.Get(ir.LocID(l)), refProg.Locs.Get(ir.LocID(l)); a != b {
+				t.Errorf("%s: location %d is %v, reference %v", name, l, a, b)
+				break
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.Callees, want.Callees) {
+		t.Errorf("%s: callees differ from the reference", name)
+	}
+	if !reflect.DeepEqual(got.DefSummary, want.DefSummary) || !reflect.DeepEqual(got.UseSummary, want.UseSummary) {
+		t.Errorf("%s: def/use summaries differ from the reference", name)
+	}
+	return prog, got
+}
+
+// sweepSources returns the corpus files and 200 generated programs of
+// varied size and shape: mostly randomized fuzz configurations, every
+// tenth a balanced configuration of 200 to 2100 statements.
+func sweepSources(tb testing.TB) (names, srcs []string) {
+	tb.Helper()
+	dir := filepath.Join("..", "..", "testdata", "corpus")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".c") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		names = append(names, e.Name())
+		srcs = append(srcs, string(src))
+	}
+	for i := range 200 {
+		seed := uint64(i)
+		cfg := cgen.Fuzz(seed, 40+(i*37)%400)
+		if i%10 == 9 {
+			cfg = cgen.Default(seed, 200+100*(i/10))
+		}
+		names = append(names, fmt.Sprintf("gen-%d.c", i))
+		srcs = append(srcs, cgen.Generate(cfg))
+	}
+	return names, srcs
+}
+
+// TestSweepMatchesReference checks the semi-naive sweep against the
+// reference sweep on the corpus and 200 generated programs, and that it
+// actually skips work on the generated ones.
+func TestSweepMatchesReference(t *testing.T) {
+	names, srcs := sweepSources(t)
+	visits, applications := 0, 0
+	for i, src := range srcs {
+		prog, r := checkSweepMatchesReference(t, names[i], src)
+		if r == nil {
+			t.Fatalf("%s: does not parse or lower", names[i])
+		}
+		visits += r.Passes * len(prog.Points)
+		applications += r.applications
+	}
+	if applications*2 > visits {
+		t.Errorf("applied %d of %d point visits; want at most half", applications, visits)
+	}
+	t.Logf("applied %d of %d point visits (%.1f%% skipped)", applications, visits, 100*float64(visits-applications)/float64(visits))
+}
+
+// FuzzSweep mutates C source, seeded from the corpus and generated
+// programs; every source that parses and lowers must get the reference
+// sweep's pre-analysis.
+func FuzzSweep(f *testing.F) {
+	names, srcs := sweepSources(f)
+	for i, src := range srcs {
+		if !strings.HasPrefix(names[i], "gen-") || i%20 == 0 {
+			f.Add(src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		checkSweepMatchesReference(t, "fuzz.c", src)
+	})
 }
