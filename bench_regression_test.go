@@ -30,7 +30,7 @@ func TestBenchRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bench.Collect(progs, bench.Options{Workers: 1})
+	got, err := bench.Collect(progs, bench.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

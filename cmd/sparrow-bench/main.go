@@ -22,7 +22,7 @@
 // Usage:
 //
 //	sparrow-bench [-corpus DIR] [-out FILE] [-check] [-snapshot FILE]
-//	              [-tol F] [-timings] [-times FILE] [-workers N] [-v]
+//	              [-tol F] [-timings] [-times FILE] [-v]
 //	sparrow-bench -compare OLD.json NEW.json
 //	sparrow-bench -incr BENCH_incr.json
 package main
@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timings := fs.Bool("timings", false, "record per-phase wall times in the snapshot (not for committed baselines)")
 	times := fs.String("times", "BENCH_times.json", "report-only timing/allocation snapshot path (empty disables)")
 	gen := fs.Bool("gen", true, "include the generated (cgen-scaled) programs in the suite")
-	workers := fs.Int("workers", 1, "parallel-phase budget per analysis (counters are worker-independent)")
 	verbose := fs.Bool("v", false, "print one line per completed entry")
 	compare := fs.Bool("compare", false, "diff two times snapshots (old.json new.json) instead of running")
 	incrOut := fs.String("incr", "", "run the warm-vs-cold incremental timing comparison and write it to this file (report-only)")
@@ -95,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progs = append(progs, bench.GeneratedPrograms()...)
 	}
 	if *incrOut != "" {
-		snap, err := bench.CollectIncr(progs, *workers)
+		snap, err := bench.CollectIncr(progs)
 		if err != nil {
 			return fail(err)
 		}
@@ -106,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(snap.Entries), *incrOut)
 		return 0
 	}
-	opt := bench.Options{Workers: *workers, Timings: *timings}
+	opt := bench.Options{Timings: *timings}
 	if *verbose {
 		opt.Progress = func(line string) { fmt.Fprintln(stderr, line) }
 	}

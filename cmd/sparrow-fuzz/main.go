@@ -1,7 +1,7 @@
 // Command sparrow-fuzz runs a differential-fuzzing campaign: N generated
 // programs, each analyzed under all six configurations (Interval/Octagon ×
-// Vanilla/Base/Sparse) plus the concrete interpreter and the parallel
-// sparse driver, checked against the seven oracles of internal/fuzz
+// Vanilla/Base/Sparse) plus the concrete interpreter and repeated sparse
+// runs, checked against the seven oracles of internal/fuzz
 // (soundness, precision, agreement, determinism, restriction, incremental,
 // faults). Violating
 // programs are delta-debugged to a minimal repro and written, with an

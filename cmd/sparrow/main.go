@@ -5,23 +5,18 @@
 //
 //	sparrow [-domain interval|octagon] [-mode vanilla|base|sparse]
 //	        [-checkers buf,null,div,uninit|all] [-restricted]
-//	        [-duchains] [-nobypass] [-narrow N] [-workers N]
+//	        [-duchains] [-nobypass] [-narrow N]
 //	        [-timeout D] [-mem-budget N[KMG]] [-no-degrade]
 //	        [-snapshot-in f] [-snapshot-out f]
 //	        [-cpuprofile f] [-memprofile f] [-globals] [-stats] [-stats-json]
 //	        file.c
 //
-// -workers defaults to 0: the global-worklist solver, the fastest solver on
-// every machine measured so far, with every phase sequential. -workers N≥1
-// selects the sequential component solver and runs the parallel phases (the
-// pre-analysis sweeps and def-use-graph construction) on N goroutines. The
-// component solver fires more transfers and can widen elsewhere than the
-// global worklist (and the restricted solves of -restricted, which always
-// use the global worklist), so its alarms can differ on generated programs;
-// they never depend on N.
-// -snapshot-in and -snapshot-out need the component solver: given without
-// -workers they select -workers 1; an explicit -workers 0 is rejected as an
-// invalid configuration.
+// The analysis is one sequential pipeline. The sparse analyzers solve with
+// the global worklist, except that -snapshot-in and -snapshot-out select the
+// component solver, whose schedule incremental replay records. The component
+// solver fires more transfers and can widen elsewhere than the global
+// worklist (which the restricted solves of -restricted also use), so its
+// alarms can differ on generated programs.
 //
 // Exit codes:
 //
@@ -87,17 +82,6 @@ func parseBytes(s string) (uint64, error) {
 	return n << shift, nil
 }
 
-// flagSet reports whether name was given on the command line.
-func flagSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 // run is the testable entry point: it parses args, analyzes the file, and
 // returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -113,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline per analysis attempt; on breach the engine degrades (see -no-degrade) or exits 4 (0 = none)")
 	memBudget := fs.String("mem-budget", "", "soft heap budget with optional K/M/G suffix, e.g. 512M; on breach the engine degrades or exits 4 (\"\" = none)")
 	noDegrade := fs.Bool("no-degrade", false, "fail immediately (exit 4) on a deadline/memory breach instead of retrying cheaper configurations")
-	workers := fs.Int("workers", 0, "0 = global-worklist solver, every phase sequential; N >= 1 = sequential component solver (can widen elsewhere) and the parallel phases on N goroutines (default 0, or 1 with -snapshot-in/-snapshot-out)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	globals := fs.Bool("globals", false, "print the final interval of every global variable")
@@ -165,10 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if (*snapshotIn != "" || *snapshotOut != "") && !flagSet(fs, "workers") {
-		// Incremental replay records the component solver's schedule.
-		*workers = 1
-	}
 	budget, err := parseBytes(*memBudget)
 	if err != nil {
 		fmt.Fprintln(stderr, "sparrow:", err)
@@ -182,7 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Deadline:     *timeout,
 		MemBudget:    budget,
 		NoDegrade:    *noDegrade,
-		Workers:      *workers,
 		Metrics:      col,
 	}
 	if *checkers != "" {
@@ -211,6 +189,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 
+	if *snapshotIn != "" || *snapshotOut != "" {
+		// Incremental replay records the component solver's schedule.
+		opt.Workers = 1
+	}
 	if *snapshotIn != "" {
 		stop := col.Phase(metrics.PhaseIncr)
 		cache, err := incr.LoadFile(*snapshotIn)

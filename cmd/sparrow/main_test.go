@@ -70,7 +70,7 @@ func TestRunFrontendProblems(t *testing.T) {
 }
 
 func TestStatsJSONReport(t *testing.T) {
-	code, out, errb := runCLI(t, "-stats-json", "-workers", "2", "testdata/good.c")
+	code, out, errb := runCLI(t, "-stats-json", "testdata/good.c")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
@@ -81,7 +81,7 @@ func TestStatsJSONReport(t *testing.T) {
 	if rep.Schema != metrics.Schema {
 		t.Errorf("schema %d, want %d", rep.Schema, metrics.Schema)
 	}
-	if rep.Program != "testdata/good.c" || rep.Domain != "interval" || rep.Mode != "sparse" || rep.Workers != 2 {
+	if rep.Program != "testdata/good.c" || rep.Domain != "interval" || rep.Mode != "sparse" || rep.Workers != 0 {
 		t.Errorf("bad stamp: %+v", rep)
 	}
 	if rep.Counters["worklist_pops"] <= 0 || rep.Counters["dug_nodes"] <= 0 {
@@ -97,27 +97,36 @@ func TestStatsJSONReport(t *testing.T) {
 	}
 }
 
-// TestStatsJSONWorkerIdentity is the CLI-level acceptance criterion: the
-// counter section of -stats-json is bit-identical for -workers 1, 2 and 8.
+// TestStatsJSONWorkerIdentity is the CLI-level determinism check: the
+// counter section of -stats-json is bit-identical across two runs of the
+// default global worklist, and across two runs of the component solver
+// (selected by -snapshot-out, into a fresh snapshot each time).
 func TestStatsJSONWorkerIdentity(t *testing.T) {
-	counters := func(workers int) map[string]int64 {
-		code, out, errb := runCLI(t, "-stats-json", "-workers", fmt.Sprint(workers), "testdata/good.c")
+	counters := func(args ...string) map[string]int64 {
+		args = append(append([]string{"-stats-json"}, args...), "testdata/good.c")
+		code, out, errb := runCLI(t, args...)
 		if code != 0 {
-			t.Fatalf("workers=%d: exit %d, stderr: %s", workers, code, errb)
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb)
 		}
 		var rep metrics.Report
 		if err := json.Unmarshal([]byte(out), &rep); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%v: %v", args, err)
 		}
 		return rep.Counters
 	}
-	base := counters(1)
-	for _, w := range []int{2, 8} {
-		got := counters(w)
-		if !reflect.DeepEqual(base, got) {
-			for k, v := range base {
-				if got[k] != v {
-					t.Errorf("counter %s: workers=1 %d vs workers=%d %d", k, v, w, got[k])
+	dir := t.TempDir()
+	for _, cfg := range []struct {
+		name        string
+		first, then []string
+	}{
+		{"global worklist", nil, nil},
+		{"components", []string{"-snapshot-out", filepath.Join(dir, "a.json")}, []string{"-snapshot-out", filepath.Join(dir, "b.json")}},
+	} {
+		first, again := counters(cfg.first...), counters(cfg.then...)
+		if !reflect.DeepEqual(first, again) {
+			for k, v := range first {
+				if again[k] != v {
+					t.Errorf("%s: counter %s: %d, then %d", cfg.name, k, v, again[k])
 				}
 			}
 		}
@@ -213,8 +222,9 @@ func TestSnapshotFlags(t *testing.T) {
 	if codeW != 0 {
 		t.Fatalf("warm: exit %d, stderr: %s", codeW, errbW)
 	}
-	// The cold run uses the component solver that the warm run replays.
-	codeC, outC, errbC := runCLI(t, "-workers", "1", "-globals", editedPath)
+	// The cold run uses the component solver that the warm run replays:
+	// -snapshot-out into a fresh snapshot selects it.
+	codeC, outC, errbC := runCLI(t, "-snapshot-out", filepath.Join(dir, "cold.json"), "-globals", editedPath)
 	if codeC != 0 {
 		t.Fatalf("cold edited: exit %d, stderr: %s", codeC, errbC)
 	}
@@ -265,7 +275,6 @@ func TestSnapshotFlags(t *testing.T) {
 		{"-snapshot-in", snap, "-mode", "base", "testdata/good.c"},
 		{"-snapshot-in", snap, "-domain", "octagon", "testdata/good.c"},
 		{"-snapshot-in", snap, "-duchains", "testdata/good.c"},
-		{"-snapshot-in", snap, "-workers", "0", "testdata/good.c"},
 		{"-snapshot-in", snap, "-checkers", "uninit", "testdata/good.c"},
 		{"-snapshot-in", snap, "-narrow", "2", "testdata/good.c"},
 	} {
@@ -276,10 +285,9 @@ func TestSnapshotFlags(t *testing.T) {
 }
 
 // TestDefaultWorkers pins the solver choice: a plain run uses the sequential
-// global worklist (-workers 0), and -snapshot-in/-snapshot-out without
-// -workers select the component solver that incremental replay records
-// (-workers 1). An explicit -workers 0 beside a snapshot stays an invalid
-// configuration (exit 3).
+// global worklist (Workers 0), and -snapshot-in/-snapshot-out select the
+// component solver that incremental replay records (Workers 1). No flag
+// selects the solver: -workers is a usage error (exit 2).
 func TestDefaultWorkers(t *testing.T) {
 	workers := func(args ...string) int {
 		t.Helper()
@@ -303,31 +311,25 @@ func TestDefaultWorkers(t *testing.T) {
 	if w := workers("-snapshot-in", snap, "testdata/good.c"); w != 1 {
 		t.Errorf("-snapshot-in: workers=%d, want 1", w)
 	}
-	for _, flag := range []string{"-snapshot-out", "-snapshot-in"} {
-		code, _, errb := runCLI(t, "-workers", "0", flag, snap, "testdata/good.c")
-		if code != 3 || !strings.Contains(errb, "Incr+Workers") {
-			t.Errorf("-workers 0 %s: exit %d, stderr %q (want the Incr+Workers error, exit 3)", flag, code, errb)
-		}
+	if code, _, errb := runCLI(t, "-workers", "1", "testdata/good.c"); code != 2 || !strings.Contains(errb, "-workers") {
+		t.Errorf("-workers 1: exit %d, stderr %q (want an unknown-flag usage error, exit 2)", code, errb)
 	}
 }
 
 // TestComponentsStatsLine pins the -stats line of the component solver on
-// one corpus file: -workers 1 prints the partition and the wave count, and
-// -workers 2 prints the identical line (the solver is sequential; only the
-// parallel phases change). The default global worklist prints none.
+// one corpus file: a -snapshot-out run prints the partition and the wave
+// count, and the default global worklist prints none.
 func TestComponentsStatsLine(t *testing.T) {
 	const file = "../../testdata/corpus/workqueue.c"
 	const want = "components: n=91 maxcomp=10 islands=37 rounds=7\n"
-	for _, w := range []string{"1", "2"} {
-		code, out, errb := runCLI(t, "-workers", w, "-stats", file)
-		if code != 0 {
-			t.Fatalf("-workers %s: exit %d, stderr: %s", w, code, errb)
-		}
-		if !strings.Contains(out, want) {
-			t.Errorf("-workers %s: missing %q in:\n%s", w, want, out)
-		}
+	code, out, errb := runCLI(t, "-snapshot-out", filepath.Join(t.TempDir(), "s.json"), "-stats", file)
+	if code != 0 {
+		t.Fatalf("-snapshot-out: exit %d, stderr: %s", code, errb)
 	}
-	_, out, _ := runCLI(t, "-stats", file)
+	if !strings.Contains(out, want) {
+		t.Errorf("-snapshot-out: missing %q in:\n%s", want, out)
+	}
+	_, out, _ = runCLI(t, "-stats", file)
 	if strings.Contains(out, "components:") {
 		t.Errorf("default run printed a components line:\n%s", out)
 	}
@@ -355,8 +357,8 @@ func TestRestrictedSharedSolve(t *testing.T) {
 }
 
 // TestRestrictedAgreesWithDefault is a generated program on which the
-// component solver (-workers N >= 1) widens elsewhere than the sequential
-// solves and reports no alarms, while the restricted buffer-overrun solve
+// component solver (what -snapshot-in/-snapshot-out select) widens
+// elsewhere than the global worklist and reports no alarms, while the restricted buffer-overrun solve
 // reports two. Under the CLI defaults the alarm list and the restricted
 // count must agree.
 func TestRestrictedAgreesWithDefault(t *testing.T) {

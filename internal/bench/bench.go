@@ -125,10 +125,6 @@ func Suite(corpusDir string) ([]Program, error) {
 
 // Options configures a collection run.
 type Options struct {
-	// Workers is the parallel-phase budget per analysis (counters are
-	// worker-count independent; 1 keeps runs cheap and deterministic in
-	// wall time too).
-	Workers int
 	// Timings records per-phase wall times in the entries (off for
 	// committed baselines: they churn on every machine).
 	Timings bool
@@ -285,10 +281,12 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 				runtime.ReadMemStats(&msBefore)
 			}
 			start := time.Now()
+			// Workers 1 selects the component schedule, the solver the
+			// committed counters were recorded with.
 			copt := core.Options{
 				Domain:  cfg.Domain,
 				Mode:    cfg.Mode,
-				Workers: opt.Workers,
+				Workers: 1,
 				Metrics: col,
 			}
 			// The sparse interval entries carry the per-checker
@@ -308,26 +306,12 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 			res.Alarms() // populate the alarm counter
 			restrNS := map[string]int64{}
 			if sparsified {
-				// At Workers>1 the per-kind restricted pipelines fan out
-				// (core.AnalyzeCheckers); runs and their counters are
-				// bit-identical either way, only the report-only solve
-				// times move.
-				if opt.Workers > 1 {
-					crs, err := res.AnalyzeCheckers(check.AllKinds, opt.Workers)
+				for _, k := range check.AllKinds {
+					cr, err := res.AnalyzeChecker(k)
 					if err != nil {
-						return nil, nil, fmt.Errorf("bench: %s checkers: %w", p.Name, err)
+						return nil, nil, fmt.Errorf("bench: %s %v: %w", p.Name, k, err)
 					}
-					for _, cr := range crs {
-						restrNS["restr_"+cr.Kind.ShortName()+"_solve"] = cr.SolveTime.Nanoseconds()
-					}
-				} else {
-					for _, k := range check.AllKinds {
-						cr, err := res.AnalyzeChecker(k)
-						if err != nil {
-							return nil, nil, fmt.Errorf("bench: %s %v: %w", p.Name, k, err)
-						}
-						restrNS["restr_"+k.ShortName()+"_solve"] = cr.SolveTime.Nanoseconds()
-					}
+					restrNS["restr_"+k.ShortName()+"_solve"] = cr.SolveTime.Nanoseconds()
 				}
 			}
 			wall := time.Since(start)

@@ -21,11 +21,11 @@ func tinySuite(t *testing.T) []Program {
 
 func TestCollectDeterministic(t *testing.T) {
 	progs := tinySuite(t)
-	a, err := Collect(progs, Options{Workers: 1})
+	a, err := Collect(progs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Collect(progs, Options{Workers: 1})
+	b, err := Collect(progs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCollectDeterministic(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	progs := tinySuite(t)
-	snap, err := Collect(progs[:1], Options{Workers: 1})
+	snap, err := Collect(progs[:1], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestCompareDetectsDrift(t *testing.T) {
 	progs := tinySuite(t)
-	base, err := Collect(progs[:1], Options{Workers: 1})
+	base, err := Collect(progs[:1], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,17 +61,14 @@ func (s *IncrSnapshot) Save(path string) error {
 // program is unchanged); a miss is an error, not a statistic — it would
 // mean the hash or codec lost determinism between two solves in the same
 // process.
-func CollectIncr(progs []Program, workers int) (*IncrSnapshot, error) {
-	if workers < 1 {
-		workers = 1
-	}
+func CollectIncr(progs []Program) (*IncrSnapshot, error) {
 	snap := &IncrSnapshot{
 		Schema:     IncrTimesSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	for _, p := range progs {
-		opt := core.Options{Domain: core.Interval, Mode: core.Sparse, Workers: workers}
+		opt := core.Options{Domain: core.Interval, Mode: core.Sparse, Workers: 1}
 
 		cold := opt
 		cold.Incr = incr.NewCache(0, 0)

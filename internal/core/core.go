@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"sparrow/internal/check"
@@ -98,11 +97,10 @@ type Options struct {
 	MaxSteps int
 	// PackCap bounds octagon pack sizes (0 = the paper's 10).
 	PackCap int
-	// Workers selects the sparse fixpoint solver and sets the goroutine
-	// budget of the parallel phases. 0 runs the global-worklist solver and
-	// keeps every phase sequential. N >= 1 runs the sequential component
-	// solver (both domains) and gives N goroutines to the pre-analysis
-	// sweeps and def-use-graph construction; results do not depend on N.
+	// Workers only selects the sparse fixpoint solver: 0 runs the global
+	// worklist, and any N >= 1 runs the sequential component schedule
+	// (both domains), which incremental analysis replays. No value starts
+	// a goroutine, and every N >= 1 gives the same result.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
 	// frontend, pre-analysis, def-use-graph construction, partitioning, the
@@ -210,7 +208,9 @@ type Stats struct {
 	IncrResolved int // distinct components re-solved
 }
 
-// Result is a completed analysis.
+// Result is a completed analysis. AnalyzeChecker is not safe for
+// concurrent calls on one Result: it fills unguarded memos (control seeds,
+// closure index, the kept restricted solve).
 type Result struct {
 	Prog  *ir.Program
 	Opts  Options
@@ -237,7 +237,6 @@ type Result struct {
 	marks     func(ir.ProcID) []ir.LocID
 	ctrlSeeds []ir.LocID
 	closure   *prean.ClosureIndex
-	solveMu   sync.Mutex
 	lastSolve *restrictedSolve
 
 	dres  *dense.Result
@@ -338,8 +337,7 @@ func degradeStep(opt Options) (Options, string, bool) {
 // analysis is attempt-structured: a breach discards the attempt, degrades
 // the configuration one ladder rung (unless NoDegrade, Incr, or a
 // cancellation), and retries with a fresh budget window. Panics anywhere
-// inside an attempt — worker goroutines included — surface as
-// *AnalysisError, never as a crash.
+// inside an attempt surface as *AnalysisError, never as a crash.
 func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 	if err := validateOptions(opt); err != nil {
 		return nil, err
@@ -393,7 +391,7 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
-			if ab, ok := asAbort(p); ok {
+			if ab, ok := p.(*rt.Abort); ok {
 				err = &BudgetError{Reason: ab.Reason, Phase: ab.Phase.String()}
 				return
 			}
@@ -404,7 +402,7 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 
 	r.phase = "prean"
 	stop := opt.Metrics.Phase(metrics.PhasePrean)
-	pre := prean.RunBudget(prog, opt.Workers, bud)
+	pre := prean.RunBudget(prog, bud)
 	stop()
 	r.pre = pre
 	if hasKind(opt.kinds(), check.UninitRead) {
@@ -445,7 +443,7 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 
 // recordResultShape flushes the result-side gauges: reachable points and the
 // abstract-memory footprint (peak and total per-point entry counts). All are
-// deterministic — the solver memories are identical across worker counts.
+// deterministic.
 func (r *Result) recordResultShape(col *metrics.Collector) {
 	if col == nil {
 		return
@@ -526,7 +524,7 @@ func (r *Result) runInterval(opt Options) error {
 		r.phase = "dug_build"
 		t := time.Now()
 		stop := opt.Metrics.Phase(metrics.PhaseDUG)
-		dopt := dug.Options{Bypass: !opt.NoBypass, Workers: opt.Workers, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud}
+		dopt := dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud}
 		if opt.DefUseChains {
 			r.graph = dug.BuildDefUseChains(prog, pre, dopt)
 		} else {
@@ -631,7 +629,7 @@ func (r *Result) runOctagon(opt Options) error {
 		r.phase = "dug_build"
 		t := time.Now()
 		stop := opt.Metrics.Phase(metrics.PhaseDUG)
-		r.graph = dug.BuildFrom(src, dug.Options{Bypass: !opt.NoBypass, Workers: opt.Workers, Metrics: opt.Metrics, Budget: r.bud})
+		r.graph = dug.BuildFrom(src, dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, Budget: r.bud})
 		stop()
 		r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
 		t = time.Now()

@@ -162,9 +162,9 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 // DiffSparseRuns compares two sparse interval results of the same program
 // bit-exactly: reachability, the Acc/Out partial memories at every def-use
 // node, and the deterministic step and round counters. It is the oracle
-// wherever two runs must agree exactly: across the worker counts of the
-// parallel phases (fuzz determinism oracle), warm versus cold incremental
-// solves, and budgeted versus plain runs.
+// wherever two runs must agree exactly: repeated runs of one configuration
+// (fuzz determinism oracle), warm versus cold incremental solves, and
+// budgeted versus plain runs.
 //
 // At most limit mismatches are reported (0 = no limit).
 func DiffSparseRuns(a, b *Result, limit int) ([]string, error) {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sparrow/internal/par"
 	rt "sparrow/internal/runtime"
 )
 
@@ -32,11 +31,8 @@ func (e *ConfigError) Error() string {
 }
 
 // AnalysisError is a panic recovered at the analysis boundary: any panic
-// raised inside AnalyzeProgram — on the calling goroutine or on a worker
-// goroutine of the parallel phases — is converted into one of these
-// instead of crashing the host process. Cause is the original panic value;
-// when it is a *par.PanicError every worker's panic and stack is preserved
-// inside it (see Stacks).
+// raised inside AnalyzeProgram is converted into one of these instead of
+// crashing the host process. Cause is the original panic value.
 type AnalysisError struct {
 	Phase string // pipeline stage that panicked: "prean", "dug_build", "fixpoint", ...
 	Cause any
@@ -44,32 +40,7 @@ type AnalysisError struct {
 }
 
 func (e *AnalysisError) Error() string {
-	return fmt.Sprintf("core: panic during %s: %v", e.Phase, cause1(e.Cause))
-}
-
-// cause1 renders a panic value compactly: a joined worker panic prints its
-// first value plus a count, not every stack.
-func cause1(c any) string {
-	if pe, ok := c.(*par.PanicError); ok {
-		if len(pe.Panics) == 1 {
-			return fmt.Sprint(pe.Panics[0].Value)
-		}
-		return fmt.Sprintf("%v (and %d more worker panics)", pe.Unwrap1(), len(pe.Panics)-1)
-	}
-	return fmt.Sprint(c)
-}
-
-// Stacks returns every stack trace the error carries: each worker's stack
-// for a joined parallel panic, otherwise the single recovery-point stack.
-func (e *AnalysisError) Stacks() string {
-	if pe, ok := e.Cause.(*par.PanicError); ok {
-		var b strings.Builder
-		for i, p := range pe.Panics {
-			fmt.Fprintf(&b, "[worker panic %d] %v\n%s\n", i, p.Value, p.Stack)
-		}
-		return b.String()
-	}
-	return e.Stack
+	return fmt.Sprintf("core: panic during %s: %v", e.Phase, e.Cause)
 }
 
 // BudgetError reports that an analysis could not complete within its
@@ -95,20 +66,3 @@ func (e *BudgetError) Error() string {
 
 // Unwrap maps the breach onto the conventional context sentinel errors.
 func (e *BudgetError) Unwrap() error { return e.Reason.Err() }
-
-// asAbort extracts a budget abort from a recovered panic value. Aborts are
-// raised on the coordinating goroutine, but a joined worker panic is
-// unwrapped too as a safety net.
-func asAbort(p any) (*rt.Abort, bool) {
-	if ab, ok := p.(*rt.Abort); ok {
-		return ab, true
-	}
-	if pe, ok := p.(*par.PanicError); ok {
-		for _, wp := range pe.Panics {
-			if ab, ok := wp.Value.(*rt.Abort); ok {
-				return ab, true
-			}
-		}
-	}
-	return nil, false
-}

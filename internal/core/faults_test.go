@@ -12,10 +12,10 @@ import (
 )
 
 // TestInjectedComponentPanicNoLeaks injects a panic at a fixpoint checkpoint
-// of the component solver, after the parallel phases have fanned out on
-// workers goroutines, and checks the contract from the fault-tolerance layer
-// survives: the panic surfaces as a structured *AnalysisError and no
-// goroutine outlives the aborted analysis.
+// of the component solver, which every Workers value N >= 1 selects, and
+// checks the contract from the fault-tolerance layer survives: the panic
+// surfaces as a structured *AnalysisError and no goroutine outlives the
+// aborted analysis.
 func TestInjectedComponentPanicNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	for _, workers := range []int{2, 4, 8} {
@@ -48,11 +48,10 @@ func TestInjectedComponentPanicNoLeaks(t *testing.T) {
 }
 
 // TestSeededFaultPlansNoLeaks sweeps seeded random fault schedules (panics,
-// stalls, allocation spikes, cancellations) through the pipeline at four
-// workers and requires every outcome to be clean: either a successful
-// analysis or a structured error, never a leaked goroutine. This is the
-// in-tree slice of the faults fuzz oracle, aimed at the parallel phases'
-// fan-outs.
+// stalls, allocation spikes, cancellations) through the pipeline on the
+// component solver and requires every outcome to be clean: either a
+// successful analysis or a structured error, never a leaked goroutine. This
+// is the in-tree slice of the faults fuzz oracle.
 func TestSeededFaultPlansNoLeaks(t *testing.T) {
 	n := 12
 	if testing.Short() {
@@ -65,7 +64,7 @@ func TestSeededFaultPlansNoLeaks(t *testing.T) {
 			var err error
 			ok, before, after, dump := leakcheck.Check(func() {
 				_, err = AnalyzeSource("fault.c", src, Options{
-					Domain: Interval, Mode: Sparse, Workers: 4,
+					Domain: Interval, Mode: Sparse, Workers: 1,
 					FaultHook: plan.Hook(),
 				})
 			})

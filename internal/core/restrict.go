@@ -31,7 +31,6 @@ import (
 	"sparrow/internal/ir"
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
-	"sparrow/internal/par"
 	"sparrow/internal/prean"
 	"sparrow/internal/solver/sparse"
 )
@@ -79,8 +78,6 @@ type restrictedSolve struct {
 // graph with exactly keep. Otherwise it drops the kept solve, so that at
 // most one solved result is alive beside the one the caller builds next.
 func (r *Result) reuseSolve(keep []ir.LocID) *restrictedSolve {
-	r.solveMu.Lock()
-	defer r.solveMu.Unlock()
 	if s := r.lastSolve; s != nil && s.graph == r.graph && slices.Equal(s.keep, keep) {
 		return s
 	}
@@ -95,9 +92,7 @@ func (r *Result) keepSolve(s *restrictedSolve) {
 	if s.sres.TimedOut {
 		return
 	}
-	r.solveMu.Lock()
 	r.lastSolve = s
-	r.solveMu.Unlock()
 }
 
 // controlSeedsMemo returns (and caches) the branch-condition seed set.
@@ -171,49 +166,6 @@ func (r *Result) keepSet(kind check.Kind) []ir.LocID {
 	return r.closureMemo().Closure(seeds)
 }
 
-// AnalyzeCheckers runs AnalyzeChecker for every kind, fanning the restricted
-// pipelines out over at most workers goroutines (one per checker — the
-// pipelines are independent: each builds its own restricted graph and solves
-// it with its own worklist, unless it reuses the kept solve of an equal
-// universe). The control seeds and the closure index are computed once
-// before the fan-out. Results are ordered like kinds and each is
-// bit-identical to a sequential AnalyzeChecker call for that kind; only wall
-// times and which runs share a solve vary with the worker count (two
-// concurrent misses on one universe may both solve it, identically). A
-// panic inside a pipeline re-raises as *par.PanicError (the fork-join
-// contract).
-func (r *Result) AnalyzeCheckers(kinds []check.Kind, workers int) ([]*CheckerRun, error) {
-	if err := r.checkerPrecondition(); err != nil {
-		return nil, err
-	}
-	r.controlSeedsMemo()
-	r.closureMemo()
-	runs := make([]*CheckerRun, len(kinds))
-	errs := make([]error, len(kinds))
-	par.For(len(kinds), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			runs[i], errs[i] = r.AnalyzeChecker(kinds[i])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return runs, nil
-}
-
-// checkerPrecondition is the shared AnalyzeChecker(s) entry guard.
-func (r *Result) checkerPrecondition() error {
-	if r.Opts.Domain != Interval || r.Opts.Mode != Sparse || r.graph == nil || r.sres == nil {
-		return fmt.Errorf("core: AnalyzeChecker requires a completed sparse interval run")
-	}
-	if r.Opts.DefUseChains {
-		return fmt.Errorf("core: AnalyzeChecker needs the data-dependency graph (def-use-chain mode unsupported)")
-	}
-	return nil
-}
-
 // AnalyzeChecker reruns the sparse fixpoint restricted to what kind can
 // observe and returns that kind's alarms plus the restriction statistics.
 // It requires a completed sparse interval run (the full graph is filtered,
@@ -221,10 +173,9 @@ func (r *Result) checkerPrecondition() error {
 // entry-mark configuration — so the restricted alarms are bit-identical to
 // the full sequential run's alarms of the kind. The restricted solve always
 // runs the global-worklist solver (Workers is deliberately not inherited:
-// the contract is stated against that solver's widening order, and
-// AnalyzeCheckers parallelizes across kinds instead). The restricted graph is rarely small:
-// on generated programs it keeps 99.1–99.8% of the full triples, which is
-// why solves are shared. If kind's keep set equals that of the previous
+// the contract is stated against that solver's widening order). The
+// restricted graph is rarely small: on generated programs it keeps
+// 99.1–99.8% of the full triples, which is why solves are shared. If kind's keep set equals that of the previous
 // restricted solve on the same graph (and that solve did not time out),
 // this call reuses its graph statistics and fixpoint and runs only kind's
 // checker; SharedWith names the kind that paid for the solve. The solve
@@ -232,8 +183,11 @@ func (r *Result) checkerPrecondition() error {
 // numbers, and only the restr_* size counters and the restricted phase
 // time are recorded.
 func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
-	if err := r.checkerPrecondition(); err != nil {
-		return nil, err
+	if r.Opts.Domain != Interval || r.Opts.Mode != Sparse || r.graph == nil || r.sres == nil {
+		return nil, fmt.Errorf("core: AnalyzeChecker requires a completed sparse interval run")
+	}
+	if r.Opts.DefUseChains {
+		return nil, fmt.Errorf("core: AnalyzeChecker needs the data-dependency graph (def-use-chain mode unsupported)")
 	}
 	stop := r.col.Phase(metrics.PhaseRestrict)
 	defer stop()

@@ -14,54 +14,20 @@ import (
 	"sparrow/internal/solver/sparse"
 )
 
-// TestAnalyzeCheckersMatchesSequential pins the fan-out contract: running
-// every checker's restricted pipeline concurrently yields runs bit-identical
-// to the sequential per-kind calls (alarms, restriction statistics, steps),
-// both on the Result whose kept solve the sequential calls left behind and
-// on a fresh one, where concurrent kinds race for the solve memo (run it
-// under -race).
-func TestAnalyzeCheckersMatchesSequential(t *testing.T) {
-	srcs := map[string]string{"demo.c": demo}
-	for seed := uint64(31); seed < 34; seed++ {
-		srcs[fmt.Sprintf("gen%d.c", seed)] = cgen.Generate(cgen.Default(seed, 120))
-	}
-	for name, src := range srcs {
-		res, err := AnalyzeSource(name, src, Options{
-			Domain: Interval, Mode: Sparse, Checkers: check.AllKinds,
-		})
+// TestAnalyzeCheckerPrecondition checks AnalyzeChecker's guard: it needs
+// a completed sparse interval run on the data-dependency graph.
+func TestAnalyzeCheckerPrecondition(t *testing.T) {
+	for _, opt := range []Options{
+		{Domain: Interval, Mode: Base},
+		{Domain: Interval, Mode: Sparse, DefUseChains: true},
+	} {
+		res, err := AnalyzeSource("demo.c", demo, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := make([]*CheckerRun, len(check.AllKinds))
-		for i, k := range check.AllKinds {
-			if seq[i], err = res.AnalyzeChecker(k); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := res.AnalyzeChecker(check.BufferOverrun); err == nil {
+			t.Errorf("AnalyzeChecker on %v/%v (duchains=%v): want error", opt.Domain, opt.Mode, opt.DefUseChains)
 		}
-		for _, workers := range []int{2, 4} {
-			for _, target := range []*Result{res, analyzeAllKinds(t, name, src)} {
-				runs, err := target.AnalyzeCheckers(check.AllKinds, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, run := range runs {
-					if diff := sameRun(run, seq[i]); diff != "" {
-						t.Errorf("%s workers=%d: %s (vs sequential)", name, workers, diff)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestAnalyzeCheckersPrecondition mirrors AnalyzeChecker's guard.
-func TestAnalyzeCheckersPrecondition(t *testing.T) {
-	res, err := AnalyzeSource("demo.c", demo, Options{Domain: Interval, Mode: Base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.AnalyzeCheckers(check.AllKinds, 4); err == nil {
-		t.Fatal("AnalyzeCheckers on a non-sparse run: want error")
 	}
 }
 
@@ -265,8 +231,10 @@ func BenchmarkAnalyzeCheckers(b *testing.B) {
 	res := analyzeAllKinds(b, "gen3000.c", cgen.Generate(cgen.Default(7<<16, 3000)))
 	for b.Loop() {
 		res.closure, res.lastSolve = nil, nil
-		if _, err := res.AnalyzeCheckers(check.AllKinds, 1); err != nil {
-			b.Fatal(err)
+		for _, k := range check.AllKinds {
+			if _, err := res.AnalyzeChecker(k); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -74,13 +74,13 @@ func TestInjectedPanicBecomesAnalysisError(t *testing.T) {
 }
 
 // TestWorkerPanicJoined checks that a panic raised inside the component
-// solver of a four-worker run is recovered and surfaces as an
-// *AnalysisError with its stack preserved.
+// solver is recovered and surfaces as an *AnalysisError with its stack
+// preserved.
 func TestWorkerPanicJoined(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	plan := faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Phase: rt.PhaseFix, At: 1})
 	_, err := AnalyzeSource("wpanic.c", src, Options{
-		Domain: Interval, Mode: Sparse, Workers: 4, FaultHook: plan.Hook(),
+		Domain: Interval, Mode: Sparse, Workers: 1, FaultHook: plan.Hook(),
 	})
 	if !plan.AnyFired() {
 		t.Skip("no fix-phase checkpoint reached (program converged under the poll stride)")
@@ -92,8 +92,8 @@ func TestWorkerPanicJoined(t *testing.T) {
 	if ae.Phase != "fixpoint" {
 		t.Errorf("Phase = %q want fixpoint", ae.Phase)
 	}
-	if len(ae.Stacks()) == 0 {
-		t.Error("worker stacks lost")
+	if len(ae.Stack) == 0 {
+		t.Error("stack lost")
 	}
 }
 
@@ -258,7 +258,7 @@ func TestMidFlightCancellationNoLeaks(t *testing.T) {
 			var fired bool
 			ok, before, after, dump := leakcheck.Check(func() {
 				_, err = AnalyzeSource("leak.c", src, Options{
-					Domain: Interval, Mode: Sparse, Workers: 4,
+					Domain: Interval, Mode: Sparse, Workers: 1,
 					Ctx: ctx, FaultHook: plan.Hook(),
 				})
 				fired = plan.FiredKind(faultinject.Cancel)

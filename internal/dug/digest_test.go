@@ -165,19 +165,6 @@ func TestGraphDigest(t *testing.T) {
 	}
 }
 
-// TestGraphDigestWorkers checks that the parallel build stages reproduce the
-// sequential graph exactly.
-func TestGraphDigestWorkers(t *testing.T) {
-	prog := lowerSource(t, "gen-1000", cgen.Generate(cgen.Default(43, 1000)))
-	pre := prean.Run(prog)
-	want := graphDigest(dug.Build(prog, pre, dug.Options{Bypass: true}))
-	for _, w := range []int{2, 4} {
-		if got := graphDigest(dug.Build(prog, pre, dug.Options{Bypass: true, Workers: w})); got != want {
-			t.Errorf("workers=%d: digest %s, sequential %s", w, got, want)
-		}
-	}
-}
-
 func readDigests(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(digestFile)

@@ -15,7 +15,7 @@
 // The graph is laid out for the solver hot path: per-node D̂/Û are sorted
 // dense-ID slices sharing contiguous backing arrays, and the successor
 // relation is a two-level CSR index (per-node sorted location keys with an
-// (offset, len) row of successors each) that workers share read-only. The
+// (offset, len) row of successors each) that the solvers read in place. The
 // builder itself stages dependency triples into a flat slice and sorts them
 // once instead of deduplicating through per-⟨node, loc⟩ maps.
 package dug
@@ -29,7 +29,6 @@ import (
 	"sparrow/internal/cfg"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
-	"sparrow/internal/par"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
@@ -53,12 +52,6 @@ type Options struct {
 	// MaxSpliceFanout bounds |preds|×|succs| of a splice to avoid edge
 	// blowup (0 uses the default of 256).
 	MaxSpliceFanout int
-	// Workers fans the per-point D̂/Û computation and the per-procedure
-	// SSA passes (dominators, phi placement, renaming) across this many
-	// goroutines. Values <= 1 build sequentially. The graph is identical
-	// for every worker count: parallel phases stage into per-point or
-	// per-procedure slots and are merged in a fixed order.
-	Workers int
 	// Metrics, when non-nil, receives the finished graph's size counters
 	// (nodes, dependency triples, phis, spliced triples, ΣD̂/ΣÛ) — the
 	// paper's first-class sparse-representation scalability metric.
@@ -70,9 +63,9 @@ type Options struct {
 	// the entry out of their dependency chains.
 	EntryMarks func(p ir.ProcID) []ir.LocID
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// checkpointed between build stages on the coordinating goroutine. A
-	// half-built graph is useless, so a breach aborts via rt.Abort
-	// (recovered at the core boundary). nil is free.
+	// checkpointed between build stages. A half-built graph is useless, so
+	// a breach aborts via rt.Abort (recovered at the core boundary). nil is
+	// free.
 	Budget *rt.Budget
 }
 
@@ -97,8 +90,7 @@ type Graph struct {
 
 	// CSR successor index: node n's rows live at edgeLocs[edgeRow[n]:
 	// edgeRow[n+1]] (sorted location keys); key index k's successors are
-	// succs[succOff[k]:succOff[k+1]] (sorted). Shared read-only by all
-	// solver workers.
+	// succs[succOff[k]:succOff[k+1]] (sorted).
 	edgeLocs []ir.LocID
 	edgeRow  []int32
 	succOff  []int32
@@ -215,8 +207,7 @@ type Source struct {
 	RetSites [][]ir.PointID
 	// DefsUsesAppend appends the members of the command-local D̂(c)/Û(c)
 	// to defs/uses (possibly with duplicates — the builder deduplicates)
-	// and returns the extended slices. Must be safe for concurrent calls:
-	// the builder fans it out across workers.
+	// and returns the extended slices.
 	DefsUsesAppend func(pt *ir.Point, defs, uses []ir.LocID) ([]ir.LocID, []ir.LocID)
 	// AlwaysKills returns D_always(c); required only by BuildDefUseChains.
 	AlwaysKills func(pt *ir.Point) sem.LocSet
@@ -346,16 +337,12 @@ func BuildFrom(src *Source, opt Options) *Graph {
 	// dependency cycle keeps a widening point.
 	copy(b.g.Widen, info.Widen)
 	// Stage the per-procedure SSA passes (dominators, phi placement,
-	// renaming) — each reads only the shared per-point tables, so they fan
-	// out — then merge in procedure order, which assigns phi node IDs
-	// exactly as a sequential build would.
+	// renaming), then merge in procedure order, which assigns phi node IDs.
 	staged := make([]*procBuild, len(prog.Procs))
-	par.For(len(prog.Procs), opt.Workers, func(lo, hi int) {
-		var sc stageScratch
-		for i := lo; i < hi; i++ {
-			staged[i] = b.stageProc(prog.Procs[i], &sc)
-		}
-	})
+	var sc stageScratch
+	for i, pr := range prog.Procs {
+		staged[i] = b.stageProc(pr, &sc)
+	}
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	b.mergeProcs(staged)
 	opt.Budget.Checkpoint(rt.PhaseDUG)
@@ -390,7 +377,7 @@ func (g *Graph) flushMetrics(col *metrics.Collector) {
 	col.Add(metrics.CtrDUGUses, uses)
 }
 
-// initScratch carries one worker's reusable buffers through initNode.
+// initScratch carries the reusable buffers of initNode.
 type initScratch struct {
 	ownD, ownU []ir.LocID // command-local D̂/Û
 	d, u, p    []ir.LocID // the node's final sets
@@ -400,16 +387,12 @@ type initScratch struct {
 }
 
 // initNodes computes the per-point D̂/Û including interprocedural linkage
-// sets, and records which memberships are linkage-only (bypassable). Each
-// point writes only its own node's tables, so the sweep fans out across
-// workers.
+// sets, and records which memberships are linkage-only (bypassable).
 func (b *builder) initNodes() {
-	par.For(len(b.prog.Points), b.opt.Workers, func(lo, hi int) {
-		var sc initScratch
-		for i := lo; i < hi; i++ {
-			b.initNode(b.prog.Points[i], &sc)
-		}
-	})
+	var sc initScratch
+	for _, pt := range b.prog.Points {
+		b.initNode(pt, &sc)
+	}
 }
 
 // calleeAccess returns the union of the callees' access sets, in sc's
@@ -563,8 +546,7 @@ func insertLoc(s []ir.LocID, l ir.LocID) []ir.LocID {
 
 // procBuild is the staged output of one procedure's SSA pass. Phi nodes are
 // procedure-local (index into phis); edges reference them through negative
-// NodeIDs until the merge assigns global IDs. Staging keeps the per-procedure
-// passes free of shared writes so they can run on separate goroutines.
+// NodeIDs until the merge assigns global IDs.
 type procBuild struct {
 	recursive bool
 	phis      []Phi
@@ -578,7 +560,7 @@ func phiRef(i int) NodeID { return NodeID(-1 - i) }
 // noDef marks a location with no reaching definition during renaming.
 const noDef = NodeID(math.MaxInt32)
 
-// stageScratch carries one worker's dense tables through stageProc. The
+// stageScratch carries the dense tables of stageProc. The
 // point and location tables are indexed by global ID and hold local index+1
 // (0 = absent); stageProc clears every entry it sets before returning.
 type stageScratch struct {
@@ -605,8 +587,7 @@ type reaching struct {
 // stageProc runs per-location SSA over one procedure: phi placement at
 // iterated dominance frontiers of definition sites, then a single renaming
 // walk over the dominator tree collecting def→use dependency edges. It only
-// reads the shared per-point tables (complete after initNodes), so stages
-// for different procedures are safe to run concurrently.
+// reads the per-point tables, which are complete after initNodes.
 func (b *builder) stageProc(pr *ir.Proc, sc *stageScratch) *procBuild {
 	if len(pr.Points) == 0 || pr.Entry == ir.None {
 		return nil
@@ -737,9 +718,8 @@ func (b *builder) stageProc(pr *ir.Proc, sc *stageScratch) *procBuild {
 	return pb
 }
 
-// mergeProcs folds the staged procedures into the shared builder state in
-// procedure order, which numbers phis exactly as a sequential
-// per-procedure loop would.
+// mergeProcs folds the staged procedures into the builder state in
+// procedure order, which numbers the phis.
 func (b *builder) mergeProcs(staged []*procBuild) {
 	nPhis, nEdges := 0, 0
 	for _, pb := range staged {

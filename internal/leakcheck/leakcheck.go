@@ -1,8 +1,8 @@
 // Package leakcheck is a test utility that asserts a block of code leaks no
 // goroutines: snapshot the goroutine count, run the block, and require the
 // count to settle back to the snapshot. Used by the cancellation and
-// fault-injection tests to prove that mid-flight aborts of the parallel
-// solver, the graph builder, and the heap sampler never strand workers.
+// fault-injection tests to prove that mid-flight aborts of an analysis, the
+// heap sampler's included, never strand a goroutine.
 package leakcheck
 
 import (

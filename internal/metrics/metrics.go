@@ -13,15 +13,15 @@
 //
 // Determinism contract: every Counter is schedule-independent — for a given
 // program and analyzer configuration its value is bit-identical across
-// worker counts (the parallel phases are shape-deterministic and every
-// solver is sequential; internal/core's tests enforce it). Wall-clock timings and the heap gauge
+// repeated runs (the pipeline is sequential; internal/core's tests enforce
+// it). Wall-clock timings and the heap gauge
 // are explicitly NOT deterministic and live in a separate report section
 // that regression tooling treats as report-only.
 //
 // All Collector methods are nil-receiver-safe: a nil *Collector is the
 // disabled instrument, so call sites never branch. Counter updates are
-// single atomic adds with no allocation, safe under -race from the parallel
-// phases' goroutines.
+// single atomic adds with no allocation, safe under -race from concurrent
+// callers.
 package metrics
 
 import (
@@ -401,7 +401,7 @@ func (c *Collector) PeakHeapBytes() uint64 {
 }
 
 // Report is the structured snapshot of one run. Counters is the
-// deterministic section — bit-identical across worker counts for a fixed
+// deterministic section — bit-identical across repeated runs of a fixed
 // program and configuration — while TimingsNS and PeakHeapBytes vary run to
 // run and are report-only in regression tooling.
 type Report struct {

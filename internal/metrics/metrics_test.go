@@ -114,8 +114,8 @@ func TestPhaseTimers(t *testing.T) {
 }
 
 // TestConcurrentCounters hammers the collector from many goroutines — run
-// under -race this is the safety proof for the parallel phases' use, and
-// the summed expectation checks no increment is lost.
+// under -race this is the safety proof for concurrent callers, and the
+// summed expectation checks no increment is lost.
 func TestConcurrentCounters(t *testing.T) {
 	c := New()
 	const workers, perWorker = 16, 1000

@@ -1,8 +1,8 @@
-// Package par provides the small deterministic fork-join helpers shared by
-// the parallel phases of the analyzer (pre-analysis sweeps, def-use-graph
-// construction, the partitioned sparse solver).
+// Package par provides the deterministic fork-join helper of the fuzz
+// campaign, which analyzes independent programs in parallel. One analysis
+// never forks: the analyzer pipeline is sequential.
 //
-// Every helper is shape-deterministic: the decomposition into chunks depends
+// For is shape-deterministic: the decomposition into chunks depends
 // only on (n, workers), never on timing, so callers that write disjoint
 // index ranges produce identical results for any worker count.
 package par
@@ -32,8 +32,7 @@ type WorkerPanic struct {
 
 // PanicError joins every worker panic from one fork-join region, ordered by
 // chunk index (deterministic for a fixed chunk shape). par.For panics with
-// *PanicError when any chunk panics, so no worker's stack is lost; the core
-// analysis boundary recovers it into an AnalysisError carrying all stacks.
+// *PanicError when any chunk panics, so no worker's stack is lost.
 type PanicError struct {
 	Panics []WorkerPanic
 }
@@ -47,18 +46,9 @@ func (e *PanicError) Error() string {
 	return b.String()
 }
 
-// Unwrap1 returns the first panic value (the deterministic representative
-// older callers re-inspected when only one panic was preserved).
-func (e *PanicError) Unwrap1() any {
-	if len(e.Panics) == 0 {
-		return nil
-	}
-	return e.Panics[0].Value
-}
-
 // forOversub is the chunk oversubscription factor: For carves [0, n) into up
-// to workers*forOversub chunks so a straggler chunk (one giant SCC next to
-// many islands) cannot idle the remaining workers for the whole region.
+// to workers*forOversub chunks so a straggler chunk (one large program next
+// to many small ones) cannot idle the remaining workers for the whole region.
 const forOversub = 8
 
 // For splits [0, n) into contiguous chunks and runs fn(lo, hi) on each chunk

@@ -17,7 +17,7 @@
 // last application, and it weakly sets only the locations it defines. The
 // invariant, and the number of passes, are those of re-applying every point
 // in every pass (see sweeper). Call resolution and summary collection run
-// afterwards and may fan out across workers.
+// afterwards.
 package prean
 
 import (
@@ -26,7 +26,6 @@ import (
 	"sparrow/internal/lattice/itv"
 	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
-	"sparrow/internal/par"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 )
@@ -86,26 +85,18 @@ func (r *Result) Accessed(p ir.ProcID) []ir.LocID {
 // joinPasses is how many plain join passes run before widening kicks in.
 const joinPasses = 3
 
-// Run computes the pre-analysis of prog sequentially.
-func Run(prog *ir.Program) *Result { return RunBudget(prog, 1, nil) }
+// Run computes the pre-analysis of prog.
+func Run(prog *ir.Program) *Result { return RunBudget(prog, nil) }
 
-// RunBudget computes the pre-analysis under a cooperative budget, fanning
-// the order-free per-point and per-procedure stages (call-graph resolution,
-// access-set collection) across up to workers goroutines. The
-// global-invariant sweep itself stays sequential: its alternating direction
-// threads one accumulator through every point, which is exactly what makes
-// it converge in few passes. The result is identical for every worker
-// count: parallel chunks write only disjoint per-point/per-procedure slots.
-//
-// bud is checkpointed between global-invariant passes, in-pass every 2048
-// points visited, and between the post-fixpoint stages, always on the
-// coordinating goroutine. A pre-analysis cannot produce a partial result, so
-// a breach aborts via rt.Abort (recovered at the core boundary). bud == nil
-// never aborts.
-func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
+// RunBudget computes the pre-analysis under a cooperative budget. bud is
+// checkpointed between global-invariant passes, in-pass every 2048 points
+// visited, and between the post-fixpoint stages. A pre-analysis cannot
+// produce a partial result, so a breach aborts via rt.Abort (recovered at
+// the core boundary). bud == nil never aborts.
+func RunBudget(prog *ir.Program, bud *rt.Budget) *Result {
 	sw := newSweeper(prog)
 	g, passes := sw.run(bud)
-	r := finish(prog, g, passes, workers, bud)
+	r := finish(prog, g, passes, bud)
 	r.applications = sw.applications
 	return r
 }
@@ -113,46 +104,30 @@ func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
 // finish derives everything but the invariant from the global invariant g
 // reached after passes sweeps: the resolved call graph, the def/use
 // summaries and the call/return sites.
-func finish(prog *ir.Program, g mem.Mem, passes, workers int, bud *rt.Budget) *Result {
+func finish(prog *ir.Program, g mem.Mem, passes int, bud *rt.Budget) *Result {
 	bud.Checkpoint(rt.PhasePrean)
 	r := &Result{
 		Mem:     g,
 		Callees: make(map[ir.PointID][]ir.ProcID),
 		Passes:  passes,
 	}
-	// Resolve the call graph from the final invariant. Each call point is
-	// resolved independently against the (now immutable) invariant, so the
-	// evaluations fan out; only the map insertion is serialized by chunking.
+	// Resolve the call graph from the final invariant.
 	se := sem.New(prog)
-	var calls []*ir.Point
 	for _, pt := range prog.Points {
-		if _, ok := pt.Cmd.(ir.Call); ok {
-			calls = append(calls, pt)
+		if c, ok := pt.Cmd.(ir.Call); ok {
+			r.Callees[pt.ID] = append([]ir.ProcID(nil), se.Eval(c.F, g).Fns()...)
 		}
-	}
-	resolved := make([][]ir.ProcID, len(calls))
-	par.For(len(calls), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := calls[i].Cmd.(ir.Call)
-			fv := se.Eval(c.F, g)
-			resolved[i] = append([]ir.ProcID(nil), fv.Fns()...)
-		}
-	})
-	for i, pt := range calls {
-		r.Callees[pt.ID] = resolved[i]
 	}
 	bud.Checkpoint(rt.PhasePrean)
 	r.CG = callgraph.Build(prog, r.CalleesOf)
 	se.InCycle = r.CG.InCycle
-	r.buildSummaries(prog, se, workers)
+	r.buildSummaries(prog, se)
 	bud.Checkpoint(rt.PhasePrean)
 	r.buildSites(prog)
 	// Intern the summaries and memoize the localization sets eagerly:
-	// solvers read them from multiple goroutines, so the cache must be
-	// complete before Result escapes, and repetitive programs (many callers
-	// of the same leaves) collapse onto a handful of shared backing arrays.
-	// Sequential on purpose — the interner map is not concurrency-safe, and
-	// first-interned-wins keeps the canonical slices deterministic.
+	// repetitive programs (many callers of the same leaves) collapse onto a
+	// handful of shared backing arrays, and first-interned-wins keeps the
+	// canonical slices deterministic.
 	it := ir.NewLocSetInterner()
 	for p := range r.DefSummary {
 		r.DefSummary[p] = it.Intern(r.DefSummary[p])
@@ -403,29 +378,25 @@ func (sw *sweeper) weakSet(l ir.LocID, v val.Val) {
 }
 
 // buildSummaries computes transitive def/use summaries bottom-up over the
-// call-graph condensation, iterating within SCCs until stable. The per-point
-// D̂/Û collection is independent per procedure and fans out across workers;
-// the SCC fixpoint that follows is cheap and stays sequential.
-func (r *Result) buildSummaries(prog *ir.Program, s *sem.Sem, workers int) {
+// call-graph condensation, iterating within SCCs until stable, from each
+// procedure's own D̂/Û.
+func (r *Result) buildSummaries(prog *ir.Program, s *sem.Sem) {
 	n := len(prog.Procs)
 	r.DefSummary = make([][]ir.LocID, n)
 	r.UseSummary = make([][]ir.LocID, n)
 	ownD := make([][]ir.LocID, n)
 	ownU := make([][]ir.LocID, n)
 	s.Callees = r.CalleesOf
-	par.For(n, workers, func(lo, hi int) {
-		var d, u []ir.LocID
-		for pi := lo; pi < hi; pi++ {
-			pr := prog.Procs[pi]
-			d, u = d[:0], u[:0]
-			for _, id := range pr.Points {
-				d, u = s.DefsUsesAppend(prog.Point(id), r.Mem, d, u)
-			}
-			d, u = ir.DedupLocs(d), ir.DedupLocs(u)
-			ownD[pr.ID] = append([]ir.LocID(nil), d...)
-			ownU[pr.ID] = append([]ir.LocID(nil), u...)
+	var d, u []ir.LocID
+	for _, pr := range prog.Procs {
+		d, u = d[:0], u[:0]
+		for _, id := range pr.Points {
+			d, u = s.DefsUsesAppend(prog.Point(id), r.Mem, d, u)
 		}
-	})
+		d, u = ir.DedupLocs(d), ir.DedupLocs(u)
+		ownD[pr.ID] = append([]ir.LocID(nil), d...)
+		ownU[pr.ID] = append([]ir.LocID(nil), u...)
+	}
 	r.DefSummary, r.UseSummary = SummarizeSCCs(r.CG, ownD, ownU)
 }
 

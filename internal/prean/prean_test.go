@@ -268,7 +268,7 @@ func checkSweepMatchesReference(t *testing.T, name, src string) (*ir.Program, *R
 		return nil, nil
 	}
 	g, passes := referenceSweep(refProg)
-	want := finish(refProg, g, passes, 1, nil)
+	want := finish(refProg, g, passes, nil)
 	got := Run(prog)
 	if !got.Mem.Eq(want.Mem) || got.Mem.Len() != want.Mem.Len() {
 		t.Errorf("%s: invariant differs from the reference\n got %s\nwant %s", name, got.Mem, want.Mem)

@@ -38,7 +38,7 @@ func (r *Result) ControlSeeds(prog *ir.Program, s *sem.Sem) []ir.LocID {
 // invariant, staged flat with offsets, and a CSR index from each defined
 // location to the commands defining it. It depends on the program and the
 // pre-analysis only, and is read-only once built, so one index serves the
-// Closure walks of every checker kind, concurrent ones included.
+// Closure walks of every checker kind.
 type ClosureIndex struct {
 	nLocs  int
 	uses   []ir.LocID

@@ -259,9 +259,8 @@ func (b *Budget) Poll(p Phase) Reason {
 }
 
 // Checkpoint polls and panics with *Abort on breach. Phases that cannot
-// carry a partial result use it; call only from the coordinating goroutine
-// (never inside par.For chunks) so the abort reaches core's recover
-// directly.
+// carry a partial result use it; call it from the goroutine running the
+// analysis so the abort reaches core's recover directly.
 func (b *Budget) Checkpoint(p Phase) {
 	if b == nil {
 		return

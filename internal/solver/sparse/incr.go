@@ -327,9 +327,8 @@ type accSlot struct {
 	l ir.LocID
 }
 
-// runLive executes one component's worklist loop (the sequential
-// specialization of pworker.runComponent) with the recorder attached, then
-// stores the transcript under key.
+// runLive executes one component's worklist loop with the recorder
+// attached, then stores the transcript under key.
 func (d *idriver) runLive(c int32, seeds []int32, key string) {
 	d.comp = c
 	b := &recBuf{

@@ -50,8 +50,8 @@ type CheckerRun = core.CheckerRun
 // analysis work starts.
 type ConfigError = core.ConfigError
 
-// AnalysisError wraps a panic recovered from inside the analysis (worker
-// goroutines included) with the pipeline phase and the captured stacks.
+// AnalysisError wraps a panic recovered from inside the analysis with the
+// pipeline phase and the captured stack.
 type AnalysisError = core.AnalysisError
 
 // BudgetError reports that the deadline, heap budget, or context
