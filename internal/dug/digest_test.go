@@ -78,14 +78,35 @@ func lowerSource(t testing.TB, name, src string) *ir.Program {
 	return prog
 }
 
-// digestInputs are the corpus files, gen-1000 of the benchmark suite, and the
-// first two programs of the seed-7 gen-4000 suite.
+// fuzzDigestSeeds are cgen.Fuzz seeds whose configurations enable gotos,
+// switches and short-circuit conditions: the generated control flow on which
+// the DFS order decides which CFG edges are back edges.
+var fuzzDigestSeeds = []uint64{1, 2, 41}
+
+// fuzzDigestSource generates the cgen.Fuzz program of seed, scaled to about
+// 1,500 statements.
+func fuzzDigestSource(t *testing.T, seed uint64) string {
+	t.Helper()
+	c := cgen.Fuzz(seed, 1500)
+	if !c.Gotos || c.SwitchEvery == 0 || !c.ShortCircuit {
+		t.Fatalf("fuzz seed %d: gotos=%v switch=%d shortcircuit=%v", seed, c.Gotos, c.SwitchEvery, c.ShortCircuit)
+	}
+	c.Funcs = 1500 / (c.StmtsPerFunc + 4)
+	return cgen.Generate(c)
+}
+
+// digestInputs are the corpus files, gen-1000 of the benchmark suite, the
+// first two programs of the seed-7 gen-4000 suite, and three fuzz programs
+// with gotos, switches and short-circuit conditions.
 func digestInputs(t *testing.T) map[string]string {
 	t.Helper()
 	srcs := map[string]string{
 		"gen-1000":     cgen.Generate(cgen.Default(43, 1000)),
 		"gen-4000-7-0": cgen.Generate(cgen.Default(7<<16|0, 4000)),
 		"gen-4000-7-1": cgen.Generate(cgen.Default(7<<16|1, 4000)),
+	}
+	for _, seed := range fuzzDigestSeeds {
+		srcs[fmt.Sprintf("fuzz-1500-%d", seed)] = fuzzDigestSource(t, seed)
 	}
 	paths, err := filepath.Glob("../../testdata/corpus/*.c")
 	if err != nil || len(paths) != 14 {
@@ -103,7 +124,8 @@ func digestInputs(t *testing.T) map[string]string {
 
 // TestGraphDigest pins the exact def-use graph the builder produces for the
 // corpus and generated programs, with and without the chain bypass, with
-// uninitialized-read entry marks, and for the octagon pack source. Counters
+// uninitialized-read entry marks, and for the octagon pack source (of every
+// input but the gen-4000 programs). Counters
 // alone cannot catch a reordered row or a renumbered phi; the digest can.
 // Regenerate with `go test ./internal/dug -run TestGraphDigest -update` only
 // for a change that is meant to alter the graph.
@@ -118,7 +140,7 @@ func TestGraphDigest(t *testing.T) {
 		for _, bypass := range []bool{true, false} {
 			record(fmt.Sprintf("%s/bypass=%v", name, bypass), dug.Build(prog, pre, dug.Options{Bypass: bypass}))
 		}
-		if !strings.HasPrefix(name, "gen-") {
+		if !strings.HasPrefix(name, "gen-4000") {
 			packs := pack.Build(prog, 0)
 			_, src := octsem.Source(prog, pre, packs)
 			record(name+"/octagon", dug.BuildFrom(src, dug.Options{Bypass: true}))
