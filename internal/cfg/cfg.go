@@ -1,83 +1,62 @@
 // Package cfg computes control-flow-graph orderings shared by the fixpoint
-// solvers: per-procedure reverse postorder (iteration priority), back-edge
-// targets (intraprocedural widening points), and the global widening-point
-// set that also cuts recursion cycles at entries of procedures in call-graph
-// SCCs.
+// solvers and the def-use-graph builder: per-procedure reverse postorder
+// (iteration priority) and back-edge targets (intraprocedural widening
+// points), both from one depth-first walk per procedure, and the global
+// widening-point set that also cuts recursion cycles at entries of
+// procedures in call-graph SCCs.
 package cfg
 
 import (
+	"slices"
+
 	"sparrow/internal/callgraph"
 	"sparrow/internal/ir"
 )
 
-// RPO returns the points of proc reachable from its entry in reverse
-// postorder.
-func RPO(prog *ir.Program, proc *ir.Proc) []ir.PointID {
-	var post []ir.PointID
-	visited := map[ir.PointID]bool{}
-	type frame struct {
-		id ir.PointID
-		si int
-	}
-	stack := []frame{{id: proc.Entry}}
-	visited[proc.Entry] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		succs := prog.Point(f.id).Succs
-		if f.si < len(succs) {
-			s := succs[f.si]
-			f.si++
-			if !visited[s] {
-				visited[s] = true
-				stack = append(stack, frame{id: s})
-			}
-			continue
-		}
-		post = append(post, f.id)
-		stack = stack[:len(stack)-1]
-	}
-	// reverse
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+// The per-point colours of the depth-first walk.
+const (
+	unvisited uint8 = iota
+	onStack
+	done
+)
+
+// frame is one depth-first stack entry: a point and its next successor.
+type frame struct {
+	id ir.PointID
+	si int
 }
 
-// LoopHeads returns the targets of back edges in proc's CFG (edges u→v where
-// v is an ancestor of u in the DFS tree), the conventional widening points.
-func LoopHeads(prog *ir.Program, proc *ir.Proc) map[ir.PointID]bool {
-	heads := map[ir.PointID]bool{}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[ir.PointID]int{}
-	type frame struct {
-		id ir.PointID
-		si int
-	}
-	stack := []frame{{id: proc.Entry}}
-	color[proc.Entry] = gray
+// walk runs one depth-first search of proc's CFG from its entry, successors
+// in order. It appends the reachable points to order in reverse postorder and
+// marks in head the targets of back edges (edges u→v where v is an ancestor
+// of u in the DFS tree), the conventional widening points. state holds the
+// colour of every point; a point is coloured by the walk of its procedure
+// only, so one table serves every procedure.
+func walk(prog *ir.Program, proc *ir.Proc, order []ir.PointID, head []bool, state []uint8, stack []frame) ([]ir.PointID, []frame) {
+	start := len(order)
+	stack = append(stack[:0], frame{id: proc.Entry})
+	state[proc.Entry] = onStack
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		succs := prog.Point(f.id).Succs
 		if f.si < len(succs) {
 			s := succs[f.si]
 			f.si++
-			switch color[s] {
-			case white:
-				color[s] = gray
+			switch state[s] {
+			case unvisited:
+				state[s] = onStack
 				stack = append(stack, frame{id: s})
-			case gray:
-				heads[s] = true
+			case onStack:
+				head[s] = true
 			}
 			continue
 		}
-		color[f.id] = black
+		state[f.id] = done
+		order = append(order, f.id)
 		stack = stack[:len(stack)-1]
 	}
-	return heads
+	slices.Reverse(order[start:])
+	return order, stack
 }
 
 // Info bundles the global solver orderings for a program.
@@ -90,32 +69,41 @@ type Info struct {
 	// recursive calls (exit→return-site value cycles never cross an entry,
 	// so they need their own widening point).
 	Widen []bool
-	// rpo caches per-proc reverse postorder.
-	rpo [][]ir.PointID
+	// LoopHead[pt] marks the targets of back edges of the depth-first walk
+	// that also yields the reverse postorder: the intraprocedural loop heads.
+	LoopHead []bool
+	// order holds every procedure's reverse postorder back to back, in
+	// bottom-up order; span[p] delimits procedure p's.
+	order []ir.PointID
+	span  [][2]int32
 }
 
 // Compute builds the orderings for prog given its call graph and resolved
 // callees.
 func Compute(prog *ir.Program, cg *callgraph.Graph, callees func(ir.PointID) []ir.ProcID) *Info {
+	n := len(prog.Points)
 	inf := &Info{
-		Prio:  make([]int, len(prog.Points)),
-		Widen: make([]bool, len(prog.Points)),
-		rpo:   make([][]ir.PointID, len(prog.Procs)),
+		Prio:     make([]int, n),
+		Widen:    make([]bool, n),
+		LoopHead: make([]bool, n),
+		order:    make([]ir.PointID, 0, n),
+		span:     make([][2]int32, len(prog.Procs)),
 	}
 	for i := range inf.Prio {
 		inf.Prio[i] = 1 << 30 // unreachable points go last
 	}
-	next := 0
+	state := make([]uint8, n)
+	var stack []frame
 	for _, p := range cg.BottomUp() {
 		proc := prog.ProcByID(p)
-		order := RPO(prog, proc)
-		inf.rpo[p] = order
-		for _, id := range order {
-			inf.Prio[id] = next
-			next++
-		}
-		for h := range LoopHeads(prog, proc) {
-			inf.Widen[h] = true
+		start := len(inf.order)
+		inf.order, stack = walk(prog, proc, inf.order, inf.LoopHead, state, stack)
+		inf.span[p] = [2]int32{int32(start), int32(len(inf.order))}
+		for i, id := range inf.order[start:] {
+			inf.Prio[id] = start + i
+			if inf.LoopHead[id] {
+				inf.Widen[id] = true
+			}
 		}
 		if cg.InCycle(p) {
 			inf.Widen[proc.Entry] = true
@@ -136,4 +124,7 @@ func Compute(prog *ir.Program, cg *callgraph.Graph, callees func(ir.PointID) []i
 }
 
 // ProcRPO returns the cached reverse postorder of proc.
-func (inf *Info) ProcRPO(p ir.ProcID) []ir.PointID { return inf.rpo[p] }
+func (inf *Info) ProcRPO(p ir.ProcID) []ir.PointID {
+	sp := inf.span[p]
+	return inf.order[sp[0]:sp[1]:sp[1]]
+}

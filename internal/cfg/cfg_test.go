@@ -24,7 +24,7 @@ func setup(t *testing.T, src string) (*ir.Program, *prean.Result, *Info) {
 }
 
 func TestRPOStartsAtEntry(t *testing.T) {
-	prog, _, _ := setup(t, `
+	prog, _, info := setup(t, `
 int main() {
 	int i;
 	for (i = 0; i < 3; i++) { }
@@ -32,7 +32,7 @@ int main() {
 }
 `)
 	main := prog.ProcByName("main")
-	order := RPO(prog, main)
+	order := info.ProcRPO(main.ID)
 	if len(order) == 0 || order[0] != main.Entry {
 		t.Fatalf("RPO does not start at entry: %v", order)
 	}
@@ -57,11 +57,16 @@ int main() {
 }
 `)
 	main := prog.ProcByName("main")
-	heads := LoopHeads(prog, main)
+	var heads []ir.PointID
+	for _, id := range main.Points {
+		if info.LoopHead[id] {
+			heads = append(heads, id)
+		}
+	}
 	if len(heads) != 3 {
 		t.Errorf("found %d loop heads want 3: %v", len(heads), heads)
 	}
-	for h := range heads {
+	for _, h := range heads {
 		if !info.Widen[h] {
 			t.Errorf("loop head %d not a widening point", h)
 		}

@@ -9,6 +9,7 @@ package dug
 
 import (
 	"math/bits"
+	"slices"
 
 	"sparrow/internal/cfg"
 	"sparrow/internal/ir"
@@ -33,11 +34,11 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 	b := newBuilder(src, opt)
 	b.initNodes()
 	info := cfg.Compute(prog, src.CG, src.Callees)
-	copy(b.g.Widen, info.Widen)
+	b.g.Widen = slices.Clone(info.Widen)
 	for _, pr := range prog.Procs {
-		b.buildProcChains(pr)
+		b.buildProcChains(pr, info)
 	}
-	b.linkInterproc()
+	b.linkInterproc(b.addEdge)
 	b.buildAdjacency()
 	if opt.Bypass {
 		b.bypass()
@@ -49,11 +50,11 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 
 // buildProcChains runs per-location reaching-definitions over one procedure
 // and adds def→use edges for every reaching definition.
-func (b *builder) buildProcChains(pr *ir.Proc) {
+func (b *builder) buildProcChains(pr *ir.Proc, info *cfg.Info) {
 	if len(pr.Points) == 0 || pr.Entry == ir.None {
 		return
 	}
-	order := cfg.RPO(b.prog, pr)
+	order := info.ProcRPO(pr.ID)
 	idx := make(map[ir.PointID]int, len(order))
 	for i, id := range order {
 		idx[id] = i

@@ -3,6 +3,8 @@ package ssa
 import (
 	"testing"
 
+	"sparrow/internal/callgraph"
+	"sparrow/internal/cfg"
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/frontend/token"
@@ -34,11 +36,25 @@ func buildDiamond(t *testing.T) (*ir.Program, *ir.Proc, map[string]ir.PointID) {
 	return prog, pr, pts
 }
 
+// compute builds the dominance information of proc over the reverse
+// postorder of cfg.Compute, with index(p) giving point p's RPO index.
+func compute(prog *ir.Program, proc *ir.Proc) (d *Dom, index func(ir.PointID) int) {
+	noCallees := func(ir.PointID) []ir.ProcID { return nil }
+	order := cfg.Compute(prog, callgraph.Build(prog, noCallees), noCallees).ProcRPO(proc.ID)
+	idx := make([]int32, len(prog.Points))
+	for i, id := range order {
+		idx[id] = int32(i + 1)
+	}
+	d = new(Dom)
+	d.Compute(prog, order, idx)
+	return d, func(p ir.PointID) int { return int(idx[p]) - 1 }
+}
+
 func TestDiamondDominators(t *testing.T) {
 	prog, pr, pts := buildDiamond(t)
-	d := Compute(prog, pr)
+	d, index := compute(prog, pr)
 	idomOf := func(name string) ir.PointID {
-		i := d.Index[pts[name]]
+		i := index(pts[name])
 		return d.Order[d.Idom[i]]
 	}
 	want := map[string]string{"a": "e", "b": "a", "c": "a", "d": "a", "x": "d"}
@@ -49,13 +65,13 @@ func TestDiamondDominators(t *testing.T) {
 	}
 	// Dominance frontier: DF(b) = DF(c) = {d}; DF(a) = {} (a dominates d).
 	for _, n := range []string{"b", "c"} {
-		df := d.Frontier[d.Index[pts[n]]]
+		df := d.Frontier(index(pts[n]))
 		if len(df) != 1 || d.Order[df[0]] != pts["d"] {
 			t.Errorf("DF(%s) wrong: %v", n, df)
 		}
 	}
-	if len(d.Frontier[d.Index[pts["a"]]]) != 0 {
-		t.Errorf("DF(a) should be empty: %v", d.Frontier[d.Index[pts["a"]]])
+	if len(d.Frontier(index(pts["a"]))) != 0 {
+		t.Errorf("DF(a) should be empty: %v", d.Frontier(index(pts["a"])))
 	}
 }
 
@@ -70,10 +86,10 @@ func TestLoopFrontier(t *testing.T) {
 	prog.AddEdge(h, b)
 	prog.AddEdge(h, x)
 	prog.AddEdge(b, h)
-	d := Compute(prog, pr)
+	d, index := compute(prog, pr)
 	dfOf := func(p ir.PointID) map[ir.PointID]bool {
 		out := map[ir.PointID]bool{}
-		for _, i := range d.Frontier[d.Index[p]] {
+		for _, i := range d.Frontier(index(p)) {
 			out[d.Order[i]] = true
 		}
 		return out
@@ -85,7 +101,7 @@ func TestLoopFrontier(t *testing.T) {
 		t.Errorf("DF(head) = %v want {head}", df)
 	}
 	// Iterated DF of a def in the body is {h}.
-	idf := d.NewIDF().Of([]int{d.Index[b]})
+	idf := new(IDF).Of(d, []int32{int32(index(b))})
 	if len(idf) != 1 || d.Order[idf[0]] != h {
 		t.Errorf("IDF(body) = %v want {head}", idf)
 	}
@@ -93,8 +109,8 @@ func TestLoopFrontier(t *testing.T) {
 
 func TestDominates(t *testing.T) {
 	prog, pr, pts := buildDiamond(t)
-	d := Compute(prog, pr)
-	idx := func(n string) int { return d.Index[pts[n]] }
+	d, index := compute(prog, pr)
+	idx := func(n string) int { return index(pts[n]) }
 	cases := []struct {
 		a, b string
 		want bool
@@ -129,7 +145,7 @@ int main() {
 		t.Fatal(err)
 	}
 	pr := prog.ProcByName("main")
-	d := Compute(prog, pr)
+	d, _ := compute(prog, pr)
 	if d.Order[0] != pr.Entry {
 		t.Fatal("RPO does not start at entry")
 	}
@@ -142,18 +158,18 @@ int main() {
 	// Every non-entry point's idom strictly dominates it and appears
 	// earlier in RPO.
 	for i := 1; i < len(d.Order); i++ {
-		if d.Idom[i] >= i {
+		if int(d.Idom[i]) >= i {
 			t.Errorf("idom of %d not earlier in RPO", i)
 		}
 	}
 	// IDF of all points is within bounds and stable under recomputation.
-	all := make([]int, len(d.Order))
+	all := make([]int32, len(d.Order))
 	for i := range all {
-		all[i] = i
+		all[i] = int32(i)
 	}
-	idf := d.NewIDF().Of(all)
+	idf := new(IDF).Of(d, all)
 	for _, x := range idf {
-		if x < 0 || x >= len(d.Order) {
+		if x < 0 || int(x) >= len(d.Order) {
 			t.Errorf("IDF out of range: %d", x)
 		}
 	}
