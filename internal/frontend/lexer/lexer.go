@@ -41,7 +41,9 @@ func (l *Lexer) Errs() []*Error { return l.errs }
 // EOF token) along with any errors.
 func Tokenize(src string) ([]token.Token, []*Error) {
 	l := New(src)
-	var toks []token.Token
+	// C source, generated or hand-written, runs below one token per two
+	// bytes, so one allocation holds the whole stream.
+	toks := make([]token.Token, 0, len(src)/2+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)
