@@ -165,24 +165,38 @@ func (b Bound) String() string {
 }
 
 // Itv is an interval value. The zero value is Bot (the empty interval).
+//
+// The bounds are stored unboxed — two int64 values and their infinity marks —
+// so an interval is 24 bytes rather than two padded Bounds. An infinite
+// bound's value is always 0 and Bot is all zeros, so equal intervals are
+// equal bit for bit.
 type Itv struct {
-	lo, hi Bound
-	nonBot bool
+	l, h       int64 // the finite bound values (0 for an infinite bound)
+	linf, hinf int8  // each bound's Bound.inf: -1 for -oo, +1 for +oo, 0 if finite
+	nonBot     bool
 }
+
+// mk returns the non-bottom interval [lo, hi] without checking lo <= hi.
+func mk(lo, hi Bound) Itv {
+	return Itv{l: lo.n, h: hi.n, linf: lo.inf, hinf: hi.inf, nonBot: true}
+}
+
+func (v Itv) lo() Bound { return Bound{inf: v.linf, n: v.l} }
+func (v Itv) hi() Bound { return Bound{inf: v.hinf, n: v.h} }
 
 // Bot is the bottom element (empty set of integers).
 var Bot = Itv{}
 
 // Top is the interval [-oo, +oo].
-var Top = Itv{lo: NegInf, hi: PosInf, nonBot: true}
+var Top = mk(NegInf, PosInf)
 
 // Zero and One are the interned singletons [0,0] and [1,1], by far the most
 // common constants in C programs; Single returns them so repeated literals
 // share one bitwise representation and converged-state comparisons stay on
 // the equal-bits fast path.
 var (
-	Zero = Itv{lo: Fin(0), hi: Fin(0), nonBot: true}
-	One  = Itv{lo: Fin(1), hi: Fin(1), nonBot: true}
+	Zero = mk(Fin(0), Fin(0))
+	One  = mk(Fin(1), Fin(1))
 )
 
 // Of returns the interval [lo, hi]; it panics if lo > hi.
@@ -190,7 +204,7 @@ func Of(lo, hi Bound) Itv {
 	if lo.Cmp(hi) > 0 {
 		panic(fmt.Sprintf("itv: malformed interval [%s,%s]", lo, hi))
 	}
-	return Itv{lo: lo, hi: hi, nonBot: true}
+	return mk(lo, hi)
 }
 
 // OfInts returns the interval [lo, hi] over finite endpoints.
@@ -217,14 +231,14 @@ func AtMost(n int64) Itv { return Of(NegInf, Fin(n)) }
 func (v Itv) IsBot() bool { return !v.nonBot }
 
 // IsTop reports whether v is [-oo, +oo].
-func (v Itv) IsTop() bool { return v.nonBot && v.lo.IsNegInf() && v.hi.IsPosInf() }
+func (v Itv) IsTop() bool { return v.nonBot && v.lo().IsNegInf() && v.hi().IsPosInf() }
 
 // Lo returns the lower bound; it panics on Bot.
 func (v Itv) Lo() Bound {
 	if v.IsBot() {
 		panic("itv: Lo of bottom")
 	}
-	return v.lo
+	return v.lo()
 }
 
 // Hi returns the upper bound; it panics on Bot.
@@ -232,24 +246,19 @@ func (v Itv) Hi() Bound {
 	if v.IsBot() {
 		panic("itv: Hi of bottom")
 	}
-	return v.hi
+	return v.hi()
 }
 
 // Const reports whether v is a singleton [n, n] and returns n.
 func (v Itv) Const() (int64, bool) {
-	if v.nonBot && v.lo.IsFinite() && v.hi.IsFinite() && v.lo.n == v.hi.n {
-		return v.lo.n, true
+	if v.nonBot && v.linf == 0 && v.hinf == 0 && v.l == v.h {
+		return v.l, true
 	}
 	return 0, false
 }
 
-// Eq reports structural equality of intervals.
-func (v Itv) Eq(w Itv) bool {
-	if v.IsBot() || w.IsBot() {
-		return v.IsBot() == w.IsBot()
-	}
-	return v.lo == w.lo && v.hi == w.hi
-}
+// Eq reports structural equality of intervals (bitwise, see Itv).
+func (v Itv) Eq(w Itv) bool { return v == w }
 
 // LessEq reports the lattice order v ⊑ w (set inclusion).
 func (v Itv) LessEq(w Itv) bool {
@@ -259,7 +268,7 @@ func (v Itv) LessEq(w Itv) bool {
 	if w.IsBot() {
 		return false
 	}
-	return w.lo.Cmp(v.lo) <= 0 && v.hi.Cmp(w.hi) <= 0
+	return w.lo().Cmp(v.lo()) <= 0 && v.hi().Cmp(w.hi()) <= 0
 }
 
 // Join returns the least upper bound (interval hull).
@@ -270,7 +279,7 @@ func (v Itv) Join(w Itv) Itv {
 	if w.IsBot() {
 		return v
 	}
-	return Itv{lo: minB(v.lo, w.lo), hi: maxB(v.hi, w.hi), nonBot: true}
+	return mk(minB(v.lo(), w.lo()), maxB(v.hi(), w.hi()))
 }
 
 // Meet returns the greatest lower bound (intersection).
@@ -278,11 +287,11 @@ func (v Itv) Meet(w Itv) Itv {
 	if v.IsBot() || w.IsBot() {
 		return Bot
 	}
-	lo, hi := maxB(v.lo, w.lo), minB(v.hi, w.hi)
+	lo, hi := maxB(v.lo(), w.lo()), minB(v.hi(), w.hi())
 	if lo.Cmp(hi) > 0 {
 		return Bot
 	}
-	return Itv{lo: lo, hi: hi, nonBot: true}
+	return mk(lo, hi)
 }
 
 // Widen returns the standard interval widening v ∇ w: bounds that grow
@@ -295,14 +304,14 @@ func (v Itv) Widen(w Itv) Itv {
 	if w.IsBot() {
 		return v
 	}
-	lo, hi := v.lo, v.hi
-	if w.lo.Cmp(v.lo) < 0 {
+	lo, hi := v.lo(), v.hi()
+	if w.lo().Cmp(v.lo()) < 0 {
 		lo = NegInf
 	}
-	if w.hi.Cmp(v.hi) > 0 {
+	if w.hi().Cmp(v.hi()) > 0 {
 		hi = PosInf
 	}
-	return Itv{lo: lo, hi: hi, nonBot: true}
+	return mk(lo, hi)
 }
 
 // Narrow returns the standard interval narrowing v Δ w: infinite bounds of v
@@ -312,17 +321,17 @@ func (v Itv) Narrow(w Itv) Itv {
 	if v.IsBot() || w.IsBot() {
 		return Bot
 	}
-	lo, hi := v.lo, v.hi
-	if v.lo.IsNegInf() {
-		lo = w.lo
+	lo, hi := v.lo(), v.hi()
+	if v.lo().IsNegInf() {
+		lo = w.lo()
 	}
-	if v.hi.IsPosInf() {
-		hi = w.hi
+	if v.hi().IsPosInf() {
+		hi = w.hi()
 	}
 	if lo.Cmp(hi) > 0 {
 		return Bot
 	}
-	return Itv{lo: lo, hi: hi, nonBot: true}
+	return mk(lo, hi)
 }
 
 // Add returns the abstract sum.
@@ -330,7 +339,7 @@ func (v Itv) Add(w Itv) Itv {
 	if v.IsBot() || w.IsBot() {
 		return Bot
 	}
-	return Itv{lo: addB(v.lo, w.lo), hi: addB(v.hi, w.hi), nonBot: true}
+	return mk(addB(v.lo(), w.lo()), addB(v.hi(), w.hi()))
 }
 
 // Neg returns the abstract negation.
@@ -338,7 +347,7 @@ func (v Itv) Neg() Itv {
 	if v.IsBot() {
 		return Bot
 	}
-	return Itv{lo: negB(v.hi), hi: negB(v.lo), nonBot: true}
+	return mk(negB(v.hi()), negB(v.lo()))
 }
 
 // Sub returns the abstract difference.
@@ -349,12 +358,8 @@ func (v Itv) Mul(w Itv) Itv {
 	if v.IsBot() || w.IsBot() {
 		return Bot
 	}
-	c1, c2, c3, c4 := mulB(v.lo, w.lo), mulB(v.lo, w.hi), mulB(v.hi, w.lo), mulB(v.hi, w.hi)
-	return Itv{
-		lo:     minB(minB(c1, c2), minB(c3, c4)),
-		hi:     maxB(maxB(c1, c2), maxB(c3, c4)),
-		nonBot: true,
-	}
+	c1, c2, c3, c4 := mulB(v.lo(), w.lo()), mulB(v.lo(), w.hi()), mulB(v.hi(), w.lo()), mulB(v.hi(), w.hi())
+	return mk(minB(minB(c1, c2), minB(c3, c4)), maxB(maxB(c1, c2), maxB(c3, c4)))
 }
 
 // Div returns a sound abstraction of C integer division. Division by an
@@ -364,7 +369,7 @@ func (v Itv) Div(w Itv) Itv {
 	if v.IsBot() || w.IsBot() {
 		return Bot
 	}
-	if w.lo.Cmp(Fin(0)) <= 0 && Fin(0).Cmp(w.hi) <= 0 {
+	if w.lo().Cmp(Fin(0)) <= 0 && Fin(0).Cmp(w.hi()) <= 0 {
 		// Divisor may be zero: give up rather than model the trap.
 		return Top
 	}
@@ -381,12 +386,8 @@ func (v Itv) Div(w Itv) Itv {
 		// b infinite: quotient tends to 0 from either side.
 		return Fin(0)
 	}
-	c1, c2, c3, c4 := divB(v.lo, w.lo), divB(v.lo, w.hi), divB(v.hi, w.lo), divB(v.hi, w.hi)
-	return Itv{
-		lo:     minB(minB(c1, c2), minB(c3, c4)),
-		hi:     maxB(maxB(c1, c2), maxB(c3, c4)),
-		nonBot: true,
-	}
+	c1, c2, c3, c4 := divB(v.lo(), w.lo()), divB(v.lo(), w.hi()), divB(v.hi(), w.lo()), divB(v.hi(), w.hi())
+	return mk(minB(minB(c1, c2), minB(c3, c4)), maxB(maxB(c1, c2), maxB(c3, c4)))
 }
 
 // Rem returns a sound abstraction of the C remainder a % b.
@@ -395,8 +396,8 @@ func (v Itv) Rem(w Itv) Itv {
 		return Bot
 	}
 	// |a % b| < |b| and a % b has the sign of a (C99).
-	var m Bound // max(|w.lo|, |w.hi|) - 1
-	al, ah := negB(w.lo), w.hi
+	var m Bound // max(|w.lo()|, |w.hi()|) - 1
+	al, ah := negB(w.lo()), w.hi()
 	mx := maxB(al, ah)
 	if !mx.IsFinite() {
 		m = PosInf
@@ -405,12 +406,12 @@ func (v Itv) Rem(w Itv) Itv {
 	} else {
 		m = Fin(mx.n - 1)
 	}
-	res := Itv{lo: negB(m), hi: m, nonBot: true}
+	res := mk(negB(m), m)
 	// Restrict by sign of v.
-	if v.lo.Cmp(Fin(0)) >= 0 {
+	if v.lo().Cmp(Fin(0)) >= 0 {
 		res = res.Meet(AtLeast(0))
 	}
-	if v.hi.Cmp(Fin(0)) <= 0 {
+	if v.hi().Cmp(Fin(0)) <= 0 {
 		res = res.Meet(AtMost(0))
 	}
 	if res.IsBot() {
@@ -425,14 +426,14 @@ func (v Itv) LtFilter(w Itv) Itv {
 	if w.IsBot() {
 		return Bot
 	}
-	hi := w.hi
+	hi := w.hi()
 	if hi.IsFinite() {
 		hi = Fin(satAdd(hi.n, -1))
 	}
 	if hi.IsNegInf() {
 		return Bot
 	}
-	return v.Meet(Itv{lo: NegInf, hi: hi, nonBot: true})
+	return v.Meet(mk(NegInf, hi))
 }
 
 // LeFilter refines v under v <= w.
@@ -440,7 +441,7 @@ func (v Itv) LeFilter(w Itv) Itv {
 	if w.IsBot() {
 		return Bot
 	}
-	return v.Meet(Itv{lo: NegInf, hi: w.hi, nonBot: true})
+	return v.Meet(mk(NegInf, w.hi()))
 }
 
 // GtFilter refines v under v > w.
@@ -448,14 +449,14 @@ func (v Itv) GtFilter(w Itv) Itv {
 	if w.IsBot() {
 		return Bot
 	}
-	lo := w.lo
+	lo := w.lo()
 	if lo.IsFinite() {
 		lo = Fin(satAdd(lo.n, 1))
 	}
 	if lo.IsPosInf() {
 		return Bot
 	}
-	return v.Meet(Itv{lo: lo, hi: PosInf, nonBot: true})
+	return v.Meet(mk(lo, PosInf))
 }
 
 // GeFilter refines v under v >= w.
@@ -463,7 +464,7 @@ func (v Itv) GeFilter(w Itv) Itv {
 	if w.IsBot() {
 		return Bot
 	}
-	return v.Meet(Itv{lo: w.lo, hi: PosInf, nonBot: true})
+	return v.Meet(mk(w.lo(), PosInf))
 }
 
 // EqFilter refines v under v == w.
@@ -475,14 +476,14 @@ func (v Itv) NeFilter(w Itv) Itv {
 	if !ok || v.IsBot() {
 		return v
 	}
-	if v.lo.IsFinite() && v.lo.n == n {
-		if v.hi.IsFinite() && v.hi.n == n {
+	if v.lo().IsFinite() && v.lo().n == n {
+		if v.hi().IsFinite() && v.hi().n == n {
 			return Bot
 		}
-		return Itv{lo: Fin(n + 1), hi: v.hi, nonBot: true}
+		return mk(Fin(n+1), v.hi())
 	}
-	if v.hi.IsFinite() && v.hi.n == n {
-		return Itv{lo: v.lo, hi: Fin(n - 1), nonBot: true}
+	if v.hi().IsFinite() && v.hi().n == n {
+		return mk(v.lo(), Fin(n-1))
 	}
 	return v
 }
@@ -500,10 +501,10 @@ func (v Itv) Truth() int {
 		return 0
 	}
 	t := 0
-	if v.lo.Cmp(Fin(0)) <= 0 && Fin(0).Cmp(v.hi) <= 0 {
+	if v.lo().Cmp(Fin(0)) <= 0 && Fin(0).Cmp(v.hi()) <= 0 {
 		t |= MaybeFalse
 	}
-	if v.lo.Cmp(Fin(0)) < 0 || Fin(0).Cmp(v.hi) < 0 {
+	if v.lo().Cmp(Fin(0)) < 0 || Fin(0).Cmp(v.hi()) < 0 {
 		t |= MaybeTrue
 	}
 	return t
@@ -514,5 +515,5 @@ func (v Itv) String() string {
 	if v.IsBot() {
 		return "bot"
 	}
-	return fmt.Sprintf("[%s,%s]", v.lo, v.hi)
+	return fmt.Sprintf("[%s,%s]", v.lo(), v.hi())
 }

@@ -7,8 +7,8 @@
 //     block (the paper's array abstraction by ⟨base, offset, size⟩ tuples),
 //   - an abstract function set for function pointers.
 //
-// Pointer maps and function sets are kept as sorted immutable slices; all
-// operations return new values.
+// Pointer maps and function sets are kept as sorted immutable slices behind
+// one shared pointer, nil for pure numbers; all operations return new values.
 package val
 
 import (
@@ -53,16 +53,50 @@ type PtrEntry struct {
 }
 
 // Val is an abstract value. The zero value is bottom.
+//
+// A Val is 40 bytes: the interval, one pointer to the immutable reference
+// components, and the uninit bit. Values are copied by value through the
+// transfer functions, the joins and the memories, and most of them are pure
+// numbers, so the slices live behind the pointer (nil when both are empty)
+// and operations with a pointer-free side share the other side's.
 type Val struct {
 	I   itv.Itv
-	ptr []PtrEntry  // sorted by Loc, no duplicates
-	fns []ir.ProcID // sorted, no duplicates
+	ref *refs
 	// uninit marks values that may stem from an uninitialized read: entry
 	// transfers seed accessed locals with UninitTop, the bit rides through
 	// copies and joins (it is a may-property), and strong updates kill it.
 	// Arithmetic drops it — a computed value is no longer a *read* of the
 	// uninitialized cell, and the uninit checker flags the read itself.
 	uninit bool
+}
+
+// refs holds a value's points-to targets and function targets. It is never
+// mutated once built and at least one of the slices is non-empty.
+type refs struct {
+	ptr []PtrEntry  // sorted by Loc, no duplicates
+	fns []ir.ProcID // sorted, no duplicates
+}
+
+// mkRefs wraps the two components, returning nil when both are empty.
+func mkRefs(ptr []PtrEntry, fns []ir.ProcID) *refs {
+	if len(ptr) == 0 && len(fns) == 0 {
+		return nil
+	}
+	return &refs{ptr: ptr, fns: fns}
+}
+
+// mergeRefs merges two reference components, combining the regions of
+// common points-to targets with comb. A nil or identical side returns the
+// other side's pointer; comb must be idempotent (Join, Widen) for the
+// identical case.
+func mergeRefs(a, b *refs, comb func(Region, Region) Region) *refs {
+	switch {
+	case b == nil || a == b:
+		return a
+	case a == nil:
+		return b
+	}
+	return &refs{ptr: mergePtr(a.ptr, b.ptr, comb), fns: mergeFns(a.fns, b.fns)}
 }
 
 // Bot is the bottom value.
@@ -94,11 +128,11 @@ func Const(n int64) Val {
 
 // FromPtr returns a pointer to loc with the given region.
 func FromPtr(loc ir.LocID, r Region) Val {
-	return Val{ptr: []PtrEntry{{Loc: loc, R: r}}}
+	return Val{ref: &refs{ptr: []PtrEntry{{Loc: loc, R: r}}}}
 }
 
 // FromFunc returns a function value.
-func FromFunc(f ir.ProcID) Val { return Val{fns: []ir.ProcID{f}} }
+func FromFunc(f ir.ProcID) Val { return Val{ref: &refs{fns: []ir.ProcID{f}}} }
 
 // Make assembles a value from explicit components, sorting and deduplicating
 // the pointer and function slices defensively (decoded or hand-built inputs
@@ -125,7 +159,7 @@ func Make(i itv.Itv, ptr []PtrEntry, fns []ir.ProcID, uninit bool) Val {
 		}
 		f = f[:k]
 	}
-	return Val{I: i, ptr: p, fns: f, uninit: uninit}
+	return Val{I: i, ref: mkRefs(p, f), uninit: uninit}
 }
 
 // UninitTop is the entry marker of a possibly-uninitialized cell: an
@@ -142,41 +176,51 @@ func (v Val) MayUninit() bool { return v.uninit }
 func (v Val) Itv() itv.Itv { return v.I }
 
 // Ptr returns the points-to entries (callers must not mutate).
-func (v Val) Ptr() []PtrEntry { return v.ptr }
+func (v Val) Ptr() []PtrEntry {
+	if v.ref == nil {
+		return nil
+	}
+	return v.ref.ptr
+}
 
 // Fns returns the function targets (callers must not mutate).
-func (v Val) Fns() []ir.ProcID { return v.fns }
+func (v Val) Fns() []ir.ProcID {
+	if v.ref == nil {
+		return nil
+	}
+	return v.ref.fns
+}
 
 // HasPtr reports whether the value may be a pointer.
-func (v Val) HasPtr() bool { return len(v.ptr) > 0 }
+func (v Val) HasPtr() bool { return v.ref != nil && len(v.ref.ptr) > 0 }
 
 // IsBot reports whether v is bottom (no integer, no pointers, no functions,
 // no uninit mark — a marked value is observable by the uninit checker and
 // must survive joins and memory merges).
 func (v Val) IsBot() bool {
-	return v.I.IsBot() && len(v.ptr) == 0 && len(v.fns) == 0 && !v.uninit
+	return v.I.IsBot() && v.ref == nil && !v.uninit
 }
 
 // WithItv returns v with the numeric component replaced.
-func (v Val) WithItv(i itv.Itv) Val { return Val{I: i, ptr: v.ptr, fns: v.fns, uninit: v.uninit} }
+func (v Val) WithItv(i itv.Itv) Val { return Val{I: i, ref: v.ref, uninit: v.uninit} }
 
 // OnlyPtr returns v with only its pointer (and function) components.
-func (v Val) OnlyPtr() Val { return Val{ptr: v.ptr, fns: v.fns} }
+func (v Val) OnlyPtr() Val { return Val{ref: v.ref} }
 
 // MapPtr returns v with each points-to entry transformed by f; entries for
 // which f reports false are dropped.
 func (v Val) MapPtr(f func(PtrEntry) (PtrEntry, bool)) Val {
-	if len(v.ptr) == 0 {
+	if !v.HasPtr() {
 		return v
 	}
-	out := make([]PtrEntry, 0, len(v.ptr))
-	for _, e := range v.ptr {
+	out := make([]PtrEntry, 0, len(v.ref.ptr))
+	for _, e := range v.ref.ptr {
 		if ne, ok := f(e); ok {
 			out = append(out, ne)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Loc < out[j].Loc })
-	return Val{I: v.I, ptr: dedupPtr(out), fns: v.fns, uninit: v.uninit}
+	return Val{I: v.I, ref: mkRefs(dedupPtr(out), v.ref.fns), uninit: v.uninit}
 }
 
 func dedupPtr(s []PtrEntry) []PtrEntry {
@@ -256,8 +300,7 @@ func mergeFns(a, b []ir.ProcID) []ir.ProcID {
 func (v Val) Join(w Val) Val {
 	return Val{
 		I:      v.I.Join(w.I),
-		ptr:    mergePtr(v.ptr, w.ptr, Region.Join),
-		fns:    mergeFns(v.fns, w.fns),
+		ref:    mergeRefs(v.ref, w.ref, Region.Join),
 		uninit: v.uninit || w.uninit,
 	}
 }
@@ -268,8 +311,7 @@ func (v Val) Join(w Val) Val {
 func (v Val) Widen(w Val) Val {
 	return Val{
 		I:      v.I.Widen(w.I),
-		ptr:    mergePtr(v.ptr, w.ptr, Region.Widen),
-		fns:    mergeFns(v.fns, w.fns),
+		ref:    mergeRefs(v.ref, w.ref, Region.Widen),
 		uninit: v.uninit || w.uninit,
 	}
 }
@@ -277,7 +319,7 @@ func (v Val) Widen(w Val) Val {
 // Narrow returns the narrowing v Δ w on the numeric component; pointer,
 // function, and uninit components keep v's (they were not widened past w).
 func (v Val) Narrow(w Val) Val {
-	return Val{I: v.I.Narrow(w.I), ptr: v.ptr, fns: v.fns, uninit: v.uninit}
+	return Val{I: v.I.Narrow(w.I), ref: v.ref, uninit: v.uninit}
 }
 
 // JoinChanged returns v.Join(w) together with whether the join differs from
@@ -298,14 +340,14 @@ func (v Val) JoinChanged(w Val) (Val, bool) {
 // is allocated; the components are pre-checked without building the merge.
 func (v Val) WidenChanged(w Val) (Val, bool) {
 	wi := v.I.Widen(w.I)
-	if wi.Eq(w.I) && widenPtrKeeps(v.ptr, w.ptr) && fnsSubset(v.fns, w.fns) &&
+	if wi.Eq(w.I) && (v.ref == nil || v.ref == w.ref ||
+		widenPtrKeeps(v.Ptr(), w.Ptr()) && fnsSubset(v.Fns(), w.Fns())) &&
 		(!v.uninit || w.uninit) {
 		return w, false
 	}
 	return Val{
 		I:      wi,
-		ptr:    mergePtr(v.ptr, w.ptr, Region.Widen),
-		fns:    mergeFns(v.fns, w.fns),
+		ref:    mergeRefs(v.ref, w.ref, Region.Widen),
 		uninit: v.uninit || w.uninit,
 	}, true
 }
@@ -354,7 +396,7 @@ func (v Val) NarrowChanged(w Val) (Val, bool) {
 	if ni.Eq(v.I) {
 		return v, false
 	}
-	return Val{I: ni, ptr: v.ptr, fns: v.fns, uninit: v.uninit}, true
+	return Val{I: ni, ref: v.ref, uninit: v.uninit}, true
 }
 
 // LessEq reports the lattice order.
@@ -365,41 +407,42 @@ func (v Val) LessEq(w Val) bool {
 	if v.uninit && !w.uninit {
 		return false
 	}
+	if v.ref == nil || v.ref == w.ref {
+		return true
+	}
 	// v.ptr ⊆ w.ptr with region ordering.
+	wptr := w.Ptr()
 	j := 0
-	for _, e := range v.ptr {
-		for j < len(w.ptr) && w.ptr[j].Loc < e.Loc {
+	for _, e := range v.ref.ptr {
+		for j < len(wptr) && wptr[j].Loc < e.Loc {
 			j++
 		}
-		if j >= len(w.ptr) || w.ptr[j].Loc != e.Loc || !e.R.LessEq(w.ptr[j].R) {
+		if j >= len(wptr) || wptr[j].Loc != e.Loc || !e.R.LessEq(wptr[j].R) {
 			return false
 		}
 	}
-	j = 0
-	for _, f := range v.fns {
-		for j < len(w.fns) && w.fns[j] < f {
-			j++
-		}
-		if j >= len(w.fns) || w.fns[j] != f {
-			return false
-		}
-	}
-	return true
+	return fnsSubset(v.ref.fns, w.Fns())
 }
 
 // Eq reports equality.
 func (v Val) Eq(w Val) bool {
-	if !v.I.Eq(w.I) || len(v.ptr) != len(w.ptr) || len(v.fns) != len(w.fns) ||
-		v.uninit != w.uninit {
+	if !v.I.Eq(w.I) || v.uninit != w.uninit {
 		return false
 	}
-	for i := range v.ptr {
-		if v.ptr[i].Loc != w.ptr[i].Loc || !v.ptr[i].R.Eq(w.ptr[i].R) {
+	if v.ref == w.ref {
+		return true
+	}
+	vp, wp, vf, wf := v.Ptr(), w.Ptr(), v.Fns(), w.Fns()
+	if len(vp) != len(wp) || len(vf) != len(wf) {
+		return false
+	}
+	for i := range vp {
+		if vp[i].Loc != wp[i].Loc || !vp[i].R.Eq(wp[i].R) {
 			return false
 		}
 	}
-	for i := range v.fns {
-		if v.fns[i] != w.fns[i] {
+	for i := range vf {
+		if vf[i] != wf[i] {
 			return false
 		}
 	}
@@ -415,10 +458,10 @@ func (v Val) String() string {
 	if !v.I.IsBot() {
 		parts = append(parts, v.I.String())
 	}
-	for _, e := range v.ptr {
+	for _, e := range v.Ptr() {
 		parts = append(parts, fmt.Sprintf("&%d%s/%s", e.Loc, e.R.Off, e.R.Sz))
 	}
-	for _, f := range v.fns {
+	for _, f := range v.Fns() {
 		parts = append(parts, fmt.Sprintf("fn%d", f))
 	}
 	if v.uninit {
