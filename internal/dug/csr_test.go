@@ -9,6 +9,7 @@ import (
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/prean"
+	"sparrow/internal/sem"
 )
 
 // buildSrc builds the graph for generated source (fuzz-corpus member).
@@ -111,6 +112,72 @@ func TestCSRMatchesMapSets(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// checkAccSlots verifies the Acc slots of g against its triples: InLocs(n)
+// is exactly the sorted set of locations on n's in-edges, slots number those
+// sets consecutively, and every edge's slot (SeekSlots) is its location's
+// slot at its target.
+func checkAccSlots(t *testing.T, label string, g *Graph) {
+	t.Helper()
+	n := g.NumNodes()
+	in := make([]map[ir.LocID]bool, n)
+	g.Range(func(_ NodeID, l ir.LocID, to NodeID) bool {
+		if in[to] == nil {
+			in[to] = map[ir.LocID]bool{}
+		}
+		in[to][l] = true
+		return true
+	})
+	next := int32(0)
+	for i := 0; i < n; i++ {
+		nd := NodeID(i)
+		locs := g.InLocs(nd)
+		if g.AccBase(nd) != next || len(locs) != len(in[i]) {
+			t.Fatalf("%s node %d: slots from %d (want %d), in-locations %v (want %d)", label, i, g.AccBase(nd), next, locs, len(in[i]))
+		}
+		for j, l := range locs {
+			if !in[i][l] || j > 0 && locs[j-1] >= l || g.AccLoc(next+int32(j)) != l {
+				t.Fatalf("%s node %d: in-locations %v not the sorted in-edge set", label, i, locs)
+			}
+		}
+		next += int32(len(locs))
+	}
+	if int(next) != g.AccSlots() {
+		t.Fatalf("%s: %d slots counted, AccSlots()=%d", label, next, g.AccSlots())
+	}
+	for i := 0; i < n; i++ {
+		cur := g.Out(NodeID(i))
+		for _, l := range g.Defs[i] {
+			succs, slots := cur.SeekSlots(l)
+			if len(slots) != len(succs) {
+				t.Fatalf("%s node %d loc %d: %d successors, %d slots", label, i, l, len(succs), len(slots))
+			}
+			for k, to := range succs {
+				s := slots[k]
+				if s < g.AccBase(to) || int(s-g.AccBase(to)) >= len(g.InLocs(to)) || g.AccLoc(s) != l {
+					t.Fatalf("%s edge (%d,%d,%d): slot %d is not the target's slot for the location", label, i, l, to, s)
+				}
+			}
+		}
+	}
+}
+
+// TestAccSlots checks the Acc slots of full graphs (with and without chain
+// bypass) and of restricted graphs, which renumber the full graph's slots.
+func TestAccSlots(t *testing.T) {
+	for seed := uint64(0); seed < 12; seed++ {
+		for _, byp := range []bool{false, true} {
+			prog, g := buildFuzz(t, seed, Options{Bypass: byp})
+			label := fmt.Sprintf("seed %d bypass=%v", seed, byp)
+			checkAccSlots(t, label, g)
+			pre := prean.Run(prog)
+			s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+			for name, keep := range keepSets(prog, pre, s) {
+				checkAccSlots(t, label+" restricted to "+name, BuildRestricted(g, keep))
+			}
 		}
 	}
 }

@@ -97,6 +97,14 @@ type Graph struct {
 	succOff  []int32
 	succs    []NodeID
 
+	// Acc slots, the cells of the sparse solvers' accumulated inputs: node
+	// n's distinct in-edge locations are accLocs[accOff[n]:accOff[n+1]]
+	// (sorted), one slot each. succSlot parallels succs: succSlot[k] is the
+	// slot of the edge's location at its target succs[k].
+	accOff   []int32
+	accLocs  []ir.LocID
+	succSlot []int32
+
 	partOnce sync.Once
 	part     *Partition
 }
@@ -135,6 +143,20 @@ func (g *Graph) Succs(n NodeID, l ir.LocID) []NodeID {
 	return nil
 }
 
+// AccSlots returns the number of Acc slots: the distinct (node, in-edge
+// location) pairs over all nodes.
+func (g *Graph) AccSlots() int { return len(g.accLocs) }
+
+// InLocs returns n's distinct in-edge locations, sorted; InLocs(n)[j] is Acc
+// slot AccBase(n)+j. A solver accumulates n's input on these locations only.
+func (g *Graph) InLocs(n NodeID) []ir.LocID { return g.accLocs[g.accOff[n]:g.accOff[n+1]] }
+
+// AccBase returns the first Acc slot of n.
+func (g *Graph) AccBase(n NodeID) int32 { return g.accOff[n] }
+
+// AccLoc returns the location of an Acc slot.
+func (g *Graph) AccLoc(slot int32) ir.LocID { return g.accLocs[slot] }
+
 // OutCursor walks one node's successor rows in ascending location order.
 // Seek must be called with non-decreasing locations — exactly the order of
 // Defs[n] — and amortizes to O(1) per call where Succs pays a binary search.
@@ -142,24 +164,33 @@ type OutCursor struct {
 	locs  []ir.LocID
 	off   []int32
 	succs []NodeID
+	slots []int32
 	i     int
 }
 
 // Out returns a successor cursor for n.
 func (g *Graph) Out(n NodeID) OutCursor {
 	lo, hi := g.edgeRow[n], g.edgeRow[n+1]
-	return OutCursor{locs: g.edgeLocs[lo:hi], off: g.succOff[lo : hi+1], succs: g.succs}
+	return OutCursor{locs: g.edgeLocs[lo:hi], off: g.succOff[lo : hi+1], succs: g.succs, slots: g.succSlot}
 }
 
 // Seek advances to location l and returns its successor row (nil if none).
 func (c *OutCursor) Seek(l ir.LocID) []NodeID {
+	succs, _ := c.SeekSlots(l)
+	return succs
+}
+
+// SeekSlots is Seek that also returns, in parallel, each successor's Acc
+// slot for l.
+func (c *OutCursor) SeekSlots(l ir.LocID) ([]NodeID, []int32) {
 	for c.i < len(c.locs) && c.locs[c.i] < l {
 		c.i++
 	}
 	if c.i < len(c.locs) && c.locs[c.i] == l {
-		return c.succs[c.off[c.i]:c.off[c.i+1]]
+		lo, hi := c.off[c.i], c.off[c.i+1]
+		return c.succs[lo:hi], c.slots[lo:hi]
 	}
-	return nil
+	return nil, nil
 }
 
 // Range visits every dependency triple until f returns false, in
@@ -1133,7 +1164,9 @@ func (b *builder) bypass() {
 }
 
 // finalize compacts the access sets into shared backing arrays and builds
-// the CSR successor index.
+// the CSR successor index and the Acc slots. The non-empty in rows of a node
+// are its distinct in-edge locations in ascending order, so they number its
+// slots, and every out entry names its partner in row.
 func (b *builder) finalize(info *cfg.Info) {
 	g := b.g
 	n := g.NumNodes()
@@ -1171,17 +1204,36 @@ func (b *builder) finalize(info *cfg.Info) {
 		}
 	}
 	a := &b.adj
-	var nLocs, nEdges int
+	var nLocs, nEdges, nSlots int
 	for _, row := range a.out {
 		if row.len > 0 {
 			nLocs++
 			nEdges += int(row.len)
 		}
 	}
+	for _, row := range a.in {
+		if row.len > 0 {
+			nSlots++
+		}
+	}
+	inSlot := make([]int32, len(a.in))
+	g.accOff = make([]int32, n+1)
+	g.accLocs = make([]ir.LocID, 0, nSlots)
+	for i := 0; i < n; i++ {
+		g.accOff[i] = int32(len(g.accLocs))
+		for r := a.inStart[i]; r < a.inStart[i+1]; r++ {
+			if a.in[r].len > 0 {
+				inSlot[r] = int32(len(g.accLocs))
+				g.accLocs = append(g.accLocs, a.inLocs[r])
+			}
+		}
+	}
+	g.accOff[n] = int32(len(g.accLocs))
 	g.edgeLocs = make([]ir.LocID, 0, nLocs)
 	g.edgeRow = make([]int32, n+1)
 	g.succOff = make([]int32, 0, nLocs+1)
 	g.succs = make([]NodeID, 0, nEdges)
+	g.succSlot = make([]int32, 0, nEdges)
 	for i := 0; i < n; i++ {
 		g.edgeRow[i] = int32(len(g.edgeLocs))
 		for r := a.outStart[i]; r < a.outStart[i+1]; r++ {
@@ -1191,11 +1243,11 @@ func (b *builder) finalize(info *cfg.Info) {
 			}
 			g.edgeLocs = append(g.edgeLocs, a.outLocs[r])
 			g.succOff = append(g.succOff, int32(len(g.succs)))
-			off := len(g.succs)
+			slices.SortFunc(row, func(x, y edgeRef) int { return int(x.node - y.node) })
 			for _, e := range row {
 				g.succs = append(g.succs, e.node)
+				g.succSlot = append(g.succSlot, inSlot[e.row])
 			}
-			slices.Sort(g.succs[off:])
 		}
 	}
 	g.EdgeCount = len(g.succs)

@@ -62,6 +62,19 @@ func BuildRestricted(full *Graph, keep []ir.LocID) *Graph {
 			g.Uses[i] = usesBuf[u0:len(usesBuf):len(usesBuf)]
 		}
 	}
+	// The Acc slots are the full ones on kept locations, renumbered.
+	slot := make([]int32, len(full.accLocs))
+	g.accOff = make([]int32, n+1)
+	for node := 0; node < n; node++ {
+		g.accOff[node] = int32(len(g.accLocs))
+		for k := full.accOff[node]; k < full.accOff[node+1]; k++ {
+			if l := full.accLocs[k]; inKeep[l] {
+				slot[k] = int32(len(g.accLocs))
+				g.accLocs = append(g.accLocs, l)
+			}
+		}
+	}
+	g.accOff[n] = int32(len(g.accLocs))
 	// Filter the CSR: keep a node's row key (and its successor run) only
 	// when the key location survives. Key order and successor order are
 	// inherited, so the restricted CSR satisfies the same invariants the
@@ -77,6 +90,9 @@ func BuildRestricted(full *Graph, keep []ir.LocID) *Graph {
 			g.edgeLocs = append(g.edgeLocs, l)
 			g.succOff = append(g.succOff, int32(len(g.succs)))
 			g.succs = append(g.succs, full.succs[full.succOff[k]:full.succOff[k+1]]...)
+			for _, s := range full.succSlot[full.succOff[k]:full.succOff[k+1]] {
+				g.succSlot = append(g.succSlot, slot[s])
+			}
 		}
 	}
 	g.edgeRow[n] = int32(len(g.edgeLocs))

@@ -24,6 +24,12 @@ type Mem struct {
 // Bot is the bottom (empty) memory.
 var Bot = Mem{}
 
+// FromSorted returns the memory binding locs[i] to vals[i], built in one
+// O(n) pass; locs must be strictly ascending. The slices are not retained.
+func FromSorted(locs []ir.LocID, vals []val.Val) Mem {
+	return Mem{m: pmap.FromSorted(locs, vals)}
+}
+
 // Get returns the value at l (bottom if absent).
 func (m Mem) Get(l ir.LocID) val.Val {
 	v, _ := m.m.Get(int32(l))

@@ -227,7 +227,7 @@ func (m Map[V]) Keys() []int32 {
 // Insert — the fast path for rebuilding a map from an ordered traversal
 // (memory restriction at call boundaries does exactly that).
 // FromSorted panics if the keys are not strictly increasing.
-func FromSorted[V any](keys []int32, vals []V) Map[V] {
+func FromSorted[K ~int32, V any](keys []K, vals []V) Map[V] {
 	if len(keys) != len(vals) {
 		panic("pmap: FromSorted slice lengths differ")
 	}
@@ -239,12 +239,12 @@ func FromSorted[V any](keys []int32, vals []V) Map[V] {
 	return Map[V]{root: fromSorted(keys, vals)}
 }
 
-func fromSorted[V any](keys []int32, vals []V) *node[V] {
+func fromSorted[K ~int32, V any](keys []K, vals []V) *node[V] {
 	if len(keys) == 0 {
 		return nil
 	}
 	mid := len(keys) / 2
-	return mk(keys[mid], vals[mid], fromSorted(keys[:mid], vals[:mid]), fromSorted(keys[mid+1:], vals[mid+1:]))
+	return mk(int32(keys[mid]), vals[mid], fromSorted(keys[:mid], vals[:mid]), fromSorted(keys[mid+1:], vals[mid+1:]))
 }
 
 // Merge computes the union of a and b. For keys present in both maps the
