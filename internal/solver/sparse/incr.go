@@ -1,7 +1,7 @@
 // Incremental sparse solver: a trace-replay memoization layer over the
-// canonical sequential component schedule. The driver mirrors
-// AnalyzeComponents — same scheduling DAG, same waves, same worklist loop —
-// but brackets every component run with a memo protocol:
+// canonical sequential component schedule. It is the AnalyzeComponents
+// driver — same scheduling DAG, same waves, same worklist loop — with a memo
+// that brackets every component run with a protocol:
 //
 //	key(c, run k) = H(chain_{k-1}(c) ∥ inputHash_k(c)),  chain_0 = structHash(c)
 //
@@ -30,6 +30,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -37,12 +38,9 @@ import (
 	"sparrow/internal/incr"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/val"
-	"sparrow/internal/mem"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
-	"sparrow/internal/sem"
 	"sparrow/internal/solver/compsched"
-	"sparrow/internal/worklist"
 )
 
 // IncrStats reports the cache effectiveness of one incremental solve.
@@ -94,167 +92,79 @@ func AnalyzeIncremental(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt O
 			cache.WidenThreshold, cache.EntryWidenDelay, opt.WidenThreshold, opt.EntryWidenDelay)
 	}
 
-	n := g.NumNodes()
 	p := g.Partition()
 	namer := ir.NewStableNamer(prog)
 	cache.Bind(prog, namer)
-	d := &idriver{
-		prog:  prog,
-		pre:   pre,
-		g:     g,
-		p:     p,
-		opt:   opt,
-		cache: cache,
-		namer: namer,
-		s:     &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle},
-		wl:    worklist.New(n, g.Prio),
-		res: &Result{
-			Acc:     make([]mem.Mem, n),
-			Out:     make([]mem.Mem, n),
-			Reached: make([]bool, g.PointCount),
-		},
-		cbase:        defOffsets(g),
+	m := &memo{
+		cache:        cache,
+		namer:        namer,
 		chain:        incr.StructHashes(prog, pre, g, namer),
-		seeds:        make([][]int32, p.NumComps()),
 		pendingReach: make([][]ir.PointID, p.NumComps()),
-		pendingIn:    make([][]extIn, p.NumComps()),
+		pendingIn:    make([][]slotRef, p.NumComps()),
 		liveRun:      make([]bool, p.NumComps()),
 	}
-	d.counts = make([]int32, d.cbase[n])
-	d.sched = compsched.BuildSched(prog, pre, p)
-
-	d.applyMarks([]ir.PointID{prog.ProcByID(prog.Main).Entry})
-	hasWork := func(c int32) bool { return len(d.seeds[c]) > 0 }
-	for d.anySeeds() {
-		d.res.Rounds++
-		d.sched.Wave(hasWork, d.runComponent)
-		sort.Slice(d.deferred, func(i, j int) bool { return d.deferred[i] < d.deferred[j] })
-		d.applyMarks(d.deferred)
-		d.deferred = d.deferred[:0]
-	}
-	d.res.Steps = int(d.steps)
-	d.res.Joins = int(d.joins)
-	d.res.Widenings = int(d.widenings)
-	flushMetrics(opt.Metrics, d.res)
-	stats := IncrStats{Hits: d.hits, Misses: d.misses, NumComps: p.NumComps()}
-	for _, live := range d.liveRun {
+	res := newCDriver(prog, pre, g, opt, m).run()
+	stats := IncrStats{Hits: m.hits, Misses: m.misses, NumComps: p.NumComps()}
+	for _, live := range m.liveRun {
 		if live {
 			stats.Resolved++
 		}
 	}
-	return d.res, stats, nil
+	return res, stats, nil
 }
 
-// extIn is one externally pushed (node, location) input, pending until the
-// target component's next run hashes it.
-type extIn struct {
-	n dug.NodeID
-	l ir.LocID
+// slotRef is one store slot (Out or Acc) of node n.
+type slotRef struct {
+	n    dug.NodeID
+	slot int32
 }
 
-// idriver is the single-threaded record/replay driver. Its live execution
-// path is the component solver's (csolver), plus the pending input
-// bookkeeping and the transcript recorder.
-type idriver struct {
-	prog *ir.Program
-	pre  *prean.Result
-	g    *dug.Graph
-	p    *dug.Partition
-	opt  Options
-	res  *Result
-	s    *sem.Sem
-	wl   *worklist.Worklist
-
+// memo is the incremental solver's record/replay state.
+type memo struct {
 	cache *incr.Cache
 	namer *ir.StableNamer
-
-	counts []int32
-	cbase  []int32
-
-	seeds    [][]int32
-	deferred []ir.PointID
-
-	sched *compsched.Sched
 
 	// chain[c] is the component's hash chain (see package comment); advanced
 	// on every run, hit or miss.
 	chain []string
 	// pendingReach[c] / pendingIn[c] buffer the external effects that arrived
-	// since c last ran; they are the raw material of the next input hash.
+	// since c last ran (flipped points, pushed Acc slots); they are the raw
+	// material of the next input hash.
 	pendingReach [][]ir.PointID
-	pendingIn    [][]extIn
+	pendingIn    [][]slotRef
 
-	// comp/rec are the live-run context: the running component and its
-	// transcript recorder (nil during replay and between runs).
-	comp int32
-	rec  *recBuf
-
-	steps, joins, widenings int64
-	hits, misses            int
-	liveRun                 []bool
+	hits, misses int
+	liveRun      []bool
 }
 
-// applyMarks mirrors csolver.applyMarks: flips arriving outside any component
-// run are external inputs of the flipped point's component, so each one is
-// also appended to that component's pending reach list.
-func (d *idriver) applyMarks(queue []ir.PointID) {
-	q := append([]ir.PointID(nil), queue...)
-	push := func(t ir.PointID) {
-		if !d.res.Reached[t] {
-			q = append(q, t)
-		}
-	}
-	for i := 0; i < len(q); i++ {
-		t := q[i]
-		if d.res.Reached[t] {
-			continue
-		}
-		d.res.Reached[t] = true
-		c := d.p.Comp[t]
-		d.seeds[c] = append(d.seeds[c], int32(t))
-		d.pendingReach[c] = append(d.pendingReach[c], t)
-		pt := d.prog.Point(t)
-		if _, isAssume := pt.Cmd.(ir.Assume); !isAssume {
-			compsched.ReachTargets(d.prog, d.pre, pt, push)
-		}
-	}
-}
-
-func (d *idriver) anySeeds() bool {
-	for _, s := range d.seeds {
-		if len(s) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// runComponent is the memo protocol around one component run: hash the
-// pending inputs, advance the chain, and either replay the cached transcript
-// or run live and record one.
-func (d *idriver) runComponent(c int32) {
+// memoRun is the memo protocol around one component run: hash the pending
+// inputs, advance the chain, and either replay the cached transcript or run
+// live and record one.
+func (d *cdriver) memoRun(c int32) {
 	// Checkpoint per component: a breach aborts via rt.Abort before the
 	// component's transcript is recorded, so the cache never holds a
 	// truncated run (incremental solves never degrade — core turns the
 	// abort into a BudgetError directly).
 	d.opt.Budget.Checkpoint(rt.PhaseIncr)
+	m := d.memo
+	d.comp = c
 	seeds := d.seeds[c]
 	d.seeds[c] = nil
 	if len(seeds) == 0 {
 		return
 	}
 	input := d.inputHash(c)
-	d.pendingReach[c] = d.pendingReach[c][:0]
-	d.pendingIn[c] = d.pendingIn[c][:0]
-	key := incr.ChainNext(d.chain[c], input)
-	d.chain[c] = key
-	if run, ok := d.cache.Lookup(key); ok && d.replay(c, run) {
-		d.hits++
+	m.pendingReach[c] = m.pendingReach[c][:0]
+	m.pendingIn[c] = m.pendingIn[c][:0]
+	key := incr.ChainNext(m.chain[c], input)
+	m.chain[c] = key
+	if run, ok := m.cache.Lookup(key); ok && d.replay(c, run) {
+		m.hits++
 		return
 	}
-	d.misses++
-	d.liveRun[c] = true
-	d.runLive(c, seeds, key)
+	m.misses++
+	m.liveRun[c] = true
+	m.cache.Store(key, d.record(seeds))
 }
 
 // inputHash digests the pending external effects of component c: the flipped
@@ -264,13 +174,14 @@ func (d *idriver) runComponent(c int32) {
 // location keys), so the hash is independent of arrival order — and the
 // LessEq gate on the pushing side already dropped no-op pushes identically
 // in record and replay mode.
-func (d *idriver) inputHash(c int32) string {
-	reach := make([]int, 0, len(d.pendingReach[c]))
-	for _, t := range d.pendingReach[c] {
+func (d *cdriver) inputHash(c int32) string {
+	m := d.memo
+	reach := make([]int, 0, len(m.pendingReach[c]))
+	for _, t := range m.pendingReach[c] {
 		reach = append(reach, int(d.p.LocalIdx[t]))
 	}
 	sort.Ints(reach)
-	parts := make([]string, 0, 2+len(reach)+3*len(d.pendingIn[c]))
+	parts := make([]string, 0, 2+len(reach)+3*len(m.pendingIn[c]))
 	parts = append(parts, "reach")
 	for i, li := range reach {
 		if i > 0 && li == reach[i-1] {
@@ -279,14 +190,13 @@ func (d *idriver) inputHash(c int32) string {
 		parts = append(parts, strconv.Itoa(li))
 	}
 	type inEntry struct {
-		li  int32
-		key string
-		n   dug.NodeID
-		l   ir.LocID
+		li   int32
+		key  string
+		slot int32
 	}
-	ins := make([]inEntry, 0, len(d.pendingIn[c]))
-	for _, e := range d.pendingIn[c] {
-		ins = append(ins, inEntry{li: d.p.LocalIdx[e.n], key: d.namer.LocKey(e.l), n: e.n, l: e.l})
+	ins := make([]inEntry, 0, len(m.pendingIn[c]))
+	for _, e := range m.pendingIn[c] {
+		ins = append(ins, inEntry{li: d.p.LocalIdx[e.n], key: m.namer.LocKey(d.g.AccLoc(e.slot)), slot: e.slot})
 	}
 	sort.Slice(ins, func(i, j int) bool {
 		if ins[i].li != ins[j].li {
@@ -299,263 +209,121 @@ func (d *idriver) inputHash(c int32) string {
 		if i > 0 && e.li == ins[i-1].li && e.key == ins[i-1].key {
 			continue
 		}
-		parts = append(parts, strconv.Itoa(int(e.li)), e.key, incr.ValKey(d.res.Acc[e.n].Get(e.l), d.namer))
+		parts = append(parts, strconv.Itoa(int(e.li)), e.key, incr.ValKey(d.acc[e.slot], m.namer))
 	}
 	return incr.HashParts(parts...)
 }
 
 // recBuf accumulates one live run's transcript: which points fired, which
-// (node, location) outputs and internal inputs changed, which widening slots
-// moved, and the work counters. Sets, not logs — only final values are
-// recorded.
+// Out slots (and with them their widening counters) and internally pushed
+// Acc slots changed. The lists may repeat entries; the transcript is a set
+// of final values.
 type recBuf struct {
-	fired      map[int32]struct{}
-	outChanged map[defSlot]struct{}
-	accChanged map[accSlot]struct{}
-	cntChanged map[defSlot]struct{}
-	joins      int64
-	widenings  int64
+	fired      []dug.NodeID
+	outs, accs []slotRef
 }
 
-type defSlot struct {
-	n dug.NodeID
-	i int32
-}
-
-type accSlot struct {
-	n dug.NodeID
-	l ir.LocID
-}
-
-// runLive executes one component's worklist loop with the recorder
-// attached, then stores the transcript under key.
-func (d *idriver) runLive(c int32, seeds []int32, key string) {
-	d.comp = c
-	b := &recBuf{
-		fired:      map[int32]struct{}{},
-		outChanged: map[defSlot]struct{}{},
-		accChanged: map[accSlot]struct{}{},
-		cntChanged: map[defSlot]struct{}{},
-	}
+// record runs the running component live with the recorder attached and
+// returns its transcript.
+func (d *cdriver) record(seeds []int32) *incr.Run {
+	b := &recBuf{}
 	d.rec = b
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, s := range seeds {
-		d.wl.Add(int(s))
-	}
-	local := 0
-	for {
-		id, ok := d.wl.Take()
-		if !ok {
-			break
-		}
-		local++
-		if d.opt.Budget != nil && local%256 == 0 {
-			d.opt.Budget.Checkpoint(rt.PhaseIncr)
-		}
-		d.fire(dug.NodeID(id))
-	}
+	steps, joins, widenings := d.steps, d.joins, d.widenings
+	d.runLive(seeds)
 	d.rec = nil
-	d.steps += int64(local)
-	d.joins += b.joins
-	d.widenings += b.widenings
-
-	run := &incr.Run{Steps: int64(local), Joins: b.joins, Widenings: b.widenings}
-	run.Fired = make([]int32, 0, len(b.fired))
-	for li := range b.fired {
-		run.Fired = append(run.Fired, li)
+	run := &incr.Run{
+		Steps:     int64(d.steps - steps),
+		Joins:     int64(d.joins - joins),
+		Widenings: int64(d.widenings - widenings),
 	}
-	sort.Slice(run.Fired, func(i, j int) bool { return run.Fired[i] < run.Fired[j] })
-	for _, slot := range sortedDefSlots(d.p, b.outChanged) {
-		l := d.g.Defs[slot.n][slot.i]
+	for _, n := range b.fired {
+		run.Fired = append(run.Fired, d.p.LocalIdx[n])
+	}
+	slices.Sort(run.Fired)
+	run.Fired = slices.Compact(run.Fired)
+	cache := d.memo.cache
+	for _, r := range d.sortSlots(b.outs) {
 		run.Out = append(run.Out, incr.Delta{
-			Node: d.p.LocalIdx[slot.n],
-			Loc:  d.cache.LocIdx(l),
-			Val:  d.cache.EncodeVal(d.res.Out[slot.n].Get(l)),
+			Node: d.p.LocalIdx[r.n],
+			Loc:  cache.LocIdx(d.g.Defs[r.n][r.slot-d.cbase[r.n]]),
+			Val:  cache.EncodeVal(d.out[r.slot]),
 		})
-	}
-	accs := make([]accSlot, 0, len(b.accChanged))
-	for s := range b.accChanged {
-		accs = append(accs, s)
-	}
-	sort.Slice(accs, func(i, j int) bool {
-		if d.p.LocalIdx[accs[i].n] != d.p.LocalIdx[accs[j].n] {
-			return d.p.LocalIdx[accs[i].n] < d.p.LocalIdx[accs[j].n]
-		}
-		return accs[i].l < accs[j].l
-	})
-	for _, s := range accs {
-		run.Acc = append(run.Acc, incr.Delta{
-			Node: d.p.LocalIdx[s.n],
-			Loc:  d.cache.LocIdx(s.l),
-			Val:  d.cache.EncodeVal(d.res.Acc[s.n].Get(s.l)),
-		})
-	}
-	for _, slot := range sortedDefSlots(d.p, b.cntChanged) {
 		run.Counts = append(run.Counts, incr.Count{
-			Node: d.p.LocalIdx[slot.n],
-			Def:  slot.i,
-			Cnt:  d.counts[d.cbase[slot.n]+slot.i],
+			Node: d.p.LocalIdx[r.n],
+			Def:  r.slot - d.cbase[r.n],
+			Cnt:  d.counts[r.slot],
 		})
 	}
-	d.cache.Store(key, run)
+	for _, r := range d.sortSlots(b.accs) {
+		run.Acc = append(run.Acc, incr.Delta{
+			Node: d.p.LocalIdx[r.n],
+			Loc:  cache.LocIdx(d.g.AccLoc(r.slot)),
+			Val:  cache.EncodeVal(d.acc[r.slot]),
+		})
+	}
+	return run
 }
 
-// sortedDefSlots orders a (node, def-index) set by (local index, def index) —
-// a canonical, version-portable order (def indices follow the Defs key
-// sequence, which the structure hash pins).
-func sortedDefSlots(p *dug.Partition, set map[defSlot]struct{}) []defSlot {
-	out := make([]defSlot, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if p.LocalIdx[out[i].n] != p.LocalIdx[out[j].n] {
-			return p.LocalIdx[out[i].n] < p.LocalIdx[out[j].n]
+// sortSlots orders and deduplicates slots by (local index, slot) — a
+// canonical, version-portable order: within a node, slots follow its sorted
+// Defs or in-edge locations, which the structure hash pins.
+func (d *cdriver) sortSlots(s []slotRef) []slotRef {
+	slices.SortFunc(s, func(a, b slotRef) int {
+		if la, lb := d.p.LocalIdx[a.n], d.p.LocalIdx[b.n]; la != lb {
+			return int(la - lb)
 		}
-		return out[i].i < out[j].i
+		return int(a.slot - b.slot)
 	})
-	return out
-}
-
-// fire mirrors csolver.fire; a successful firing is recorded so replay can
-// re-run the reach propagation.
-func (d *idriver) fire(n dug.NodeID) {
-	if d.g.IsPhi(n) {
-		d.pushOuts(n, d.res.Acc[n])
-		return
-	}
-	pt := d.prog.Point(ir.PointID(n))
-	if !d.res.Reached[pt.ID] {
-		return
-	}
-	acc := d.res.Acc[n]
-	var out mem.Mem
-	ok := true
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out = acc
-		for _, cp := range d.pre.CalleesOf(pt.ID) {
-			out = d.s.BindFormals(pt, d.prog.ProcByID(cp), out)
-		}
-	} else {
-		out, ok = d.s.Transfer(pt, acc)
-	}
-	if !ok {
-		return
-	}
-	d.rec.fired[d.p.LocalIdx[n]] = struct{}{}
-	compsched.ReachTargets(d.prog, d.pre, pt, d.mark)
-	d.pushOuts(n, out)
-}
-
-// mark mirrors csolver.mark; flips landing in a scheduling successor are that
-// component's external inputs and join its pending reach list.
-func (d *idriver) mark(t ir.PointID) {
-	ct := d.p.Comp[t]
-	switch {
-	case ct == d.comp:
-		if !d.res.Reached[t] {
-			d.res.Reached[t] = true
-			d.wl.Add(int(t))
-		}
-	case d.sched.HasSucc(d.comp, ct):
-		if !d.res.Reached[t] {
-			d.res.Reached[t] = true
-			d.seeds[ct] = append(d.seeds[ct], int32(t))
-			d.pendingReach[ct] = append(d.pendingReach[ct], t)
-		}
-	default:
-		d.deferred = append(d.deferred, t)
-	}
-}
-
-// pushOuts mirrors csolver.pushOuts, recording the changed slots and the
-// external pushes' targets.
-func (d *idriver) pushOuts(n dug.NodeID, m mem.Mem) {
-	isEntry := false
-	if !d.g.IsPhi(n) {
-		_, isEntry = d.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
-	}
-	base := d.cbase[n]
-	cur := d.g.Out(n)
-	for i, l := range d.g.Defs[n] {
-		nv := m.Get(l)
-		old := d.res.Out[n].Get(l)
-		joined, jch := old.JoinChanged(nv)
-		if !jch {
-			continue
-		}
-		cnt := d.counts[base+int32(i)]
-		d.counts[base+int32(i)] = cnt + 1
-		d.rec.joins++
-		d.rec.cntChanged[defSlot{n, int32(i)}] = struct{}{}
-		forceWiden := int(cnt) > d.opt.WidenThreshold ||
-			(isEntry && int(cnt) > d.opt.EntryWidenDelay)
-		if d.g.Widen[n] || forceWiden {
-			wv, wch := old.WidenChanged(joined)
-			if wch {
-				d.rec.widenings++
-			}
-			joined = wv
-		}
-		d.res.Out[n] = d.res.Out[n].Set(l, joined)
-		d.rec.outChanged[defSlot{n, int32(i)}] = struct{}{}
-		for _, succ := range cur.Seek(l) {
-			cs := d.p.Comp[succ]
-			if cs == d.comp {
-				sacc := d.res.Acc[succ]
-				if joined.LessEq(sacc.Get(l)) {
-					continue
-				}
-				d.res.Acc[succ] = sacc.WeakSet(l, joined)
-				d.rec.accChanged[accSlot{succ, l}] = struct{}{}
-				d.wl.Add(int(succ))
-				continue
-			}
-			sacc := d.res.Acc[succ]
-			if !joined.LessEq(sacc.Get(l)) {
-				d.res.Acc[succ] = sacc.WeakSet(l, joined)
-				d.seeds[cs] = append(d.seeds[cs], int32(succ))
-				d.pendingIn[cs] = append(d.pendingIn[cs], extIn{n: succ, l: l})
-			}
-		}
-	}
+	return slices.Compact(s)
 }
 
 // replay applies a recorded transcript. Decoding is all-or-nothing: every
-// entry is resolved against the current program before any state mutates, so
-// a failed decode (an entity the edit removed, a malformed value) leaves the
-// state untouched and the caller falls back to a live run. Returns whether
-// the transcript was applied.
-func (d *idriver) replay(c int32, run *incr.Run) bool {
+// entry is resolved against the current program and graph before any state
+// mutates, so a failed decode (an entity the edit removed, a malformed value)
+// leaves the state untouched and the caller falls back to a live run.
+// Returns whether the transcript was applied.
+func (d *cdriver) replay(c int32, run *incr.Run) bool {
 	nodes := d.p.Nodes[c]
 	type delta struct {
-		n dug.NodeID
-		l ir.LocID
-		v val.Val
+		n    dug.NodeID
+		l    ir.LocID
+		slot int32
+		v    val.Val
 	}
-	decode := func(ds []incr.Delta) ([]delta, bool) {
+	// decode resolves each entry's Out slot (among Defs[n]) or, for acc,
+	// its Acc slot (among InLocs(n)).
+	decode := func(ds []incr.Delta, acc bool) ([]delta, bool) {
 		out := make([]delta, len(ds))
 		for i, e := range ds {
 			if int(e.Node) >= len(nodes) {
 				return nil, false
 			}
-			l, ok := d.cache.LocID(e.Loc)
+			n := nodes[e.Node]
+			l, ok := d.memo.cache.LocID(e.Loc)
 			if !ok {
 				return nil, false
 			}
-			v, ok := d.cache.DecodeVal(e.Val)
+			locs, base := d.g.Defs[n], d.cbase[n]
+			if acc {
+				locs, base = d.g.InLocs(n), d.g.AccBase(n)
+			}
+			j, found := slices.BinarySearch(locs, l)
+			if !found {
+				return nil, false
+			}
+			v, ok := d.memo.cache.DecodeVal(e.Val)
 			if !ok {
 				return nil, false
 			}
-			out[i] = delta{n: nodes[e.Node], l: l, v: v}
+			out[i] = delta{n: n, l: l, slot: base + int32(j), v: v}
 		}
 		return out, true
 	}
-	outs, ok := decode(run.Out)
+	outs, ok := decode(run.Out, false)
 	if !ok {
 		return false
 	}
-	accs, ok := decode(run.Acc)
+	accs, ok := decode(run.Acc, true)
 	if !ok {
 		return false
 	}
@@ -571,65 +339,42 @@ func (d *idriver) replay(c int32, run *incr.Run) bool {
 	}
 
 	for _, cn := range run.Counts {
-		n := nodes[cn.Node]
-		d.counts[d.cbase[n]+cn.Def] = cn.Cnt
+		d.counts[d.cbase[nodes[cn.Node]]+cn.Def] = cn.Cnt
 	}
 	for _, e := range accs {
-		d.res.Acc[e.n] = d.res.Acc[e.n].Set(e.l, e.v)
+		d.acc[e.slot], d.accSet[e.slot] = e.v, true
 	}
 	// Outputs: store the final value and re-emit the external pushes against
 	// the current graph (internal targets are covered by the Acc deltas).
 	for _, e := range outs {
-		d.res.Out[e.n] = d.res.Out[e.n].Set(e.l, e.v)
+		d.out[e.slot], d.outSet[e.slot] = e.v, true
 		cur := d.g.Out(e.n)
-		for _, succ := range cur.Seek(e.l) {
-			cs := d.p.Comp[succ]
-			if cs == c {
-				continue
+		succs, slots := cur.SeekSlots(e.l)
+		for k, succ := range succs {
+			if d.p.Comp[succ] != c {
+				d.push(succ, slots[k], e.v)
 			}
-			sacc := d.res.Acc[succ]
-			if e.v.LessEq(sacc.Get(e.l)) {
-				continue
-			}
-			d.res.Acc[succ] = sacc.WeakSet(e.l, e.v)
-			d.seeds[cs] = append(d.seeds[cs], int32(succ))
-			d.pendingIn[cs] = append(d.pendingIn[cs], extIn{n: succ, l: e.l})
 		}
 	}
 	// Reachability: re-run the marking rules of every fired point. Marks are
 	// monotone flips and deferred appends are set-like at the barrier, so
 	// replaying each fired point once reaches the live run's final mark set.
-	for _, li := range run.Fired {
-		n := nodes[li]
-		if d.g.IsPhi(n) {
-			continue
-		}
-		d.replayReach(c, d.prog.Point(ir.PointID(n)))
-	}
-	d.steps += run.Steps
-	d.joins += run.Joins
-	d.widenings += run.Widenings
-	return true
-}
-
-// replayReach is fire's reach propagation with the replay marking rule: internal flips
-// need no worklist (the whole run is replayed), external ones behave exactly
-// like live marks.
-func (d *idriver) replayReach(c int32, pt *ir.Point) {
+	// Internal flips need no worklist (the whole run is replayed); external
+	// ones behave exactly like live marks.
 	mark := func(t ir.PointID) {
-		ct := d.p.Comp[t]
-		switch {
-		case ct == c:
-			d.res.Reached[t] = true
-		case d.sched.HasSucc(c, ct):
-			if !d.res.Reached[t] {
-				d.res.Reached[t] = true
-				d.seeds[ct] = append(d.seeds[ct], int32(t))
-				d.pendingReach[ct] = append(d.pendingReach[ct], t)
-			}
-		default:
-			d.deferred = append(d.deferred, t)
+		if d.p.Comp[t] == c {
+			d.reached[t] = true
+		} else {
+			d.mark(t)
 		}
 	}
-	compsched.ReachTargets(d.prog, d.pre, pt, mark)
+	for _, li := range run.Fired {
+		if n := nodes[li]; !d.g.IsPhi(n) {
+			compsched.ReachTargets(d.prog, d.pre, d.prog.Point(ir.PointID(n)), mark)
+		}
+	}
+	d.steps += int(run.Steps)
+	d.joins += int(run.Joins)
+	d.widenings += int(run.Widenings)
+	return true
 }

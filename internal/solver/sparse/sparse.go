@@ -15,11 +15,13 @@ import (
 
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
+	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
+	"sparrow/internal/solver/compsched"
 	"sparrow/internal/worklist"
 )
 
@@ -69,8 +71,9 @@ const (
 
 // Result is the sparse fixpoint.
 type Result struct {
-	// Acc[n] is the partial memory accumulated at node n over Û(n) (the
-	// join of incoming dependency values).
+	// Acc[n] is the partial memory accumulated at node n over its in-edge
+	// locations (the join of incoming dependency values); for a point these
+	// cover the Û(n) entries any dependency reaches.
 	Acc []mem.Mem
 	// Out[n] is the partial memory produced at node n over D̂(n). By
 	// Lemma 2 it agrees with the dense fixpoint on D̂(n).
@@ -93,40 +96,63 @@ type Result struct {
 	TimedOut bool
 }
 
-type solver struct {
-	prog *ir.Program
-	pre  *prean.Result
-	g    *dug.Graph
-	s    *sem.Sem
-	opt  Options
-	res  *Result
-	wl   *worklist.Worklist
+// store is the fixpoint state during solving, shared by Analyze,
+// AnalyzeComponents and AnalyzeIncremental together with the transfer loop
+// body (fire, pushOuts). The paper's F̂ keeps X(c) only on a set of (node,
+// location) cells fixed before solving, so the state is flat — one value
+// and one bound bit per cell — instead of a persistent memory per node that
+// every changed push would path-copy:
+//
+//   - Out slot cbase[n]+i holds n's output on Defs[n][i] and indexes the
+//     location's widening counter.
+//   - Acc slot g.AccBase(n)+j holds n's accumulated input on
+//     g.InLocs(n)[j]. Values reach a node only along its in-edges, and
+//     those locations are not always in Û(n): linkage delivers values to
+//     Entry and RetBind nodes on locations they redefine.
+//
+// A bound slot may hold bottom, just as mem.Set and mem.WeakSet bind
+// explicit bottoms, so the memories materialized at the end (Result.Acc and
+// Result.Out) have the domains per-node memories would have had.
+type store struct {
+	prog    *ir.Program
+	pre     *prean.Result
+	g       *dug.Graph
+	s       *sem.Sem
+	opt     Options
+	wl      *worklist.Worklist
+	reached []bool
 
-	// counts are the widening safety-valve counters, one per (node, def
-	// location): slot cbase[n]+i counts the value-changing pushes of
-	// Defs[n][i]. Keying the counters by location (not by firing) makes a
-	// location's widening schedule a function of its own update history
-	// alone, which is what lets a solve restricted to a subset of the
-	// locations reproduce the full solve's widening decisions exactly (the
-	// per-checker restricted runs rely on this).
-	counts   []int32
-	cbase    []int32
-	deadline time.Time
+	out, acc       []val.Val
+	outSet, accSet []bool
+	// counts are the widening safety-valve counters, by Out slot: slot
+	// cbase[n]+i counts the value-changing pushes of Defs[n][i]. Keying the
+	// counters by location (not by firing) makes a location's widening
+	// schedule a function of its own update history alone, which is what
+	// lets a solve restricted to a subset of the locations reproduce the
+	// full solve's widening decisions exactly (the per-checker restricted
+	// runs rely on this).
+	counts []int32
+	cbase  []int32
+
+	joins, widenings int
+	deadline         time.Time
+
+	// schedule is called after Acc slot slot of node n grew, and mark for
+	// each control successor of a point that fired; the drivers decide
+	// where the work goes. rec, when non-nil, records a component run for
+	// the incremental driver.
+	schedule func(n dug.NodeID, slot int32)
+	mark     func(t ir.PointID)
+	rec      *recBuf
+
+	// Scratch: memory entries under construction, and the new values of
+	// the fired node's definitions.
+	locs []ir.LocID
+	vals []val.Val
+	nv   []val.Val
 }
 
-// defOffsets returns the prefix sums of len(g.Defs[n]) — the slot bases of
-// the per-(node, location) widening counters.
-func defOffsets(g *dug.Graph) []int32 {
-	n := g.NumNodes()
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + int32(len(g.Defs[i]))
-	}
-	return off
-}
-
-// Analyze runs the sparse analysis over the def-use graph g.
-func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *store {
 	if opt.WidenThreshold == 0 {
 		opt.WidenThreshold = defaultWidenThreshold
 	}
@@ -134,55 +160,124 @@ func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Re
 		opt.EntryWidenDelay = defaultEntryWidenDelay
 	}
 	n := g.NumNodes()
-	cbase := defOffsets(g)
-	sv := &solver{
-		prog: prog,
-		pre:  pre,
-		g:    g,
-		s:    &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
-		opt:  opt,
-		res: &Result{
-			Acc:     make([]mem.Mem, n),
-			Out:     make([]mem.Mem, n),
-			Reached: make([]bool, g.PointCount),
-		},
-		counts: make([]int32, cbase[n]),
-		cbase:  cbase,
-		wl:     worklist.New(n, g.Prio),
+	cbase := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		cbase[i+1] = cbase[i] + int32(len(g.Defs[i]))
+	}
+	st := &store{
+		prog:    prog,
+		pre:     pre,
+		g:       g,
+		s:       &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		opt:     opt,
+		wl:      worklist.New(n, g.Prio),
+		reached: make([]bool, g.PointCount),
+		out:     make([]val.Val, cbase[n]),
+		outSet:  make([]bool, cbase[n]),
+		acc:     make([]val.Val, g.AccSlots()),
+		accSet:  make([]bool, g.AccSlots()),
+		counts:  make([]int32, cbase[n]),
+		cbase:   cbase,
 	}
 	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
+		st.deadline = time.Now().Add(opt.Timeout)
 	}
+	return st
+}
+
+// Analyze runs the sparse analysis over the def-use graph g.
+func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+	st := newStore(prog, pre, g, opt)
+	st.schedule = func(n dug.NodeID, _ int32) { st.wl.Add(int(n)) }
+	st.mark = func(t ir.PointID) {
+		if !st.reached[t] {
+			st.reached[t] = true
+			st.wl.Add(int(t))
+		}
+	}
+	res := &Result{}
 	root := prog.ProcByID(prog.Main)
-	sv.res.Reached[root.Entry] = true
-	sv.wl.Add(int(root.Entry))
+	st.reached[root.Entry] = true
+	st.wl.Add(int(root.Entry))
 	for {
-		id, ok := sv.wl.Take()
+		id, ok := st.wl.Take()
 		if !ok {
 			break
 		}
-		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
-			sv.res.TimedOut = true
+		res.Steps++
+		if st.stop(res.Steps, res.Steps) {
+			res.TimedOut = true
 			break
 		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%256 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				break
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				break
-			}
+		st.fire(dug.NodeID(id))
+	}
+	st.finish(res)
+	return res
+}
+
+// stop reports whether a run must stop before its step-th firing (local
+// counts the firings since the last poll origin): the step budget is spent
+// or, polled every 256 local steps, the deadline passed or the budget
+// breached.
+func (st *store) stop(step, local int) bool {
+	if st.opt.MaxSteps > 0 && step > st.opt.MaxSteps {
+		return true
+	}
+	if (st.opt.Timeout > 0 || st.opt.Budget != nil) && local%256 == 0 {
+		if st.opt.Timeout > 0 && time.Now().After(st.deadline) {
+			return true
 		}
-		sv.fire(dug.NodeID(id))
+		return st.opt.Budget.Poll(rt.PhaseFix) != rt.OK
 	}
-	if opt.Narrow > 0 && !sv.res.TimedOut {
-		sv.narrow(opt.Narrow)
+	return false
+}
+
+// finish materializes the per-node memories into res, runs the descending
+// phase over them, and flushes the work counters.
+func (st *store) finish(res *Result) {
+	n := st.g.NumNodes()
+	res.Reached = st.reached
+	res.Acc = make([]mem.Mem, n)
+	res.Out = make([]mem.Mem, n)
+	for i := 0; i < n; i++ {
+		res.Acc[i] = st.accMem(dug.NodeID(i))
+		b := st.cbase[i]
+		res.Out[i] = st.memOf(st.g.Defs[i], st.out[b:], st.outSet[b:])
 	}
-	flushMetrics(opt.Metrics, sv.res)
-	return sv.res
+	res.Joins, res.Widenings = st.joins, st.widenings
+	if st.opt.Narrow > 0 && !res.TimedOut {
+		st.narrow(res, st.opt.Narrow)
+	}
+	flushMetrics(st.opt.Metrics, res)
+}
+
+// memOf builds the memory of the bound entries among locs, whose values
+// and bound bits start at vals and set.
+func (st *store) memOf(locs []ir.LocID, vals []val.Val, set []bool) mem.Mem {
+	st.locs, st.vals = st.locs[:0], st.vals[:0]
+	for j, l := range locs {
+		if set[j] {
+			st.locs = append(st.locs, l)
+			st.vals = append(st.vals, vals[j])
+		}
+	}
+	return mem.FromSorted(st.locs, st.vals)
+}
+
+// accMem returns node n's accumulated input as a memory.
+func (st *store) accMem(n dug.NodeID) mem.Mem {
+	b := st.g.AccBase(n)
+	return st.memOf(st.g.InLocs(n), st.acc[b:], st.accSet[b:])
+}
+
+// accGet returns node n's accumulated input on l (bottom if unbound).
+func (st *store) accGet(n dug.NodeID, l ir.LocID) val.Val {
+	for j, il := range st.g.InLocs(n) {
+		if il == l {
+			return st.acc[st.g.AccBase(n)+int32(j)]
+		}
+	}
+	return val.Bot
 }
 
 // flushMetrics pushes a completed run's work counters into the collector.
@@ -194,41 +289,46 @@ func flushMetrics(col *metrics.Collector, res *Result) {
 }
 
 // outOf recomputes a node's output memory from its current accumulated
-// input (the f#_c(acc) of the descending phase). ok is false for refuted
-// assumes and unreachable points.
-func (sv *solver) outOf(n dug.NodeID) (mem.Mem, bool) {
-	if sv.g.IsPhi(n) {
-		return sv.res.Acc[n], true
+// input in res (the f#_c(acc) of the descending phase). ok is false for
+// refuted assumes and unreachable points.
+func (st *store) outOf(res *Result, n dug.NodeID) (mem.Mem, bool) {
+	if st.g.IsPhi(n) {
+		return res.Acc[n], true
 	}
-	pt := sv.prog.Point(ir.PointID(n))
-	if !sv.res.Reached[pt.ID] {
+	pt := st.prog.Point(ir.PointID(n))
+	if !res.Reached[pt.ID] {
 		return mem.Bot, false
 	}
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out := sv.res.Acc[n]
-		for _, p := range sv.pre.CalleesOf(pt.ID) {
-			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
-		}
-		return out, true
-	}
-	return sv.s.Transfer(pt, sv.res.Acc[n])
+	return st.transfer(pt, res.Acc[n])
 }
 
-// narrow runs descending Jacobi sweeps: recompute every node's output from
-// its (current) input, rebuild the inputs as the join of dependency
-// predecessors' outputs, and narrow the stored inputs/outputs towards them.
-// Sweeps stop early at stability.
-func (sv *solver) narrow(passes int) {
-	n := sv.g.NumNodes()
+// transfer applies point pt's command to its input; a call binds the
+// formals of every callee. ok is false for a refuted assume.
+func (st *store) transfer(pt *ir.Point, in mem.Mem) (mem.Mem, bool) {
+	if _, isCall := pt.Cmd.(ir.Call); isCall {
+		for _, p := range st.pre.CalleesOf(pt.ID) {
+			in = st.s.BindFormals(pt, st.prog.ProcByID(p), in)
+		}
+		return in, true
+	}
+	return st.s.Transfer(pt, in)
+}
+
+// narrow runs descending Jacobi sweeps over the materialized memories:
+// recompute every node's output from its (current) input, rebuild the
+// inputs as the join of dependency predecessors' outputs, and narrow the
+// stored inputs/outputs towards them. Sweeps stop early at stability.
+func (st *store) narrow(res *Result, passes int) {
+	n := st.g.NumNodes()
 	for pass := 0; pass < passes; pass++ {
-		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			sv.res.TimedOut = true
+		if st.opt.Budget != nil && st.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
+			res.TimedOut = true
 			return
 		}
 		outs := make([]mem.Mem, n)
 		okv := make([]bool, n)
 		for i := 0; i < n; i++ {
-			outs[i], okv[i] = sv.outOf(dug.NodeID(i))
+			outs[i], okv[i] = st.outOf(res, dug.NodeID(i))
 		}
 		// Rebuild inputs from the recomputed outputs.
 		newAcc := make([]mem.Mem, n)
@@ -236,8 +336,8 @@ func (sv *solver) narrow(passes int) {
 			if !okv[i] {
 				continue
 			}
-			cur := sv.g.Out(dug.NodeID(i))
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+			cur := st.g.Out(dug.NodeID(i))
+			for _, l := range st.g.Defs[dug.NodeID(i)] {
 				v := outs[i].Get(l)
 				if v.IsBot() {
 					continue
@@ -249,10 +349,10 @@ func (sv *solver) narrow(passes int) {
 		}
 		stable := true
 		for i := 0; i < n; i++ {
-			na, nch := sv.res.Acc[i].NarrowChanged(newAcc[i])
+			na, nch := res.Acc[i].NarrowChanged(newAcc[i])
 			if nch {
 				stable = false
-				sv.res.Acc[i] = na
+				res.Acc[i] = na
 			}
 		}
 		// Refresh stored outputs from the narrowed inputs so Out keeps
@@ -260,13 +360,13 @@ func (sv *solver) narrow(passes int) {
 		// rebuild only on change — the rebuild binds every def location,
 		// explicit bottoms included, exactly as before.
 		for i := 0; i < n; i++ {
-			out, ok := sv.outOf(dug.NodeID(i))
+			out, ok := st.outOf(res, dug.NodeID(i))
 			if !ok {
 				continue
 			}
 			changed := false
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
-				if _, ch := sv.res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
+			for _, l := range st.g.Defs[dug.NodeID(i)] {
+				if _, ch := res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
 					changed = true
 					break
 				}
@@ -274,12 +374,12 @@ func (sv *solver) narrow(passes int) {
 			if !changed {
 				continue
 			}
-			refreshed := sv.res.Out[i]
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
-				refreshed = refreshed.Set(l, sv.res.Out[i].Get(l).Narrow(out.Get(l)))
+			refreshed := res.Out[i]
+			for _, l := range st.g.Defs[dug.NodeID(i)] {
+				refreshed = refreshed.Set(l, res.Out[i].Get(l).Narrow(out.Get(l)))
 			}
 			stable = false
-			sv.res.Out[i] = refreshed
+			res.Out[i] = refreshed
 		}
 		if stable {
 			return
@@ -288,108 +388,91 @@ func (sv *solver) narrow(passes int) {
 }
 
 // fire processes one node: transfer its command over the accumulated
-// partial memory and push changed definition values along dependencies.
-func (sv *solver) fire(n dug.NodeID) {
-	if sv.g.IsPhi(n) {
-		// A phi joins incoming values of its single location.
-		sv.pushOuts(n, sv.res.Acc[n])
-		return
-	}
-	pt := sv.prog.Point(ir.PointID(n))
-	if !sv.res.Reached[pt.ID] {
-		return // values wait until the point becomes reachable
-	}
-	acc := sv.res.Acc[n]
-	var out mem.Mem
-	ok := true
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out = acc
-		for _, p := range sv.pre.CalleesOf(pt.ID) {
-			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
+// partial memory, mark its control successors reachable, and push changed
+// definition values along dependencies. A phi joins the incoming values of
+// its single location; a point fires only once reachable, and a refuted
+// assume propagates neither values nor reachability.
+func (st *store) fire(n dug.NodeID) {
+	defs := st.g.Defs[n]
+	nv := st.nv[:0]
+	if st.g.IsPhi(n) {
+		for _, l := range defs {
+			nv = append(nv, st.accGet(n, l))
 		}
 	} else {
-		out, ok = sv.s.Transfer(pt, acc)
-	}
-	if !ok {
-		return // refuted assume: no values, no reachability
-	}
-	sv.propagateReach(pt)
-	sv.pushOuts(n, out)
-}
-
-// propagateReach marks the control successors of pt reachable, mirroring
-// the dense solver's interprocedural edges.
-func (sv *solver) propagateReach(pt *ir.Point) {
-	mark := func(t ir.PointID) {
-		if !sv.res.Reached[t] {
-			sv.res.Reached[t] = true
-			sv.wl.Add(int(t))
+		pt := st.prog.Point(ir.PointID(n))
+		if !st.reached[pt.ID] {
+			return // values wait until the point becomes reachable
 		}
-	}
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := sv.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				mark(s)
-			}
+		out, ok := st.transfer(pt, st.accMem(n))
+		if !ok {
 			return
 		}
-		for _, p := range callees {
-			mark(sv.prog.ProcByID(p).Entry)
+		if st.rec != nil {
+			st.rec.fired = append(st.rec.fired, n)
 		}
-	case ir.Exit:
-		for _, rs := range sv.pre.RetSites[pt.Proc] {
-			mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			mark(s)
+		compsched.ReachTargets(st.prog, st.pre, pt, st.mark)
+		for _, l := range defs {
+			nv = append(nv, out.Get(l))
 		}
 	}
+	st.nv = nv
+	st.pushOuts(n, nv)
 }
 
-// pushOuts compares the produced values on D̂(n) against the stored ones,
-// widens at widening nodes, and propagates changed values to dependency
-// successors.
-func (sv *solver) pushOuts(n dug.NodeID, m mem.Mem) {
+// pushOuts joins the produced values nv (one per Defs[n] entry) into n's
+// Out slots, widens at widening nodes, and pushes the changed values to the
+// dependency successors' Acc slots.
+func (st *store) pushOuts(n dug.NodeID, nv []val.Val) {
 	isEntry := false
-	if !sv.g.IsPhi(n) {
-		_, isEntry = sv.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
+	if !st.g.IsPhi(n) {
+		_, isEntry = st.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
 	}
-	base := sv.cbase[n]
-	cur := sv.g.Out(n)
-	for i, l := range sv.g.Defs[n] {
-		nv := m.Get(l)
-		old := sv.res.Out[n].Get(l)
+	cur := st.g.Out(n)
+	for i, l := range st.g.Defs[n] {
+		slot := st.cbase[n] + int32(i)
+		old := st.out[slot]
 		// Fused join: the steady-state case (nv ⊑ old) is a comparison with
 		// no allocation, replacing the Join-then-Eq pair.
-		joined, jch := old.JoinChanged(nv)
+		joined, jch := old.JoinChanged(nv[i])
 		if !jch {
 			continue
 		}
-		cnt := sv.counts[base+int32(i)]
-		sv.counts[base+int32(i)] = cnt + 1
-		sv.res.Joins++
-		forceWiden := int(cnt) > sv.opt.WidenThreshold ||
-			(isEntry && int(cnt) > sv.opt.EntryWidenDelay)
-		if sv.g.Widen[n] || forceWiden {
+		cnt := st.counts[slot]
+		st.counts[slot] = cnt + 1
+		st.joins++
+		forceWiden := int(cnt) > st.opt.WidenThreshold ||
+			(isEntry && int(cnt) > st.opt.EntryWidenDelay)
+		if st.g.Widen[n] || forceWiden {
 			wv, wch := old.WidenChanged(joined)
 			if wch {
-				sv.res.Widenings++
+				st.widenings++
 			}
 			joined = wv
 		}
-		sv.res.Out[n] = sv.res.Out[n].Set(l, joined)
-		for _, succ := range cur.Seek(l) {
-			sacc := sv.res.Acc[succ]
-			if joined.LessEq(sacc.Get(l)) {
-				continue
-			}
-			sv.res.Acc[succ] = sacc.WeakSet(l, joined)
-			sv.wl.Add(int(succ))
+		st.out[slot], st.outSet[slot] = joined, true
+		if st.rec != nil {
+			st.rec.outs = append(st.rec.outs, slotRef{n, slot})
+		}
+		succs, slots := cur.SeekSlots(l)
+		for k, succ := range succs {
+			st.push(succ, slots[k], joined)
 		}
 	}
+}
+
+// push joins v into Acc slot slot of node n (a weak update, binding an
+// unbound slot to v) and schedules n if the slot grew.
+func (st *store) push(n dug.NodeID, slot int32, v val.Val) {
+	old := st.acc[slot]
+	if v.LessEq(old) {
+		return
+	}
+	if st.accSet[slot] {
+		v = old.Join(v)
+	}
+	st.acc[slot], st.accSet[slot] = v, true
+	st.schedule(n, slot)
 }
 
 // ValueAt returns the sparse fixpoint value of location l at point pt: its

@@ -1,17 +1,28 @@
 package sparse
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"sparrow/internal/cgen"
 	"sparrow/internal/dug"
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
+	"sparrow/internal/incr"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/itv"
+	"sparrow/internal/mem"
 	"sparrow/internal/prean"
+	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
+	"sparrow/internal/solver/compsched"
 	"sparrow/internal/solver/dense"
+	"sparrow/internal/worklist"
 )
 
 type pipeline struct {
@@ -587,4 +598,706 @@ func TestDifferentialGenerated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The reference solvers below are the tree-based fixpoint loops the slot
+// store replaced: every node's Acc and Out is a persistent memory, and each
+// changed push path-copies it. They are kept verbatim (renamed) so the slot
+// store can be checked against them value for value and counter for
+// counter; TestSlotStoreMatchesReference and FuzzSlotStore do that.
+
+type refSolver struct {
+	prog *ir.Program
+	pre  *prean.Result
+	g    *dug.Graph
+	s    *sem.Sem
+	opt  Options
+	res  *Result
+	wl   *worklist.Worklist
+
+	// counts are the widening safety-valve counters, one per (node, def
+	// location): slot cbase[n]+i counts the value-changing pushes of
+	// Defs[n][i]. Keying the counters by location (not by firing) makes a
+	// location's widening schedule a function of its own update history
+	// alone, which is what lets a solve restricted to a subset of the
+	// locations reproduce the full solve's widening decisions exactly (the
+	// per-checker restricted runs rely on this).
+	counts   []int32
+	cbase    []int32
+	deadline time.Time
+}
+
+// refDefOffsets returns the prefix sums of len(g.Defs[n]) — the slot bases of
+// the per-(node, location) widening counters.
+func refDefOffsets(g *dug.Graph) []int32 {
+	n := g.NumNodes()
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i] + int32(len(g.Defs[i]))
+	}
+	return off
+}
+
+// refAnalyze is the tree-based Analyze.
+func refAnalyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+	if opt.WidenThreshold == 0 {
+		opt.WidenThreshold = defaultWidenThreshold
+	}
+	if opt.EntryWidenDelay == 0 {
+		opt.EntryWidenDelay = defaultEntryWidenDelay
+	}
+	n := g.NumNodes()
+	cbase := refDefOffsets(g)
+	sv := &refSolver{
+		prog: prog,
+		pre:  pre,
+		g:    g,
+		s:    &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		opt:  opt,
+		res: &Result{
+			Acc:     make([]mem.Mem, n),
+			Out:     make([]mem.Mem, n),
+			Reached: make([]bool, g.PointCount),
+		},
+		counts: make([]int32, cbase[n]),
+		cbase:  cbase,
+		wl:     worklist.New(n, g.Prio),
+	}
+	if opt.Timeout > 0 {
+		sv.deadline = time.Now().Add(opt.Timeout)
+	}
+	root := prog.ProcByID(prog.Main)
+	sv.res.Reached[root.Entry] = true
+	sv.wl.Add(int(root.Entry))
+	for {
+		id, ok := sv.wl.Take()
+		if !ok {
+			break
+		}
+		sv.res.Steps++
+		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
+			sv.res.TimedOut = true
+			break
+		}
+		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%256 == 0 {
+			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
+				sv.res.TimedOut = true
+				break
+			}
+			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
+				sv.res.TimedOut = true
+				break
+			}
+		}
+		sv.fire(dug.NodeID(id))
+	}
+	if opt.Narrow > 0 && !sv.res.TimedOut {
+		sv.narrow(opt.Narrow)
+	}
+	return sv.res
+}
+
+// outOf recomputes a node's output memory from its current accumulated
+// input (the f#_c(acc) of the descending phase). ok is false for refuted
+// assumes and unreachable points.
+func (sv *refSolver) outOf(n dug.NodeID) (mem.Mem, bool) {
+	if sv.g.IsPhi(n) {
+		return sv.res.Acc[n], true
+	}
+	pt := sv.prog.Point(ir.PointID(n))
+	if !sv.res.Reached[pt.ID] {
+		return mem.Bot, false
+	}
+	if _, isCall := pt.Cmd.(ir.Call); isCall {
+		out := sv.res.Acc[n]
+		for _, p := range sv.pre.CalleesOf(pt.ID) {
+			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
+		}
+		return out, true
+	}
+	return sv.s.Transfer(pt, sv.res.Acc[n])
+}
+
+// narrow runs descending Jacobi sweeps: recompute every node's output from
+// its (current) input, rebuild the inputs as the join of dependency
+// predecessors' outputs, and narrow the stored inputs/outputs towards them.
+// Sweeps stop early at stability.
+func (sv *refSolver) narrow(passes int) {
+	n := sv.g.NumNodes()
+	for pass := 0; pass < passes; pass++ {
+		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
+			sv.res.TimedOut = true
+			return
+		}
+		outs := make([]mem.Mem, n)
+		okv := make([]bool, n)
+		for i := 0; i < n; i++ {
+			outs[i], okv[i] = sv.outOf(dug.NodeID(i))
+		}
+		// Rebuild inputs from the recomputed outputs.
+		newAcc := make([]mem.Mem, n)
+		for i := 0; i < n; i++ {
+			if !okv[i] {
+				continue
+			}
+			cur := sv.g.Out(dug.NodeID(i))
+			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+				v := outs[i].Get(l)
+				if v.IsBot() {
+					continue
+				}
+				for _, succ := range cur.Seek(l) {
+					newAcc[succ] = newAcc[succ].WeakSet(l, v)
+				}
+			}
+		}
+		stable := true
+		for i := 0; i < n; i++ {
+			na, nch := sv.res.Acc[i].NarrowChanged(newAcc[i])
+			if nch {
+				stable = false
+				sv.res.Acc[i] = na
+			}
+		}
+		// Refresh stored outputs from the narrowed inputs so Out keeps
+		// agreeing with f#(Acc) on D̂. Detect first (allocation-free), then
+		// rebuild only on change — the rebuild binds every def location,
+		// explicit bottoms included, exactly as before.
+		for i := 0; i < n; i++ {
+			out, ok := sv.outOf(dug.NodeID(i))
+			if !ok {
+				continue
+			}
+			changed := false
+			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+				if _, ch := sv.res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
+					changed = true
+					break
+				}
+			}
+			if !changed {
+				continue
+			}
+			refreshed := sv.res.Out[i]
+			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+				refreshed = refreshed.Set(l, sv.res.Out[i].Get(l).Narrow(out.Get(l)))
+			}
+			stable = false
+			sv.res.Out[i] = refreshed
+		}
+		if stable {
+			return
+		}
+	}
+}
+
+// fire processes one node: transfer its command over the accumulated
+// partial memory and push changed definition values along dependencies.
+func (sv *refSolver) fire(n dug.NodeID) {
+	if sv.g.IsPhi(n) {
+		// A phi joins incoming values of its single location.
+		sv.pushOuts(n, sv.res.Acc[n])
+		return
+	}
+	pt := sv.prog.Point(ir.PointID(n))
+	if !sv.res.Reached[pt.ID] {
+		return // values wait until the point becomes reachable
+	}
+	acc := sv.res.Acc[n]
+	var out mem.Mem
+	ok := true
+	if _, isCall := pt.Cmd.(ir.Call); isCall {
+		out = acc
+		for _, p := range sv.pre.CalleesOf(pt.ID) {
+			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
+		}
+	} else {
+		out, ok = sv.s.Transfer(pt, acc)
+	}
+	if !ok {
+		return // refuted assume: no values, no reachability
+	}
+	sv.propagateReach(pt)
+	sv.pushOuts(n, out)
+}
+
+// propagateReach marks the control successors of pt reachable, mirroring
+// the dense solver's interprocedural edges.
+func (sv *refSolver) propagateReach(pt *ir.Point) {
+	mark := func(t ir.PointID) {
+		if !sv.res.Reached[t] {
+			sv.res.Reached[t] = true
+			sv.wl.Add(int(t))
+		}
+	}
+	switch pt.Cmd.(type) {
+	case ir.Call:
+		callees := sv.pre.CalleesOf(pt.ID)
+		if len(callees) == 0 {
+			for _, s := range pt.Succs {
+				mark(s)
+			}
+			return
+		}
+		for _, p := range callees {
+			mark(sv.prog.ProcByID(p).Entry)
+		}
+	case ir.Exit:
+		for _, rs := range sv.pre.RetSites[pt.Proc] {
+			mark(rs)
+		}
+	default:
+		for _, s := range pt.Succs {
+			mark(s)
+		}
+	}
+}
+
+// pushOuts compares the produced values on D̂(n) against the stored ones,
+// widens at widening nodes, and propagates changed values to dependency
+// successors.
+func (sv *refSolver) pushOuts(n dug.NodeID, m mem.Mem) {
+	isEntry := false
+	if !sv.g.IsPhi(n) {
+		_, isEntry = sv.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
+	}
+	base := sv.cbase[n]
+	cur := sv.g.Out(n)
+	for i, l := range sv.g.Defs[n] {
+		nv := m.Get(l)
+		old := sv.res.Out[n].Get(l)
+		// Fused join: the steady-state case (nv ⊑ old) is a comparison with
+		// no allocation, replacing the Join-then-Eq pair.
+		joined, jch := old.JoinChanged(nv)
+		if !jch {
+			continue
+		}
+		cnt := sv.counts[base+int32(i)]
+		sv.counts[base+int32(i)] = cnt + 1
+		sv.res.Joins++
+		forceWiden := int(cnt) > sv.opt.WidenThreshold ||
+			(isEntry && int(cnt) > sv.opt.EntryWidenDelay)
+		if sv.g.Widen[n] || forceWiden {
+			wv, wch := old.WidenChanged(joined)
+			if wch {
+				sv.res.Widenings++
+			}
+			joined = wv
+		}
+		sv.res.Out[n] = sv.res.Out[n].Set(l, joined)
+		for _, succ := range cur.Seek(l) {
+			sacc := sv.res.Acc[succ]
+			if joined.LessEq(sacc.Get(l)) {
+				continue
+			}
+			sv.res.Acc[succ] = sacc.WeakSet(l, joined)
+			sv.wl.Add(int(succ))
+		}
+	}
+}
+
+// refAnalyzeComponents is the tree-based AnalyzeComponents: it runs the
+// sparse analysis over the def-use graph's component partition in the
+// sequential wave schedule. Result.Rounds counts the waves.
+func refAnalyzeComponents(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+	if opt.WidenThreshold == 0 {
+		opt.WidenThreshold = defaultWidenThreshold
+	}
+	if opt.EntryWidenDelay == 0 {
+		opt.EntryWidenDelay = defaultEntryWidenDelay
+	}
+	n := g.NumNodes()
+	p := g.Partition()
+	cs := &refCSolver{
+		prog: prog,
+		pre:  pre,
+		g:    g,
+		p:    p,
+		s:    &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		wl:   worklist.New(n, g.Prio),
+		opt:  opt,
+		res: &Result{
+			Acc:     make([]mem.Mem, n),
+			Out:     make([]mem.Mem, n),
+			Reached: make([]bool, g.PointCount),
+		},
+		cbase: refDefOffsets(g),
+		seeds: make([][]int32, p.NumComps()),
+		sched: compsched.BuildSched(prog, pre, p),
+	}
+	cs.counts = make([]int32, cs.cbase[n])
+	if opt.Timeout > 0 {
+		cs.deadline = time.Now().Add(opt.Timeout)
+	}
+
+	cs.applyMarks([]ir.PointID{prog.ProcByID(prog.Main).Entry})
+	hasWork := func(c int32) bool { return len(cs.seeds[c]) > 0 }
+	for cs.anySeeds() && !cs.timedOut {
+		cs.res.Rounds++
+		cs.sched.Wave(hasWork, cs.runComponent)
+		sort.Slice(cs.deferred, func(i, j int) bool { return cs.deferred[i] < cs.deferred[j] })
+		cs.applyMarks(cs.deferred)
+		cs.deferred = cs.deferred[:0]
+	}
+
+	cs.res.Steps = cs.steps
+	cs.res.TimedOut = cs.timedOut
+	if opt.Narrow > 0 && !cs.res.TimedOut {
+		// The descending phase is a whole-graph Jacobi sweep; reuse the
+		// global-worklist implementation over the converged state.
+		sv := &refSolver{prog: prog, pre: pre, g: g, s: cs.s, opt: opt, res: cs.res}
+		sv.narrow(opt.Narrow)
+	}
+	return cs.res
+}
+
+// refCSolver is the state of one component solve.
+type refCSolver struct {
+	prog  *ir.Program
+	pre   *prean.Result
+	g     *dug.Graph
+	p     *dug.Partition
+	s     *sem.Sem
+	wl    *worklist.Worklist
+	opt   Options
+	res   *Result
+	sched *compsched.Sched
+
+	// counts/cbase mirror refSolver.counts: one widening counter per (node,
+	// def location), slot cbase[n]+i for Defs[n][i].
+	counts []int32
+	cbase  []int32
+
+	// seeds[c] is component c's bucket of nodes to enqueue on its next run;
+	// deferred buffers the backward reach marks of the current wave.
+	seeds    [][]int32
+	deferred []ir.PointID
+
+	comp     int32 // the running component
+	steps    int
+	timedOut bool
+	deadline time.Time
+}
+
+// applyMarks sets the given points reachable, seeds their components, and
+// transitively closes reachability through non-assume points: every command
+// except Assume propagates control reachability unconditionally once it
+// fires (sem.Transfer fails only on refuted assumes), so marking their
+// control successors eagerly reaches the same final set the firing would —
+// without spending a wave per control step. Assumes stop the closure: their
+// propagation waits for the value fixpoint to decide refutation. The closure
+// order is deterministic given a deterministically-ordered queue.
+func (cs *refCSolver) applyMarks(queue []ir.PointID) {
+	q := append([]ir.PointID(nil), queue...)
+	push := func(t ir.PointID) {
+		if !cs.res.Reached[t] {
+			q = append(q, t)
+		}
+	}
+	for i := 0; i < len(q); i++ {
+		t := q[i]
+		if cs.res.Reached[t] {
+			continue
+		}
+		cs.res.Reached[t] = true
+		c := cs.p.Comp[t]
+		cs.seeds[c] = append(cs.seeds[c], int32(t))
+		pt := cs.prog.Point(t)
+		if _, isAssume := pt.Cmd.(ir.Assume); !isAssume {
+			compsched.ReachTargets(cs.prog, cs.pre, pt, push)
+		}
+	}
+}
+
+func (cs *refCSolver) anySeeds() bool {
+	for _, s := range cs.seeds {
+		if len(s) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// runComponent runs the priority-worklist transfer loop over one component's
+// node slice. Seeds are sorted before enqueueing so the local schedule is
+// canonical; the worklist drains completely, leaving it ready for reuse.
+func (cs *refCSolver) runComponent(c int32) {
+	cs.comp = c
+	seeds := cs.seeds[c]
+	cs.seeds[c] = nil
+	if len(seeds) == 0 || cs.timedOut {
+		return
+	}
+	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	for _, s := range seeds {
+		cs.wl.Add(int(s))
+	}
+	local := 0
+	for {
+		id, ok := cs.wl.Take()
+		if !ok {
+			break
+		}
+		if cs.timedOut {
+			continue // drain so the worklist is clean for the next component
+		}
+		local++
+		cs.steps++
+		if cs.opt.MaxSteps > 0 && cs.steps > cs.opt.MaxSteps {
+			cs.timedOut = true
+			continue
+		}
+		if (cs.opt.Timeout > 0 || cs.opt.Budget != nil) && local%256 == 0 {
+			if cs.opt.Timeout > 0 && time.Now().After(cs.deadline) {
+				cs.timedOut = true
+				continue
+			}
+			if cs.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
+				cs.timedOut = true
+				continue
+			}
+		}
+		cs.fire(dug.NodeID(id))
+	}
+}
+
+// fire mirrors refSolver.fire with component-aware propagation.
+func (cs *refCSolver) fire(n dug.NodeID) {
+	if cs.g.IsPhi(n) {
+		cs.pushOuts(n, cs.res.Acc[n])
+		return
+	}
+	pt := cs.prog.Point(ir.PointID(n))
+	if !cs.res.Reached[pt.ID] {
+		return // values wait until the point becomes reachable
+	}
+	acc := cs.res.Acc[n]
+	var out mem.Mem
+	ok := true
+	if _, isCall := pt.Cmd.(ir.Call); isCall {
+		out = acc
+		for _, p := range cs.pre.CalleesOf(pt.ID) {
+			out = cs.s.BindFormals(pt, cs.prog.ProcByID(p), out)
+		}
+	} else {
+		out, ok = cs.s.Transfer(pt, acc)
+	}
+	if !ok {
+		return // refuted assume: no values, no reachability
+	}
+	compsched.ReachTargets(cs.prog, cs.pre, pt, cs.mark)
+	cs.pushOuts(n, out)
+}
+
+// mark records reachability of t. Inside the running component it feeds the
+// local worklist; in a scheduling-DAG successor (which has not run yet this
+// wave) it seeds that component; anywhere else — a backward reach edge — it
+// is deferred to the end of the wave.
+func (cs *refCSolver) mark(t ir.PointID) {
+	ct := cs.p.Comp[t]
+	switch {
+	case ct == cs.comp:
+		if !cs.res.Reached[t] {
+			cs.res.Reached[t] = true
+			cs.wl.Add(int(t))
+		}
+	case cs.sched.HasSucc(cs.comp, ct):
+		if !cs.res.Reached[t] {
+			cs.res.Reached[t] = true
+			cs.seeds[ct] = append(cs.seeds[ct], int32(t))
+		}
+	default:
+		cs.deferred = append(cs.deferred, t)
+	}
+}
+
+// pushOuts mirrors refSolver.pushOuts. Dependency edges that leave the
+// component are condensation edges by construction, so the target is a
+// direct DAG successor that has not run yet this wave: the join is staged
+// into its Acc and the target node seeded.
+func (cs *refCSolver) pushOuts(n dug.NodeID, m mem.Mem) {
+	isEntry := false
+	if !cs.g.IsPhi(n) {
+		_, isEntry = cs.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
+	}
+	base := cs.cbase[n]
+	cur := cs.g.Out(n)
+	for i, l := range cs.g.Defs[n] {
+		nv := m.Get(l)
+		old := cs.res.Out[n].Get(l)
+		// Fused join, mirroring the global-worklist refSolver bit for bit.
+		joined, jch := old.JoinChanged(nv)
+		if !jch {
+			continue
+		}
+		cnt := cs.counts[base+int32(i)]
+		cs.counts[base+int32(i)] = cnt + 1
+		cs.res.Joins++
+		forceWiden := int(cnt) > cs.opt.WidenThreshold ||
+			(isEntry && int(cnt) > cs.opt.EntryWidenDelay)
+		if cs.g.Widen[n] || forceWiden {
+			wv, wch := old.WidenChanged(joined)
+			if wch {
+				cs.res.Widenings++
+			}
+			joined = wv
+		}
+		cs.res.Out[n] = cs.res.Out[n].Set(l, joined)
+		for _, succ := range cur.Seek(l) {
+			sacc := cs.res.Acc[succ]
+			if joined.LessEq(sacc.Get(l)) {
+				continue
+			}
+			cs.res.Acc[succ] = sacc.WeakSet(l, joined)
+			if c := cs.p.Comp[succ]; c == cs.comp {
+				cs.wl.Add(int(succ))
+			} else {
+				cs.seeds[c] = append(cs.seeds[c], int32(succ))
+			}
+		}
+	}
+}
+
+// slotStoreInputs are the reference test's programs: the corpus files,
+// cgen.Fuzz programs with gotos and switches, and the first two programs of
+// the seed-7 gen-4000 suite (sparse-4k).
+func slotStoreInputs(t *testing.T) map[string]string {
+	t.Helper()
+	srcs := map[string]string{}
+	paths, err := filepath.Glob("../../../testdata/corpus/*.c")
+	if err != nil || len(paths) != 14 {
+		t.Fatalf("corpus glob: %d files, %v", len(paths), err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(p)] = string(b)
+	}
+	for _, seed := range []uint64{1, 2, 41} {
+		srcs[fmt.Sprintf("fuzz-%d", seed)] = cgen.Generate(gotoSwitchFuzz(seed, 600))
+	}
+	for i := uint64(0); i < 2; i++ {
+		srcs[fmt.Sprintf("gen-4000-7-%d", i)] = cgen.Generate(cgen.Default(7<<16|i, 4000))
+	}
+	return srcs
+}
+
+// gotoSwitchFuzz is the cgen.Fuzz configuration of seed with gotos and
+// switches forced on.
+func gotoSwitchFuzz(seed uint64, stmts int) cgen.Config {
+	c := cgen.Fuzz(seed, stmts)
+	c.Gotos = true
+	if c.SwitchEvery == 0 {
+		c.SwitchEvery = 5
+	}
+	return c
+}
+
+// checkSlotStore solves src with the global, component and cold incremental
+// solvers, with and without narrowing and, unless bypassOnly, the chain
+// bypass, and requires each result to equal the tree-based reference's: the
+// same reachability, Eq and Len on every Acc and Out, and the same work
+// counters.
+func checkSlotStore(t *testing.T, name, src string, bypassOnly bool) {
+	t.Helper()
+	f, err := parser.Parse(name, src)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", name, err)
+	}
+	prog, err := lower.File(f)
+	if err != nil {
+		t.Fatalf("%s: lower: %v", name, err)
+	}
+	pre := prean.Run(prog)
+	for _, bypass := range []bool{true, false} {
+		if !bypass && bypassOnly {
+			break
+		}
+		g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
+		for _, narrow := range []int{0, 2} {
+			opt := Options{Narrow: narrow}
+			label := fmt.Sprintf("%s bypass=%v narrow=%d", name, bypass, narrow)
+			assertSameSolve(t, label+" global", g, refAnalyze(prog, pre, g, opt), Analyze(prog, pre, g, opt))
+			comp := refAnalyzeComponents(prog, pre, g, opt)
+			assertSameSolve(t, label+" components", g, comp, AnalyzeComponents(prog, pre, g, opt))
+			if narrow != 0 {
+				continue // the incremental solver has no descending phase
+			}
+			cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+			inc, _, err := AnalyzeIncremental(prog, pre, g, opt, cache)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameSolve(t, label+" incremental", g, comp, inc)
+		}
+	}
+}
+
+// assertSameSolve requires equal reachability, memories (Eq and Len) and
+// counters.
+func assertSameSolve(t *testing.T, label string, g *dug.Graph, want, got *Result) {
+	t.Helper()
+	assertSameCounters(t, label, want, got)
+	if want.TimedOut != got.TimedOut {
+		t.Errorf("%s: timed out %v vs %v", label, want.TimedOut, got.TimedOut)
+	}
+	bad := 0
+	for pt := range want.Reached {
+		if want.Reached[pt] != got.Reached[pt] && bad < 5 {
+			bad++
+			t.Errorf("%s: point %d reachability %v vs %v", label, pt, want.Reached[pt], got.Reached[pt])
+		}
+	}
+	for n := 0; n < g.NumNodes() && bad < 5; n++ {
+		for _, m := range []struct {
+			kind      string
+			want, got mem.Mem
+		}{{"Acc", want.Acc[n], got.Acc[n]}, {"Out", want.Out[n], got.Out[n]}} {
+			if !m.want.Eq(m.got) || m.want.Len() != m.got.Len() {
+				bad++
+				t.Errorf("%s: node %d %s differs:\n want %s\n got  %s", label, n, m.kind, m.want, m.got)
+			}
+		}
+	}
+}
+
+// TestSlotStoreMatchesReference pins the slot store to the tree-based
+// reference solvers over the corpus, goto/switch fuzz programs and gen-4000.
+// The gen-4000 programs run with the bypass only (the CLI default): without
+// it the reference takes seconds per solve.
+func TestSlotStoreMatchesReference(t *testing.T) {
+	for name, src := range slotStoreInputs(t) {
+		t.Run(name, func(t *testing.T) { checkSlotStore(t, name, src, strings.HasPrefix(name, "gen-")) })
+	}
+}
+
+// FuzzSlotStore compares the slot store with the reference on cgen.Fuzz
+// programs with gotos and switches; the seed corpus also draws one corpus
+// file and one gen-4000 program.
+func FuzzSlotStore(f *testing.F) {
+	f.Add(uint8(0), uint64(3))
+	f.Add(uint8(1), uint64(7))
+	f.Add(uint8(1), uint64(41))
+	f.Add(uint8(2), uint64(5))
+	paths, err := filepath.Glob("../../../testdata/corpus/*.c")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("corpus glob: %d files, %v", len(paths), err)
+	}
+	f.Fuzz(func(t *testing.T, set uint8, seed uint64) {
+		switch set % 3 {
+		case 0:
+			p := paths[seed%uint64(len(paths))]
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSlotStore(t, filepath.Base(p), string(b), false)
+		case 1:
+			checkSlotStore(t, fmt.Sprintf("fuzz-%d", seed), cgen.Generate(gotoSwitchFuzz(seed, 300)), false)
+		default:
+			checkSlotStore(t, fmt.Sprintf("gen-4000-7-%d", seed%64), cgen.Generate(cgen.Default(7<<16|seed%64, 4000)), true)
+		}
+	})
 }
