@@ -269,3 +269,54 @@ func (b *Budget) Checkpoint(p Phase) {
 		panic(&Abort{Reason: r, Phase: p})
 	}
 }
+
+// Limits is the stop check of the fixpoint worklist loops: a step budget, a
+// wall-clock timeout and a Budget poll, the latter two amortized over a
+// stride of local steps. The zero Limits never stops a loop.
+type Limits struct {
+	maxSteps int
+	deadline time.Time // zero: no timeout
+	bud      *Budget
+	stride   int
+	poll     bool // a timeout or a budget is set
+	phase    Phase
+	abort    bool // Checkpoint instead of Poll
+}
+
+// NewLimits returns the stop check of a fixpoint loop that may return a
+// partial result: stop after maxSteps steps (0 = none) or, polled every
+// stride local steps, once timeout (0 = none) has passed since this call or
+// bud breaches in PhaseFix.
+func NewLimits(maxSteps int, timeout time.Duration, bud *Budget, stride int) Limits {
+	l := Limits{maxSteps: maxSteps, bud: bud, stride: stride, poll: timeout > 0 || bud != nil, phase: PhaseFix}
+	if timeout > 0 {
+		l.deadline = time.Now().Add(timeout)
+	}
+	return l
+}
+
+// AbortLimits returns the stop check of a loop that cannot return a partial
+// result: it never stops the loop, but every stride local steps it runs
+// bud.Checkpoint(phase), which panics with *Abort on a breach.
+func AbortLimits(bud *Budget, phase Phase, stride int) Limits {
+	return Limits{bud: bud, stride: stride, poll: bud != nil, phase: phase, abort: true}
+}
+
+// Stop reports whether a loop must stop before its step-th step; local
+// counts the steps since the loop's last poll origin.
+func (l *Limits) Stop(step, local int) bool {
+	if l.maxSteps > 0 && step > l.maxSteps {
+		return true
+	}
+	if !l.poll || local%l.stride != 0 {
+		return false
+	}
+	if !l.deadline.IsZero() && time.Now().After(l.deadline) {
+		return true
+	}
+	if l.abort {
+		l.bud.Checkpoint(l.phase)
+		return false
+	}
+	return l.bud.Poll(l.phase) != OK
+}

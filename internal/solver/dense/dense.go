@@ -112,7 +112,7 @@ type solver struct {
 
 	counts   []int32
 	accCache [][]ir.LocID // per proc: accessed set (Localize only)
-	deadline time.Time
+	lim      rt.Limits
 }
 
 // Analyze runs the dense analysis of prog using the pre-analysis pre for
@@ -142,9 +142,7 @@ func Analyze(prog *ir.Program, pre *prean.Result, opt Options) *Result {
 			sv.accCache[pr.ID] = pre.Accessed(pr.ID)
 		}
 	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
+	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, 256)
 	sv.run()
 	if opt.Narrow > 0 && !sv.res.TimedOut {
 		sv.narrow(opt.Narrow)
@@ -167,19 +165,9 @@ func (sv *solver) run() {
 			return
 		}
 		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
+		if sv.lim.Stop(sv.res.Steps, sv.res.Steps) {
 			sv.res.TimedOut = true
 			return
-		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%256 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				return
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				return
-			}
 		}
 		sv.step(sv.prog.Point(ir.PointID(id)))
 	}

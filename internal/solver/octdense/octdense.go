@@ -74,7 +74,7 @@ type solver struct {
 
 	counts   []int32
 	accCache [][]pack.ID
-	deadline time.Time
+	lim      rt.Limits
 }
 
 // Analyze runs the dense relational analysis with the given packing
@@ -105,9 +105,7 @@ func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, src *dug.Source
 			sv.accCache[pr.ID] = octsem.Accessed(src, pr.ID)
 		}
 	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
+	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, 64)
 	sv.run()
 	if opt.Narrow > 0 && !sv.res.TimedOut {
 		sv.narrow(opt.Narrow)
@@ -132,19 +130,9 @@ func (sv *solver) run() {
 			return
 		}
 		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
+		if sv.lim.Stop(sv.res.Steps, sv.res.Steps) {
 			sv.res.TimedOut = true
 			return
-		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%64 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				return
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				return
-			}
 		}
 		sv.step(sv.prog.Point(ir.PointID(id)))
 	}
