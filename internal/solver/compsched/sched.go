@@ -1,5 +1,6 @@
-// Package compsched is the sequential component schedule shared by the
-// component solvers (interval and octagon) and the incremental driver.
+// Package compsched is the sparse solvers' shared driver (Driver): the
+// global worklist and the sequential component schedule, used by the
+// interval and octagon solvers and the incremental solver alike.
 //
 // The def-use graph's SCC condensation is a DAG of components
 // (dug.Partition), numbered topologically. Values flow only along
@@ -9,7 +10,7 @@
 // topologically forward reach edge to the condensation (BuildSched). A wave
 // runs the components with work in ascending order (Sched.Wave); marks along
 // backward reach edges — loop back edges, recursive returns — are deferred
-// by the solvers to the end of the wave, and waves repeat until no work is
+// by the driver to the end of the wave, and waves repeat until no work is
 // left.
 package compsched
 

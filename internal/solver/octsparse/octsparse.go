@@ -1,6 +1,8 @@
 // Package octsparse implements the sparse fixpoint of the packed relational
 // analysis (Octagon_sparse of Table 3): octagon pack values propagate along
-// the pack-level def-use graph instead of control flow.
+// the pack-level def-use graph instead of control flow. The schedules — one
+// global worklist, or the component waves — are compsched.Driver's, shared
+// with the interval solver.
 package octsparse
 
 import (
@@ -9,12 +11,11 @@ import (
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
-	"sparrow/internal/oct"
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
-	"sparrow/internal/worklist"
+	"sparrow/internal/solver/compsched"
 )
 
 // Options configures the sparse octagon solver (see the interval sparse
@@ -36,6 +37,8 @@ type Options struct {
 const (
 	defaultWidenThreshold  = 40
 	defaultEntryWidenDelay = 4
+	// pollStride is the number of firings between two Timeout/Budget polls.
+	pollStride = 64
 )
 
 // Result is the sparse relational fixpoint.
@@ -55,23 +58,28 @@ type Result struct {
 	TimedOut bool
 }
 
-type solver struct {
+// state is the octagon half of a sparse solve, shared by Analyze and
+// AnalyzeComponents: the per-node pack memories and the transfer loop body
+// (fire, pushOuts). The scheduling half is the compsched.Driver d.
+type state struct {
 	prog *ir.Program
 	pre  *prean.Result
 	g    *dug.Graph
 	s    *octsem.Sem
 	opt  Options
-	res  *Result
-	wl   *worklist.Worklist
+	d    *compsched.Driver
 
-	counts   []int32
-	rootEnt  ir.PointID
-	deadline time.Time
+	acc, out []octsem.OMem
+	// counts are the widening safety-valve counters, one per node: a
+	// firing that changed any of the node's packs counts once. (The
+	// interval solver counts per (node, location); switching would change
+	// the octagon joins and widenings.)
+	counts           []int32
+	joins, widenings int
+	rootEnt          ir.PointID
 }
 
-// Analyze runs the sparse relational analysis over the pack-level def-use
-// graph g.
-func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
+func newState(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *state {
 	if opt.WidenThreshold == 0 {
 		opt.WidenThreshold = defaultWidenThreshold
 	}
@@ -79,133 +87,110 @@ func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, o
 		opt.EntryWidenDelay = defaultEntryWidenDelay
 	}
 	n := g.NumNodes()
-	sv := &solver{
-		prog: prog,
-		pre:  pre,
-		g:    g,
-		s:    s,
-		opt:  opt,
-		res: &Result{
-			Acc:     make([]octsem.OMem, n),
-			Out:     make([]octsem.OMem, n),
-			Reached: make([]bool, g.PointCount),
-		},
-		counts: make([]int32, n),
-		wl:     worklist.New(n, g.Prio),
+	st := &state{
+		prog:    prog,
+		pre:     pre,
+		g:       g,
+		s:       s,
+		opt:     opt,
+		acc:     make([]octsem.OMem, n),
+		out:     make([]octsem.OMem, n),
+		counts:  make([]int32, n),
+		rootEnt: prog.ProcByID(prog.Main).Entry,
 	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
-	root := prog.ProcByID(prog.Main)
-	sv.rootEnt = root.Entry
-	sv.res.Reached[root.Entry] = true
-	sv.wl.Add(int(root.Entry))
-	for {
-		id, ok := sv.wl.Take()
-		if !ok {
-			break
-		}
-		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
-			sv.res.TimedOut = true
-			break
-		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%64 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				break
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				break
-			}
-		}
-		sv.fire(dug.NodeID(id))
-	}
-	opt.Metrics.Add(metrics.CtrPops, int64(sv.res.Steps))
-	opt.Metrics.Add(metrics.CtrJoins, int64(sv.res.Joins))
-	opt.Metrics.Add(metrics.CtrWidenings, int64(sv.res.Widenings))
-	return sv.res
+	st.d = compsched.NewDriver(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
+	return st
 }
 
-func (sv *solver) fire(n dug.NodeID) {
-	if sv.g.IsPhi(n) {
-		sv.pushOuts(n, sv.res.Acc[n])
-		return
-	}
-	pt := sv.prog.Point(ir.PointID(n))
-	if !sv.res.Reached[pt.ID] {
-		return
-	}
-	acc := sv.res.Acc[n]
-	if pt.ID == sv.rootEnt {
-		// The root entry injects the arbitrary initial state.
-		sv.propagateReach(pt)
-		sv.pushOuts(n, sv.s.TopState())
-		return
-	}
-	var out octsem.OMem
-	ok := true
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out = acc
-		for _, p := range sv.pre.CalleesOf(pt.ID) {
-			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
-		}
-	} else {
-		out, ok = sv.s.Transfer(pt, acc)
-	}
-	if !ok {
-		return
-	}
-	sv.propagateReach(pt)
-	sv.pushOuts(n, out)
+// Analyze runs the sparse relational analysis over the pack-level def-use
+// graph g with one global worklist.
+func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
+	st := newState(prog, pre, s, g, opt)
+	st.d.Global()
+	return st.finish()
 }
 
-func (sv *solver) propagateReach(pt *ir.Point) {
-	mark := func(t ir.PointID) {
-		if !sv.res.Reached[t] {
-			sv.res.Reached[t] = true
-			sv.wl.Add(int(t))
-		}
+// AnalyzeComponents runs the sparse relational analysis over the def-use
+// graph's component partition in the sequential wave schedule. Result.Rounds
+// counts the waves.
+func AnalyzeComponents(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
+	st := newState(prog, pre, s, g, opt)
+	st.d.Components()
+	return st.finish()
+}
+
+// finish builds the result and flushes the work counters.
+func (st *state) finish() *Result {
+	d := st.d
+	res := &Result{
+		Acc:       st.acc,
+		Out:       st.out,
+		Reached:   d.Reached,
+		Steps:     d.Steps,
+		Joins:     st.joins,
+		Widenings: st.widenings,
+		Rounds:    d.Rounds,
+		TimedOut:  d.TimedOut,
 	}
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := sv.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				mark(s)
-			}
-			return
-		}
-		for _, p := range callees {
-			mark(sv.prog.ProcByID(p).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range sv.pre.RetSites[pt.Proc] {
-			mark(rs)
+	col := st.opt.Metrics
+	col.Add(metrics.CtrPops, int64(res.Steps))
+	col.Add(metrics.CtrJoins, int64(res.Joins))
+	col.Add(metrics.CtrWidenings, int64(res.Widenings))
+	col.Add(metrics.CtrRounds, int64(res.Rounds))
+	return res
+}
+
+// fire processes one node: transfer its command over the accumulated pack
+// state, mark its control successors reachable, and push the changed packs
+// along dependencies. A phi forwards its accumulated state; the root entry
+// injects the arbitrary initial state; a point fires only once reachable,
+// and a refuted assume propagates neither values nor reachability.
+func (st *state) fire(n dug.NodeID) {
+	if st.g.IsPhi(n) {
+		st.pushOuts(n, st.acc[n])
+		return
+	}
+	pt := st.prog.Point(ir.PointID(n))
+	if !st.d.Reached[pt.ID] {
+		return
+	}
+	out := st.acc[n]
+	switch _, isCall := pt.Cmd.(ir.Call); {
+	case pt.ID == st.rootEnt:
+		out = st.s.TopState()
+	case isCall:
+		for _, p := range st.pre.CalleesOf(pt.ID) {
+			out = st.s.BindFormals(pt, st.prog.ProcByID(p), out)
 		}
 	default:
-		for _, s := range pt.Succs {
-			mark(s)
+		var ok bool
+		if out, ok = st.s.Transfer(pt, out); !ok {
+			return
 		}
 	}
+	st.d.MarkSuccs(pt)
+	st.pushOuts(n, out)
 }
 
-func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
-	forceWiden := int(sv.counts[n]) > sv.opt.WidenThreshold
-	if !forceWiden && !sv.g.IsPhi(n) && int(sv.counts[n]) > sv.opt.EntryWidenDelay {
-		if _, isEntry := sv.prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
+// pushOuts joins the produced packs of m into n's output, widens at
+// widening nodes (and, past the safety-valve thresholds, everywhere), and
+// joins the changed packs into the dependency successors' accumulated
+// states, scheduling each successor whose state grew.
+func (st *state) pushOuts(n dug.NodeID, m octsem.OMem) {
+	forceWiden := int(st.counts[n]) > st.opt.WidenThreshold
+	if !forceWiden && !st.g.IsPhi(n) && int(st.counts[n]) > st.opt.EntryWidenDelay {
+		if _, isEntry := st.prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
 			forceWiden = true
 		}
 	}
 	changed := false
-	cur := sv.g.Out(n)
-	for _, l := range sv.g.Defs[n] {
+	cur := st.g.Out(n)
+	for _, l := range st.g.Defs[n] {
 		nv := m.Get(l)
 		if nv == nil {
 			continue
 		}
-		old := sv.res.Out[n].Get(l)
+		old := st.out[n].Get(l)
 		joined := nv
 		if old != nil {
 			// Fused join: the unchanged case previously paid a separate Eq,
@@ -216,10 +201,10 @@ func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
 			if !jch {
 				continue
 			}
-			if sv.g.Widen[n] || forceWiden {
+			if st.g.Widen[n] || forceWiden {
 				wv := old.Widen(joined)
 				if !wv.Eq(joined) {
-					sv.res.Widenings++
+					st.widenings++
 				}
 				joined = wv
 			}
@@ -227,32 +212,26 @@ func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
 			continue
 		}
 		changed = true
-		sv.res.Joins++
-		sv.res.Out[n] = sv.res.Out[n].Set(l, joined)
+		st.joins++
+		st.out[n] = st.out[n].Set(l, joined)
 		for _, succ := range cur.Seek(l) {
-			sacc := sv.res.Acc[succ]
-			next, ok := deliver(sacc.Get(l), joined)
-			if !ok {
-				continue
+			// Change detection and the join are one pass: nothing is built
+			// when the pushed pack is already included.
+			sacc := st.acc[succ]
+			next := joined
+			if prev := sacc.Get(l); prev != nil {
+				var ch bool
+				if next, ch = prev.JoinChanged(joined); !ch {
+					continue
+				}
 			}
-			sv.res.Acc[succ] = sacc.Set(l, next)
-			sv.wl.Add(int(succ))
+			st.acc[succ] = sacc.Set(l, next)
+			st.d.Schedule(succ)
 		}
 	}
 	if changed {
-		sv.counts[n]++
+		st.counts[n]++
 	}
-}
-
-// deliver joins a pushed pack value v into a successor's accumulated value
-// old (nil when none has arrived) and reports whether the accumulation
-// changed. Change detection and the join are one pass: nothing is built
-// when v is already included.
-func deliver(old, v *oct.Oct) (*oct.Oct, bool) {
-	if old == nil {
-		return v, true
-	}
-	return old.JoinChanged(v)
 }
 
 // ValueAt returns the fixpoint pack state tracked at point pt for pack p.

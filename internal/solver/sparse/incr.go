@@ -1,7 +1,7 @@
 // Incremental sparse solver: a trace-replay memoization layer over the
 // canonical sequential component schedule. It is the AnalyzeComponents
-// driver — same scheduling DAG, same waves, same worklist loop — with a memo
-// that brackets every component run with a protocol:
+// solver — same driver, scheduling DAG, waves and worklist loop — with a
+// memo that brackets every component run with a protocol:
 //
 //	key(c, run k) = H(chain_{k-1}(c) ∥ inputHash_k(c)),  chain_0 = structHash(c)
 //
@@ -98,12 +98,15 @@ func AnalyzeIncremental(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt O
 	m := &memo{
 		cache:        cache,
 		namer:        namer,
+		p:            p,
 		chain:        incr.StructHashes(prog, pre, g, namer),
 		pendingReach: make([][]ir.PointID, p.NumComps()),
 		pendingIn:    make([][]slotRef, p.NumComps()),
 		liveRun:      make([]bool, p.NumComps()),
 	}
-	res := newCDriver(prog, pre, g, opt, m).run()
+	st := newStore(prog, pre, g, opt, m)
+	st.d.Components()
+	res := st.finish()
 	stats := IncrStats{Hits: m.hits, Misses: m.misses, NumComps: p.NumComps()}
 	for _, live := range m.liveRun {
 		if live {
@@ -123,6 +126,7 @@ type slotRef struct {
 type memo struct {
 	cache *incr.Cache
 	namer *ir.StableNamer
+	p     *dug.Partition
 
 	// chain[c] is the component's hash chain (see package comment); advanced
 	// on every run, hit or miss.
@@ -137,34 +141,40 @@ type memo struct {
 	liveRun      []bool
 }
 
+// attach hooks the memo into st's driver: seeded points become pending
+// inputs, and every component runs through memoRun.
+func (m *memo) attach(st *store) {
+	st.d.OnSeed = func(c int32, t ir.PointID) {
+		m.pendingReach[c] = append(m.pendingReach[c], t)
+	}
+	st.d.RunComp = st.memoRun
+}
+
 // memoRun is the memo protocol around one component run: hash the pending
 // inputs, advance the chain, and either replay the cached transcript or run
 // live and record one.
-func (d *cdriver) memoRun(c int32) {
+func (st *store) memoRun(c int32, seeds []int32) {
 	// Checkpoint per component: a breach aborts via rt.Abort before the
 	// component's transcript is recorded, so the cache never holds a
 	// truncated run (incremental solves never degrade — core turns the
 	// abort into a BudgetError directly).
-	d.opt.Budget.Checkpoint(rt.PhaseIncr)
-	m := d.memo
-	d.comp = c
-	seeds := d.seeds[c]
-	d.seeds[c] = nil
+	st.opt.Budget.Checkpoint(rt.PhaseIncr)
+	m := st.memo
 	if len(seeds) == 0 {
 		return
 	}
-	input := d.inputHash(c)
+	input := st.inputHash(c)
 	m.pendingReach[c] = m.pendingReach[c][:0]
 	m.pendingIn[c] = m.pendingIn[c][:0]
 	key := incr.ChainNext(m.chain[c], input)
 	m.chain[c] = key
-	if run, ok := m.cache.Lookup(key); ok && d.replay(c, run) {
+	if run, ok := m.cache.Lookup(key); ok && st.replay(c, run) {
 		m.hits++
 		return
 	}
 	m.misses++
 	m.liveRun[c] = true
-	m.cache.Store(key, d.record(seeds))
+	m.cache.Store(key, st.record(seeds))
 }
 
 // inputHash digests the pending external effects of component c: the flipped
@@ -174,11 +184,11 @@ func (d *cdriver) memoRun(c int32) {
 // location keys), so the hash is independent of arrival order — and the
 // LessEq gate on the pushing side already dropped no-op pushes identically
 // in record and replay mode.
-func (d *cdriver) inputHash(c int32) string {
-	m := d.memo
+func (st *store) inputHash(c int32) string {
+	m := st.memo
 	reach := make([]int, 0, len(m.pendingReach[c]))
 	for _, t := range m.pendingReach[c] {
-		reach = append(reach, int(d.p.LocalIdx[t]))
+		reach = append(reach, int(m.p.LocalIdx[t]))
 	}
 	sort.Ints(reach)
 	parts := make([]string, 0, 2+len(reach)+3*len(m.pendingIn[c]))
@@ -196,7 +206,7 @@ func (d *cdriver) inputHash(c int32) string {
 	}
 	ins := make([]inEntry, 0, len(m.pendingIn[c]))
 	for _, e := range m.pendingIn[c] {
-		ins = append(ins, inEntry{li: d.p.LocalIdx[e.n], key: m.namer.LocKey(d.g.AccLoc(e.slot)), slot: e.slot})
+		ins = append(ins, inEntry{li: m.p.LocalIdx[e.n], key: m.namer.LocKey(st.g.AccLoc(e.slot)), slot: e.slot})
 	}
 	sort.Slice(ins, func(i, j int) bool {
 		if ins[i].li != ins[j].li {
@@ -209,7 +219,7 @@ func (d *cdriver) inputHash(c int32) string {
 		if i > 0 && e.li == ins[i-1].li && e.key == ins[i-1].key {
 			continue
 		}
-		parts = append(parts, strconv.Itoa(int(e.li)), e.key, incr.ValKey(d.acc[e.slot], m.namer))
+		parts = append(parts, strconv.Itoa(int(e.li)), e.key, incr.ValKey(st.acc[e.slot], m.namer))
 	}
 	return incr.HashParts(parts...)
 }
@@ -225,40 +235,41 @@ type recBuf struct {
 
 // record runs the running component live with the recorder attached and
 // returns its transcript.
-func (d *cdriver) record(seeds []int32) *incr.Run {
+func (st *store) record(seeds []int32) *incr.Run {
 	b := &recBuf{}
-	d.rec = b
-	steps, joins, widenings := d.steps, d.joins, d.widenings
-	d.runLive(seeds)
-	d.rec = nil
+	st.rec = b
+	steps, joins, widenings := st.d.Steps, st.joins, st.widenings
+	st.d.RunLive(seeds)
+	st.rec = nil
+	p := st.memo.p
 	run := &incr.Run{
-		Steps:     int64(d.steps - steps),
-		Joins:     int64(d.joins - joins),
-		Widenings: int64(d.widenings - widenings),
+		Steps:     int64(st.d.Steps - steps),
+		Joins:     int64(st.joins - joins),
+		Widenings: int64(st.widenings - widenings),
 	}
 	for _, n := range b.fired {
-		run.Fired = append(run.Fired, d.p.LocalIdx[n])
+		run.Fired = append(run.Fired, p.LocalIdx[n])
 	}
 	slices.Sort(run.Fired)
 	run.Fired = slices.Compact(run.Fired)
-	cache := d.memo.cache
-	for _, r := range d.sortSlots(b.outs) {
+	cache := st.memo.cache
+	for _, r := range st.sortSlots(b.outs) {
 		run.Out = append(run.Out, incr.Delta{
-			Node: d.p.LocalIdx[r.n],
-			Loc:  cache.LocIdx(d.g.Defs[r.n][r.slot-d.cbase[r.n]]),
-			Val:  cache.EncodeVal(d.out[r.slot]),
+			Node: p.LocalIdx[r.n],
+			Loc:  cache.LocIdx(st.g.Defs[r.n][r.slot-st.cbase[r.n]]),
+			Val:  cache.EncodeVal(st.out[r.slot]),
 		})
 		run.Counts = append(run.Counts, incr.Count{
-			Node: d.p.LocalIdx[r.n],
-			Def:  r.slot - d.cbase[r.n],
-			Cnt:  d.counts[r.slot],
+			Node: p.LocalIdx[r.n],
+			Def:  r.slot - st.cbase[r.n],
+			Cnt:  st.counts[r.slot],
 		})
 	}
-	for _, r := range d.sortSlots(b.accs) {
+	for _, r := range st.sortSlots(b.accs) {
 		run.Acc = append(run.Acc, incr.Delta{
-			Node: d.p.LocalIdx[r.n],
-			Loc:  cache.LocIdx(d.g.AccLoc(r.slot)),
-			Val:  cache.EncodeVal(d.acc[r.slot]),
+			Node: p.LocalIdx[r.n],
+			Loc:  cache.LocIdx(st.g.AccLoc(r.slot)),
+			Val:  cache.EncodeVal(st.acc[r.slot]),
 		})
 	}
 	return run
@@ -267,9 +278,10 @@ func (d *cdriver) record(seeds []int32) *incr.Run {
 // sortSlots orders and deduplicates slots by (local index, slot) — a
 // canonical, version-portable order: within a node, slots follow its sorted
 // Defs or in-edge locations, which the structure hash pins.
-func (d *cdriver) sortSlots(s []slotRef) []slotRef {
+func (st *store) sortSlots(s []slotRef) []slotRef {
+	p := st.memo.p
 	slices.SortFunc(s, func(a, b slotRef) int {
-		if la, lb := d.p.LocalIdx[a.n], d.p.LocalIdx[b.n]; la != lb {
+		if la, lb := p.LocalIdx[a.n], p.LocalIdx[b.n]; la != lb {
 			return int(la - lb)
 		}
 		return int(a.slot - b.slot)
@@ -282,8 +294,9 @@ func (d *cdriver) sortSlots(s []slotRef) []slotRef {
 // mutates, so a failed decode (an entity the edit removed, a malformed value)
 // leaves the state untouched and the caller falls back to a live run.
 // Returns whether the transcript was applied.
-func (d *cdriver) replay(c int32, run *incr.Run) bool {
-	nodes := d.p.Nodes[c]
+func (st *store) replay(c int32, run *incr.Run) bool {
+	p := st.memo.p
+	nodes := p.Nodes[c]
 	type delta struct {
 		n    dug.NodeID
 		l    ir.LocID
@@ -299,19 +312,19 @@ func (d *cdriver) replay(c int32, run *incr.Run) bool {
 				return nil, false
 			}
 			n := nodes[e.Node]
-			l, ok := d.memo.cache.LocID(e.Loc)
+			l, ok := st.memo.cache.LocID(e.Loc)
 			if !ok {
 				return nil, false
 			}
-			locs, base := d.g.Defs[n], d.cbase[n]
+			locs, base := st.g.Defs[n], st.cbase[n]
 			if acc {
-				locs, base = d.g.InLocs(n), d.g.AccBase(n)
+				locs, base = st.g.InLocs(n), st.g.AccBase(n)
 			}
 			j, found := slices.BinarySearch(locs, l)
 			if !found {
 				return nil, false
 			}
-			v, ok := d.memo.cache.DecodeVal(e.Val)
+			v, ok := st.memo.cache.DecodeVal(e.Val)
 			if !ok {
 				return nil, false
 			}
@@ -328,7 +341,7 @@ func (d *cdriver) replay(c int32, run *incr.Run) bool {
 		return false
 	}
 	for _, cn := range run.Counts {
-		if int(cn.Node) >= len(nodes) || int(cn.Def) >= len(d.g.Defs[nodes[cn.Node]]) {
+		if int(cn.Node) >= len(nodes) || int(cn.Def) >= len(st.g.Defs[nodes[cn.Node]]) {
 			return false
 		}
 	}
@@ -339,20 +352,20 @@ func (d *cdriver) replay(c int32, run *incr.Run) bool {
 	}
 
 	for _, cn := range run.Counts {
-		d.counts[d.cbase[nodes[cn.Node]]+cn.Def] = cn.Cnt
+		st.counts[st.cbase[nodes[cn.Node]]+cn.Def] = cn.Cnt
 	}
 	for _, e := range accs {
-		d.acc[e.slot], d.accSet[e.slot] = e.v, true
+		st.acc[e.slot], st.accSet[e.slot] = e.v, true
 	}
 	// Outputs: store the final value and re-emit the external pushes against
 	// the current graph (internal targets are covered by the Acc deltas).
 	for _, e := range outs {
-		d.out[e.slot], d.outSet[e.slot] = e.v, true
-		cur := d.g.Out(e.n)
+		st.out[e.slot], st.outSet[e.slot] = e.v, true
+		cur := st.g.Out(e.n)
 		succs, slots := cur.SeekSlots(e.l)
 		for k, succ := range succs {
-			if d.p.Comp[succ] != c {
-				d.push(succ, slots[k], e.v)
+			if p.Comp[succ] != c {
+				st.push(succ, slots[k], e.v)
 			}
 		}
 	}
@@ -362,19 +375,19 @@ func (d *cdriver) replay(c int32, run *incr.Run) bool {
 	// Internal flips need no worklist (the whole run is replayed); external
 	// ones behave exactly like live marks.
 	mark := func(t ir.PointID) {
-		if d.p.Comp[t] == c {
-			d.reached[t] = true
+		if p.Comp[t] == c {
+			st.d.Reached[t] = true
 		} else {
-			d.mark(t)
+			st.d.Mark(t)
 		}
 	}
 	for _, li := range run.Fired {
-		if n := nodes[li]; !d.g.IsPhi(n) {
-			compsched.ReachTargets(d.prog, d.pre, d.prog.Point(ir.PointID(n)), mark)
+		if n := nodes[li]; !st.g.IsPhi(n) {
+			compsched.ReachTargets(st.prog, st.pre, st.prog.Point(ir.PointID(n)), mark)
 		}
 	}
-	d.steps += int(run.Steps)
-	d.joins += int(run.Joins)
-	d.widenings += int(run.Widenings)
+	st.d.Steps += int(run.Steps)
+	st.joins += int(run.Joins)
+	st.widenings += int(run.Widenings)
 	return true
 }

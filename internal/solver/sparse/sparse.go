@@ -22,7 +22,6 @@ import (
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 	"sparrow/internal/solver/compsched"
-	"sparrow/internal/worklist"
 )
 
 // Options configures the sparse solver.
@@ -67,6 +66,8 @@ type Options struct {
 const (
 	defaultWidenThreshold  = 40
 	defaultEntryWidenDelay = 4
+	// pollStride is the number of firings between two Timeout/Budget polls.
+	pollStride = 256
 )
 
 // Result is the sparse fixpoint.
@@ -96,9 +97,10 @@ type Result struct {
 	TimedOut bool
 }
 
-// store is the fixpoint state during solving, shared by Analyze,
-// AnalyzeComponents and AnalyzeIncremental together with the transfer loop
-// body (fire, pushOuts). The paper's F̂ keeps X(c) only on a set of (node,
+// store is the interval half of a sparse solve, shared by Analyze,
+// AnalyzeComponents and AnalyzeIncremental: the value state and the
+// transfer loop body (fire, pushOuts). The scheduling half is the
+// compsched.Driver d. The paper's F̂ keeps X(c) only on a set of (node,
 // location) cells fixed before solving, so the state is flat — one value
 // and one bound bit per cell — instead of a persistent memory per node that
 // every changed push would path-copy:
@@ -114,13 +116,12 @@ type Result struct {
 // explicit bottoms, so the memories materialized at the end (Result.Acc and
 // Result.Out) have the domains per-node memories would have had.
 type store struct {
-	prog    *ir.Program
-	pre     *prean.Result
-	g       *dug.Graph
-	s       *sem.Sem
-	opt     Options
-	wl      *worklist.Worklist
-	reached []bool
+	prog *ir.Program
+	pre  *prean.Result
+	g    *dug.Graph
+	s    *sem.Sem
+	opt  Options
+	d    *compsched.Driver
 
 	out, acc       []val.Val
 	outSet, accSet []bool
@@ -135,15 +136,11 @@ type store struct {
 	cbase  []int32
 
 	joins, widenings int
-	deadline         time.Time
 
-	// schedule is called after Acc slot slot of node n grew, and mark for
-	// each control successor of a point that fired; the drivers decide
-	// where the work goes. rec, when non-nil, records a component run for
-	// the incremental driver.
-	schedule func(n dug.NodeID, slot int32)
-	mark     func(t ir.PointID)
-	rec      *recBuf
+	// memo, when non-nil, makes the solve incremental (incr.go); rec, when
+	// non-nil, records the running component's live run.
+	memo *memo
+	rec  *recBuf
 
 	// Scratch: memory entries under construction, and the new values of
 	// the fired node's definitions.
@@ -152,7 +149,8 @@ type store struct {
 	nv   []val.Val
 }
 
-func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *store {
+// newStore returns the state of one solve, incremental when m is non-nil.
+func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options, m *memo) *store {
 	if opt.WidenThreshold == 0 {
 		opt.WidenThreshold = defaultWidenThreshold
 	}
@@ -165,78 +163,45 @@ func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *s
 		cbase[i+1] = cbase[i] + int32(len(g.Defs[i]))
 	}
 	st := &store{
-		prog:    prog,
-		pre:     pre,
-		g:       g,
-		s:       &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
-		opt:     opt,
-		wl:      worklist.New(n, g.Prio),
-		reached: make([]bool, g.PointCount),
-		out:     make([]val.Val, cbase[n]),
-		outSet:  make([]bool, cbase[n]),
-		acc:     make([]val.Val, g.AccSlots()),
-		accSet:  make([]bool, g.AccSlots()),
-		counts:  make([]int32, cbase[n]),
-		cbase:   cbase,
+		prog:   prog,
+		pre:    pre,
+		g:      g,
+		s:      &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		opt:    opt,
+		out:    make([]val.Val, cbase[n]),
+		outSet: make([]bool, cbase[n]),
+		acc:    make([]val.Val, g.AccSlots()),
+		accSet: make([]bool, g.AccSlots()),
+		counts: make([]int32, cbase[n]),
+		cbase:  cbase,
+		memo:   m,
 	}
-	if opt.Timeout > 0 {
-		st.deadline = time.Now().Add(opt.Timeout)
+	lim := rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride)
+	if m != nil {
+		// An incremental run never stops early: a budget breach aborts
+		// (rt.Abort) before the run's transcript is recorded.
+		lim = rt.AbortLimits(opt.Budget, rt.PhaseIncr, pollStride)
+	}
+	st.d = compsched.NewDriver(prog, pre, g, lim, st.fire)
+	if m != nil {
+		m.attach(st)
 	}
 	return st
 }
 
 // Analyze runs the sparse analysis over the def-use graph g.
 func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
-	st := newStore(prog, pre, g, opt)
-	st.schedule = func(n dug.NodeID, _ int32) { st.wl.Add(int(n)) }
-	st.mark = func(t ir.PointID) {
-		if !st.reached[t] {
-			st.reached[t] = true
-			st.wl.Add(int(t))
-		}
-	}
-	res := &Result{}
-	root := prog.ProcByID(prog.Main)
-	st.reached[root.Entry] = true
-	st.wl.Add(int(root.Entry))
-	for {
-		id, ok := st.wl.Take()
-		if !ok {
-			break
-		}
-		res.Steps++
-		if st.stop(res.Steps, res.Steps) {
-			res.TimedOut = true
-			break
-		}
-		st.fire(dug.NodeID(id))
-	}
-	st.finish(res)
-	return res
+	st := newStore(prog, pre, g, opt, nil)
+	st.d.Global()
+	return st.finish()
 }
 
-// stop reports whether a run must stop before its step-th firing (local
-// counts the firings since the last poll origin): the step budget is spent
-// or, polled every 256 local steps, the deadline passed or the budget
-// breached.
-func (st *store) stop(step, local int) bool {
-	if st.opt.MaxSteps > 0 && step > st.opt.MaxSteps {
-		return true
-	}
-	if (st.opt.Timeout > 0 || st.opt.Budget != nil) && local%256 == 0 {
-		if st.opt.Timeout > 0 && time.Now().After(st.deadline) {
-			return true
-		}
-		return st.opt.Budget.Poll(rt.PhaseFix) != rt.OK
-	}
-	return false
-}
-
-// finish materializes the per-node memories into res, runs the descending
-// phase over them, and flushes the work counters.
-func (st *store) finish(res *Result) {
+// finish materializes the per-node memories into the result, runs the
+// descending phase over them, and flushes the work counters.
+func (st *store) finish() *Result {
 	n := st.g.NumNodes()
-	res.Reached = st.reached
+	d := st.d
+	res := &Result{Reached: d.Reached, Steps: d.Steps, Rounds: d.Rounds, TimedOut: d.TimedOut}
 	res.Acc = make([]mem.Mem, n)
 	res.Out = make([]mem.Mem, n)
 	for i := 0; i < n; i++ {
@@ -249,6 +214,7 @@ func (st *store) finish(res *Result) {
 		st.narrow(res, st.opt.Narrow)
 	}
 	flushMetrics(st.opt.Metrics, res)
+	return res
 }
 
 // memOf builds the memory of the bound entries among locs, whose values
@@ -401,7 +367,7 @@ func (st *store) fire(n dug.NodeID) {
 		}
 	} else {
 		pt := st.prog.Point(ir.PointID(n))
-		if !st.reached[pt.ID] {
+		if !st.d.Reached[pt.ID] {
 			return // values wait until the point becomes reachable
 		}
 		out, ok := st.transfer(pt, st.accMem(n))
@@ -411,7 +377,7 @@ func (st *store) fire(n dug.NodeID) {
 		if st.rec != nil {
 			st.rec.fired = append(st.rec.fired, n)
 		}
-		compsched.ReachTargets(st.prog, st.pre, pt, st.mark)
+		st.d.MarkSuccs(pt)
 		for _, l := range defs {
 			nv = append(nv, out.Get(l))
 		}
@@ -462,7 +428,9 @@ func (st *store) pushOuts(n dug.NodeID, nv []val.Val) {
 }
 
 // push joins v into Acc slot slot of node n (a weak update, binding an
-// unbound slot to v) and schedules n if the slot grew.
+// unbound slot to v) and schedules n if the slot grew. Incrementally, the
+// slot is then part of the running component's transcript or, when n lies
+// in another component, an external input of that component.
 func (st *store) push(n dug.NodeID, slot int32, v val.Val) {
 	old := st.acc[slot]
 	if v.LessEq(old) {
@@ -472,7 +440,14 @@ func (st *store) push(n dug.NodeID, slot int32, v val.Val) {
 		v = old.Join(v)
 	}
 	st.acc[slot], st.accSet[slot] = v, true
-	st.schedule(n, slot)
+	if st.d.Schedule(n) {
+		if st.rec != nil {
+			st.rec.accs = append(st.rec.accs, slotRef{n, slot})
+		}
+	} else if st.memo != nil {
+		c := st.memo.p.Comp[n]
+		st.memo.pendingIn[c] = append(st.memo.pendingIn[c], slotRef{n, slot})
+	}
 }
 
 // ValueAt returns the sparse fixpoint value of location l at point pt: its

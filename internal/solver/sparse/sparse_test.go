@@ -1198,8 +1198,9 @@ func gotoSwitchFuzz(seed uint64, stmts int) cgen.Config {
 // checkSlotStore solves src with the global, component and cold incremental
 // solvers, with and without narrowing and, unless bypassOnly, the chain
 // bypass, and requires each result to equal the tree-based reference's: the
-// same reachability, Eq and Len on every Acc and Out, and the same work
-// counters.
+// same reachability, Eq and Len on every Acc and Out, the same work counters
+// and the same truncation. The global and component solves also run under
+// step budgets of 1, 17 and 500, which pin where the stop check truncates.
 func checkSlotStore(t *testing.T, name, src string, bypassOnly bool) {
 	t.Helper()
 	f, err := parser.Parse(name, src)
@@ -1217,20 +1218,22 @@ func checkSlotStore(t *testing.T, name, src string, bypassOnly bool) {
 		}
 		g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 		for _, narrow := range []int{0, 2} {
-			opt := Options{Narrow: narrow}
-			label := fmt.Sprintf("%s bypass=%v narrow=%d", name, bypass, narrow)
-			assertSameSolve(t, label+" global", g, refAnalyze(prog, pre, g, opt), Analyze(prog, pre, g, opt))
-			comp := refAnalyzeComponents(prog, pre, g, opt)
-			assertSameSolve(t, label+" components", g, comp, AnalyzeComponents(prog, pre, g, opt))
-			if narrow != 0 {
-				continue // the incremental solver has no descending phase
+			for _, maxSteps := range []int{0, 1, 17, 500} {
+				opt := Options{Narrow: narrow, MaxSteps: maxSteps}
+				label := fmt.Sprintf("%s bypass=%v narrow=%d maxsteps=%d", name, bypass, narrow, maxSteps)
+				assertSameSolve(t, label+" global", g, refAnalyze(prog, pre, g, opt), Analyze(prog, pre, g, opt))
+				comp := refAnalyzeComponents(prog, pre, g, opt)
+				assertSameSolve(t, label+" components", g, comp, AnalyzeComponents(prog, pre, g, opt))
+				if narrow != 0 || maxSteps != 0 {
+					continue // the incremental solver has no descending phase and no step budget
+				}
+				cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+				inc, _, err := AnalyzeIncremental(prog, pre, g, opt, cache)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertSameSolve(t, label+" incremental", g, comp, inc)
 			}
-			cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
-			inc, _, err := AnalyzeIncremental(prog, pre, g, opt, cache)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			assertSameSolve(t, label+" incremental", g, comp, inc)
 		}
 	}
 }
