@@ -549,35 +549,29 @@ func (r *Result) runInterval(opt Options) error {
 			// contract; memories outside the kept universe are not tracked.
 			r.solveRestricted(opt, sopt)
 		} else if opt.Workers >= 1 {
-			stop = opt.Metrics.Phase(metrics.PhasePartition)
-			p := r.graph.Partition()
-			stop()
-			opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
-			opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
-			opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			if opt.Incr != nil {
-				var istats sparse.IncrStats
-				var err error
-				r.sres, istats, err = sparse.AnalyzeIncremental(prog, pre, r.graph, sopt, opt.Incr)
-				if err != nil {
-					stop()
-					return err
+			var istats sparse.IncrStats
+			err := r.solveComponents(opt, func() (int, error) {
+				if opt.Incr == nil {
+					r.sres = sparse.AnalyzeComponents(prog, pre, r.graph, sopt)
+					return r.sres.Rounds, nil
 				}
+				var err error
+				if r.sres, istats, err = sparse.AnalyzeIncremental(prog, pre, r.graph, sopt, opt.Incr); err != nil {
+					return 0, err
+				}
+				return r.sres.Rounds, nil
+			})
+			if err != nil {
+				return err
+			}
+			if opt.Incr != nil {
 				opt.Metrics.Set(metrics.CtrIncrHits, int64(istats.Hits))
 				opt.Metrics.Set(metrics.CtrIncrMisses, int64(istats.Misses))
 				opt.Metrics.Set(metrics.CtrIncrResolved, int64(istats.Resolved))
 				r.Stats.IncrHits = istats.Hits
 				r.Stats.IncrMisses = istats.Misses
 				r.Stats.IncrResolved = istats.Resolved
-			} else {
-				r.sres = sparse.AnalyzeComponents(prog, pre, r.graph, sopt)
 			}
-			stop()
-			r.Stats.Components = p.NumComps()
-			r.Stats.MaxComponent = p.MaxComp
-			r.Stats.Islands = p.NumIslands
-			r.Stats.Rounds = r.sres.Rounds
 		} else {
 			stop = opt.Metrics.Phase(metrics.PhaseFix)
 			r.sres = sparse.Analyze(prog, pre, r.graph, sopt)
@@ -592,6 +586,29 @@ func (r *Result) runInterval(opt Options) error {
 	default:
 		return fmt.Errorf("core: unknown mode %d", opt.Mode)
 	}
+	return nil
+}
+
+// solveComponents runs a component solve: it partitions r.graph under the
+// partition phase timer, records the partition's sizes, and runs solve
+// under the fixpoint phase timer. solve returns the solve's wave count.
+func (r *Result) solveComponents(opt Options, solve func() (rounds int, err error)) error {
+	stop := opt.Metrics.Phase(metrics.PhasePartition)
+	p := r.graph.Partition()
+	stop()
+	opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
+	opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
+	opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
+	stop = opt.Metrics.Phase(metrics.PhaseFix)
+	rounds, err := solve()
+	stop()
+	if err != nil {
+		return err
+	}
+	r.Stats.Components = p.NumComps()
+	r.Stats.MaxComponent = p.MaxComp
+	r.Stats.Islands = p.NumIslands
+	r.Stats.Rounds = rounds
 	return nil
 }
 
@@ -641,20 +658,13 @@ func (r *Result) runOctagon(opt Options) error {
 			Budget:   r.bud,
 		}
 		if opt.Workers >= 1 {
-			// Component solver, mirroring the interval path.
-			stop = opt.Metrics.Phase(metrics.PhasePartition)
-			p := r.graph.Partition()
-			stop()
-			opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
-			opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
-			opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.osres = octsparse.AnalyzeComponents(prog, pre, osem, r.graph, oopt)
-			stop()
-			r.Stats.Components = p.NumComps()
-			r.Stats.MaxComponent = p.MaxComp
-			r.Stats.Islands = p.NumIslands
-			r.Stats.Rounds = r.osres.Rounds
+			err := r.solveComponents(opt, func() (int, error) {
+				r.osres = octsparse.AnalyzeComponents(prog, pre, osem, r.graph, oopt)
+				return r.osres.Rounds, nil
+			})
+			if err != nil {
+				return err
+			}
 		} else {
 			stop = opt.Metrics.Phase(metrics.PhaseFix)
 			r.osres = octsparse.Analyze(prog, pre, osem, r.graph, oopt)
