@@ -281,12 +281,11 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 				runtime.ReadMemStats(&msBefore)
 			}
 			start := time.Now()
-			// Workers 1 selects the component schedule, the solver the
-			// committed counters were recorded with.
+			// Workers 0 is the global worklist, the solver the CLI runs.
 			copt := core.Options{
 				Domain:  cfg.Domain,
 				Mode:    cfg.Mode,
-				Workers: 1,
+				Workers: 0,
 				Metrics: col,
 			}
 			// The sparse interval entries carry the per-checker
