@@ -14,17 +14,11 @@
 // printed with percent change — the structured replacement for hand-written
 // before/after notes.
 //
-// With -incr FILE, the suite instead runs the warm-vs-cold incremental
-// comparison (cold solve into a snapshot, codec round-trip, warm re-solve of
-// the unchanged program) and writes the report-only timing file to FILE —
-// the artifact CI archives as the incremental-performance trajectory.
-//
 // Usage:
 //
 //	sparrow-bench [-corpus DIR] [-out FILE] [-check] [-snapshot FILE]
 //	              [-tol F] [-timings] [-times FILE] [-v]
 //	sparrow-bench -compare OLD.json NEW.json
-//	sparrow-bench -incr BENCH_incr.json
 package main
 
 import (
@@ -55,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gen := fs.Bool("gen", true, "include the generated (cgen-scaled) programs in the suite")
 	verbose := fs.Bool("v", false, "print one line per completed entry")
 	compare := fs.Bool("compare", false, "diff two times snapshots (old.json new.json) instead of running")
-	incrOut := fs.String("incr", "", "run the warm-vs-cold incremental timing comparison and write it to this file (report-only)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -92,18 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *gen {
 		progs = append(progs, bench.GeneratedPrograms()...)
-	}
-	if *incrOut != "" {
-		snap, err := bench.CollectIncr(progs)
-		if err != nil {
-			return fail(err)
-		}
-		if err := snap.Save(*incrOut); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "sparrow-bench: wrote report-only warm-vs-cold times for %d programs to %s\n",
-			len(snap.Entries), *incrOut)
-		return 0
 	}
 	opt := bench.Options{Timings: *timings}
 	if *verbose {

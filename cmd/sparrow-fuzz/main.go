@@ -1,9 +1,8 @@
 // Command sparrow-fuzz runs a differential-fuzzing campaign: N generated
 // programs, each analyzed under all six configurations (Interval/Octagon ×
-// Vanilla/Base/Sparse) plus the concrete interpreter and repeated sparse
-// runs, checked against the seven oracles of internal/fuzz
-// (soundness, precision, agreement, determinism, restriction, incremental,
-// faults). Violating
+// Vanilla/Base/Sparse) plus the concrete interpreter and a repeated sparse
+// run, checked against the six oracles of internal/fuzz (soundness,
+// precision, agreement, determinism, restriction, faults). Violating
 // programs are delta-debugged to a minimal repro and written, with an
 // oracle transcript, to the -out directory.
 //
@@ -58,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shrink := fs.Bool("shrink", true, "minimize violating programs before reporting")
 	out := fs.String("out", "testdata/fuzz", "artifact directory for repros and transcripts (\"\" = none)")
 	statsJSON := fs.Bool("stats-json", false, "print a machine-readable campaign summary (JSON) to stdout")
-	oracleSpec := fs.String("oracles", "all", "comma-separated oracle names to check (soundness, precision, agreement, determinism, restriction, incremental, faults, or all)")
+	oracleSpec := fs.String("oracles", "all", "comma-separated oracle names to check (soundness, precision, agreement, determinism, restriction, faults, or all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

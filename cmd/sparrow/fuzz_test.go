@@ -33,8 +33,6 @@ var fuzzFlags = []fuzzFlag{
 	{name: "timeout", vals: []string{"0", "1ns", "1ms", "1s", "-1s"}},
 	{name: "mem-budget", vals: []string{"", "1", "64K", "512M", "4G"}},
 	{name: "no-degrade", isBool: true},
-	{name: "snapshot-in", isPath: true},
-	{name: "snapshot-out", isPath: true},
 	{name: "cpuprofile", isPath: true},
 	{name: "memprofile", isPath: true},
 	{name: "globals", isBool: true},
@@ -73,39 +71,28 @@ func clampValue(name, v string) string {
 // surface: each pick byte chooses a flag and the next one its value, taken
 // from the flag's documented values or the fuzzed words (one per line).
 // Path-taking flags are rewritten into a per-input temporary directory,
-// where they name a missing file, a directory, a file holding the fuzzed
-// words, or a valid snapshot. run must return a documented exit code (0–4)
+// where they name a missing file, a directory, or a file holding the fuzzed
+// words. run must return a documented exit code (0–4)
 // and never panic.
 func FuzzRun(f *testing.F) {
-	snap := filepath.Join(f.TempDir(), "snap.json")
-	if code := run([]string{"-snapshot-out", snap, "testdata/good.c"}, io.Discard, io.Discard); code != exitClean {
-		f.Fatalf("seed snapshot: exit %d", code)
-	}
-	valid, err := os.ReadFile(snap)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add([]byte{}, "")
 	f.Add([]byte{0, 1, 1, 2}, "")
-	f.Add([]byte{10, 3, 6, 1}, "")
-	f.Add([]byte{11, 0, 16, 0}, "")
-	f.Add([]byte{2, 3, 3, 0, 13, 0}, "")
-	f.Add([]byte{19, 1}, "")
+	f.Add([]byte{10, 0, 6, 1}, "")
+	f.Add([]byte{14, 0}, "")
+	f.Add([]byte{2, 3, 3, 0, 11, 0}, "")
+	f.Add([]byte{17, 1}, "")
 	f.Add([]byte{7, 5, 9, 0}, "3ms\n1G")
-	f.Add([]byte{10, 2}, "{")
+	f.Add([]byte{15, 2}, "{")
 	f.Fuzz(func(t *testing.T, picks []byte, text string) {
 		dir := t.TempDir()
 		words := strings.Split(text, "\n")
 		if err := os.WriteFile(filepath.Join(dir, "words"), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "snap.json"), valid, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.Mkdir(filepath.Join(dir, "dir"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		paths := []string{"missing", "dir", "words", "snap.json"}
+		paths := []string{"missing", "dir", "words"}
 
 		var args []string
 		for i := 0; i < len(picks); i += 2 {

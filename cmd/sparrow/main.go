@@ -7,16 +7,12 @@
 //	        [-checkers buf,null,div,uninit|all] [-restricted]
 //	        [-duchains] [-nobypass] [-narrow N]
 //	        [-timeout D] [-mem-budget N[KMG]] [-no-degrade]
-//	        [-snapshot-in f] [-snapshot-out f]
 //	        [-cpuprofile f] [-memprofile f] [-globals] [-stats] [-stats-json]
 //	        file.c
 //
 // The analysis is one sequential pipeline. The sparse analyzers solve with
-// the global worklist, except that -snapshot-in and -snapshot-out select the
-// component solver, whose schedule incremental replay records. The component
-// solver fires more transfers and can widen elsewhere than the global
-// worklist (which the restricted solves of -restricted also use), so its
-// alarms can differ on generated programs.
+// one global worklist over the def-use graph, as do the restricted solves of
+// -restricted.
 //
 // Exit codes:
 //
@@ -42,7 +38,6 @@ import (
 
 	"sparrow"
 	"sparrow/internal/check"
-	"sparrow/internal/incr"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
 )
@@ -102,8 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	globals := fs.Bool("globals", false, "print the final interval of every global variable")
 	stats := fs.Bool("stats", true, "print analysis statistics")
 	statsJSON := fs.Bool("stats-json", false, "print the machine-readable metrics report (JSON) instead of text output")
-	snapshotIn := fs.String("snapshot-in", "", "resume incrementally from this analysis snapshot (sparse interval only)")
-	snapshotOut := fs.String("snapshot-out", "", "write the analysis snapshot for later incremental re-runs to this file")
 	dumpDug := fs.String("dump-dug", "", "write the def-use graph in Graphviz dot syntax to this file (sparse modes)")
 	dumpIR := fs.Bool("dump-ir", false, "print the lowered IR")
 	if err := fs.Parse(args); err != nil {
@@ -153,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sparrow:", err)
 		return exitUsage
 	}
-	col := metrics.New()
 	opt := sparrow.Options{
 		NoBypass:     *nobypass,
 		DefUseChains: *duchains,
@@ -161,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Deadline:     *timeout,
 		MemBudget:    budget,
 		NoDegrade:    *noDegrade,
-		Metrics:      col,
+		Metrics:      metrics.New(),
 	}
 	if *checkers != "" {
 		kinds, err := check.ParseKinds(*checkers)
@@ -189,23 +181,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 
-	if *snapshotIn != "" || *snapshotOut != "" {
-		// Incremental replay records the component solver's schedule.
-		opt.Workers = 1
-	}
-	if *snapshotIn != "" {
-		stop := col.Phase(metrics.PhaseIncr)
-		cache, err := incr.LoadFile(*snapshotIn)
-		stop()
-		if err != nil {
-			return fail(err)
-		}
-		opt.Incr = cache
-	} else if *snapshotOut != "" {
-		// Fresh cache: the solver stamps it with the widening config.
-		opt.Incr = incr.NewCache(0, 0)
-	}
-
 	res, err := sparrow.AnalyzeSource(path, string(src), opt)
 	if err != nil {
 		var be *sparrow.BudgetError
@@ -218,14 +193,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(res.Degraded) > 0 {
 		fmt.Fprintf(stderr, "sparrow: analysis degraded under the resource budget: %s (results below are sound for the degraded configuration)\n",
 			strings.Join(res.Degraded, ", "))
-	}
-	if *snapshotOut != "" {
-		stop := col.Phase(metrics.PhaseIncr)
-		err := opt.Incr.SaveFile(*snapshotOut)
-		stop()
-		if err != nil {
-			return fail(err)
-		}
 	}
 	// The frontend accepts translation units without an entry point (it
 	// synthesizes an empty __start), so the analysis "succeeds" on inputs
@@ -301,14 +268,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.Opts.Mode == sparrow.Sparse {
 			fmt.Fprintf(stdout, "sparse: edges=%d phis=%d avg|D̂(c)|=%.2f avg|Û(c)|=%.2f\n",
 				s.DepEdges, s.Phis, s.AvgDefs, s.AvgUses)
-		}
-		if s.Components > 0 {
-			fmt.Fprintf(stdout, "components: n=%d maxcomp=%d islands=%d rounds=%d\n",
-				s.Components, s.MaxComponent, s.Islands, s.Rounds)
-		}
-		if opt.Incr != nil {
-			fmt.Fprintf(stdout, "incremental: hits=%d misses=%d resolved=%d cached=%d\n",
-				s.IncrHits, s.IncrMisses, s.IncrResolved, opt.Incr.Len())
 		}
 		if opt.Domain == sparrow.Octagon {
 			fmt.Fprintf(stdout, "packs: %d (avg non-singleton size %.1f)\n", s.PackCount, s.PackAvg)

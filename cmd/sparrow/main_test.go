@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -98,37 +97,76 @@ func TestStatsJSONReport(t *testing.T) {
 }
 
 // TestStatsJSONWorkerIdentity is the CLI-level determinism check: the
-// counter section of -stats-json is bit-identical across two runs of the
-// default global worklist, and across two runs of the component solver
-// (selected by -snapshot-out, into a fresh snapshot each time).
+// counter section of -stats-json is bit-identical across two runs.
 func TestStatsJSONWorkerIdentity(t *testing.T) {
-	counters := func(args ...string) map[string]int64 {
-		args = append(append([]string{"-stats-json"}, args...), "testdata/good.c")
-		code, out, errb := runCLI(t, args...)
+	counters := func() map[string]int64 {
+		code, out, errb := runCLI(t, "-stats-json", "testdata/good.c")
 		if code != 0 {
-			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb)
+			t.Fatalf("exit %d, stderr: %s", code, errb)
 		}
 		var rep metrics.Report
 		if err := json.Unmarshal([]byte(out), &rep); err != nil {
-			t.Fatalf("%v: %v", args, err)
+			t.Fatal(err)
 		}
 		return rep.Counters
 	}
-	dir := t.TempDir()
-	for _, cfg := range []struct {
-		name        string
-		first, then []string
-	}{
-		{"global worklist", nil, nil},
-		{"components", []string{"-snapshot-out", filepath.Join(dir, "a.json")}, []string{"-snapshot-out", filepath.Join(dir, "b.json")}},
-	} {
-		first, again := counters(cfg.first...), counters(cfg.then...)
-		if !reflect.DeepEqual(first, again) {
-			for k, v := range first {
-				if again[k] != v {
-					t.Errorf("%s: counter %s: %d, then %d", cfg.name, k, v, again[k])
-				}
+	first, again := counters(), counters()
+	if !reflect.DeepEqual(first, again) {
+		for k, v := range first {
+			if again[k] != v {
+				t.Errorf("counter %s: %d, then %d", k, v, again[k])
 			}
+		}
+	}
+}
+
+// TestStatsJSONMatchesGate pins the exact counter gate to what users run:
+// every counter the CLI reports for gen-1000 with all checkers and their
+// restricted solves equals the gen-1000 interval-sparse entry of
+// BENCH_sparse.json.
+func TestStatsJSONMatchesGate(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_sparse.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gate struct {
+		Entries []struct {
+			Program, Domain, Mode string
+			Counters              map[string]int64
+		}
+	}
+	if err := json.Unmarshal(data, &gate); err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]int64
+	for _, e := range gate.Entries {
+		if e.Program == "gen-1000" && e.Domain == "interval" && e.Mode == "sparse" {
+			want = e.Counters
+		}
+	}
+	if want == nil {
+		t.Fatal("no gen-1000 interval-sparse entry in BENCH_sparse.json")
+	}
+	f := filepath.Join(t.TempDir(), "gen-1000.c")
+	if err := os.WriteFile(f, []byte(cgen.Generate(cgen.Default(43, 1000))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb := runCLI(t, "-checkers", "all", "-restricted", "-stats-json", f)
+	if code != 0 && code != 1 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+	var rep metrics.Report
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range want {
+		if got, ok := rep.Counters[k]; !ok || got != v {
+			t.Errorf("counter %s: CLI %d (reported %v), gate %d", k, got, ok, v)
+		}
+	}
+	for k := range rep.Counters {
+		if _, ok := want[k]; !ok {
+			t.Errorf("counter %s: reported by the CLI, missing from the gate", k)
 		}
 	}
 }
@@ -173,165 +211,19 @@ func TestCheckersFlag(t *testing.T) {
 	}
 }
 
-// TestSnapshotFlags drives the incremental-analysis CLI flow end to end:
-// cold solve with -snapshot-out, edit the file, warm solve with -snapshot-in,
-// and check the warm run hits the cache while producing the same analysis
-// text (everything except the timing and incremental lines) as a cold solve
-// of the edited file.
-func TestSnapshotFlags(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
-
-	code, out, errb := runCLI(t, "-snapshot-out", snap, "testdata/good.c")
-	if code != 0 {
-		t.Fatalf("cold: exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, "incremental: hits=") {
-		t.Errorf("cold run missing incremental stats line:\n%s", out)
-	}
-
-	// Edit: shrink the loop bound. The analysis of the edited file changes,
-	// so a stale replay would be visible in the invariants.
-	src, err := os.ReadFile("testdata/good.c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := strings.Replace(string(src), "i < 4", "i < 3", 1)
-	if edited == string(src) {
-		t.Fatal("edit was a no-op")
-	}
-	editedPath := filepath.Join(dir, "good_edited.c")
-	if err := os.WriteFile(editedPath, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// analysisLines strips the run-dependent lines (timings, the incremental
-	// stats, file paths) so warm and cold text output can be compared.
-	analysisLines := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "times:") || strings.HasPrefix(line, "incremental:") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-
-	codeW, outW, errbW := runCLI(t, "-snapshot-in", snap, "-globals", editedPath)
-	if codeW != 0 {
-		t.Fatalf("warm: exit %d, stderr: %s", codeW, errbW)
-	}
-	// The cold run uses the component solver that the warm run replays:
-	// -snapshot-out into a fresh snapshot selects it.
-	codeC, outC, errbC := runCLI(t, "-snapshot-out", filepath.Join(dir, "cold.json"), "-globals", editedPath)
-	if codeC != 0 {
-		t.Fatalf("cold edited: exit %d, stderr: %s", codeC, errbC)
-	}
-	if got, want := analysisLines(outW), analysisLines(outC); got != want {
-		t.Errorf("warm output diverged from cold:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
-	}
-	var hits, misses, resolved, cached int
-	for _, line := range strings.Split(outW, "\n") {
-		if strings.HasPrefix(line, "incremental:") {
-			if _, err := fmt.Sscanf(line, "incremental: hits=%d misses=%d resolved=%d cached=%d",
-				&hits, &misses, &resolved, &cached); err != nil {
-				t.Fatalf("unparseable incremental line %q: %v", line, err)
-			}
-		}
-	}
-	if hits == 0 {
-		t.Errorf("warm run on a one-line edit recorded no cache hits:\n%s", outW)
-	}
-
-	// -stats-json on an incremental run must carry the incr counter group.
-	code, out, errb = runCLI(t, "-stats-json", "-snapshot-in", snap, editedPath)
-	if code != 0 {
-		t.Fatalf("warm json: exit %d, stderr: %s", code, errb)
-	}
-	var rep metrics.Report
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("stdout is not a JSON report: %v\n%s", err, out)
-	}
-	if rep.Counters["incr_components_hit"] <= 0 {
-		t.Errorf("incr counters missing from report: %v", rep.Counters)
-	}
-	if _, ok := rep.TimingsNS["incr"]; !ok {
-		t.Errorf("incr phase timing missing: %v", rep.TimingsNS)
-	}
-
-	// Error paths: unreadable snapshot, corrupt snapshot, and configurations
-	// the incremental solver rejects.
-	if code, _, errb := runCLI(t, "-snapshot-in", filepath.Join(dir, "nope.json"), "testdata/good.c"); code != 3 || !strings.Contains(errb, "no such file") {
-		t.Errorf("missing snapshot: exit %d, stderr %q", code, errb)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errb := runCLI(t, "-snapshot-in", filepath.Join(dir, "corrupt.json"), "testdata/good.c"); code != 3 || !strings.Contains(errb, "corrupt snapshot") {
-		t.Errorf("corrupt snapshot: exit %d, stderr %q", code, errb)
-	}
-	for _, args := range [][]string{
-		{"-snapshot-in", snap, "-mode", "base", "testdata/good.c"},
-		{"-snapshot-in", snap, "-domain", "octagon", "testdata/good.c"},
-		{"-snapshot-in", snap, "-duchains", "testdata/good.c"},
-		{"-snapshot-in", snap, "-checkers", "uninit", "testdata/good.c"},
-		{"-snapshot-in", snap, "-narrow", "2", "testdata/good.c"},
-	} {
-		if code, _, errb := runCLI(t, args...); code != 3 {
-			t.Errorf("%v: exit %d, stderr %q (want rejection, exit 3)", args, code, errb)
-		}
-	}
-}
-
-// TestDefaultWorkers pins the solver choice: a plain run uses the sequential
-// global worklist (Workers 0), and -snapshot-in/-snapshot-out select the
-// component solver that incremental replay records (Workers 1). No flag
-// selects the solver: -workers is a usage error (exit 2).
+// TestDefaultWorkers pins the solver surface: the report carries no
+// workers stamp, and no flag selects a solver: -workers is a usage error
+// (exit 2).
 func TestDefaultWorkers(t *testing.T) {
-	workers := func(args ...string) int {
-		t.Helper()
-		code, out, errb := runCLI(t, append([]string{"-stats-json"}, args...)...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb)
-		}
-		var rep metrics.Report
-		if err := json.Unmarshal([]byte(out), &rep); err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		return rep.Workers
+	code, out, errb := runCLI(t, "-stats-json", "testdata/good.c")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	if w := workers("testdata/good.c"); w != 0 {
-		t.Errorf("default run: workers=%d, want 0", w)
-	}
-	snap := filepath.Join(t.TempDir(), "s.json")
-	if w := workers("-snapshot-out", snap, "testdata/good.c"); w != 1 {
-		t.Errorf("-snapshot-out: workers=%d, want 1", w)
-	}
-	if w := workers("-snapshot-in", snap, "testdata/good.c"); w != 1 {
-		t.Errorf("-snapshot-in: workers=%d, want 1", w)
+	if strings.Contains(out, `"workers"`) {
+		t.Errorf("report carries a workers key:\n%s", out)
 	}
 	if code, _, errb := runCLI(t, "-workers", "1", "testdata/good.c"); code != 2 || !strings.Contains(errb, "-workers") {
 		t.Errorf("-workers 1: exit %d, stderr %q (want an unknown-flag usage error, exit 2)", code, errb)
-	}
-}
-
-// TestComponentsStatsLine pins the -stats line of the component solver on
-// one corpus file: a -snapshot-out run prints the partition and the wave
-// count, and the default global worklist prints none.
-func TestComponentsStatsLine(t *testing.T) {
-	const file = "../../testdata/corpus/workqueue.c"
-	const want = "components: n=91 maxcomp=10 islands=37 rounds=7\n"
-	code, out, errb := runCLI(t, "-snapshot-out", filepath.Join(t.TempDir(), "s.json"), "-stats", file)
-	if code != 0 {
-		t.Fatalf("-snapshot-out: exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, want) {
-		t.Errorf("-snapshot-out: missing %q in:\n%s", want, out)
-	}
-	_, out, _ = runCLI(t, "-stats", file)
-	if strings.Contains(out, "components:") {
-		t.Errorf("default run printed a components line:\n%s", out)
 	}
 }
 
@@ -357,10 +249,8 @@ func TestRestrictedSharedSolve(t *testing.T) {
 }
 
 // TestRestrictedAgreesWithDefault is a generated program on which the
-// component solver (what -snapshot-in/-snapshot-out select) widens
-// elsewhere than the global worklist and reports no alarms, while the restricted buffer-overrun solve
-// reports two. Under the CLI defaults the alarm list and the restricted
-// count must agree.
+// restricted buffer-overrun solve reports two alarms. Under the CLI
+// defaults the alarm list and the restricted count must agree.
 func TestRestrictedAgreesWithDefault(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gen3000.c")
 	if err := os.WriteFile(path, []byte(cgen.Generate(cgen.Default(22<<16|4, 3000))), 0o644); err != nil {

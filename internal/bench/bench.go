@@ -281,11 +281,9 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 				runtime.ReadMemStats(&msBefore)
 			}
 			start := time.Now()
-			// Workers 0 is the global worklist, the solver the CLI runs.
 			copt := core.Options{
 				Domain:  cfg.Domain,
 				Mode:    cfg.Mode,
-				Workers: 0,
 				Metrics: col,
 			}
 			// The sparse interval entries carry the per-checker

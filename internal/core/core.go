@@ -19,7 +19,6 @@ import (
 	"sparrow/internal/dug"
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
-	"sparrow/internal/incr"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/itv"
 	"sparrow/internal/lattice/val"
@@ -97,14 +96,11 @@ type Options struct {
 	MaxSteps int
 	// PackCap bounds octagon pack sizes (0 = the paper's 10).
 	PackCap int
-	// Workers only selects the sparse fixpoint solver: 0 runs the global
-	// worklist, and any N >= 1 runs the sequential component schedule
-	// (both domains), which incremental analysis replays. No value starts
-	// a goroutine, and every N >= 1 gives the same result.
+	// Deprecated: ignored; the sparse analyzers have one schedule.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
-	// frontend, pre-analysis, def-use-graph construction, partitioning, the
-	// fixpoint solvers, and the checkers — collecting per-phase wall times
+	// frontend, pre-analysis, def-use-graph construction, the fixpoint
+	// solvers, and the checkers — collecting per-phase wall times
 	// and the deterministic work counters of internal/metrics. Snapshot the
 	// run with Result.MetricsReport (or Collector.Report directly).
 	Metrics *metrics.Collector
@@ -114,15 +110,6 @@ type Options struct {
 	// entries seed possibly-uninitialized markers for their locals — and is
 	// interval-only.
 	Checkers []check.Kind
-	// Incr, when non-nil, runs the fixpoint through the incremental
-	// record/replay driver (internal/incr): component runs whose memo key
-	// hits the cache replay their recorded transcript, everything else runs
-	// live and is recorded into the cache — which the caller can then
-	// persist (incr.Cache.SaveFile) and reuse on an edited program. The
-	// result is bit-identical to a cold solve. Only the plain ascending
-	// sparse interval analyzer supports it; Narrow, Timeout, MaxSteps,
-	// DefUseChains and the uninitialized-read checker are rejected.
-	Incr *incr.Cache
 	// Ctx cancels the analysis cooperatively: solver worklists, the
 	// pre-analysis, and graph construction poll it at amortized checkpoints
 	// and the run returns a *BudgetError wrapping context.Canceled. nil
@@ -195,17 +182,6 @@ type Stats struct {
 	AvgUses   float64
 	PackCount int     // octagon only
 	PackAvg   float64 // octagon only: avg non-singleton pack size
-
-	// Component-solver statistics (sparse with Workers >= 1).
-	Components   int // SCCs of the def-use graph
-	MaxComponent int // nodes in the largest component
-	Islands      int // weakly-connected islands of the condensation
-	Rounds       int // component-wave rounds until stabilization
-
-	// Incremental-solve statistics (Options.Incr only).
-	IncrHits     int // component runs replayed from the snapshot
-	IncrMisses   int // component runs executed live
-	IncrResolved int // distinct components re-solved
 }
 
 // Result is a completed analysis. AnalyzeChecker is not safe for
@@ -279,28 +255,7 @@ func countLines(src string) int {
 // *ConfigError values — the engine never silently falls back from an
 // unsupported configuration.
 func validateOptions(opt Options) error {
-	uninit := hasKind(opt.kinds(), check.UninitRead)
-	if opt.Incr != nil {
-		if opt.Domain != Interval || opt.Mode != Sparse {
-			return &ConfigError{Opt: "Incr+Domain/Mode", Reason: "incremental analysis supports only the sparse interval analyzer"}
-		}
-		if opt.Workers < 1 {
-			return &ConfigError{Opt: "Incr+Workers", Reason: "incremental analysis needs the partitioned component solver (Workers >= 1)"}
-		}
-		if opt.DefUseChains {
-			return &ConfigError{Opt: "Incr+DefUseChains", Reason: "incremental analysis is not supported in def-use-chain mode"}
-		}
-		if opt.Narrow != 0 {
-			return &ConfigError{Opt: "Incr+Narrow", Reason: "narrowing is not supported incrementally (descending sweeps are whole-graph)"}
-		}
-		if opt.Timeout != 0 || opt.MaxSteps != 0 {
-			return &ConfigError{Opt: "Incr+Timeout/MaxSteps", Reason: "solver timeouts and step budgets are not supported incrementally (truncation is schedule-dependent); use Deadline for a hard bound"}
-		}
-		if uninit {
-			return &ConfigError{Opt: "Incr+Checkers", Reason: "the uninitialized-read checker is not supported incrementally (entry marks change the analyzed semantics globally)"}
-		}
-	}
-	if uninit {
+	if hasKind(opt.kinds(), check.UninitRead) {
 		if opt.Domain != Interval {
 			return &ConfigError{Opt: "Checkers+Domain", Reason: "the uninitialized-read checker is interval-only"}
 		}
@@ -335,8 +290,7 @@ func degradeStep(opt Options) (Options, string, bool) {
 //
 // With a budget configured (Ctx, Deadline, MemBudget, or FaultHook), the
 // analysis is attempt-structured: a breach discards the attempt, degrades
-// the configuration one ladder rung (unless NoDegrade, Incr, or a
-// cancellation), and retries with a fresh budget window. Panics anywhere
+// the configuration one ladder rung (unless NoDegrade or a cancellation), and retries with a fresh budget window. Panics anywhere
 // inside an attempt surface as *AnalysisError, never as a crash.
 func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 	if err := validateOptions(opt); err != nil {
@@ -369,7 +323,7 @@ func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 			res.Degraded = degraded
 			return res, nil
 		}
-		if reason == rt.ReasonCanceled || cur.NoDegrade || cur.Incr != nil {
+		if reason == rt.ReasonCanceled || cur.NoDegrade {
 			return nil, &BudgetError{Reason: reason, Degraded: degraded}
 		}
 		next, step, ok := degradeStep(cur)
@@ -495,7 +449,6 @@ func (r *Result) MetricsReport() *metrics.Report {
 	rep := r.col.Report()
 	rep.Domain = r.Opts.Domain.String()
 	rep.Mode = r.Opts.Mode.String()
-	rep.Workers = r.Opts.Workers
 	return rep
 }
 
@@ -548,30 +501,6 @@ func (r *Result) runInterval(opt Options) error {
 			// Alarms for the selected kinds are exact by the restriction
 			// contract; memories outside the kept universe are not tracked.
 			r.solveRestricted(opt, sopt)
-		} else if opt.Workers >= 1 {
-			var istats sparse.IncrStats
-			err := r.solveComponents(opt, func() (int, error) {
-				if opt.Incr == nil {
-					r.sres = sparse.AnalyzeComponents(prog, pre, r.graph, sopt)
-					return r.sres.Rounds, nil
-				}
-				var err error
-				if r.sres, istats, err = sparse.AnalyzeIncremental(prog, pre, r.graph, sopt, opt.Incr); err != nil {
-					return 0, err
-				}
-				return r.sres.Rounds, nil
-			})
-			if err != nil {
-				return err
-			}
-			if opt.Incr != nil {
-				opt.Metrics.Set(metrics.CtrIncrHits, int64(istats.Hits))
-				opt.Metrics.Set(metrics.CtrIncrMisses, int64(istats.Misses))
-				opt.Metrics.Set(metrics.CtrIncrResolved, int64(istats.Resolved))
-				r.Stats.IncrHits = istats.Hits
-				r.Stats.IncrMisses = istats.Misses
-				r.Stats.IncrResolved = istats.Resolved
-			}
 		} else {
 			stop = opt.Metrics.Phase(metrics.PhaseFix)
 			r.sres = sparse.Analyze(prog, pre, r.graph, sopt)
@@ -586,29 +515,6 @@ func (r *Result) runInterval(opt Options) error {
 	default:
 		return fmt.Errorf("core: unknown mode %d", opt.Mode)
 	}
-	return nil
-}
-
-// solveComponents runs a component solve: it partitions r.graph under the
-// partition phase timer, records the partition's sizes, and runs solve
-// under the fixpoint phase timer. solve returns the solve's wave count.
-func (r *Result) solveComponents(opt Options, solve func() (rounds int, err error)) error {
-	stop := opt.Metrics.Phase(metrics.PhasePartition)
-	p := r.graph.Partition()
-	stop()
-	opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
-	opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
-	opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
-	stop = opt.Metrics.Phase(metrics.PhaseFix)
-	rounds, err := solve()
-	stop()
-	if err != nil {
-		return err
-	}
-	r.Stats.Components = p.NumComps()
-	r.Stats.MaxComponent = p.MaxComp
-	r.Stats.Islands = p.NumIslands
-	r.Stats.Rounds = rounds
 	return nil
 }
 
@@ -657,19 +563,9 @@ func (r *Result) runOctagon(opt Options) error {
 			Metrics:  opt.Metrics,
 			Budget:   r.bud,
 		}
-		if opt.Workers >= 1 {
-			err := r.solveComponents(opt, func() (int, error) {
-				r.osres = octsparse.AnalyzeComponents(prog, pre, osem, r.graph, oopt)
-				return r.osres.Rounds, nil
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.osres = octsparse.Analyze(prog, pre, osem, r.graph, oopt)
-			stop()
-		}
+		stop = opt.Metrics.Phase(metrics.PhaseFix)
+		r.osres = octsparse.Analyze(prog, pre, osem, r.graph, oopt)
+		stop()
 		r.Stats.FixTime = time.Since(t)
 		r.Stats.Steps = r.osres.Steps
 		r.Stats.TimedOut = r.osres.TimedOut

@@ -27,7 +27,7 @@ int main() {
 }
 `
 
-// runWorkers analyzes src with the given Workers (solver selection),
+// runWorkers analyzes src with the given Workers (ignored by the engine),
 // failing on error.
 func runWorkers(t *testing.T, d Domain, src string, workers int) *Result {
 	t.Helper()
@@ -93,9 +93,10 @@ func assertSameAnalysis(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestAnalyzeDeterministicAcrossWorkers runs the full pipeline twice per
-// solver (Workers 0 and 1) in one process and requires bit-identical
-// outcomes, so Go map iteration order never leaks into results.
+// TestAnalyzeDeterministicAcrossWorkers runs the full pipeline twice in one
+// process, with Workers 0 and then 1 (which the engine ignores), and
+// requires bit-identical outcomes, so Go map iteration order never leaks
+// into results.
 func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 	sources := map[string]string{
 		"handwritten": determinismSrc,
@@ -103,31 +104,24 @@ func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for name, src := range sources {
 		for _, d := range []Domain{Interval, Octagon} {
-			for _, w := range []int{0, 1} {
-				first := runWorkers(t, d, src, w)
-				again := runWorkers(t, d, src, w)
-				label := fmt.Sprintf("%s/%s workers=%d", name, d, w)
-				assertSameAnalysis(t, label, first, again)
-				if d == Interval {
-					if again.Stats.Steps != first.Stats.Steps {
-						t.Errorf("%s: steps %d vs %d", label, first.Stats.Steps, again.Stats.Steps)
-					}
-					if again.Stats.Rounds != first.Stats.Rounds {
-						t.Errorf("%s: rounds %d vs %d", label, first.Stats.Rounds, again.Stats.Rounds)
-					}
-				}
+			first := runWorkers(t, d, src, 0)
+			again := runWorkers(t, d, src, 1)
+			label := fmt.Sprintf("%s/%s", name, d)
+			assertSameAnalysis(t, label, first, again)
+			if again.Stats.Steps != first.Stats.Steps {
+				t.Errorf("%s: steps %d vs %d", label, first.Stats.Steps, again.Stats.Steps)
 			}
 		}
 	}
 }
 
-// TestWorkersZeroMatchesLegacy pins the compatibility contract: Workers=0
-// runs the global worklist, Workers=1 the component schedule, and their
-// results agree on this handwritten program.
+// TestWorkersZeroMatchesLegacy pins the compatibility contract of the
+// deprecated Workers field: Workers=1, which callers may still set, runs
+// the same analysis as Workers=0.
 func TestWorkersZeroMatchesLegacy(t *testing.T) {
 	for _, d := range []Domain{Interval, Octagon} {
-		global := runWorkers(t, d, determinismSrc, 0)
-		comp := runWorkers(t, d, determinismSrc, 1)
-		assertSameAnalysis(t, fmt.Sprintf("%s global-vs-components", d), global, comp)
+		zero := runWorkers(t, d, determinismSrc, 0)
+		one := runWorkers(t, d, determinismSrc, 1)
+		assertSameAnalysis(t, fmt.Sprintf("%s workers 0-vs-1", d), zero, one)
 	}
 }

@@ -161,10 +161,9 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 
 // DiffSparseRuns compares two sparse interval results of the same program
 // bit-exactly: reachability, the Acc/Out partial memories at every def-use
-// node, and the deterministic step and round counters. It is the oracle
-// wherever two runs must agree exactly: repeated runs of one configuration
-// (fuzz determinism oracle), warm versus cold incremental solves, and
-// budgeted versus plain runs.
+// node, and the deterministic step counter. It is the oracle wherever two
+// runs must agree exactly: repeated runs of one configuration (fuzz
+// determinism oracle) and budgeted versus plain runs.
 //
 // At most limit mismatches are reported (0 = no limit).
 func DiffSparseRuns(a, b *Result, limit int) ([]string, error) {
@@ -178,11 +177,6 @@ func DiffSparseRuns(a, b *Result, limit int) ([]string, error) {
 	}
 	if a.sres.Steps != b.sres.Steps {
 		if report("steps %d vs %d", a.sres.Steps, b.sres.Steps) {
-			return out, nil
-		}
-	}
-	if a.sres.Rounds != b.sres.Rounds {
-		if report("rounds %d vs %d", a.sres.Rounds, b.sres.Rounds) {
 			return out, nil
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // silently falls back from an unsupported configuration: it names the
 // offending option and why it is rejected.
 type ConfigError struct {
-	Opt    string // the offending option, e.g. "Incr+Narrow"
+	Opt    string // the offending option, e.g. "Checkers+Domain"
 	Reason string
 }
 

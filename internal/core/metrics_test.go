@@ -31,18 +31,17 @@ func counterRun(t *testing.T, d Domain, m Mode, src string, workers int) map[str
 	return rep.Counters
 }
 
-// assertSameCounters runs src twice per solver (Workers 0 and 1) in one
-// process and requires bit-identical counters from the two runs of each.
+// assertSameCounters runs src twice in one process, with Workers 0 and
+// then 1 (which the engine ignores), and requires bit-identical counters
+// from the two runs.
 func assertSameCounters(t *testing.T, src string) {
 	t.Helper()
-	for _, w := range []int{0, 1} {
-		first := counterRun(t, Interval, Sparse, src, w)
-		again := counterRun(t, Interval, Sparse, src, w)
-		if !reflect.DeepEqual(first, again) {
-			for k, v := range first {
-				if again[k] != v {
-					t.Errorf("workers=%d: counter %s: %d, then %d", w, k, v, again[k])
-				}
+	first := counterRun(t, Interval, Sparse, src, 0)
+	again := counterRun(t, Interval, Sparse, src, 1)
+	if !reflect.DeepEqual(first, again) {
+		for k, v := range first {
+			if again[k] != v {
+				t.Errorf("counter %s: %d, then %d", k, v, again[k])
 			}
 		}
 	}
@@ -50,7 +49,7 @@ func assertSameCounters(t *testing.T, src string) {
 
 // TestMetricsDeterministicAcrossWorkers is the counter determinism
 // guarantee: every counter in the report — worklist pops, joins, widenings,
-// rounds, DUG shape, memory gauges, alarms — is bit-identical across
+// DUG shape, memory gauges, alarms — is bit-identical across
 // repeated runs of one configuration, so Go map iteration order never leaks
 // into the report.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
@@ -58,7 +57,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestMetricsDeterministicGenerated repeats the check on a larger generated
-// program so nontrivial component schedules are exercised.
+// program.
 func TestMetricsDeterministicGenerated(t *testing.T) {
 	assertSameCounters(t, cgen.Generate(cgen.Default(7, 400)))
 }
@@ -108,7 +107,6 @@ func TestMetricsPhaseTimings(t *testing.T) {
 	r, err := AnalyzeSource("metrics.c", determinismSrc, Options{
 		Domain:  Interval,
 		Mode:    Sparse,
-		Workers: 1,
 		Metrics: col,
 	})
 	if err != nil {
@@ -116,7 +114,7 @@ func TestMetricsPhaseTimings(t *testing.T) {
 	}
 	r.Alarms()
 	rep := r.MetricsReport()
-	for _, ph := range []string{"parse", "lower", "prean", "dug_build", "partition", "fixpoint", "check"} {
+	for _, ph := range []string{"parse", "lower", "prean", "dug_build", "fixpoint", "check"} {
 		if _, ok := rep.TimingsNS[ph]; !ok {
 			t.Errorf("phase %s missing from timings", ph)
 		}
@@ -149,7 +147,7 @@ func TestMetricsReportStamp(t *testing.T) {
 // TestMetricsNilCollectorPath makes sure a run without a collector still
 // works and reports a nil metrics snapshot.
 func TestMetricsNilCollectorPath(t *testing.T) {
-	r, err := AnalyzeSource("metrics.c", determinismSrc, Options{Domain: Interval, Mode: Sparse, Workers: 1})
+	r, err := AnalyzeSource("metrics.c", determinismSrc, Options{Domain: Interval, Mode: Sparse})
 	if err != nil {
 		t.Fatal(err)
 	}

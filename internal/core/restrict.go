@@ -171,11 +171,9 @@ func (r *Result) keepSet(kind check.Kind) []ir.LocID {
 // It requires a completed sparse interval run (the full graph is filtered,
 // never rebuilt) and uses the run's own semantics — in particular the same
 // entry-mark configuration — so the restricted alarms are bit-identical to
-// the full sequential run's alarms of the kind. The restricted solve always
-// runs the global-worklist solver (Workers is deliberately not inherited:
-// the contract is stated against that solver's widening order). The
-// restricted graph is rarely small: on generated programs it keeps
-// 99.1–99.8% of the full triples, which is why solves are shared. If kind's keep set equals that of the previous
+// the full run's alarms of the kind. The restricted graph is rarely small:
+// on generated programs it keeps 99.1–99.8% of the full triples, which is
+// why solves are shared. If kind's keep set equals that of the previous
 // restricted solve on the same graph (and that solve did not time out),
 // this call reuses its graph statistics and fixpoint and runs only kind's
 // checker; SharedWith names the kind that paid for the solve. The solve

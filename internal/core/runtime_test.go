@@ -10,7 +10,6 @@ import (
 	"sparrow/internal/cgen"
 	"sparrow/internal/check"
 	"sparrow/internal/faultinject"
-	"sparrow/internal/incr"
 	"sparrow/internal/leakcheck"
 	rt "sparrow/internal/runtime"
 )
@@ -18,20 +17,11 @@ import (
 // TestConfigGateViolations pins that every unsupported Options combination
 // is rejected up front with a typed *ConfigError, never a silent fallback.
 func TestConfigGateViolations(t *testing.T) {
-	cache := incr.NewCache(0, 0)
 	tests := []struct {
 		name string
 		opt  Options
 		frag string // substring of the Opt field
 	}{
-		{"incr-vanilla", Options{Domain: Interval, Mode: Vanilla, Workers: 1, Incr: cache}, "Incr+Domain"},
-		{"incr-octagon", Options{Domain: Octagon, Mode: Sparse, Workers: 1, Incr: cache}, "Incr+Domain"},
-		{"incr-no-workers", Options{Domain: Interval, Mode: Sparse, Incr: cache}, "Incr+Workers"},
-		{"incr-duchains", Options{Domain: Interval, Mode: Sparse, Workers: 1, DefUseChains: true, Incr: cache}, "Incr+DefUseChains"},
-		{"incr-narrow", Options{Domain: Interval, Mode: Sparse, Workers: 1, Narrow: 2, Incr: cache}, "Incr+Narrow"},
-		{"incr-timeout", Options{Domain: Interval, Mode: Sparse, Workers: 1, Timeout: time.Second, Incr: cache}, "Incr+Timeout"},
-		{"incr-maxsteps", Options{Domain: Interval, Mode: Sparse, Workers: 1, MaxSteps: 10, Incr: cache}, "Incr+Timeout"},
-		{"incr-uninit", Options{Domain: Interval, Mode: Sparse, Workers: 1, Checkers: []check.Kind{check.UninitRead}, Incr: cache}, "Incr+Checkers"},
 		{"uninit-octagon", Options{Domain: Octagon, Mode: Sparse, Checkers: []check.Kind{check.UninitRead}}, "Checkers+Domain"},
 		{"uninit-duchains", Options{Domain: Interval, Mode: Sparse, DefUseChains: true, Checkers: []check.Kind{check.UninitRead}}, "Checkers+DefUseChains"},
 		{"octagon-duchains", Options{Domain: Octagon, Mode: Sparse, DefUseChains: true}, "Domain+DefUseChains"},
@@ -73,14 +63,14 @@ func TestInjectedPanicBecomesAnalysisError(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicJoined checks that a panic raised inside the component
+// TestWorkerPanicJoined checks that a panic raised inside the sparse
 // solver is recovered and surfaces as an *AnalysisError with its stack
 // preserved.
 func TestWorkerPanicJoined(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	plan := faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Phase: rt.PhaseFix, At: 1})
 	_, err := AnalyzeSource("wpanic.c", src, Options{
-		Domain: Interval, Mode: Sparse, Workers: 1, FaultHook: plan.Hook(),
+		Domain: Interval, Mode: Sparse, FaultHook: plan.Hook(),
 	})
 	if !plan.AnyFired() {
 		t.Skip("no fix-phase checkpoint reached (program converged under the poll stride)")
@@ -199,22 +189,6 @@ func TestNoDegradeFailsFast(t *testing.T) {
 	}
 }
 
-// TestIncrNeverDegrades checks incremental runs refuse the ladder: a breach
-// is a hard error (the cache must never absorb a truncated run).
-func TestIncrNeverDegrades(t *testing.T) {
-	_, err := AnalyzeSource("incr.c", demo, Options{
-		Domain: Interval, Mode: Sparse, Workers: 1,
-		Incr: incr.NewCache(0, 0), Deadline: time.Nanosecond,
-	})
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
-	}
-	if len(be.Degraded) != 0 {
-		t.Errorf("incremental run degraded: %v", be.Degraded)
-	}
-}
-
 // TestBudgetedRunBitIdentical checks that merely having a budget (generous
 // deadline, no faults) does not perturb the fixpoint: the polling fast path
 // must be invisible.
@@ -244,7 +218,7 @@ func TestBudgetedRunBitIdentical(t *testing.T) {
 }
 
 // TestMidFlightCancellationNoLeaks drives mid-flight cancellation (an
-// injected Cancel fault) through the component solver and the graph builder
+// injected Cancel fault) through the sparse solver and the graph builder
 // and checks no goroutine survives the aborted analysis.
 func TestMidFlightCancellationNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
@@ -258,7 +232,7 @@ func TestMidFlightCancellationNoLeaks(t *testing.T) {
 			var fired bool
 			ok, before, after, dump := leakcheck.Check(func() {
 				_, err = AnalyzeSource("leak.c", src, Options{
-					Domain: Interval, Mode: Sparse, Workers: 1,
+					Domain: Interval, Mode: Sparse,
 					Ctx: ctx, FaultHook: plan.Hook(),
 				})
 				fired = plan.FiredKind(faultinject.Cancel)

@@ -24,7 +24,6 @@ package dug
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"sparrow/internal/callgraph"
 	"sparrow/internal/cfg"
@@ -104,9 +103,6 @@ type Graph struct {
 	accOff   []int32
 	accLocs  []ir.LocID
 	succSlot []int32
-
-	partOnce sync.Once
-	part     *Partition
 }
 
 // NumNodes returns the node count (points + phis).

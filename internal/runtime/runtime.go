@@ -37,7 +37,6 @@ const (
 	PhasePrean Phase = iota // pre-analysis sweeps and summary stages
 	PhaseDUG                // def-use-graph construction stages
 	PhaseFix                // fixpoint worklist loops (all solvers)
-	PhaseIncr               // incremental record/replay driver
 	NumPhases
 )
 
@@ -45,7 +44,6 @@ var phaseNames = [NumPhases]string{
 	PhasePrean: "prean",
 	PhaseDUG:   "dug",
 	PhaseFix:   "fix",
-	PhaseIncr:  "incr",
 }
 
 func (p Phase) String() string {
@@ -103,9 +101,9 @@ func (r Reason) Err() error {
 type Hook func(phase Phase, n uint64)
 
 // Abort is the panic value raised by Checkpoint in phases that cannot
-// return a partial result (pre-analysis, graph construction, incremental
-// replay). It unwinds to the core boundary, which converts it into a
-// budget error or a degradation step — it is never seen by callers.
+// return a partial result (pre-analysis, graph construction). It unwinds
+// to the core boundary, which converts it into a budget error or a
+// degradation step — it is never seen by callers.
 type Abort struct {
 	Reason Reason
 	Phase  Phase
@@ -272,51 +270,37 @@ func (b *Budget) Checkpoint(p Phase) {
 
 // Limits is the stop check of the fixpoint worklist loops: a step budget, a
 // wall-clock timeout and a Budget poll, the latter two amortized over a
-// stride of local steps. The zero Limits never stops a loop.
+// stride of steps. The zero Limits never stops a loop.
 type Limits struct {
 	maxSteps int
 	deadline time.Time // zero: no timeout
 	bud      *Budget
 	stride   int
 	poll     bool // a timeout or a budget is set
-	phase    Phase
-	abort    bool // Checkpoint instead of Poll
 }
 
 // NewLimits returns the stop check of a fixpoint loop that may return a
 // partial result: stop after maxSteps steps (0 = none) or, polled every
-// stride local steps, once timeout (0 = none) has passed since this call or
-// bud breaches in PhaseFix.
+// stride steps, once timeout (0 = none) has passed since this call or bud
+// breaches in PhaseFix.
 func NewLimits(maxSteps int, timeout time.Duration, bud *Budget, stride int) Limits {
-	l := Limits{maxSteps: maxSteps, bud: bud, stride: stride, poll: timeout > 0 || bud != nil, phase: PhaseFix}
+	l := Limits{maxSteps: maxSteps, bud: bud, stride: stride, poll: timeout > 0 || bud != nil}
 	if timeout > 0 {
 		l.deadline = time.Now().Add(timeout)
 	}
 	return l
 }
 
-// AbortLimits returns the stop check of a loop that cannot return a partial
-// result: it never stops the loop, but every stride local steps it runs
-// bud.Checkpoint(phase), which panics with *Abort on a breach.
-func AbortLimits(bud *Budget, phase Phase, stride int) Limits {
-	return Limits{bud: bud, stride: stride, poll: bud != nil, phase: phase, abort: true}
-}
-
-// Stop reports whether a loop must stop before its step-th step; local
-// counts the steps since the loop's last poll origin.
-func (l *Limits) Stop(step, local int) bool {
+// Stop reports whether a loop must stop before its step-th step.
+func (l *Limits) Stop(step int) bool {
 	if l.maxSteps > 0 && step > l.maxSteps {
 		return true
 	}
-	if !l.poll || local%l.stride != 0 {
+	if !l.poll || step%l.stride != 0 {
 		return false
 	}
 	if !l.deadline.IsZero() && time.Now().After(l.deadline) {
 		return true
 	}
-	if l.abort {
-		l.bud.Checkpoint(l.phase)
-		return false
-	}
-	return l.bud.Poll(l.phase) != OK
+	return l.bud.Poll(PhaseFix) != OK
 }

@@ -174,17 +174,16 @@ func TestMetricsFlush(t *testing.T) {
 }
 
 // TestLimits pins the fixpoint loops' stop check: the step budget stops
-// before step maxSteps+1, the budget is polled only every stride local
-// steps and in the loop's phase, and abort limits never stop a loop but
-// panic with *Abort on a breach.
+// before step maxSteps+1, and the budget is polled only every stride steps
+// and in PhaseFix.
 func TestLimits(t *testing.T) {
 	var zero Limits
-	if zero.Stop(1<<20, 0) {
+	if zero.Stop(1 << 20) {
 		t.Errorf("zero Limits stopped a loop")
 	}
 	steps := NewLimits(3, 0, nil, 4)
 	for step := 1; step <= 4; step++ {
-		if got, want := steps.Stop(step, step), step > 3; got != want {
+		if got, want := steps.Stop(step), step > 3; got != want {
 			t.Errorf("MaxSteps 3: Stop(%d) = %v want %v", step, got, want)
 		}
 	}
@@ -193,9 +192,9 @@ func TestLimits(t *testing.T) {
 	b := New(Config{Hook: func(p Phase, _ uint64) { polls = append(polls, p) }})
 	defer b.Close()
 	lim := NewLimits(0, 0, b, 4)
-	for local := 1; local <= 8; local++ {
-		if lim.Stop(local, local) {
-			t.Fatalf("unbreached budget stopped the loop at %d", local)
+	for step := 1; step <= 8; step++ {
+		if lim.Stop(step) {
+			t.Fatalf("unbreached budget stopped the loop at %d", step)
 		}
 	}
 	if len(polls) != 2 || polls[0] != PhaseFix {
@@ -206,18 +205,7 @@ func TestLimits(t *testing.T) {
 	cancel()
 	breached := New(Config{Ctx: ctx})
 	defer breached.Close()
-	if lim := NewLimits(0, 0, breached, 4); lim.Stop(3, 3) || !lim.Stop(4, 4) {
+	if lim := NewLimits(0, 0, breached, 4); lim.Stop(3) || !lim.Stop(4) {
 		t.Errorf("canceled budget: want a stop at the first poll only")
 	}
-	abort := AbortLimits(breached, PhaseIncr, 4)
-	if abort.Stop(3, 3) {
-		t.Fatalf("abort limits stopped the loop")
-	}
-	defer func() {
-		a, ok := recover().(*Abort)
-		if !ok || a.Reason != ReasonCanceled || a.Phase != PhaseIncr {
-			t.Fatalf("abort limits: recovered %v, want *Abort{canceled incr}", a)
-		}
-	}()
-	abort.Stop(4, 4)
 }

@@ -12,69 +12,6 @@ import (
 	"sparrow/internal/prean"
 )
 
-// diamond is a hand-built scheduling DAG over five components:
-//
-//	0 → 2 → 4
-//	0 → 3 → 4
-//	1 → 3
-func diamond() *Sched {
-	succs := [][]int32{{2, 3}, {3}, {4}, {4}, nil}
-	return &Sched{Succs: succs, pending: make([]bool, len(succs))}
-}
-
-// wave runs one wave of s with work initially at the components in seeds;
-// running a component consumes its work and gives work to gives[c]. It
-// returns the components in the order they ran.
-func wave(s *Sched, seeds []int32, gives map[int32][]int32) []int32 {
-	work := make([]bool, len(s.Succs))
-	for _, c := range seeds {
-		work[c] = true
-	}
-	var ran []int32
-	s.Wave(func(c int32) bool { return work[c] }, func(c int32) {
-		ran = append(ran, c)
-		work[c] = false
-		for _, d := range gives[c] {
-			work[d] = true
-		}
-	})
-	return ran
-}
-
-func TestWaveAscendingExactlyWorked(t *testing.T) {
-	s := diamond()
-	// Seeded out of order; components 1 and 2 have no work and must not run.
-	if ran := wave(s, []int32{4, 0, 3}, nil); !slices.Equal(ran, []int32{0, 3, 4}) {
-		t.Errorf("ran %v want [0 3 4]", ran)
-	}
-	if ran := wave(s, nil, nil); len(ran) != 0 {
-		t.Errorf("empty wave ran %v", ran)
-	}
-}
-
-func TestWaveRunsEachOnce(t *testing.T) {
-	s := diamond()
-	// 0 and 1 both give work to 3, and 2 and 3 both give work to 4: each
-	// still runs once, after all of its predecessors with work.
-	gives := map[int32][]int32{0: {2, 3}, 1: {3}, 2: {4}, 3: {4}}
-	if ran := wave(s, []int32{0, 1}, gives); !slices.Equal(ran, []int32{0, 1, 2, 3, 4}) {
-		t.Errorf("ran %v want [0 1 2 3 4]", ran)
-	}
-	// The scratch heap is empty again: a second wave starts clean.
-	if ran := wave(s, []int32{3}, gives); !slices.Equal(ran, []int32{3, 4}) {
-		t.Errorf("second wave ran %v want [3 4]", ran)
-	}
-}
-
-func TestWaveRunsGainedWorkSameWave(t *testing.T) {
-	s := diamond()
-	// Only 1 is seeded; 3 gains work from it and 4 from 3, in the same wave.
-	gives := map[int32][]int32{1: {3}, 3: {4}}
-	if ran := wave(s, []int32{1}, gives); !slices.Equal(ran, []int32{1, 3, 4}) {
-		t.Errorf("ran %v want [1 3 4]", ran)
-	}
-}
-
 // TestReachTargets checks the control-reachability targets on a corpus
 // program with an indirect call: the call through op reaches the entries
 // of its three handlers (not its CFG successor), each handler's exit

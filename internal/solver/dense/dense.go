@@ -165,7 +165,7 @@ func (sv *solver) run() {
 			return
 		}
 		sv.res.Steps++
-		if sv.lim.Stop(sv.res.Steps, sv.res.Steps) {
+		if sv.lim.Stop(sv.res.Steps) {
 			sv.res.TimedOut = true
 			return
 		}

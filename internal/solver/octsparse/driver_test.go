@@ -53,9 +53,9 @@ func gotoSwitchFuzz(seed uint64, stmts int) cgen.Config {
 	return c
 }
 
-// checkOctDriver solves src with both entry points, with and without the
-// chain bypass and under step budgets of 0 (none), 1, 17 and 500, and
-// requires each result to equal the reference solver's.
+// checkOctDriver solves src with and without the chain bypass and under
+// step budgets of 0 (none), 1, 17 and 500, and requires each result to
+// equal the reference solver's.
 func checkOctDriver(t *testing.T, name, src string) {
 	t.Helper()
 	f, err := parser.Parse(name, src)
@@ -74,7 +74,6 @@ func checkOctDriver(t *testing.T, name, src string) {
 			opt := Options{MaxSteps: maxSteps}
 			label := fmt.Sprintf("%s bypass=%v maxsteps=%d", name, bypass, maxSteps)
 			assertSameOctSolve(t, label+" global", g, refAnalyze(prog, pre, s, g, opt), Analyze(prog, pre, s, g, opt))
-			assertSameOctSolve(t, label+" components", g, refAnalyzeComponents(prog, pre, s, g, opt), AnalyzeComponents(prog, pre, s, g, opt))
 		}
 	}
 }
@@ -97,9 +96,9 @@ func sameOMem(a, b octsem.OMem) bool {
 // reachability, and per-pack equal memories at every node.
 func assertSameOctSolve(t *testing.T, label string, g *dug.Graph, want, got *Result) {
 	t.Helper()
-	if want.Steps != got.Steps || want.Joins != got.Joins || want.Widenings != got.Widenings || want.Rounds != got.Rounds {
-		t.Errorf("%s: steps/joins/widenings/rounds %d/%d/%d/%d vs %d/%d/%d/%d", label,
-			want.Steps, want.Joins, want.Widenings, want.Rounds, got.Steps, got.Joins, got.Widenings, got.Rounds)
+	if want.Steps != got.Steps || want.Joins != got.Joins || want.Widenings != got.Widenings {
+		t.Errorf("%s: steps/joins/widenings %d/%d/%d vs %d/%d/%d", label,
+			want.Steps, want.Joins, want.Widenings, got.Steps, got.Joins, got.Widenings)
 	}
 	if want.TimedOut != got.TimedOut {
 		t.Errorf("%s: timed out %v vs %v", label, want.TimedOut, got.TimedOut)

@@ -1,8 +1,7 @@
 // Package octsparse implements the sparse fixpoint of the packed relational
 // analysis (Octagon_sparse of Table 3): octagon pack values propagate along
-// the pack-level def-use graph instead of control flow. The schedules — one
-// global worklist, or the component waves — are compsched.Driver's, shared
-// with the interval solver.
+// the pack-level def-use graph instead of control flow. The schedule — one
+// global worklist — is compsched.Driver's, shared with the interval solver.
 package octsparse
 
 import (
@@ -52,15 +51,11 @@ type Result struct {
 	// state ≠ plain join).
 	Joins     int
 	Widenings int
-	// Rounds counts the component solver's waves (AnalyzeComponents only;
-	// the global-worklist solver has no rounds and leaves it zero).
-	Rounds   int
-	TimedOut bool
+	TimedOut  bool
 }
 
-// state is the octagon half of a sparse solve, shared by Analyze and
-// AnalyzeComponents: the per-node pack memories and the transfer loop body
-// (fire, pushOuts). The scheduling half is the compsched.Driver d.
+// state is the octagon half of a sparse solve: the per-node pack memories
+// and the transfer loop body (fire, pushOuts). The scheduling half is the compsched.Driver d.
 type state struct {
 	prog *ir.Program
 	pre  *prean.Result
@@ -110,15 +105,6 @@ func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, o
 	return st.finish()
 }
 
-// AnalyzeComponents runs the sparse relational analysis over the def-use
-// graph's component partition in the sequential wave schedule. Result.Rounds
-// counts the waves.
-func AnalyzeComponents(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
-	st := newState(prog, pre, s, g, opt)
-	st.d.Components()
-	return st.finish()
-}
-
 // finish builds the result and flushes the work counters.
 func (st *state) finish() *Result {
 	d := st.d
@@ -129,14 +115,12 @@ func (st *state) finish() *Result {
 		Steps:     d.Steps,
 		Joins:     st.joins,
 		Widenings: st.widenings,
-		Rounds:    d.Rounds,
 		TimedOut:  d.TimedOut,
 	}
 	col := st.opt.Metrics
 	col.Add(metrics.CtrPops, int64(res.Steps))
 	col.Add(metrics.CtrJoins, int64(res.Joins))
 	col.Add(metrics.CtrWidenings, int64(res.Widenings))
-	col.Add(metrics.CtrRounds, int64(res.Rounds))
 	return res
 }
 

@@ -11,15 +11,14 @@ import (
 	"sparrow/internal/prean"
 )
 
-// BenchmarkFixpoint times the sparse interval fixpoint alone, the
-// global-worklist solver (Analyze) against the component solver
-// (AnalyzeComponents), on two programs:
+// BenchmarkFixpoint times the sparse interval fixpoint alone on two
+// programs:
 //   - gen-1000: the seed-43 gen-1000 program of the benchmark suite;
 //   - gen-4000: the first program of the seed-7 gen-4000 suite (sparse-4k),
 //     the program BenchmarkBuild/gen-4000 uses.
 //
-// Parsing, the pre-analysis, the def-use graph (bypass on, the CLI default)
-// and its partition are built before the timer starts.
+// Parsing, the pre-analysis and the def-use graph (bypass on, the CLI
+// default) are built before the timer starts.
 func BenchmarkFixpoint(b *testing.B) {
 	for _, in := range []struct {
 		stmts int
@@ -36,22 +35,13 @@ func BenchmarkFixpoint(b *testing.B) {
 		}
 		pre := prean.Run(prog)
 		g := dug.Build(prog, pre, dug.Options{Bypass: true})
-		g.Partition()
-		for _, arm := range []struct {
-			name  string
-			solve func() *Result
-		}{
-			{"global", func() *Result { return Analyze(prog, pre, g, Options{}) }},
-			{"components", func() *Result { return AnalyzeComponents(prog, pre, g, Options{}) }},
-		} {
-			b.Run(name+"/"+arm.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var res *Result
-				for b.Loop() {
-					res = arm.solve()
-				}
-				b.ReportMetric(float64(res.Steps), "steps")
-			})
-		}
+		b.Run(name+"/global", func(b *testing.B) {
+			b.ReportAllocs()
+			var res *Result
+			for b.Loop() {
+				res = Analyze(prog, pre, g, Options{})
+			}
+			b.ReportMetric(float64(res.Steps), "steps")
+		})
 	}
 }

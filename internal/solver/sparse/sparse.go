@@ -44,8 +44,8 @@ type Options struct {
 	// the current outputs and narrows the accumulated inputs towards them.
 	Narrow int
 	// Metrics, when non-nil, receives the solver's work counters (node
-	// firings, value-changing joins, effective widenings, rounds) when the
-	// run completes. Counting happens in Result fields on the hot path and
+	// firings, value-changing joins, effective widenings) when the run
+	// completes. Counting happens in Result fields on the hot path and
 	// flushes once, so the instrumented counters equal the Result's.
 	Metrics *metrics.Collector
 	// EntryMarks is forwarded to the semantics (sem.Sem.EntryMarks): the
@@ -90,15 +90,11 @@ type Result struct {
 	// Joins counts per-location pushes that changed a node's stored output
 	// (ascending phase only).
 	Joins int
-	// Rounds counts the component-wave rounds of AnalyzeComponents (0 for
-	// the global-worklist solver).
-	Rounds int
 	// TimedOut reports an aborted run.
 	TimedOut bool
 }
 
-// store is the interval half of a sparse solve, shared by Analyze,
-// AnalyzeComponents and AnalyzeIncremental: the value state and the
+// store is the interval half of a sparse solve: the value state and the
 // transfer loop body (fire, pushOuts). The scheduling half is the
 // compsched.Driver d. The paper's F̂ keeps X(c) only on a set of (node,
 // location) cells fixed before solving, so the state is flat — one value
@@ -137,11 +133,6 @@ type store struct {
 
 	joins, widenings int
 
-	// memo, when non-nil, makes the solve incremental (incr.go); rec, when
-	// non-nil, records the running component's live run.
-	memo *memo
-	rec  *recBuf
-
 	// Scratch: memory entries under construction, and the new values of
 	// the fired node's definitions.
 	locs []ir.LocID
@@ -149,8 +140,8 @@ type store struct {
 	nv   []val.Val
 }
 
-// newStore returns the state of one solve, incremental when m is non-nil.
-func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options, m *memo) *store {
+// newStore returns the state of one solve.
+func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *store {
 	if opt.WidenThreshold == 0 {
 		opt.WidenThreshold = defaultWidenThreshold
 	}
@@ -174,24 +165,14 @@ func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options, m 
 		accSet: make([]bool, g.AccSlots()),
 		counts: make([]int32, cbase[n]),
 		cbase:  cbase,
-		memo:   m,
 	}
-	lim := rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride)
-	if m != nil {
-		// An incremental run never stops early: a budget breach aborts
-		// (rt.Abort) before the run's transcript is recorded.
-		lim = rt.AbortLimits(opt.Budget, rt.PhaseIncr, pollStride)
-	}
-	st.d = compsched.NewDriver(prog, pre, g, lim, st.fire)
-	if m != nil {
-		m.attach(st)
-	}
+	st.d = compsched.NewDriver(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
 	return st
 }
 
 // Analyze runs the sparse analysis over the def-use graph g.
 func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
-	st := newStore(prog, pre, g, opt, nil)
+	st := newStore(prog, pre, g, opt)
 	st.d.Global()
 	return st.finish()
 }
@@ -201,7 +182,7 @@ func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Re
 func (st *store) finish() *Result {
 	n := st.g.NumNodes()
 	d := st.d
-	res := &Result{Reached: d.Reached, Steps: d.Steps, Rounds: d.Rounds, TimedOut: d.TimedOut}
+	res := &Result{Reached: d.Reached, Steps: d.Steps, TimedOut: d.TimedOut}
 	res.Acc = make([]mem.Mem, n)
 	res.Out = make([]mem.Mem, n)
 	for i := 0; i < n; i++ {
@@ -251,7 +232,6 @@ func flushMetrics(col *metrics.Collector, res *Result) {
 	col.Add(metrics.CtrPops, int64(res.Steps))
 	col.Add(metrics.CtrJoins, int64(res.Joins))
 	col.Add(metrics.CtrWidenings, int64(res.Widenings))
-	col.Add(metrics.CtrRounds, int64(res.Rounds))
 }
 
 // outOf recomputes a node's output memory from its current accumulated
@@ -374,9 +354,6 @@ func (st *store) fire(n dug.NodeID) {
 		if !ok {
 			return
 		}
-		if st.rec != nil {
-			st.rec.fired = append(st.rec.fired, n)
-		}
 		st.d.MarkSuccs(pt)
 		for _, l := range defs {
 			nv = append(nv, out.Get(l))
@@ -417,9 +394,6 @@ func (st *store) pushOuts(n dug.NodeID, nv []val.Val) {
 			joined = wv
 		}
 		st.out[slot], st.outSet[slot] = joined, true
-		if st.rec != nil {
-			st.rec.outs = append(st.rec.outs, slotRef{n, slot})
-		}
 		succs, slots := cur.SeekSlots(l)
 		for k, succ := range succs {
 			st.push(succ, slots[k], joined)
@@ -428,9 +402,7 @@ func (st *store) pushOuts(n dug.NodeID, nv []val.Val) {
 }
 
 // push joins v into Acc slot slot of node n (a weak update, binding an
-// unbound slot to v) and schedules n if the slot grew. Incrementally, the
-// slot is then part of the running component's transcript or, when n lies
-// in another component, an external input of that component.
+// unbound slot to v) and schedules n if the slot grew.
 func (st *store) push(n dug.NodeID, slot int32, v val.Val) {
 	old := st.acc[slot]
 	if v.LessEq(old) {
@@ -440,14 +412,7 @@ func (st *store) push(n dug.NodeID, slot int32, v val.Val) {
 		v = old.Join(v)
 	}
 	st.acc[slot], st.accSet[slot] = v, true
-	if st.d.Schedule(n) {
-		if st.rec != nil {
-			st.rec.accs = append(st.rec.accs, slotRef{n, slot})
-		}
-	} else if st.memo != nil {
-		c := st.memo.p.Comp[n]
-		st.memo.pendingIn[c] = append(st.memo.pendingIn[c], slotRef{n, slot})
-	}
+	st.d.Schedule(n)
 }
 
 // ValueAt returns the sparse fixpoint value of location l at point pt: its

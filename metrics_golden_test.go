@@ -43,7 +43,6 @@ func collectGolden(t *testing.T, name string) goldenReport {
 	res, err := sparrow.AnalyzeSource(name+".c", string(src), sparrow.Options{
 		Domain:   sparrow.Interval,
 		Mode:     sparrow.Sparse,
-		Workers:  0,
 		Metrics:  col,
 		Checkers: check.AllKinds,
 	})
