@@ -54,7 +54,6 @@ type Entry struct {
 	Program   string           `json:"program"`
 	Domain    string           `json:"domain"`
 	Mode      string           `json:"mode"`
-	Workers   int              `json:"workers"`
 	Counters  map[string]int64 `json:"counters"`
 	TimingsNS map[string]int64 `json:"timings_ns,omitempty"`
 }
@@ -320,7 +319,6 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 				Program:  p.Name,
 				Domain:   rep.Domain,
 				Mode:     rep.Mode,
-				Workers:  rep.Workers,
 				Counters: rep.Counters,
 			}
 			if opt.Timings {

@@ -35,7 +35,7 @@ import (
 // Schema is the version of the Report wire format. Bump it when counters
 // are added, removed, or change meaning; regression snapshots carry it so
 // stale baselines fail loudly instead of comparing apples to oranges.
-const Schema = 2
+const Schema = 3
 
 // Phase identifies one timed stage of the analysis pipeline.
 type Phase uint8
@@ -94,17 +94,11 @@ const (
 	CtrDUGDefs    // Σ|D̂(c)| over nodes
 	CtrDUGUses    // Σ|Û(c)| over nodes
 
-	// Partition (parallel scheduling structure).
-	CtrComponents   // SCCs of the def-use graph
-	CtrMaxComponent // nodes in the largest component
-	CtrIslands      // weakly-connected islands of the condensation
-
 	// Fixpoint work.
 	CtrPops      // worklist pops (node/point firings)
 	CtrJoins     // value-changing join applications
 	CtrWidenings // effective widenings (widened value ≠ plain join)
 	CtrBypasses  // access-based localization bypass deliveries (dense base)
-	CtrRounds    // component-wave rounds of the component solver
 
 	// Result shape.
 	CtrReachedPoints   // control points proved reachable
@@ -137,20 +131,11 @@ const (
 	CtrRestrUninitEdges
 	CtrRestrUninitTriples
 
-	// Incremental re-analysis cache effectiveness (internal/incr): component
-	// runs replayed from the snapshot, runs executed live, and distinct
-	// components re-solved. This group is emitted only when an incremental
-	// solve ran (see Report) so the counter key set — and therefore every
-	// committed schema-2 baseline — is unchanged for ordinary runs.
-	CtrIncrHits
-	CtrIncrMisses
-	CtrIncrResolved
-
 	// Fault-tolerant runtime (internal/runtime): cooperative checkpoint
 	// polls, budget breaches (deadline/heap/cancel), and degradation-ladder
-	// rungs taken. Like the incremental group, emitted only when a budget
-	// was active (checkpoints > 0) so budget-free runs — and the committed
-	// schema-2 baselines — keep their counter key set.
+	// rungs taken. Emitted only when a budget was active (checkpoints > 0)
+	// so budget-free runs — and the committed baselines — keep their
+	// counter key set.
 	CtrRuntimeCheckpoints
 	CtrRuntimeBreaches
 	CtrRuntimeDegradeSteps
@@ -170,14 +155,10 @@ var counterNames = [NumCounters]string{
 	CtrDUGSpliced:      "dug_spliced",
 	CtrDUGDefs:         "dug_defs",
 	CtrDUGUses:         "dug_uses",
-	CtrComponents:      "components",
-	CtrMaxComponent:    "max_component",
-	CtrIslands:         "islands",
 	CtrPops:            "worklist_pops",
 	CtrJoins:           "joins",
 	CtrWidenings:       "widenings",
 	CtrBypasses:        "bypasses",
-	CtrRounds:          "rounds",
 	CtrReachedPoints:   "reached_points",
 	CtrMemPeakEntries:  "mem_peak_entries",
 	CtrMemTotalEntries: "mem_total_entries",
@@ -201,10 +182,6 @@ var counterNames = [NumCounters]string{
 	CtrRestrUninitNodes:   "restr_uninit_nodes",
 	CtrRestrUninitEdges:   "restr_uninit_edges",
 	CtrRestrUninitTriples: "restr_uninit_triples",
-
-	CtrIncrHits:     "incr_components_hit",
-	CtrIncrMisses:   "incr_components_miss",
-	CtrIncrResolved: "incr_components_resolved",
 
 	CtrRuntimeCheckpoints:  "runtime_checkpoints",
 	CtrRuntimeBreaches:     "runtime_breaches",
@@ -422,22 +399,15 @@ type Report struct {
 // Report snapshots the collector. Every catalogued counter appears (zeros
 // included) so the counter section's key set is stable across runs and
 // engine configurations; phases that never ran are omitted from timings.
-// Two exceptions: the incremental group (incr_components_*) is omitted
-// unless an incremental solve actually happened (any of the three is
-// nonzero — an incremental run always misses or hits at least the entry
-// component), and the runtime group (runtime_*) is omitted unless a budget
-// was active (a budgeted run always polls at least one checkpoint). Both
-// keep the counter key set of ordinary runs — and the committed schema-2
+// The one exception is the runtime group (runtime_*), omitted unless a
+// budget was active (a budgeted run always polls at least one checkpoint),
+// which keeps the counter key set of ordinary runs — and the committed
 // regression baselines — byte-stable.
 func (c *Collector) Report() *Report {
 	r := &Report{Schema: Schema, Counters: make(map[string]int64, NumCounters)}
-	incrRan := c.Get(CtrIncrHits) != 0 || c.Get(CtrIncrMisses) != 0 || c.Get(CtrIncrResolved) != 0
 	budgetRan := c.Get(CtrRuntimeCheckpoints) != 0 || c.Get(CtrRuntimeBreaches) != 0 ||
 		c.Get(CtrRuntimeDegradeSteps) != 0
 	for k := Counter(0); k < NumCounters; k++ {
-		if (k == CtrIncrHits || k == CtrIncrMisses || k == CtrIncrResolved) && !incrRan {
-			continue
-		}
 		if (k == CtrRuntimeCheckpoints || k == CtrRuntimeBreaches || k == CtrRuntimeDegradeSteps) && !budgetRan {
 			continue
 		}

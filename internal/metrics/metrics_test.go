@@ -83,9 +83,8 @@ func TestNilCollector(t *testing.T) {
 		t.Error("nil collector returned nonzero readings")
 	}
 	r := c.Report()
-	// Both conditional groups (incremental, runtime) are absent on a nil
-	// collector.
-	if r.Schema != Schema || len(r.Counters) != int(NumCounters)-6 {
+	// The conditional runtime group is absent on a nil collector.
+	if r.Schema != Schema || len(r.Counters) != int(NumCounters)-3 {
 		t.Errorf("nil collector report malformed: %+v", r)
 	}
 }
@@ -192,19 +191,18 @@ var sink []byte
 
 // TestReportStableKeySet pins that every counter appears in the report even
 // when zero — snapshot diffs rely on a fixed key set. The one exception is
-// the incremental group, which is present exactly when an incremental solve
-// ran: omitting it otherwise keeps ordinary runs' reports (and the committed
-// schema-2 baselines) byte-stable.
+// the runtime group, which is present exactly when a budget was active:
+// omitting it otherwise keeps ordinary runs' reports (and the committed
+// baselines) byte-stable.
 func TestReportStableKeySet(t *testing.T) {
-	incrGroup := map[Counter]bool{CtrIncrHits: true, CtrIncrMisses: true, CtrIncrResolved: true}
 	rtGroup := map[Counter]bool{CtrRuntimeCheckpoints: true, CtrRuntimeBreaches: true, CtrRuntimeDegradeSteps: true}
 	r := New().Report()
-	if want := int(NumCounters) - len(incrGroup) - len(rtGroup); len(r.Counters) != want {
+	if want := int(NumCounters) - len(rtGroup); len(r.Counters) != want {
 		t.Fatalf("ordinary report has %d counters, want %d", len(r.Counters), want)
 	}
 	for k := Counter(0); k < NumCounters; k++ {
 		_, ok := r.Counters[k.String()]
-		if incrGroup[k] || rtGroup[k] {
+		if rtGroup[k] {
 			if ok {
 				t.Errorf("conditional counter %s present without its trigger", k)
 			}
@@ -215,16 +213,10 @@ func TestReportStableKeySet(t *testing.T) {
 		}
 	}
 	c := New()
-	c.Set(CtrIncrMisses, 3)
 	c.Set(CtrRuntimeCheckpoints, 7)
 	r = c.Report()
 	if len(r.Counters) != int(NumCounters) {
 		t.Fatalf("full report has %d counters, catalogue has %d", len(r.Counters), NumCounters)
-	}
-	for k := range incrGroup {
-		if _, ok := r.Counters[k.String()]; !ok {
-			t.Errorf("counter %s missing from incremental report", k)
-		}
 	}
 	for k := range rtGroup {
 		if _, ok := r.Counters[k.String()]; !ok {

@@ -29,7 +29,6 @@ type goldenReport struct {
 	Program  string           `json:"program"`
 	Domain   string           `json:"domain"`
 	Mode     string           `json:"mode"`
-	Workers  int              `json:"workers"`
 	Counters map[string]int64 `json:"counters"`
 }
 
@@ -62,7 +61,6 @@ func collectGolden(t *testing.T, name string) goldenReport {
 		Program:  name,
 		Domain:   rep.Domain,
 		Mode:     rep.Mode,
-		Workers:  rep.Workers,
 		Counters: rep.Counters,
 	}
 }
@@ -98,7 +96,7 @@ func TestMetricsGolden(t *testing.T) {
 			if err := json.Unmarshal(b, &want); err != nil {
 				t.Fatal(err)
 			}
-			if got.Schema != want.Schema || got.Domain != want.Domain || got.Mode != want.Mode || got.Workers != want.Workers {
+			if got.Schema != want.Schema || got.Domain != want.Domain || got.Mode != want.Mode {
 				t.Errorf("stamp drift: got %+v, want %+v", got, want)
 			}
 			if !reflect.DeepEqual(got.Counters, want.Counters) {
