@@ -290,8 +290,9 @@ func degradeStep(opt Options) (Options, string, bool) {
 //
 // With a budget configured (Ctx, Deadline, MemBudget, or FaultHook), the
 // analysis is attempt-structured: a breach discards the attempt, degrades
-// the configuration one ladder rung (unless NoDegrade or a cancellation), and retries with a fresh budget window. Panics anywhere
-// inside an attempt surface as *AnalysisError, never as a crash.
+// the configuration one ladder rung (unless NoDegrade or a cancellation),
+// and retries with a fresh budget window. Panics anywhere inside an attempt
+// surface as *AnalysisError, never as a crash.
 func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 	if err := validateOptions(opt); err != nil {
 		return nil, err

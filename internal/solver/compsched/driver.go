@@ -4,8 +4,6 @@
 package compsched
 
 import (
-	"slices"
-
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/prean"
@@ -16,8 +14,7 @@ import (
 // Driver is the domain-independent half of the sparse solvers (interval and
 // octagon): control reachability, the priority worklist over the whole
 // def-use graph, and the stop check. A domain keeps its value state and one
-// fire step; fire reports work back through MarkSuccs (or Mark) and
-// Schedule.
+// fire step; fire reports work back through MarkSuccs and Schedule.
 //
 // A point fires only once reachable, so the domains gate their transfers on
 // Reached: the dense solvers prune CFG-unreachable code, and the sparse
@@ -35,7 +32,7 @@ type Driver struct {
 	lim  rt.Limits
 	fire func(dug.NodeID)
 	wl   *worklist.Worklist
-	mark func(ir.PointID) // Mark as a func value, bound once so MarkSuccs allocates nothing
+	mark func(ir.PointID) // mark as a func value, bound once so MarkSuccs allocates nothing
 }
 
 // NewDriver returns a driver over g that fires nodes with fire and stops
@@ -49,38 +46,25 @@ func NewDriver(prog *ir.Program, pre *prean.Result, g *dug.Graph, lim rt.Limits,
 		fire:    fire,
 		wl:      worklist.New(g.NumNodes(), g.Prio),
 	}
-	d.mark = d.Mark
+	d.mark = d.markPoint
 	return d
 }
 
 // Global solves with one priority worklist over the whole graph, starting
-// from main's entry.
+// from main's entry, until the worklist is empty or the stop check fires.
 func (d *Driver) Global() {
 	root := d.prog.ProcByID(d.prog.Main).Entry
 	d.Reached[root] = true
-	d.RunLive([]int32{int32(root)})
-}
-
-// RunLive runs the priority-worklist transfer loop from the given seeds,
-// sorted before enqueueing so the schedule is canonical. Once the stop
-// check fires, the worklist drains without firing.
-func (d *Driver) RunLive(seeds []int32) {
-	slices.Sort(seeds)
-	for _, s := range seeds {
-		d.wl.Add(int(s))
-	}
+	d.wl.Add(int(root))
 	for {
 		id, ok := d.wl.Take()
 		if !ok {
 			return
 		}
-		if d.TimedOut {
-			continue
-		}
 		d.Steps++
 		if d.lim.Stop(d.Steps) {
 			d.TimedOut = true
-			continue
+			return
 		}
 		d.fire(dug.NodeID(id))
 	}
@@ -91,9 +75,9 @@ func (d *Driver) MarkSuccs(pt *ir.Point) {
 	ReachTargets(d.prog, d.pre, pt, d.mark)
 }
 
-// Mark records reachability of t and feeds it to the worklist the first
-// time.
-func (d *Driver) Mark(t ir.PointID) {
+// markPoint records reachability of t and feeds it to the worklist the
+// first time.
+func (d *Driver) markPoint(t ir.PointID) {
 	if !d.Reached[t] {
 		d.Reached[t] = true
 		d.wl.Add(int(t))

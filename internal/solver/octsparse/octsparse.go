@@ -55,7 +55,8 @@ type Result struct {
 }
 
 // state is the octagon half of a sparse solve: the per-node pack memories
-// and the transfer loop body (fire, pushOuts). The scheduling half is the compsched.Driver d.
+// and the transfer loop body (fire, pushOuts). The scheduling half is the
+// compsched.Driver d.
 type state struct {
 	prog *ir.Program
 	pre  *prean.Result
