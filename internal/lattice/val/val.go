@@ -134,34 +134,6 @@ func FromPtr(loc ir.LocID, r Region) Val {
 // FromFunc returns a function value.
 func FromFunc(f ir.ProcID) Val { return Val{ref: &refs{fns: []ir.ProcID{f}}} }
 
-// Make assembles a value from explicit components, sorting and deduplicating
-// the pointer and function slices defensively (decoded or hand-built inputs
-// may be unordered; duplicate pointer targets join their regions). The result
-// is structurally canonical: Make(v.Itv(), v.Ptr(), v.Fns(), v.MayUninit())
-// equals v for every well-formed v. The slices are copied, never aliased.
-func Make(i itv.Itv, ptr []PtrEntry, fns []ir.ProcID, uninit bool) Val {
-	var p []PtrEntry
-	if len(ptr) > 0 {
-		p = append([]PtrEntry(nil), ptr...)
-		sort.Slice(p, func(a, b int) bool { return p[a].Loc < p[b].Loc })
-		p = dedupPtr(p)
-	}
-	var f []ir.ProcID
-	if len(fns) > 0 {
-		f = append([]ir.ProcID(nil), fns...)
-		sort.Slice(f, func(a, b int) bool { return f[a] < f[b] })
-		k := 1
-		for i := 1; i < len(f); i++ {
-			if f[i] != f[k-1] {
-				f[k] = f[i]
-				k++
-			}
-		}
-		f = f[:k]
-	}
-	return Val{I: i, ref: mkRefs(p, f), uninit: uninit}
-}
-
 // UninitTop is the entry marker of a possibly-uninitialized cell: an
 // arbitrary integer (the concrete cell holds garbage) carrying the uninit
 // bit. A top interval — not bottom — keeps conditions over uninitialized
