@@ -25,6 +25,7 @@ import (
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/prean"
+	"sparrow/internal/sem"
 	"sparrow/internal/solver/sparse"
 )
 
@@ -148,10 +149,11 @@ func BenchmarkBypassAblation(b *testing.B) {
 		bypass bool
 	}{{"nobypass", false}, {"bypass", true}} {
 		g := dug.Build(prog, pre, dug.Options{Bypass: arm.bypass})
+		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportMetric(float64(g.EdgeCount), "edges")
 			for b.Loop() {
-				res := sparse.Analyze(prog, pre, g, sparse.Options{})
+				res := sparse.Analyze(prog, pre, s, g, sparse.Options{})
 				if res.TimedOut {
 					b.Fatal("timed out")
 				}
@@ -197,7 +199,8 @@ func BenchmarkGen1000Sparse(b *testing.B) {
 	for b.Loop() {
 		pre := prean.Run(prog)
 		g := dug.Build(prog, pre, dug.Options{Bypass: true})
-		if sparse.Analyze(prog, pre, g, sparse.Options{}).TimedOut {
+		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		if sparse.Analyze(prog, pre, s, g, sparse.Options{}).TimedOut {
 			b.Fatal("timed out")
 		}
 	}
@@ -217,10 +220,11 @@ func BenchmarkGen1000SparseFix(b *testing.B) {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
+	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if sparse.Analyze(prog, pre, g, sparse.Options{}).TimedOut {
+		if sparse.Analyze(prog, pre, s, g, sparse.Options{}).TimedOut {
 			b.Fatal("timed out")
 		}
 	}

@@ -29,8 +29,8 @@ func BenchmarkCheck(b *testing.B) {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	res := sparse.Analyze(prog, pre, g, sparse.Options{})
 	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	res := sparse.Analyze(prog, pre, s, g, sparse.Options{})
 	memAt := func(pt ir.PointID) mem.Mem { return res.Acc[pt] }
 	b.ReportAllocs()
 	var alarms []Alarm

@@ -154,7 +154,7 @@ func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	stop()
 	r.graph = rg
 	stop = r.col.Phase(metrics.PhaseFix)
-	r.sres = sparse.Analyze(r.Prog, r.pre, rg, sopt)
+	r.sres = sparse.Analyze(r.Prog, r.pre, r.isem, rg, sopt)
 	stop()
 }
 
@@ -200,11 +200,10 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 		s = &restrictedSolve{graph: r.graph, keep: keep, kind: kind}
 		s.nodes, s.rows, s.triples = rg.ActiveStats()
 		ts := time.Now()
-		s.sres = sparse.Analyze(r.Prog, r.pre, rg, sparse.Options{
-			Timeout:    r.Opts.Timeout,
-			MaxSteps:   r.Opts.MaxSteps,
-			Narrow:     r.Opts.Narrow,
-			EntryMarks: r.marks,
+		s.sres = sparse.Analyze(r.Prog, r.pre, r.isem, rg, sparse.Options{
+			Timeout:  r.Opts.Timeout,
+			MaxSteps: r.Opts.MaxSteps,
+			Narrow:   r.Opts.Narrow,
 		})
 		solve = time.Since(ts)
 		r.keepSolve(s)

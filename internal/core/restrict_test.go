@@ -181,7 +181,7 @@ func TestSharedSolveTimedOut(t *testing.T) {
 func TestSharedSolveGraphSwap(t *testing.T) {
 	src := corpusFile(t, "uninit.c")
 	swap := func(res *Result) {
-		res.solveRestricted(res.Opts, sparse.Options{Narrow: res.Opts.Narrow, EntryMarks: res.marks})
+		res.solveRestricted(res.Opts, sparse.Options{Narrow: res.Opts.Narrow})
 	}
 	res := analyzeAllKinds(t, "uninit.c", src)
 	before, err := res.AnalyzeChecker(check.UninitRead)

@@ -21,6 +21,7 @@ import (
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
 	"sparrow/internal/prean"
+	"sparrow/internal/sem"
 	"sparrow/internal/solver/sparse"
 )
 
@@ -308,10 +309,11 @@ func TableBypass(w io.Writer, suite []Benchmark) error {
 			edges int
 			fix   time.Duration
 		}
+		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
 		runArm := func(bypass bool) arm {
 			g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 			t := time.Now()
-			sparse.Analyze(prog, pre, g, sparse.Options{})
+			sparse.Analyze(prog, pre, s, g, sparse.Options{})
 			return arm{edges: g.EdgeCount, fix: time.Since(t)}
 		}
 		no := runArm(false)

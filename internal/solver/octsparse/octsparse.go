@@ -1,7 +1,7 @@
 // Package octsparse implements the sparse fixpoint of the packed relational
 // analysis (Octagon_sparse of Table 3): octagon pack values propagate along
 // the pack-level def-use graph instead of control flow. The schedule — one
-// global worklist — is compsched.Driver's, shared with the interval solver.
+// global worklist — is driver.Driver's, shared with the interval solver.
 package octsparse
 
 import (
@@ -14,16 +14,14 @@ import (
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
-	"sparrow/internal/solver/compsched"
+	"sparrow/internal/solver/driver"
 )
 
 // Options configures the sparse octagon solver (see the interval sparse
 // solver for field meanings).
 type Options struct {
-	Timeout         time.Duration
-	MaxSteps        int
-	WidenThreshold  int
-	EntryWidenDelay int
+	Timeout  time.Duration
+	MaxSteps int
 	// Metrics, when non-nil, receives the solver's work counters (pops,
 	// value-changing joins, effective widenings) when Analyze returns.
 	Metrics *metrics.Collector
@@ -34,8 +32,10 @@ type Options struct {
 }
 
 const (
-	defaultWidenThreshold  = 40
-	defaultEntryWidenDelay = 4
+	// widenThreshold and entryWidenDelay are the interval sparse solver's
+	// widening safety valve and entry delay, counted per node here.
+	widenThreshold  = 40
+	entryWidenDelay = 4
 	// pollStride is the number of firings between two Timeout/Budget polls.
 	pollStride = 64
 )
@@ -56,14 +56,14 @@ type Result struct {
 
 // state is the octagon half of a sparse solve: the per-node pack memories
 // and the transfer loop body (fire, pushOuts). The scheduling half is the
-// compsched.Driver d.
+// driver.Driver d.
 type state struct {
 	prog *ir.Program
 	pre  *prean.Result
 	g    *dug.Graph
 	s    *octsem.Sem
 	opt  Options
-	d    *compsched.Driver
+	d    *driver.Driver
 
 	acc, out []octsem.OMem
 	// counts are the widening safety-valve counters, one per node: a
@@ -76,12 +76,6 @@ type state struct {
 }
 
 func newState(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *state {
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
 	n := g.NumNodes()
 	st := &state{
 		prog:    prog,
@@ -94,7 +88,7 @@ func newState(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, 
 		counts:  make([]int32, n),
 		rootEnt: prog.ProcByID(prog.Main).Entry,
 	}
-	st.d = compsched.NewDriver(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
+	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
 	return st
 }
 
@@ -162,8 +156,8 @@ func (st *state) fire(n dug.NodeID) {
 // joins the changed packs into the dependency successors' accumulated
 // states, scheduling each successor whose state grew.
 func (st *state) pushOuts(n dug.NodeID, m octsem.OMem) {
-	forceWiden := int(st.counts[n]) > st.opt.WidenThreshold
-	if !forceWiden && !st.g.IsPhi(n) && int(st.counts[n]) > st.opt.EntryWidenDelay {
+	forceWiden := int(st.counts[n]) > widenThreshold
+	if !forceWiden && !st.g.IsPhi(n) && int(st.counts[n]) > entryWidenDelay {
 		if _, isEntry := st.prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
 			forceWiden = true
 		}

@@ -1,7 +1,7 @@
 package octsparse
 
 // The reference solver: the global-worklist octagon solver as it was before
-// the shared compsched.Driver, kept verbatim (renamed) so
+// the shared driver.Driver, kept verbatim (renamed) so
 // TestOctDriverMatchesReference and FuzzOctDriver can pin the driver to it.
 
 import (
@@ -34,12 +34,6 @@ type refSolver struct {
 // refAnalyze runs the sparse relational analysis over the pack-level def-use
 // graph g.
 func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
 	n := g.NumNodes()
 	sv := &refSolver{
 		prog: prog,
@@ -154,8 +148,8 @@ func (sv *refSolver) propagateReach(pt *ir.Point) {
 }
 
 func (sv *refSolver) pushOuts(n dug.NodeID, m octsem.OMem) {
-	forceWiden := int(sv.counts[n]) > sv.opt.WidenThreshold
-	if !forceWiden && !sv.g.IsPhi(n) && int(sv.counts[n]) > sv.opt.EntryWidenDelay {
+	forceWiden := int(sv.counts[n]) > widenThreshold
+	if !forceWiden && !sv.g.IsPhi(n) && int(sv.counts[n]) > entryWidenDelay {
 		if _, isEntry := sv.prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
 			forceWiden = true
 		}

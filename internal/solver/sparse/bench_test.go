@@ -9,6 +9,7 @@ import (
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/prean"
+	"sparrow/internal/sem"
 )
 
 // BenchmarkFixpoint times the sparse interval fixpoint alone on two
@@ -35,11 +36,12 @@ func BenchmarkFixpoint(b *testing.B) {
 		}
 		pre := prean.Run(prog)
 		g := dug.Build(prog, pre, dug.Options{Bypass: true})
+		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
 		b.Run(name+"/global", func(b *testing.B) {
 			b.ReportAllocs()
 			var res *Result
 			for b.Loop() {
-				res = Analyze(prog, pre, g, Options{})
+				res = Analyze(prog, pre, s, g, Options{})
 			}
 			b.ReportMetric(float64(res.Steps), "steps")
 		})

@@ -21,7 +21,7 @@ import (
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
-	"sparrow/internal/solver/compsched"
+	"sparrow/internal/solver/driver"
 )
 
 // Options configures the sparse solver.
@@ -30,14 +30,6 @@ type Options struct {
 	Timeout time.Duration
 	// MaxSteps aborts after this many node firings (0 = none).
 	MaxSteps int
-	// WidenThreshold forces widening at nodes updated more than this many
-	// times (safety valve; 0 uses the default).
-	WidenThreshold int
-	// EntryWidenDelay starts widening at procedure entry nodes after this
-	// many changed firings, cutting the spurious interprocedural feedback
-	// cycles exactly as the dense solver does (see dense.Options). 0 uses
-	// the default.
-	EntryWidenDelay int
 	// Narrow runs this many descending (narrowing) Jacobi sweeps over the
 	// def-use graph after the ascending fixpoint, recovering precision lost
 	// to widening. Each sweep recomputes every node's incoming values from
@@ -48,12 +40,6 @@ type Options struct {
 	// completes. Counting happens in Result fields on the hot path and
 	// flushes once, so the instrumented counters equal the Result's.
 	Metrics *metrics.Collector
-	// EntryMarks is forwarded to the semantics (sem.Sem.EntryMarks): the
-	// per-procedure locations an Entry marks possibly-uninitialized for the
-	// uninit checker. Must match the EntryMarks the def-use graph was built
-	// with (dug.Options.EntryMarks), or entry definitions and dependency
-	// edges disagree. Nil (the default) disables marking.
-	EntryMarks func(ir.ProcID) []ir.LocID
 	// Budget is the cooperative cancellation token (internal/runtime),
 	// polled at the same amortized stride as the Timeout check. On breach
 	// the solver stops exactly like a timeout (TimedOut set, partial
@@ -64,8 +50,13 @@ type Options struct {
 }
 
 const (
-	defaultWidenThreshold  = 40
-	defaultEntryWidenDelay = 4
+	// widenThreshold forces widening at a location updated more than this
+	// many times (safety valve).
+	widenThreshold = 40
+	// entryWidenDelay starts widening at procedure entry nodes after this
+	// many changed pushes, cutting the spurious interprocedural feedback
+	// cycles exactly as the dense solver does.
+	entryWidenDelay = 4
 	// pollStride is the number of firings between two Timeout/Budget polls.
 	pollStride = 256
 )
@@ -96,7 +87,7 @@ type Result struct {
 
 // store is the interval half of a sparse solve: the value state and the
 // transfer loop body (fire, pushOuts). The scheduling half is the
-// compsched.Driver d. The paper's F̂ keeps X(c) only on a set of (node,
+// driver.Driver d. The paper's F̂ keeps X(c) only on a set of (node,
 // location) cells fixed before solving, so the state is flat — one value
 // and one bound bit per cell — instead of a persistent memory per node that
 // every changed push would path-copy:
@@ -117,7 +108,7 @@ type store struct {
 	g    *dug.Graph
 	s    *sem.Sem
 	opt  Options
-	d    *compsched.Driver
+	d    *driver.Driver
 
 	out, acc       []val.Val
 	outSet, accSet []bool
@@ -141,13 +132,7 @@ type store struct {
 }
 
 // newStore returns the state of one solve.
-func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *store {
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
+func newStore(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt Options) *store {
 	n := g.NumNodes()
 	cbase := make([]int32, n+1)
 	for i := 0; i < n; i++ {
@@ -157,7 +142,7 @@ func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *s
 		prog:   prog,
 		pre:    pre,
 		g:      g,
-		s:      &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		s:      s,
 		opt:    opt,
 		out:    make([]val.Val, cbase[n]),
 		outSet: make([]bool, cbase[n]),
@@ -166,13 +151,14 @@ func newStore(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *s
 		counts: make([]int32, cbase[n]),
 		cbase:  cbase,
 	}
-	st.d = compsched.NewDriver(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
+	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
 	return st
 }
 
-// Analyze runs the sparse analysis over the def-use graph g.
-func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
-	st := newStore(prog, pre, g, opt)
+// Analyze runs the sparse analysis with the semantics s over the def-use
+// graph g.
+func Analyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt Options) *Result {
+	st := newStore(prog, pre, s, g, opt)
 	st.d.Global()
 	return st.finish()
 }
@@ -384,8 +370,8 @@ func (st *store) pushOuts(n dug.NodeID, nv []val.Val) {
 		cnt := st.counts[slot]
 		st.counts[slot] = cnt + 1
 		st.joins++
-		forceWiden := int(cnt) > st.opt.WidenThreshold ||
-			(isEntry && int(cnt) > st.opt.EntryWidenDelay)
+		forceWiden := int(cnt) > widenThreshold ||
+			(isEntry && int(cnt) > entryWidenDelay)
 		if st.g.Widen[n] || forceWiden {
 			wv, wch := old.WidenChanged(joined)
 			if wch {
