@@ -34,7 +34,7 @@ func TestBenchRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs := bench.Compare(base, got, 0)
+	diffs := bench.Compare(base, got)
 	for _, d := range diffs {
 		t.Error(d)
 	}

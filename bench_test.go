@@ -25,7 +25,6 @@ import (
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 	"sparrow/internal/solver/sparse"
 )
 
@@ -149,7 +148,7 @@ func BenchmarkBypassAblation(b *testing.B) {
 		bypass bool
 	}{{"nobypass", false}, {"bypass", true}} {
 		g := dug.Build(prog, pre, dug.Options{Bypass: arm.bypass})
-		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		s := pre.Sem(prog)
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportMetric(float64(g.EdgeCount), "edges")
 			for b.Loop() {
@@ -199,7 +198,7 @@ func BenchmarkGen1000Sparse(b *testing.B) {
 	for b.Loop() {
 		pre := prean.Run(prog)
 		g := dug.Build(prog, pre, dug.Options{Bypass: true})
-		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		s := pre.Sem(prog)
 		if sparse.Analyze(prog, pre, s, g, sparse.Options{}).TimedOut {
 			b.Fatal("timed out")
 		}
@@ -220,7 +219,7 @@ func BenchmarkGen1000SparseFix(b *testing.B) {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {

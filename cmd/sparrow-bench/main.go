@@ -2,23 +2,16 @@
 // programs) through all six analyzers and writes the schema-versioned
 // counter snapshot BENCH_sparse.json. With -check it instead diffs the
 // fresh run against the committed baseline and exits non-zero on any
-// counter regression — the CI gate behind TestBenchRegression.
+// counter regression — the CI gate behind TestBenchRegression. -check
+// writes no file.
 //
-// Every run (write or -check) also emits a report-only timing/allocation
-// snapshot — wall ns, per-phase timer ns, and bytes allocated per suite
-// entry — to -times (default BENCH_times.json, empty disables). That file
-// is never gated; it exists so CI can archive the performance trajectory.
-//
-// With -compare, no analysis runs at all: the two positional arguments are
-// times snapshots (old, new) and the per-entry wall/allocation deltas are
-// printed with percent change — the structured replacement for hand-written
-// before/after notes.
+// It measures no time: the counters are exact and deterministic, and the
+// repeated end-to-end timing harness is benchmark/.
 //
 // Usage:
 //
-//	sparrow-bench [-corpus DIR] [-out FILE] [-check] [-snapshot FILE]
-//	              [-tol F] [-timings] [-times FILE] [-v]
-//	sparrow-bench -compare OLD.json NEW.json
+//	sparrow-bench [-corpus DIR] [-gen=false] [-out FILE] [-v]
+//	sparrow-bench -check [-corpus DIR] [-gen=false] [-snapshot FILE] [-v]
 package main
 
 import (
@@ -43,36 +36,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "BENCH_sparse.json", "snapshot output path")
 	check := fs.Bool("check", false, "compare against -snapshot instead of writing -out")
 	snapshot := fs.String("snapshot", "BENCH_sparse.json", "baseline snapshot for -check")
-	tol := fs.Float64("tol", 0, "relative counter tolerance for -check (0 = exact; counters are deterministic)")
-	timings := fs.Bool("timings", false, "record per-phase wall times in the snapshot (not for committed baselines)")
-	times := fs.String("times", "BENCH_times.json", "report-only timing/allocation snapshot path (empty disables)")
 	gen := fs.Bool("gen", true, "include the generated (cgen-scaled) programs in the suite")
 	verbose := fs.Bool("v", false, "print one line per completed entry")
-	compare := fs.Bool("compare", false, "diff two times snapshots (old.json new.json) instead of running")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sparrow-bench:", err)
 		return 2
-	}
-	if *compare {
-		if fs.NArg() != 2 {
-			fmt.Fprintln(stderr, "usage: sparrow-bench -compare OLD.json NEW.json")
-			return 2
-		}
-		oldSnap, err := bench.LoadTimes(fs.Arg(0))
-		if err != nil {
-			return fail(err)
-		}
-		newSnap, err := bench.LoadTimes(fs.Arg(1))
-		if err != nil {
-			return fail(err)
-		}
-		for _, line := range bench.CompareTimes(oldSnap, newSnap) {
-			fmt.Fprintln(stdout, line)
-		}
-		return 0
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "usage: sparrow-bench [flags]")
@@ -86,19 +57,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *gen {
 		progs = append(progs, bench.GeneratedPrograms()...)
 	}
-	opt := bench.Options{Timings: *timings}
+	var opt bench.Options
 	if *verbose {
 		opt.Progress = func(line string) { fmt.Fprintln(stderr, line) }
 	}
-	snap, timesSnap, err := bench.CollectWithTimes(progs, opt)
+	snap, err := bench.Collect(progs, opt)
 	if err != nil {
 		return fail(err)
-	}
-	if *times != "" {
-		if err := timesSnap.Save(*times); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "sparrow-bench: wrote report-only times to %s\n", *times)
 	}
 
 	if *check {
@@ -106,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		diffs := bench.Compare(base, snap, *tol)
+		diffs := bench.Compare(base, snap)
 		if len(diffs) > 0 {
 			fmt.Fprintf(stderr, "sparrow-bench: %d counter regression(s) vs %s:\n", len(diffs), *snapshot)
 			for _, d := range diffs {

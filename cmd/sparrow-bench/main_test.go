@@ -2,13 +2,13 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
+	"fmt"
+	"io/fs"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-
-	"sparrow/internal/bench"
 )
 
 // runCLI invokes run with captured output.
@@ -26,51 +26,70 @@ func TestWriteThenCheck(t *testing.T) {
 	corpus := filepath.Join(dir, "corpus")
 	writeCorpus(t, corpus)
 	snap := filepath.Join(dir, "snap.json")
-	times := filepath.Join(dir, "times.json")
 
-	code, out, errb := runCLI(t, "-gen=false", "-corpus", corpus, "-out", snap, "-times", times)
+	code, out, errb := runCLI(t, "-gen=false", "-corpus", corpus, "-out", snap)
 	if code != 0 {
 		t.Fatalf("write: exit %d, stderr: %s", code, errb)
 	}
 	if !strings.Contains(out, "wrote") {
 		t.Errorf("write output: %s", out)
 	}
-	checkTimes(t, times)
-	code, out, errb = runCLI(t, "-gen=false", "-corpus", corpus, "-check", "-snapshot", snap, "-times", times)
+	code, out, errb = runCLI(t, "-gen=false", "-corpus", corpus, "-check", "-snapshot", snap)
 	if code != 0 {
 		t.Fatalf("check: exit %d, stderr: %s", code, errb)
 	}
 	if !strings.Contains(out, "match") {
 		t.Errorf("check output: %s", out)
 	}
-	// -check also refreshes the report-only times snapshot.
-	checkTimes(t, times)
 }
 
-// checkTimes parses the report-only times snapshot and sanity-checks that
-// every entry carries a positive wall time (nothing here is gated, but the
-// file must at least be well-formed and populated).
-func checkTimes(t *testing.T, path string) {
+// TestCheckWritesNothing runs the gate with every path at its default in a
+// directory holding only a corpus and a snapshot: writing the snapshot adds
+// no other file, and -check leaves the directory as it found it.
+func TestCheckWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	writeCorpus(t, filepath.Join(dir, "testdata", "corpus"))
+	t.Chdir(dir)
+	if code, _, errb := runCLI(t, "-gen=false"); code != 0 {
+		t.Fatalf("write: exit %d, stderr: %s", code, errb)
+	}
+	before := listFiles(t, dir)
+	want := []string{"BENCH_sparse.json", "testdata/corpus/call.c", "testdata/corpus/loop.c"}
+	if names := slices.Sorted(maps.Keys(before)); !slices.Equal(names, want) {
+		t.Fatalf("after the write the directory holds %v, want %v", names, want)
+	}
+	if code, _, errb := runCLI(t, "-gen=false", "-check"); code != 0 {
+		t.Fatalf("check: exit %d, stderr: %s", code, errb)
+	}
+	if after := listFiles(t, dir); !maps.Equal(before, after) {
+		t.Errorf("-check changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// listFiles maps every regular file under dir, by slash-separated relative
+// path, to its size and modification time.
+func listFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("times snapshot: %v", err)
-	}
-	var ts bench.TimesSnapshot
-	if err := json.Unmarshal(b, &ts); err != nil {
-		t.Fatalf("times snapshot: %v", err)
-	}
-	if len(ts.Entries) == 0 {
-		t.Fatal("times snapshot: no entries")
-	}
-	for _, e := range ts.Entries {
-		if e.WallNS <= 0 {
-			t.Errorf("%s: wall_ns = %d, want > 0", e.Key(), e.WallNS)
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-	}
-	if err := os.Remove(path); err != nil {
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(rel)] = fmt.Sprintf("%d bytes, %v", info.Size(), info.ModTime())
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return files
 }
 
 // TestCheckDetectsRegression tampers with the baseline and expects exit 1.
@@ -79,11 +98,11 @@ func TestCheckDetectsRegression(t *testing.T) {
 	corpus := filepath.Join(dir, "corpus")
 	writeCorpus(t, corpus)
 	snap := filepath.Join(dir, "snap.json")
-	if code, _, errb := runCLI(t, "-gen=false", "-times=", "-corpus", corpus, "-out", snap); code != 0 {
+	if code, _, errb := runCLI(t, "-gen=false", "-corpus", corpus, "-out", snap); code != 0 {
 		t.Fatalf("write failed: %s", errb)
 	}
 	tamper(t, snap)
-	code, _, errb := runCLI(t, "-gen=false", "-times=", "-corpus", corpus, "-check", "-snapshot", snap)
+	code, _, errb := runCLI(t, "-gen=false", "-corpus", corpus, "-check", "-snapshot", snap)
 	if code != 1 {
 		t.Fatalf("check on tampered baseline: exit %d, want 1 (stderr: %s)", code, errb)
 	}
@@ -101,5 +120,11 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "-check", "-snapshot", "does-not-exist.json", "-corpus", "does-not-exist"); code != 2 {
 		t.Errorf("bad snapshot: exit %d, want 2", code)
+	}
+	// The report-only timing flags are gone: each is an unknown flag.
+	for _, args := range [][]string{{"-times", "x"}, {"-timings"}, {"-compare", "a", "b"}, {"-tol", "0.1"}} {
+		if code, _, _ := runCLI(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }

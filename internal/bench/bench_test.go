@@ -29,7 +29,7 @@ func TestCollectDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := Compare(a, b, 0); len(diffs) != 0 {
+	if diffs := Compare(a, b); len(diffs) != 0 {
 		t.Errorf("back-to-back runs differ:\n%v", diffs)
 	}
 	if !reflect.DeepEqual(a, b) {
@@ -65,7 +65,7 @@ func TestCompareDetectsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Perturb one counter: the exact gate must fire, a loose tolerance not.
+	// Perturb one counter: the exact gate must fire.
 	got := &Snapshot{Schema: base.Schema}
 	for _, e := range base.Entries {
 		ne := e
@@ -76,19 +76,16 @@ func TestCompareDetectsDrift(t *testing.T) {
 		got.Entries = append(got.Entries, ne)
 	}
 	got.Entries[0].Counters["worklist_pops"]++
-	if diffs := Compare(base, got, 0); len(diffs) != 1 {
+	if diffs := Compare(base, got); len(diffs) != 1 {
 		t.Errorf("exact compare: %d diffs, want 1: %v", len(diffs), diffs)
-	}
-	if diffs := Compare(base, got, 0.5); len(diffs) != 0 {
-		t.Errorf("tolerant compare fired: %v", diffs)
 	}
 	// Missing entry.
 	missing := &Snapshot{Schema: base.Schema, Entries: got.Entries[1:]}
-	if diffs := Compare(base, missing, 0.5); len(diffs) == 0 {
+	if diffs := Compare(base, missing); len(diffs) == 0 {
 		t.Errorf("missing entry not reported")
 	}
 	// Schema drift short-circuits.
-	if diffs := Compare(base, &Snapshot{Schema: base.Schema + 1}, 0); len(diffs) != 1 {
+	if diffs := Compare(base, &Snapshot{Schema: base.Schema + 1}); len(diffs) != 1 {
 		t.Errorf("schema drift: %v", diffs)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sparrow/internal/ir"
 	"sparrow/internal/mem"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 	"sparrow/internal/solver/sparse"
 )
 
@@ -29,7 +28,7 @@ func BenchmarkCheck(b *testing.B) {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	res := sparse.Analyze(prog, pre, s, g, sparse.Options{})
 	memAt := func(pt ir.PointID) mem.Mem { return res.Acc[pt] }
 	b.ReportAllocs()

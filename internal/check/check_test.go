@@ -9,7 +9,6 @@ import (
 	"sparrow/internal/ir"
 	"sparrow/internal/mem"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 	"sparrow/internal/solver/dense"
 )
 
@@ -24,7 +23,7 @@ func alarmsOf(t *testing.T, src string) []Alarm {
 		t.Fatal(err)
 	}
 	pre := prean.Run(prog)
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	res := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 	return Run(prog, s, res.Reached, func(pt ir.PointID) mem.Mem { return res.In[pt] })
 }
@@ -260,7 +259,7 @@ int main() {
 		t.Fatal(err)
 	}
 	pre := prean.Run(prog)
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	res := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{})
 	withReached := Run(prog, s, res.Reached, func(pt ir.PointID) mem.Mem { return res.In[pt] })
 	if len(withReached) != 0 {

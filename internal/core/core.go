@@ -89,9 +89,8 @@ type Options struct {
 	// (dense and sparse interval modes; octagon sparse has no descending
 	// phase).
 	Narrow int
-	// Timeout bounds the fixpoint wall-clock time (0 = none).
-	Timeout time.Duration
-	// MaxSteps bounds the number of transfer applications (0 = none).
+	// MaxSteps bounds the number of transfer applications (0 = none). A cut
+	// fixpoint is partial: Stats.TimedOut is set.
 	MaxSteps int
 	// PackCap bounds octagon pack sizes (0 = the paper's 10).
 	PackCap int
@@ -118,9 +117,9 @@ type Options struct {
 	// the engine walks the degradation ladder — octagon→interval, then skip
 	// narrowing, then a per-checker restricted solve — granting each rung a
 	// fresh window, and only returns a *BudgetError once every rung has
-	// breached; completed rungs are stamped in Result.Degraded. Unlike the
-	// solver-internal Timeout (which truncates the fixpoint and returns a
-	// partial result), a Deadline never yields unsound partial memories.
+	// breached; completed rungs are stamped in Result.Degraded. Unlike
+	// MaxSteps (which truncates the fixpoint and returns a partial result),
+	// a Deadline never yields unsound partial memories.
 	Deadline time.Duration
 	// MemBudget is a soft cap, in bytes, on sampled heap growth above the
 	// baseline at analysis start (internal/metrics heap sampler; 5ms
@@ -366,7 +365,8 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 	// marks must be the ones each def-use graph is built with
 	// (dug.Options.EntryMarks), or entry definitions and dependency edges
 	// disagree.
-	r.isem = &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: r.marks}
+	r.isem = pre.Sem(prog)
+	r.isem.EntryMarks = r.marks
 	r.Stats.PreTime = time.Since(t0)
 	opt.Metrics.Set(metrics.CtrPreanPasses, int64(pre.Passes))
 	opt.Metrics.Set(metrics.CtrIRProcs, int64(len(prog.Procs)))
@@ -465,7 +465,6 @@ func (r *Result) runInterval(opt Options) error {
 		stop := opt.Metrics.Phase(metrics.PhaseFix)
 		r.dres = dense.Analyze(prog, pre, r.isem, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{
 			Localize: opt.Mode == Base,
-			Timeout:  opt.Timeout,
 			MaxSteps: opt.MaxSteps,
 			Narrow:   opt.Narrow,
 			Metrics:  opt.Metrics,
@@ -491,7 +490,6 @@ func (r *Result) runInterval(opt Options) error {
 		t = time.Now()
 		r.phase = "fixpoint"
 		sopt := sparse.Options{
-			Timeout:  opt.Timeout,
 			MaxSteps: opt.MaxSteps,
 			Narrow:   opt.Narrow,
 			Metrics:  opt.Metrics,
@@ -541,7 +539,6 @@ func (r *Result) runOctagon(opt Options) error {
 		accessed := func(p ir.ProcID) []pack.ID { return octsem.Accessed(src, p) }
 		r.odres = dense.Analyze(prog, pre, osem, osem.TopState(), accessed, dense.OctagonStride, dense.Options{
 			Localize: opt.Mode == Base,
-			Timeout:  opt.Timeout,
 			MaxSteps: opt.MaxSteps,
 			Narrow:   opt.Narrow,
 			Metrics:  opt.Metrics,
@@ -562,7 +559,6 @@ func (r *Result) runOctagon(opt Options) error {
 		t = time.Now()
 		r.phase = "fixpoint"
 		oopt := octsparse.Options{
-			Timeout:  opt.Timeout,
 			MaxSteps: opt.MaxSteps,
 			Metrics:  opt.Metrics,
 			Budget:   r.bud,

@@ -86,8 +86,7 @@ func (r *Result) reuseSolve(keep []ir.LocID) *restrictedSolve {
 }
 
 // keepSolve records s for reuse unless it was cut short: a timed-out
-// fixpoint is partial (and, under a Timeout, clock-dependent), so it is
-// never shared.
+// fixpoint is partial, so it is never shared.
 func (r *Result) keepSolve(s *restrictedSolve) {
 	if s.sres.TimedOut {
 		return
@@ -201,7 +200,6 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 		s.nodes, s.rows, s.triples = rg.ActiveStats()
 		ts := time.Now()
 		s.sres = sparse.Analyze(r.Prog, r.pre, r.isem, rg, sparse.Options{
-			Timeout:  r.Opts.Timeout,
 			MaxSteps: r.Opts.MaxSteps,
 			Narrow:   r.Opts.Narrow,
 		})

@@ -9,7 +9,6 @@ import (
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 )
 
 // buildSrc builds the graph for generated source (fuzz-corpus member).
@@ -174,7 +173,7 @@ func TestAccSlots(t *testing.T) {
 			label := fmt.Sprintf("seed %d bypass=%v", seed, byp)
 			checkAccSlots(t, label, g)
 			pre := prean.Run(prog)
-			s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+			s := pre.Sem(prog)
 			for name, keep := range keepSets(prog, pre, s) {
 				checkAccSlots(t, label+" restricted to "+name, BuildRestricted(g, keep))
 			}

@@ -252,7 +252,7 @@ type Source struct {
 
 // IntervalSource adapts the non-relational pre-analysis to a Source.
 func IntervalSource(prog *ir.Program, pre *prean.Result) *Source {
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	return &Source{
 		Prog:     prog,
 		CG:       pre.CG,

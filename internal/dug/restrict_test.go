@@ -38,7 +38,7 @@ func TestBuildRestrictedSubset(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		prog, g := buildFuzz(t, seed, Options{Bypass: true})
 		pre := prean.Run(prog)
-		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		s := pre.Sem(prog)
 		for name, keep := range keepSets(prog, pre, s) {
 			inKeep := make(map[ir.LocID]bool, len(keep))
 			for _, l := range keep {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sparrow/internal/core"
+	rt "sparrow/internal/runtime"
 )
 
 func TestSuiteShape(t *testing.T) {
@@ -51,11 +52,25 @@ func TestMeasureSmall(t *testing.T) {
 func TestFormattingHelpers(t *testing.T) {
 	ok := Run{Stats: core.Stats{TotalTime: 1500 * time.Millisecond}}
 	to := Run{Stats: core.Stats{TimedOut: true}}
+	over := Run{Err: &core.BudgetError{Reason: rt.ReasonDeadline}}
+	canceled := Run{Err: &core.BudgetError{Reason: rt.ReasonCanceled}}
 	if got := cell(ok, false); got != "1.50" {
 		t.Errorf("cell = %q", got)
 	}
 	if got := cell(to, false); got != "∞" {
 		t.Errorf("timed-out cell = %q", got)
+	}
+	if got := cell(over, false); got != "∞" {
+		t.Errorf("deadline cell = %q", got)
+	}
+	if got := cell(canceled, false); got != "err" {
+		t.Errorf("canceled cell = %q", got)
+	}
+	if got := memCell(over, false); got != "-" {
+		t.Errorf("deadline memCell = %q", got)
+	}
+	if got := speedup(ok, over, false, false); got != "-" {
+		t.Errorf("speedup with deadline = %q", got)
 	}
 	if got := cell(ok, true); got != "∞" {
 		t.Errorf("skipped cell = %q", got)
@@ -73,6 +88,34 @@ func TestFormattingHelpers(t *testing.T) {
 	}
 	if got := memCell(fast, false); got != "10" {
 		t.Errorf("memCell = %q", got)
+	}
+}
+
+// TestPerfTableDeadline pins the per-analyzer budget: a breach renders
+// every analyzer's time as ∞ and its figures as "-", and is no error.
+func TestPerfTableDeadline(t *testing.T) {
+	var sb strings.Builder
+	suite := []Benchmark{{Name: "d", Seed: 5, Stmts: 400, SCC: 2}}
+	if err := PerfTable(&sb, suite, PerfOptions{Domain: core.Interval, Timeout: time.Nanosecond}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want header+1 row, got %d lines:\n%s", len(lines), sb.String())
+	}
+	row := strings.Fields(lines[1])
+	if len(row) != 16 {
+		t.Fatalf("row has %d cells: %q", len(row), lines[1])
+	}
+	for i, c := range row[2:] {
+		want := "-"
+		switch i + 2 {
+		case 2, 4, 10: // Vanilla(s), Base(s), Sparse(s)
+			want = "∞"
+		}
+		if c != want {
+			t.Errorf("cell %d = %q want %q (row %q)", i+2, c, want, lines[1])
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func New(prog *ir.Program, pre *prean.Result, packs *pack.Set) *Sem {
 		Prog:  prog,
 		Pre:   pre,
 		Packs: packs,
-		isem:  &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle},
+		isem:  pre.Sem(prog),
 	}
 }
 

@@ -66,6 +66,13 @@ type Result struct {
 // CalleesOf returns the resolved callees of a call point.
 func (r *Result) CalleesOf(pt ir.PointID) []ir.ProcID { return r.Callees[pt] }
 
+// Sem returns the interval semantics of prog, the program r analyzed: calls
+// resolve through r's call graph, and the procedures on its recursion cycles
+// keep summary cells. EntryMarks is left nil.
+func (r *Result) Sem(prog *ir.Program) *sem.Sem {
+	return &sem.Sem{Prog: prog, Callees: r.CalleesOf, InCycle: r.CG.InCycle}
+}
+
 // Accessed reports the union of the def and use summaries of p (the
 // localization set of the access-based technique) as a sorted slice. The
 // union is computed once per procedure and cached; callers must not mutate

@@ -268,27 +268,20 @@ func (b *Budget) Checkpoint(p Phase) {
 	}
 }
 
-// Limits is the stop check of the fixpoint worklist loops: a step budget, a
-// wall-clock timeout and a Budget poll, the latter two amortized over a
-// stride of steps. The zero Limits never stops a loop.
+// Limits is the stop check of the fixpoint worklist loops: a step budget
+// and a Budget poll, the latter amortized over a stride of steps. The zero
+// Limits never stops a loop.
 type Limits struct {
 	maxSteps int
-	deadline time.Time // zero: no timeout
 	bud      *Budget
 	stride   int
-	poll     bool // a timeout or a budget is set
 }
 
 // NewLimits returns the stop check of a fixpoint loop that may return a
 // partial result: stop after maxSteps steps (0 = none) or, polled every
-// stride steps, once timeout (0 = none) has passed since this call or bud
-// breaches in PhaseFix.
-func NewLimits(maxSteps int, timeout time.Duration, bud *Budget, stride int) Limits {
-	l := Limits{maxSteps: maxSteps, bud: bud, stride: stride, poll: timeout > 0 || bud != nil}
-	if timeout > 0 {
-		l.deadline = time.Now().Add(timeout)
-	}
-	return l
+// stride steps, once bud breaches in PhaseFix.
+func NewLimits(maxSteps int, bud *Budget, stride int) Limits {
+	return Limits{maxSteps: maxSteps, bud: bud, stride: stride}
 }
 
 // Stop reports whether a loop must stop before its step-th step.
@@ -296,11 +289,8 @@ func (l *Limits) Stop(step int) bool {
 	if l.maxSteps > 0 && step > l.maxSteps {
 		return true
 	}
-	if !l.poll || step%l.stride != 0 {
+	if l.bud == nil || step%l.stride != 0 {
 		return false
-	}
-	if !l.deadline.IsZero() && time.Now().After(l.deadline) {
-		return true
 	}
 	return l.bud.Poll(PhaseFix) != OK
 }

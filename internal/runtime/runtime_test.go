@@ -181,7 +181,7 @@ func TestLimits(t *testing.T) {
 	if zero.Stop(1 << 20) {
 		t.Errorf("zero Limits stopped a loop")
 	}
-	steps := NewLimits(3, 0, nil, 4)
+	steps := NewLimits(3, nil, 4)
 	for step := 1; step <= 4; step++ {
 		if got, want := steps.Stop(step), step > 3; got != want {
 			t.Errorf("MaxSteps 3: Stop(%d) = %v want %v", step, got, want)
@@ -191,7 +191,7 @@ func TestLimits(t *testing.T) {
 	var polls []Phase
 	b := New(Config{Hook: func(p Phase, _ uint64) { polls = append(polls, p) }})
 	defer b.Close()
-	lim := NewLimits(0, 0, b, 4)
+	lim := NewLimits(0, b, 4)
 	for step := 1; step <= 8; step++ {
 		if lim.Stop(step) {
 			t.Fatalf("unbreached budget stopped the loop at %d", step)
@@ -205,7 +205,7 @@ func TestLimits(t *testing.T) {
 	cancel()
 	breached := New(Config{Ctx: ctx})
 	defer breached.Close()
-	if lim := NewLimits(0, 0, breached, 4); lim.Stop(3) || !lim.Stop(4) {
+	if lim := NewLimits(0, breached, 4); lim.Stop(3) || !lim.Stop(4) {
 		t.Errorf("canceled budget: want a stop at the first poll only")
 	}
 }

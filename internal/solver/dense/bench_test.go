@@ -8,7 +8,6 @@ import (
 	"sparrow/internal/mem"
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
-	"sparrow/internal/sem"
 )
 
 // BenchmarkDense times the dense fixpoint alone in base mode (localized, the
@@ -19,7 +18,7 @@ func BenchmarkDense(b *testing.B) {
 	prog, pre := parse(b, cgen.Generate(cgen.Default(7<<16|0, 2000)))
 	opt := Options{Localize: true}
 	b.Run("gen-2000/interval", func(b *testing.B) {
-		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		s := pre.Sem(prog)
 		b.ReportAllocs()
 		var res *Result[mem.Mem]
 		for b.Loop() {

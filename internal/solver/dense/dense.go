@@ -17,8 +17,6 @@
 package dense
 
 import (
-	"time"
-
 	"sparrow/internal/cfg"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
@@ -54,10 +52,8 @@ type Sem[M any] interface {
 type Options struct {
 	// Localize enables access-based localization at procedure boundaries.
 	Localize bool
-	// Timeout aborts the analysis after the given wall-clock budget
-	// (0 = none). An aborted analysis sets Result.TimedOut.
-	Timeout time.Duration
 	// MaxSteps aborts after this many transfer applications (0 = none).
+	// An aborted analysis sets Result.TimedOut.
 	MaxSteps int
 	// Narrow runs this many descending (narrowing) passes after the
 	// ascending fixpoint stabilizes.
@@ -69,8 +65,8 @@ type Options struct {
 	// per step.
 	Metrics *metrics.Collector
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// polled at the same amortized stride as the Timeout check; a breach
-	// stops the solver like a timeout (TimedOut set). nil is free.
+	// polled every stride steps; a breach stops the solver like a
+	// MaxSteps cut (TimedOut set). nil is free.
 	Budget *rt.Budget
 }
 
@@ -87,8 +83,7 @@ const (
 	// cutting the feedback cycles.
 	entryWidenDelay = 4
 	// IntervalStride and OctagonStride are the poll strides of the two
-	// instances: the steps between two checks of the step budget, timeout
-	// and cancellation token. They fix the ordinals of the budget
+	// instances: the steps between two polls of the Budget. They fix the ordinals of the budget
 	// checkpoints that fault injection counts.
 	IntervalStride = 256
 	OctagonStride  = 64
@@ -115,7 +110,7 @@ type Result[M any] struct {
 	// caller-memory complements routed around callees to return sites
 	// (Localize only; ascending phase).
 	Bypasses int
-	// TimedOut is set when Timeout or MaxSteps aborted the run.
+	// TimedOut is set when MaxSteps or a Budget breach aborted the run.
 	TimedOut bool
 }
 
@@ -143,7 +138,7 @@ type solver[M Mem[M, K], K any] struct {
 // Analyze runs the dense analysis of prog with the semantics s, using the
 // pre-analysis pre for call resolution. Main's entry starts from entry.
 // With Options.Localize, accessed(p) is the sorted key set procedure p
-// accesses. The Timeout and Budget checks are polled every stride steps.
+// accesses. The Budget is polled every stride steps.
 func Analyze[M Mem[M, K], K any](prog *ir.Program, pre *prean.Result, s Sem[M], entry M, accessed func(ir.ProcID) []K, stride int, opt Options) *Result[M] {
 	sv := &solver[M, K]{
 		prog:  prog,
@@ -157,7 +152,7 @@ func Analyze[M Mem[M, K], K any](prog *ir.Program, pre *prean.Result, s Sem[M], 
 			Reached: make([]bool, len(prog.Points)),
 		},
 		counts: make([]int32, len(prog.Points)),
-		lim:    rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, stride),
+		lim:    rt.NewLimits(opt.MaxSteps, opt.Budget, stride),
 	}
 	if opt.Localize {
 		sv.acc = make([][]K, len(prog.Procs))

@@ -9,7 +9,6 @@ import (
 	"sparrow/internal/lattice/itv"
 	"sparrow/internal/mem"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 )
 
 // parse parses, lowers and pre-analyzes src.
@@ -30,7 +29,7 @@ func parse(t testing.TB, src string) (*ir.Program, *prean.Result) {
 // does: the interval semantics, the empty memory at main's entry, the
 // pre-analysis access sets and a poll stride of 256.
 func analyzeInterval(prog *ir.Program, pre *prean.Result, opt Options) *Result[mem.Mem] {
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	return Analyze(prog, pre, s, mem.Bot, pre.Accessed, IntervalStride, opt)
 }
 
@@ -432,7 +431,7 @@ func TestSemOutAccessor(t *testing.T) {
 int g;
 int main() { g = 9; return 0; }
 `, Options{})
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	main := prog.ProcByName("main")
 	for _, id := range main.Points {
 		pt := prog.Point(id)

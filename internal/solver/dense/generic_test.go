@@ -13,7 +13,6 @@ import (
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 )
 
 // referenceInput is one program of the reference test. bounded inputs skip
@@ -79,7 +78,7 @@ func checkGeneric(t *testing.T, name, src string, bounded bool) {
 		t.Fatalf("%s: lower: %v", name, err)
 	}
 	pre := prean.Run(prog)
-	isem := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	isem := pre.Sem(prog)
 	osem, dsrc := octsem.Source(prog, pre, pack.Build(prog, 0))
 	for _, localize := range []bool{false, true} {
 		for _, narrow := range []int{0, 2} {

@@ -54,7 +54,7 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, opt Options) *R
 			sv.accCache[pr.ID] = pre.Accessed(pr.ID)
 		}
 	}
-	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, 256)
+	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Budget, 256)
 	sv.run()
 	if opt.Narrow > 0 && !sv.res.TimedOut {
 		sv.narrow(opt.Narrow)
@@ -297,7 +297,7 @@ func refAnalyzeOct(prog *ir.Program, pre *prean.Result, s *octsem.Sem, src *dug.
 			sv.accCache[pr.ID] = octsem.Accessed(src, pr.ID)
 		}
 	}
-	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, 64)
+	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Budget, 64)
 	sv.run()
 	if opt.Narrow > 0 && !sv.res.TimedOut {
 		sv.narrow(opt.Narrow)

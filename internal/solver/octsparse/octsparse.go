@@ -5,8 +5,6 @@
 package octsparse
 
 import (
-	"time"
-
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
@@ -20,14 +18,13 @@ import (
 // Options configures the sparse octagon solver (see the interval sparse
 // solver for field meanings).
 type Options struct {
-	Timeout  time.Duration
 	MaxSteps int
 	// Metrics, when non-nil, receives the solver's work counters (pops,
 	// value-changing joins, effective widenings) when Analyze returns.
 	Metrics *metrics.Collector
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// polled at the Timeout stride; a breach stops the solver like a
-	// timeout (TimedOut set). nil is free.
+	// polled every pollStride firings; a breach stops the solver like a
+	// MaxSteps cut (TimedOut set). nil is free.
 	Budget *rt.Budget
 }
 
@@ -36,7 +33,7 @@ const (
 	// widening safety valve and entry delay, counted per node here.
 	widenThreshold  = 40
 	entryWidenDelay = 4
-	// pollStride is the number of firings between two Timeout/Budget polls.
+	// pollStride is the number of firings between two Budget polls.
 	pollStride = 64
 )
 
@@ -88,7 +85,7 @@ func newState(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, 
 		counts:  make([]int32, n),
 		rootEnt: prog.ProcByID(prog.Main).Entry,
 	}
-	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
+	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Budget, pollStride), st.fire)
 	return st
 }
 

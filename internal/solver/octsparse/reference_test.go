@@ -5,8 +5,6 @@ package octsparse
 // TestOctDriverMatchesReference and FuzzOctDriver can pin the driver to it.
 
 import (
-	"time"
-
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
@@ -26,9 +24,8 @@ type refSolver struct {
 	res  *Result
 	wl   *worklist.Worklist
 
-	counts   []int32
-	rootEnt  ir.PointID
-	deadline time.Time
+	counts  []int32
+	rootEnt ir.PointID
 }
 
 // refAnalyze runs the sparse relational analysis over the pack-level def-use
@@ -49,9 +46,6 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph
 		counts: make([]int32, n),
 		wl:     worklist.New(n, g.Prio),
 	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
 	root := prog.ProcByID(prog.Main)
 	sv.rootEnt = root.Entry
 	sv.res.Reached[root.Entry] = true
@@ -66,11 +60,7 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph
 			sv.res.TimedOut = true
 			break
 		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%64 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				break
-			}
+		if sv.opt.Budget != nil && sv.res.Steps%64 == 0 {
 			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
 				sv.res.TimedOut = true
 				break

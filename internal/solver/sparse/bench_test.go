@@ -9,7 +9,6 @@ import (
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/prean"
-	"sparrow/internal/sem"
 )
 
 // BenchmarkFixpoint times the sparse interval fixpoint alone on two
@@ -36,7 +35,7 @@ func BenchmarkFixpoint(b *testing.B) {
 		}
 		pre := prean.Run(prog)
 		g := dug.Build(prog, pre, dug.Options{Bypass: true})
-		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		s := pre.Sem(prog)
 		b.Run(name+"/global", func(b *testing.B) {
 			b.ReportAllocs()
 			var res *Result

@@ -11,8 +11,6 @@
 package sparse
 
 import (
-	"time"
-
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/val"
@@ -26,8 +24,6 @@ import (
 
 // Options configures the sparse solver.
 type Options struct {
-	// Timeout aborts after the wall-clock budget (0 = none).
-	Timeout time.Duration
 	// MaxSteps aborts after this many node firings (0 = none).
 	MaxSteps int
 	// Narrow runs this many descending (narrowing) Jacobi sweeps over the
@@ -41,9 +37,9 @@ type Options struct {
 	// flushes once, so the instrumented counters equal the Result's.
 	Metrics *metrics.Collector
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// polled at the same amortized stride as the Timeout check. On breach
-	// the solver stops exactly like a timeout (TimedOut set, partial
-	// result); the core boundary inspects the budget to tell them apart.
+	// polled every pollStride firings. On breach the solver stops exactly
+	// like a MaxSteps cut (TimedOut set, partial result); the core boundary
+	// inspects the budget to tell them apart.
 	// nil (the default) is free: the hot loop pays one pointer comparison
 	// per stride window.
 	Budget *rt.Budget
@@ -57,7 +53,7 @@ const (
 	// many changed pushes, cutting the spurious interprocedural feedback
 	// cycles exactly as the dense solver does.
 	entryWidenDelay = 4
-	// pollStride is the number of firings between two Timeout/Budget polls.
+	// pollStride is the number of firings between two Budget polls.
 	pollStride = 256
 )
 
@@ -151,7 +147,7 @@ func newStore(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt
 		counts: make([]int32, cbase[n]),
 		cbase:  cbase,
 	}
-	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Timeout, opt.Budget, pollStride), st.fire)
+	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Budget, pollStride), st.fire)
 	return st
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sparrow/internal/cgen"
 	"sparrow/internal/dug"
@@ -41,7 +40,7 @@ func run(t *testing.T, src string, dopt dug.Options) *pipeline {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dopt)
-	res := Analyze(prog, pre, &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}, g, Options{})
+	res := Analyze(prog, pre, pre.Sem(prog), g, Options{})
 	if res.TimedOut {
 		t.Fatal("sparse analysis timed out")
 	}
@@ -334,7 +333,7 @@ int main() {
 				}
 				pre := prean.Run(prog)
 				g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
-				s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+				s := pre.Sem(prog)
 				sp := Analyze(prog, pre, s, g, Options{})
 				dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 
@@ -387,7 +386,7 @@ int main() {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	sp := Analyze(prog, pre, s, g, Options{})
 	dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 	for _, pt := range prog.Points {
@@ -422,7 +421,7 @@ int main() {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	wide := Analyze(prog, pre, s, g, Options{})
 	narrow := Analyze(prog, pre, s, g, Options{Narrow: 8})
 	loc, _ := prog.Locs.Lookup(ir.Loc{Kind: ir.LVar, Proc: ir.None, Name: "g"})
@@ -458,7 +457,7 @@ int main() {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	sp := Analyze(prog, pre, s, g, Options{Narrow: 6})
 	dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true, Narrow: 6})
 	for _, pt := range prog.Points {
@@ -516,7 +515,7 @@ loop:
 	pre := prean.Run(prog)
 	for _, bypass := range []bool{false, true} {
 		g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
-		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		s := pre.Sem(prog)
 		sp := Analyze(prog, pre, s, g, Options{})
 		dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 		for _, pt := range prog.Points {
@@ -571,7 +570,7 @@ func TestDifferentialGenerated(t *testing.T) {
 		pre := prean.Run(prog)
 		for _, bypass := range []bool{false, true} {
 			g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
-			s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+			s := pre.Sem(prog)
 			sp := Analyze(prog, pre, s, g, Options{})
 			dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 			mismatches := 0
@@ -620,9 +619,8 @@ type refSolver struct {
 	// alone, which is what lets a solve restricted to a subset of the
 	// locations reproduce the full solve's widening decisions exactly (the
 	// per-checker restricted runs rely on this).
-	counts   []int32
-	cbase    []int32
-	deadline time.Time
+	counts []int32
+	cbase  []int32
 }
 
 // refDefOffsets returns the prefix sums of len(g.Defs[n]) — the slot bases of
@@ -655,9 +653,6 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, o
 		cbase:  cbase,
 		wl:     worklist.New(n, g.Prio),
 	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
 	root := prog.ProcByID(prog.Main)
 	sv.res.Reached[root.Entry] = true
 	sv.wl.Add(int(root.Entry))
@@ -671,11 +666,7 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, o
 			sv.res.TimedOut = true
 			break
 		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%256 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				break
-			}
+		if sv.opt.Budget != nil && sv.res.Steps%256 == 0 {
 			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
 				sv.res.TimedOut = true
 				break
@@ -942,7 +933,7 @@ func checkSlotStore(t *testing.T, name, src string, bypassOnly bool) {
 		t.Fatalf("%s: lower: %v", name, err)
 	}
 	pre := prean.Run(prog)
-	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	s := pre.Sem(prog)
 	for _, bypass := range []bool{true, false} {
 		if !bypass && bypassOnly {
 			break
