@@ -136,7 +136,10 @@ func TestDenseMatchesReference(t *testing.T) {
 
 // FuzzDense compares the generic loop with the references on cgen.Fuzz
 // programs with gotos and switches, corpus files, and the seed-7 gen-500
-// programs of the base-500 benchmark workload.
+// programs of the base-500 benchmark workload. The gen-500 inputs skip the
+// unbounded vanilla solves (about three quarters of their cost), so a short
+// campaign gets past its baseline inputs and mutates;
+// TestDenseMatchesReference keeps that corner on gen-500 programs 0 and 1.
 func FuzzDense(f *testing.F) {
 	f.Add(uint8(0), uint64(3))
 	f.Add(uint8(1), uint64(7))
@@ -158,7 +161,7 @@ func FuzzDense(f *testing.F) {
 		case 1:
 			checkGeneric(t, fmt.Sprintf("fuzz-%d", seed), cgen.Generate(gotoSwitchFuzz(seed, 300)), false)
 		default:
-			checkGeneric(t, fmt.Sprintf("gen-500-7-%d", seed%512), cgen.Generate(cgen.Default(7<<16|seed%512, 500)), false)
+			checkGeneric(t, fmt.Sprintf("gen-500-7-%d", seed%512), cgen.Generate(cgen.Default(7<<16|seed%512, 500)), true)
 		}
 	})
 }
