@@ -152,7 +152,7 @@ func BenchmarkBypassAblation(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportMetric(float64(g.EdgeCount), "edges")
 			for b.Loop() {
-				res := sparse.Analyze(prog, pre, s, g, sparse.Options{})
+				res := sparse.Analyze(prog, pre, sparse.Intervals(s), g, sparse.Options{})
 				if res.TimedOut {
 					b.Fatal("timed out")
 				}
@@ -199,7 +199,7 @@ func BenchmarkGen1000Sparse(b *testing.B) {
 		pre := prean.Run(prog)
 		g := dug.Build(prog, pre, dug.Options{Bypass: true})
 		s := pre.Sem(prog)
-		if sparse.Analyze(prog, pre, s, g, sparse.Options{}).TimedOut {
+		if sparse.Analyze(prog, pre, sparse.Intervals(s), g, sparse.Options{}).TimedOut {
 			b.Fatal("timed out")
 		}
 	}
@@ -223,7 +223,7 @@ func BenchmarkGen1000SparseFix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if sparse.Analyze(prog, pre, s, g, sparse.Options{}).TimedOut {
+		if sparse.Analyze(prog, pre, sparse.Intervals(s), g, sparse.Options{}).TimedOut {
 			b.Fatal("timed out")
 		}
 	}

@@ -29,8 +29,12 @@ func BenchmarkCheck(b *testing.B) {
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
 	s := pre.Sem(prog)
-	res := sparse.Analyze(prog, pre, s, g, sparse.Options{})
-	memAt := func(pt ir.PointID) mem.Mem { return res.Acc[pt] }
+	res := sparse.Analyze(prog, pre, sparse.Intervals(s), g, sparse.Options{})
+	mems := make([]mem.Mem, len(prog.Points))
+	for i := range mems {
+		mems[i] = mem.FromSorted(res.Acc(dug.NodeID(i)))
+	}
+	memAt := func(pt ir.PointID) mem.Mem { return mems[pt] }
 	b.ReportAllocs()
 	var alarms []Alarm
 	for b.Loop() {

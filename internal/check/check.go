@@ -128,7 +128,8 @@ func (a Alarm) String() string {
 	return fmt.Sprintf("%s: %s: %s", a.Pos, a.Kind, a.Msg)
 }
 
-// MemAt supplies the abstract memory before a control point.
+// MemAt supplies the abstract memory before a control point. RunKinds asks
+// once per reachable point that has something to check.
 type MemAt func(pt ir.PointID) mem.Mem
 
 // Run checks every reachable point of prog with the default checkers and
@@ -155,25 +156,34 @@ func RunKinds(prog *ir.Program, s *sem.Sem, reached []bool, memAt MemAt, kinds [
 		if reached != nil && !reached[pt.ID] {
 			continue
 		}
-		m := memAt(pt.ID)
+		var derefs []deref
+		var divs []ir.Expr
+		var reads []ir.VarE
 		if want[BufferOverrun] || want[NullDeref] {
-			for _, d := range derefsOf(pt.Cmd) {
-				for _, a := range checkDeref(prog, s, pt, d, m) {
-					if want[a.Kind] {
-						alarms = append(alarms, a)
-					}
+			derefs = derefsOf(pt.Cmd)
+		}
+		if want[DivByZero] {
+			divs = divisorsOf(pt.Cmd)
+		}
+		if want[UninitRead] {
+			reads = varReadsOf(pt.Cmd)
+		}
+		if len(derefs) == 0 && len(divs) == 0 && len(reads) == 0 {
+			continue // nothing to check: no memory is asked for
+		}
+		m := memAt(pt.ID)
+		for _, d := range derefs {
+			for _, a := range checkDeref(prog, s, pt, d, m) {
+				if want[a.Kind] {
+					alarms = append(alarms, a)
 				}
 			}
 		}
-		if want[DivByZero] {
-			for _, dv := range divisorsOf(pt.Cmd) {
-				alarms = append(alarms, checkDiv(prog, s, pt, dv, m)...)
-			}
+		for _, dv := range divs {
+			alarms = append(alarms, checkDiv(prog, s, pt, dv, m)...)
 		}
-		if want[UninitRead] {
-			for _, e := range varReadsOf(pt.Cmd) {
-				alarms = append(alarms, checkUninit(prog, pt, e, m)...)
-			}
+		for _, e := range reads {
+			alarms = append(alarms, checkUninit(prog, pt, e, m)...)
 		}
 	}
 	return sortDedup(alarms)

@@ -24,13 +24,13 @@ import (
 	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
+	"sparrow/internal/oct"
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 	"sparrow/internal/solver/dense"
-	"sparrow/internal/solver/octsparse"
 	"sparrow/internal/solver/sparse"
 )
 
@@ -214,11 +214,11 @@ type Result struct {
 	lastSolve *restrictedSolve
 
 	dres  *dense.Result[mem.Mem]
-	sres  *sparse.Result
+	sres  *sparse.Result[val.Val]
 	osem  *octsem.Sem
 	packs *pack.Set
 	odres *dense.Result[octsem.OMem]
-	osres *octsparse.Result
+	osres *sparse.Result[*oct.Oct]
 }
 
 // AnalyzeSource parses, lowers and analyzes a C-like translation unit.
@@ -426,19 +426,13 @@ func (r *Result) recordResultShape(col *metrics.Collector) {
 			bump(m.Len())
 		}
 	case r.sres != nil:
-		for i := range r.sres.Acc {
-			bump(r.sres.Acc[i].Len())
-			bump(r.sres.Out[i].Len())
-		}
+		r.sres.Entries(func(acc, out int) { bump(acc); bump(out) })
 	case r.odres != nil:
 		for _, m := range r.odres.In {
 			bump(m.Len())
 		}
 	case r.osres != nil:
-		for i := range r.osres.Acc {
-			bump(r.osres.Acc[i].Len())
-			bump(r.osres.Out[i].Len())
-		}
+		r.osres.Entries(func(acc, out int) { bump(acc); bump(out) })
 	}
 	col.Set(metrics.CtrMemPeakEntries, peak)
 	col.Set(metrics.CtrMemTotalEntries, total)
@@ -503,7 +497,7 @@ func (r *Result) runInterval(opt Options) error {
 			r.solveRestricted(opt, sopt)
 		} else {
 			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.sres = sparse.Analyze(prog, pre, r.isem, r.graph, sopt)
+			r.sres = sparse.Analyze(prog, pre, sparse.Intervals(r.isem), r.graph, sopt)
 			stop()
 		}
 		r.Stats.FixTime = time.Since(t)
@@ -558,13 +552,14 @@ func (r *Result) runOctagon(opt Options) error {
 		r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
 		t = time.Now()
 		r.phase = "fixpoint"
-		oopt := octsparse.Options{
+		stop = opt.Metrics.Phase(metrics.PhaseFix)
+		// The sparse octagon analysis has no descending phase: Narrow is
+		// not passed.
+		r.osres = sparse.Analyze(prog, pre, sparse.Octagons(osem), r.graph, sparse.Options{
 			MaxSteps: opt.MaxSteps,
 			Metrics:  opt.Metrics,
 			Budget:   r.bud,
-		}
-		stop = opt.Metrics.Phase(metrics.PhaseFix)
-		r.osres = octsparse.Analyze(prog, pre, osem, r.graph, oopt)
+		})
 		stop()
 		r.Stats.FixTime = time.Since(t)
 		r.Stats.Steps = r.osres.Steps
@@ -619,13 +614,14 @@ func (r *Result) reachedSlice() []bool {
 
 // MemAt returns the abstract memory before pt for interval runs. For sparse
 // runs this is the partial memory over Û(pt) ∪ D̂(pt) — exactly the entries
-// Lemma 2 guarantees (everything the command at pt reads or writes).
+// Lemma 2 guarantees (everything the command at pt reads or writes) — built
+// from the solver's slots on each call.
 func (r *Result) MemAt(pt ir.PointID) mem.Mem {
 	switch {
 	case r.dres != nil:
 		return r.dres.In[pt]
 	case r.sres != nil:
-		return r.sres.Acc[pt]
+		return mem.FromSorted(r.sres.Acc(dug.NodeID(pt)))
 	}
 	return mem.Bot
 }
@@ -638,8 +634,7 @@ func (r *Result) ValueAt(pt ir.PointID, l ir.LocID) (v val.Val, tracked bool) {
 	case r.dres != nil:
 		return r.dres.In[pt].Get(l), true
 	case r.sres != nil:
-		m, ok := r.sres.ValueAt(r.graph, pt, l)
-		return m.Get(l), ok
+		return r.sres.Value(pt, l)
 	}
 	return val.Bot, false
 }
@@ -666,11 +661,10 @@ func (r *Result) IntervalAt(pt ir.PointID, l ir.LocID) (itv.Itv, bool) {
 		if !ok {
 			return itv.Top, false
 		}
-		m, tracked := r.osres.ValueAt(r.graph, pt, sp)
+		o, tracked := r.osres.Value(pt, sp)
 		if !tracked {
 			return itv.Bot, false
 		}
-		o := m.Get(sp)
 		if o == nil {
 			return itv.Bot, true
 		}

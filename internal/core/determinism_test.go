@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"sparrow/internal/cgen"
+	"sparrow/internal/dug"
+	"sparrow/internal/mem"
+	"sparrow/internal/octsem"
 )
 
 const determinismSrc = `
@@ -61,11 +64,12 @@ func assertSameAnalysis(t *testing.T, label string, a, b *Result) {
 		if b.sres == nil {
 			t.Fatalf("%s: solver kind differs", label)
 		}
-		for n := range a.sres.Acc {
-			if !a.sres.Acc[n].Eq(b.sres.Acc[n]) {
+		for n := range a.graph.NumNodes() {
+			id := dug.NodeID(n)
+			if !mem.FromSorted(a.sres.Acc(id)).Eq(mem.FromSorted(b.sres.Acc(id))) {
 				t.Errorf("%s: node %d Acc differs", label, n)
 			}
-			if !a.sres.Out[n].Eq(b.sres.Out[n]) {
+			if !mem.FromSorted(a.sres.Out(id)).Eq(mem.FromSorted(b.sres.Out(id))) {
 				t.Errorf("%s: node %d Out differs", label, n)
 			}
 		}
@@ -73,11 +77,12 @@ func assertSameAnalysis(t *testing.T, label string, a, b *Result) {
 		if b.osres == nil {
 			t.Fatalf("%s: solver kind differs", label)
 		}
-		for n := range a.osres.Out {
-			if !a.osres.Acc[n].Eq(b.osres.Acc[n]) {
+		for n := range a.graph.NumNodes() {
+			id := dug.NodeID(n)
+			if !octsem.FromSorted(a.osres.Acc(id)).Eq(octsem.FromSorted(b.osres.Acc(id))) {
 				t.Errorf("%s: node %d octagon Acc differs", label, n)
 			}
-			if !a.osres.Out[n].Eq(b.osres.Out[n]) {
+			if !octsem.FromSorted(a.osres.Out(id)).Eq(octsem.FromSorted(b.osres.Out(id))) {
 				t.Errorf("%s: node %d octagon Out differs", label, n)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
+	"sparrow/internal/mem"
 )
 
 // This file hosts the differential-comparison primitives the fuzzing
@@ -135,7 +136,7 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 		}
 		dOut := base.dres.Out(base.isem, pt)
 		for _, l := range g.Defs[dug.NodeID(pt.ID)] {
-			sv := sp.sres.Out[pt.ID].Get(l)
+			sv, _ := sp.sres.Value(pt.ID, l)
 			dv := dOut.Get(l)
 			bad := false
 			if strict {
@@ -189,13 +190,14 @@ func DiffSparseRuns(a, b *Result, limit int) ([]string, error) {
 	}
 	g := a.graph
 	for n := 0; n < g.NumNodes(); n++ {
-		if !a.sres.Acc[n].Eq(b.sres.Acc[n]) {
-			if report("node %d: Acc differs:\n  a %s\n  b %s", n, a.sres.Acc[n], b.sres.Acc[n]) {
+		id := dug.NodeID(n)
+		if am, bm := mem.FromSorted(a.sres.Acc(id)), mem.FromSorted(b.sres.Acc(id)); !am.Eq(bm) {
+			if report("node %d: Acc differs:\n  a %s\n  b %s", n, am, bm) {
 				return out, nil
 			}
 		}
-		if !a.sres.Out[n].Eq(b.sres.Out[n]) {
-			if report("node %d: Out differs:\n  a %s\n  b %s", n, a.sres.Out[n], b.sres.Out[n]) {
+		if am, bm := mem.FromSorted(a.sres.Out(id)), mem.FromSorted(b.sres.Out(id)); !am.Eq(bm) {
+			if report("node %d: Out differs:\n  a %s\n  b %s", n, am, bm) {
 				return out, nil
 			}
 		}

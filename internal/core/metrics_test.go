@@ -1,11 +1,16 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"sparrow/internal/cgen"
+	"sparrow/internal/dug"
+	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
+	"sparrow/internal/octsem"
 )
 
 // counterRun analyzes src with an attached collector and returns the full
@@ -153,5 +158,54 @@ func TestMetricsNilCollectorPath(t *testing.T) {
 	}
 	if rep := r.MetricsReport(); rep != nil {
 		t.Fatalf("expected nil report without a collector, got %+v", rep)
+	}
+}
+
+// TestEntryCountersMatchMemories pins mem_peak_entries and
+// mem_total_entries, which count bound slots, to the max and sum of Len over
+// the per-node Acc and Out memories built from the slots, for both sparse
+// domains on the corpus and a gen-1000 program. A drift in the counter gate
+// then points at the counter, not the solver.
+func TestEntryCountersMatchMemories(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/corpus/*.c")
+	if err != nil || len(paths) != 14 {
+		t.Fatalf("corpus glob: %d files, %v", len(paths), err)
+	}
+	srcs := map[string]string{"gen-1000": cgen.Generate(cgen.Default(43, 1000))}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(p)] = string(b)
+	}
+	for name, src := range srcs {
+		for _, opt := range []Options{{Domain: Interval}, {Domain: Interval, Narrow: 2}, {Domain: Octagon}} {
+			opt.Mode = Sparse
+			opt.Metrics = metrics.New()
+			r, err := AnalyzeSource(name, src, opt)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, opt.Domain, err)
+			}
+			var peak, total int64
+			for n := range r.graph.NumNodes() {
+				id := dug.NodeID(n)
+				var lens [2]int
+				if r.sres != nil {
+					lens = [2]int{mem.FromSorted(r.sres.Acc(id)).Len(), mem.FromSorted(r.sres.Out(id)).Len()}
+				} else {
+					lens = [2]int{octsem.FromSorted(r.osres.Acc(id)).Len(), octsem.FromSorted(r.osres.Out(id)).Len()}
+				}
+				for _, l := range lens {
+					peak = max(peak, int64(l))
+					total += int64(l)
+				}
+			}
+			c := r.MetricsReport().Counters
+			if c["mem_peak_entries"] != peak || c["mem_total_entries"] != total {
+				t.Errorf("%s %v narrow=%d: counters peak %d total %d, memories peak %d total %d", name, opt.Domain, opt.Narrow,
+					c["mem_peak_entries"], c["mem_total_entries"], peak, total)
+			}
+		}
 	}
 }

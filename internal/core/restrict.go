@@ -29,6 +29,7 @@ import (
 	"sparrow/internal/check"
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
+	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
 	"sparrow/internal/prean"
@@ -71,7 +72,7 @@ type restrictedSolve struct {
 	keep                 []ir.LocID
 	kind                 check.Kind // the kind whose call solved it
 	nodes, rows, triples int
-	sres                 *sparse.Result
+	sres                 *sparse.Result[val.Val]
 }
 
 // reuseSolve returns the kept solve if it was filtered from the current
@@ -153,7 +154,7 @@ func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	stop()
 	r.graph = rg
 	stop = r.col.Phase(metrics.PhaseFix)
-	r.sres = sparse.Analyze(r.Prog, r.pre, r.isem, rg, sopt)
+	r.sres = sparse.Analyze(r.Prog, r.pre, sparse.Intervals(r.isem), rg, sopt)
 	stop()
 }
 
@@ -199,7 +200,7 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 		s = &restrictedSolve{graph: r.graph, keep: keep, kind: kind}
 		s.nodes, s.rows, s.triples = rg.ActiveStats()
 		ts := time.Now()
-		s.sres = sparse.Analyze(r.Prog, r.pre, r.isem, rg, sparse.Options{
+		s.sres = sparse.Analyze(r.Prog, r.pre, sparse.Intervals(r.isem), rg, sparse.Options{
 			MaxSteps: r.Opts.MaxSteps,
 			Narrow:   r.Opts.Narrow,
 		})
@@ -214,7 +215,7 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 
 	sres := s.sres
 	alarms := check.RunKinds(r.Prog, r.isem, sres.Reached,
-		func(pt ir.PointID) mem.Mem { return sres.Acc[pt] }, []check.Kind{kind})
+		func(pt ir.PointID) mem.Mem { return mem.FromSorted(sres.Acc(dug.NodeID(pt))) }, []check.Kind{kind})
 	run := &CheckerRun{
 		Kind:        kind,
 		Alarms:      alarms,

@@ -78,14 +78,17 @@ type Graph struct {
 	// per-node slices are views into two shared backing arrays.
 	Defs [][]ir.LocID
 	Uses [][]ir.LocID
-	// Widen[n] marks per-location widening nodes: phis at loop heads and
-	// entries of recursive procedures.
+	// Widen[n] marks per-location widening nodes: the solver widening
+	// points (loop-head points, entries of recursive procedures and return
+	// sites of recursive calls) and phis at loop heads. The def-use-chain
+	// variant also marks every definition inside a CFG cycle.
 	Widen []bool
 	// Prio[n] is the worklist priority.
 	Prio []int
 	// EdgeCount is the number of ⟨from, loc, to⟩ triples.
 	EdgeCount int
-	// SplicedEdges counts edges removed+added by the bypass optimization.
+	// SplicedTriples counts triples removed+added by the bypass
+	// optimization.
 	SplicedTriples int
 
 	// CSR successor index: node n's rows live at edgeLocs[edgeRow[n]:

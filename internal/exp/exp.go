@@ -337,7 +337,7 @@ func TableBypass(w io.Writer, suite []Benchmark) error {
 		runArm := func(bypass bool) arm {
 			g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 			t := time.Now()
-			sparse.Analyze(prog, pre, s, g, sparse.Options{})
+			sparse.Analyze(prog, pre, sparse.Intervals(s), g, sparse.Options{})
 			return arm{edges: g.EdgeCount, fix: time.Since(t)}
 		}
 		no := runArm(false)

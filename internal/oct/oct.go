@@ -208,16 +208,42 @@ func (c *Oct) closeInPlace() bool {
 			c.set(bar(i), i, 2*floorDiv(u, 2))
 		}
 	}
-	// Strengthening: v_j - v_i ≤ (ub(v_ī) + ub(v_j)) / 2 via the unary
-	// bounds m[ī][i]/2 and m[j̄][j]/2.
+	c.strengthen(-1)
+	return c.finishDiag()
+}
+
+// finishDiag is the last step of the closure: it reports false when a
+// diagonal entry is negative (emptiness), and otherwise zeroes the diagonal
+// and marks c closed.
+func (c *Oct) finishDiag() bool {
+	d := 2 * c.n
+	for i := 0; i < d; i++ {
+		if c.at(i, i) < 0 {
+			return false
+		}
+		c.set(i, i, 0)
+	}
+	c.closed = true
+	return true
+}
+
+// strengthen runs the closure's strengthening step, v_j - v_i ≤ (ub(v_ī) +
+// ub(v_j)) / 2 via the unary bounds m[ī][i]/2 and m[j̄][j]/2. With x ≥ 0 it
+// runs only the updates of variable x's rows and columns. No update changes
+// a unary bound, so their order does not matter.
+func (c *Oct) strengthen(x int) {
+	d := 2 * c.n
 	for i := 0; i < d; i++ {
 		ui := c.at(bar(i), i)
 		if ui == inf {
 			continue
 		}
 		hi := floorDiv(ui, 2)
-		row := m[bar(i)*d : bar(i)*d+d]
+		row := c.m[bar(i)*d : bar(i)*d+d]
 		for j := 0; j < d; j++ {
+			if x >= 0 && i>>1 != x && j>>1 != x {
+				continue
+			}
 			uj := c.at(bar(j), j)
 			if uj == inf {
 				continue
@@ -227,14 +253,6 @@ func (c *Oct) closeInPlace() bool {
 			}
 		}
 	}
-	for i := 0; i < d; i++ {
-		if c.at(i, i) < 0 {
-			return false
-		}
-		c.set(i, i, 0)
-	}
-	c.closed = true
-	return true
 }
 
 func floorDiv(a, b int64) int64 {
@@ -511,13 +529,39 @@ func (o *Oct) assignInterval(x int, v itv.Itv) (r *Oct, fresh bool) {
 	}
 	out := oc.clone()
 	out.forget(x)
-	if h := hiBound(v); h != inf {
+	h, l := hiBound(v), loBound(v)
+	if h != inf {
 		out.set(bar(2*x), 2*x, 2*h) // 2x ≤ 2h
 	}
-	if l := loBound(v); l != inf {
+	if l != inf {
 		out.set(2*x, bar(2*x), 2*l) // -2x ≤ -2a
 	}
-	return out.closeOwned(), true
+	if !oc.exact() || !out.exact() {
+		return out.closeOwned(), true
+	}
+	// The rest of out is the closed oc with x forgotten, and x's only
+	// constraints are its two unary bounds, which satisfy 2h + 2l ≥ 0. On
+	// such a matrix Floyd–Warshall and the integer tightening change
+	// nothing, and strengthening changes only x's rows and columns.
+	out.strengthen(x)
+	if !out.finishDiag() {
+		return Bottom(out.n), true
+	}
+	return out, true
+}
+
+// exact reports whether every finite bound of c is below 2^61 in
+// magnitude, so that no addition of the closure saturates and a closed
+// matrix is a fixpoint of it. A closed octagon with larger bounds may come
+// from a saturated closure; x's doubled bounds, when they wrapped to small
+// values, are ordinary bounds to both algorithms.
+func (c *Oct) exact() bool {
+	for _, b := range c.m {
+		if b != inf && (b >= 1<<61 || b <= -(1<<61)) {
+			return false
+		}
+	}
+	return true
 }
 
 // assignAddVar is AssignAddVar, with fresh as in assignInterval.

@@ -30,6 +30,15 @@ func New(prog *ir.Program, pre *prean.Result, packs *pack.Set) *Sem {
 	}
 }
 
+// Memory is what the transfer functions read and write: a pack state M.
+// OMem is one; the sparse solver passes a frame over one def-use node's
+// slots, which updates in place and returns itself. Both answer every read
+// as a persistent state would, reads after writes included.
+type Memory[M any] interface {
+	Get(pack.ID) *oct.Oct
+	Set(pack.ID, *oct.Oct) M
+}
+
 // TopState returns the state binding every pack to Top — the abstraction of
 // the arbitrary initial memory, injected at the root entry.
 func (s *Sem) TopState() OMem {
@@ -42,44 +51,44 @@ func (s *Sem) TopState() OMem {
 
 // ---------- interval evaluation (the projection px of Section 4.1) ----------
 
-// EvalItv evaluates e to an interval under the pack state, projecting
+// evalItv evaluates e to an interval under the pack state, projecting
 // variables out of their singleton packs.
-func (s *Sem) EvalItv(e ir.Expr, m OMem) itv.Itv {
+func evalItv[M Memory[M]](s *Sem, e ir.Expr, m M) itv.Itv {
 	switch e := e.(type) {
 	case ir.Const:
 		return itv.Single(e.V)
 	case ir.Unknown:
 		return itv.Top
 	case ir.VarE:
-		return s.projLoc(e.L, m)
+		return projLoc(s, e.L, m)
 	case ir.Load:
 		pv := s.isem.Eval(e.P, s.Pre.Mem)
 		out := itv.Bot
 		for _, t := range pv.Ptr() {
-			out = out.Join(s.projLoc(t.Loc, m))
+			out = out.Join(projLoc(s, t.Loc, m))
 		}
 		return out
 	case ir.LoadField:
 		pv := s.isem.Eval(e.P, s.Pre.Mem)
 		out := itv.Bot
 		for _, t := range pv.Ptr() {
-			out = out.Join(s.projLoc(s.Prog.Locs.Field(t.Loc, e.F), m))
+			out = out.Join(projLoc(s, s.Prog.Locs.Field(t.Loc, e.F), m))
 		}
 		return out
 	case ir.AddrOf, ir.FieldAddr, ir.FuncAddr:
 		return itv.Top // pointers as integers: unconstrained
 	case ir.Neg:
-		return s.EvalItv(e.X, m).Neg()
+		return evalItv(s, e.X, m).Neg()
 	case ir.Not:
-		return truthItv(s.EvalItv(e.X, m).Truth(), true)
+		return truthItv(evalItv(s, e.X, m).Truth(), true)
 	case ir.Bin:
-		return s.evalBin(e, m)
+		return evalBin(s, e, m)
 	default:
 		return itv.Top
 	}
 }
 
-func (s *Sem) projLoc(l ir.LocID, m OMem) itv.Itv {
+func projLoc[M Memory[M]](s *Sem, l ir.LocID, m M) itv.Itv {
 	p, ok := s.Packs.Singleton(l)
 	if !ok {
 		return itv.Top
@@ -109,9 +118,9 @@ func truthItv(t int, neg bool) itv.Itv {
 	}
 }
 
-func (s *Sem) evalBin(e ir.Bin, m OMem) itv.Itv {
-	x := s.EvalItv(e.X, m)
-	y := s.EvalItv(e.Y, m)
+func evalBin[M Memory[M]](s *Sem, e ir.Bin, m M) itv.Itv {
+	x := evalItv(s, e.X, m)
+	y := evalItv(s, e.Y, m)
 	switch e.Op {
 	case ir.Add:
 		return x.Add(y)
@@ -211,11 +220,11 @@ func linearForm(e ir.Expr) (y ir.LocID, neg bool, c itv.Itv, ok bool) {
 // assign models l := e on every pack containing l. strong selects strong
 // versus weak (join) update. Transfers are strict: packs with no incoming
 // value (bottom) stay bottom.
-func (s *Sem) assign(l ir.LocID, e ir.Expr, strong bool, m OMem) OMem {
+func assign[M Memory[M]](s *Sem, l ir.LocID, e ir.Expr, strong bool, m M) M {
 	y, neg, c, linear := linearForm(e)
 	var iv itv.Itv
 	if !linear {
-		iv = s.EvalItv(e, m)
+		iv = evalItv(s, e, m)
 	}
 	for _, p := range s.Packs.PacksOf(l) {
 		old := m.Get(p)
@@ -234,7 +243,7 @@ func (s *Sem) assign(l ir.LocID, e ir.Expr, strong bool, m OMem) OMem {
 			}
 			// y outside the pack: project it to an interval (the px
 			// transformation) and fall back.
-			yv := s.projLoc(y, m)
+			yv := projLoc(s, y, m)
 			if neg {
 				yv = yv.Neg()
 			}
@@ -246,29 +255,19 @@ func (s *Sem) assign(l ir.LocID, e ir.Expr, strong bool, m OMem) OMem {
 	return m
 }
 
-// havoc forgets l in every pack containing it (weakly: join with the
-// forgotten state is the forgotten state itself, so weak and strong havoc
-// coincide).
-func (s *Sem) havoc(l ir.LocID, m OMem) OMem {
-	for _, p := range s.Packs.PacksOf(l) {
-		old := m.Get(p)
-		if old == nil {
-			continue
-		}
-		m = m.Set(p, old.Forget(s.Packs.IndexIn(l, p)))
-	}
-	return m
-}
-
 // ---------- transfer ----------
 
 // Transfer applies the relational f#_c at pt. The boolean reports
 // reachability (false for refuted assumes).
-func (s *Sem) Transfer(pt *ir.Point, m OMem) (OMem, bool) {
+func (s *Sem) Transfer(pt *ir.Point, m OMem) (OMem, bool) { return Transfer(s, pt, m) }
+
+// Transfer is (*Sem).Transfer over any pack state. A refuted assume returns
+// M's zero value, which is bottom for OMem.
+func Transfer[M Memory[M]](s *Sem, pt *ir.Point, m M) (M, bool) {
 	switch c := pt.Cmd.(type) {
 	case ir.Set:
 		strong := !s.isem.IsSummaryLoc(c.L)
-		return s.assign(c.L, c.E, strong, m), true
+		return assign(s, c.L, c.E, strong, m), true
 	case ir.Store, ir.StoreField:
 		var pe, ve ir.Expr
 		field := ""
@@ -289,15 +288,15 @@ func (s *Sem) Transfer(pt *ir.Point, m OMem) (OMem, bool) {
 		}
 		strong := len(targets) == 1 && !s.isem.IsSummaryLoc(targets[0])
 		for _, t := range targets {
-			m = s.assign(t, ve, strong, m)
+			m = assign(s, t, ve, strong, m)
 		}
 		return m, true
 	case ir.Alloc:
 		al := s.Prog.Locs.Alloc(c.Site)
-		m = s.assign(al, ir.Unknown{}, false, m)
-		return s.assign(c.L, ir.Unknown{}, !s.isem.IsSummaryLoc(c.L), m), true
+		m = assign(s, al, ir.Unknown{}, false, m)
+		return assign(s, c.L, ir.Unknown{}, !s.isem.IsSummaryLoc(c.L), m), true
 	case ir.Assume:
-		return s.assume(c.E, m)
+		return assume(s, c.E, m)
 	case ir.Call:
 		return m, true // formals bind on the call→entry edge
 	case ir.RetBind:
@@ -307,7 +306,7 @@ func (s *Sem) Transfer(pt *ir.Point, m OMem) (OMem, bool) {
 		callees := s.Pre.CalleesOf(c.CallPt)
 		if len(callees) == 1 {
 			if rl := s.Prog.ProcByID(callees[0]).RetLoc; rl != ir.None {
-				return s.assign(c.L, ir.VarE{L: rl}, !s.isem.IsSummaryLoc(c.L), m), true
+				return assign(s, c.L, ir.VarE{L: rl}, !s.isem.IsSummaryLoc(c.L), m), true
 			}
 		}
 		// Multiple or void callees: interval join of return channels.
@@ -317,16 +316,16 @@ func (s *Sem) Transfer(pt *ir.Point, m OMem) (OMem, bool) {
 		}
 		for _, p := range callees {
 			if rl := s.Prog.ProcByID(p).RetLoc; rl != ir.None {
-				iv = iv.Join(s.projLoc(rl, m))
+				iv = iv.Join(projLoc(s, rl, m))
 			} else {
 				iv = itv.Top
 			}
 		}
-		return s.assignItv(c.L, iv, !s.isem.IsSummaryLoc(c.L), m), true
+		return assignItv(s, c.L, iv, !s.isem.IsSummaryLoc(c.L), m), true
 	case ir.Return:
 		pr := s.Prog.ProcByID(pt.Proc)
 		if c.E != nil && pr.RetLoc != ir.None {
-			return s.assign(pr.RetLoc, c.E, true, m), true
+			return assign(s, pr.RetLoc, c.E, true, m), true
 		}
 		return m, true
 	default:
@@ -335,7 +334,7 @@ func (s *Sem) Transfer(pt *ir.Point, m OMem) (OMem, bool) {
 }
 
 // assignItv assigns a plain interval to l.
-func (s *Sem) assignItv(l ir.LocID, iv itv.Itv, strong bool, m OMem) OMem {
+func assignItv[M Memory[M]](s *Sem, l ir.LocID, iv itv.Itv, strong bool, m M) M {
 	for _, p := range s.Packs.PacksOf(l) {
 		old := m.Get(p)
 		if old == nil {
@@ -357,12 +356,19 @@ func setItv(o *oct.Oct, x int, iv itv.Itv, strong bool) *oct.Oct {
 // BindFormals models the call edge: formals := actuals (relational when an
 // actual shares a pack with its formal, which the packing constructs).
 func (s *Sem) BindFormals(callPt *ir.Point, callee *ir.Proc, m OMem) OMem {
+	return BindFormals(s, callPt, callee, m)
+}
+
+// BindFormals is (*Sem).BindFormals over any pack state. Each formal's
+// argument is evaluated against the state with the earlier formals already
+// bound.
+func BindFormals[M Memory[M]](s *Sem, callPt *ir.Point, callee *ir.Proc, m M) M {
 	c := callPt.Cmd.(ir.Call)
 	for i, f := range callee.Formals {
 		if i < len(c.Args) {
-			m = s.assign(f, c.Args[i], false, m) // weak: several call sites bind
+			m = assign(s, f, c.Args[i], false, m) // weak: several call sites bind
 		} else {
-			m = s.assignItv(f, itv.Top, false, m)
+			m = assignItv(s, f, itv.Top, false, m)
 		}
 	}
 	return m
@@ -370,64 +376,64 @@ func (s *Sem) BindFormals(callPt *ir.Point, callee *ir.Proc, m OMem) OMem {
 
 // ---------- assume ----------
 
-func (s *Sem) assume(e ir.Expr, m OMem) (OMem, bool) {
-	t := s.EvalItv(e, m).Truth()
+func assume[M Memory[M]](s *Sem, e ir.Expr, m M) (M, bool) {
+	t := evalItv(s, e, m).Truth()
 	if t&itv.MaybeTrue == 0 {
-		return OBot, false
+		return bot[M](), false
 	}
 	switch e := e.(type) {
 	case ir.Bin:
 		if e.Op.IsCmp() {
-			return s.refineCmp(e, m)
+			return refineCmp(s, e, m)
 		}
 		if e.Op == ir.LAnd {
-			m1, ok := s.assume(e.X, m)
+			m1, ok := assume(s, e.X, m)
 			if !ok {
-				return OBot, false
+				return bot[M](), false
 			}
-			return s.assume(e.Y, m1)
+			return assume(s, e.Y, m1)
 		}
 	case ir.Not:
 		if v, ok := e.X.(ir.VarE); ok {
-			return s.refineBounds(v.L, ir.Eq, itv.Single(0), m)
+			return refineBounds(s, v.L, ir.Eq, itv.Single(0), m)
 		}
 	case ir.VarE:
-		return s.refineBounds(e.L, ir.Ne, itv.Single(0), m)
+		return refineBounds(s, e.L, ir.Ne, itv.Single(0), m)
 	}
 	return m, true
 }
 
 // refineCmp refines a comparison: relationally inside packs containing both
 // operands, and by interval bounds in all packs of each variable operand.
-func (s *Sem) refineCmp(e ir.Bin, m OMem) (OMem, bool) {
+func refineCmp[M Memory[M]](s *Sem, e ir.Bin, m M) (M, bool) {
 	x, xIsVar := e.X.(ir.VarE)
 	y, yIsVar := e.Y.(ir.VarE)
 	// Relational refinement x op y within shared packs.
 	if xIsVar && yIsVar {
 		var ok bool
-		m, ok = s.refineRel(x.L, y.L, e.Op, m)
+		m, ok = refineRel(s, x.L, y.L, e.Op, m)
 		if !ok {
-			return OBot, false
+			return bot[M](), false
 		}
 	}
 	// Interval refinement of each variable side against the other side.
 	if xIsVar {
-		yv := s.EvalItv(e.Y, m)
+		yv := evalItv(s, e.Y, m)
 		if !yv.IsBot() {
 			var ok bool
-			m, ok = s.refineBounds(x.L, e.Op, yv, m)
+			m, ok = refineBounds(s, x.L, e.Op, yv, m)
 			if !ok {
-				return OBot, false
+				return bot[M](), false
 			}
 		}
 	}
 	if yIsVar {
-		xv := s.EvalItv(e.X, m)
+		xv := evalItv(s, e.X, m)
 		if !xv.IsBot() {
 			var ok bool
-			m, ok = s.refineBounds(y.L, e.Op.Swap(), xv, m)
+			m, ok = refineBounds(s, y.L, e.Op.Swap(), xv, m)
 			if !ok {
-				return OBot, false
+				return bot[M](), false
 			}
 		}
 	}
@@ -436,7 +442,7 @@ func (s *Sem) refineCmp(e ir.Bin, m OMem) (OMem, bool) {
 
 // refineRel adds the octagon constraint for "lx op ly" to every pack
 // containing both variables.
-func (s *Sem) refineRel(lx, ly ir.LocID, op ir.BinOp, m OMem) (OMem, bool) {
+func refineRel[M Memory[M]](s *Sem, lx, ly ir.LocID, op ir.BinOp, m M) (M, bool) {
 	if s.isem.IsSummaryLoc(lx) || s.isem.IsSummaryLoc(ly) {
 		return m, true
 	}
@@ -469,7 +475,7 @@ func (s *Sem) refineRel(lx, ly ir.LocID, op ir.BinOp, m OMem) (OMem, bool) {
 			// Not octagon-expressible; skip.
 		}
 		if next.IsBottom() {
-			return OBot, false
+			return bot[M](), false
 		}
 		m = m.Set(p, next)
 	}
@@ -478,7 +484,7 @@ func (s *Sem) refineRel(lx, ly ir.LocID, op ir.BinOp, m OMem) (OMem, bool) {
 
 // refineBounds narrows l's interval bounds under "l op bound" in every pack
 // containing l.
-func (s *Sem) refineBounds(l ir.LocID, op ir.BinOp, bound itv.Itv, m OMem) (OMem, bool) {
+func refineBounds[M Memory[M]](s *Sem, l ir.LocID, op ir.BinOp, bound itv.Itv, m M) (M, bool) {
 	if s.isem.IsSummaryLoc(l) {
 		return m, true
 	}
@@ -526,7 +532,7 @@ func (s *Sem) refineBounds(l ir.LocID, op ir.BinOp, bound itv.Itv, m OMem) (OMem
 			refined := cur.NeFilter(bound)
 			if !refined.Eq(cur) {
 				if refined.IsBot() {
-					return OBot, false
+					return bot[M](), false
 				}
 				var cs [2]oct.Constraint
 				k := 0
@@ -542,9 +548,15 @@ func (s *Sem) refineBounds(l ir.LocID, op ir.BinOp, bound itv.Itv, m OMem) (OMem
 			}
 		}
 		if next.IsBottom() {
-			return OBot, false
+			return bot[M](), false
 		}
 		m = m.Set(p, next)
 	}
 	return m, true
+}
+
+// bot is M's zero value, the bottom state a refuted assume returns.
+func bot[M any]() M {
+	var m M
+	return m
 }

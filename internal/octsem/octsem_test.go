@@ -97,10 +97,10 @@ int main() {
 		}
 	}
 	// After running main's straight-line points in order, a==3 and b==5.
-	if got := s.projLoc(la, m); !itv.Single(3).LessEq(got) {
+	if got := projLoc(s, la, m); !itv.Single(3).LessEq(got) {
 		t.Errorf("a = %s must contain 3", got)
 	}
-	if got := s.projLoc(lb, m); !itv.Single(5).LessEq(got) {
+	if got := projLoc(s, lb, m); !itv.Single(5).LessEq(got) {
 		t.Errorf("b = %s must contain 5", got)
 	}
 	// And the shared pack knows b - a == 2.
@@ -156,7 +156,7 @@ int main() {
 	sp, _ := s.Packs.Singleton(la)
 	m := s.TopState().Set(sp, oct.Top(1).AssignInterval(0, itv.Single(7)))
 	lp, _ := prog.Locs.Lookup(ir.Loc{Kind: ir.LVar, Proc: ir.None, Name: "p"})
-	got := s.EvalItv(ir.Load{P: ir.VarE{L: lp}}, m)
+	got := evalItv(s, ir.Load{P: ir.VarE{L: lp}}, m)
 	// The pre-analysis must resolve p → {a}; the load projects a's pack.
 	if !itv.Single(7).LessEq(got) {
 		t.Errorf("*p = %s must contain 7", got)

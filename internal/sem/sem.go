@@ -40,6 +40,17 @@ type Sem struct {
 	EntryMarks func(ir.ProcID) []ir.LocID
 }
 
+// Memory is what the transfer functions read and write: an abstract memory
+// M over locations. mem.Mem is one; the sparse solver passes a frame over
+// one def-use node's slots, which updates in place and returns itself. Both
+// answer every read as a persistent memory would, reads after writes
+// included.
+type Memory[M any] interface {
+	Get(ir.LocID) val.Val
+	Set(ir.LocID, val.Val) M
+	WeakSet(ir.LocID, val.Val) M
+}
+
 // New returns a semantics evaluator for prog.
 func New(prog *ir.Program) *Sem { return &Sem{Prog: prog} }
 
@@ -76,7 +87,10 @@ func (s *Sem) IsSummaryLoc(l ir.LocID) bool {
 // ---------- evaluation ----------
 
 // Eval computes E#(e)(m).
-func (s *Sem) Eval(e ir.Expr, m mem.Mem) val.Val {
+func (s *Sem) Eval(e ir.Expr, m mem.Mem) val.Val { return eval(s, e, m) }
+
+// eval computes E#(e)(m) over any memory.
+func eval[M Memory[M]](s *Sem, e ir.Expr, m M) val.Val {
 	switch e := e.(type) {
 	case ir.Const:
 		return val.Const(e.V)
@@ -94,14 +108,14 @@ func (s *Sem) Eval(e ir.Expr, m mem.Mem) val.Val {
 	case ir.VarE:
 		return m.Get(e.L)
 	case ir.Load:
-		pv := s.Eval(e.P, m)
+		pv := eval(s, e.P, m)
 		out := val.Bot
 		for _, t := range pv.Ptr() {
 			out = out.Join(m.Get(t.Loc))
 		}
 		return out
 	case ir.LoadField:
-		pv := s.Eval(e.P, m)
+		pv := eval(s, e.P, m)
 		out := val.Bot
 		for _, t := range pv.Ptr() {
 			fl := s.Prog.Locs.Field(t.Loc, e.F)
@@ -111,7 +125,7 @@ func (s *Sem) Eval(e ir.Expr, m mem.Mem) val.Val {
 	case ir.AddrOf:
 		return val.FromPtr(e.L, val.Region{Off: itv.Single(0), Sz: itv.Single(e.Count)})
 	case ir.FieldAddr:
-		pv := s.Eval(e.P, m)
+		pv := eval(s, e.P, m)
 		return pv.MapPtr(func(t val.PtrEntry) (val.PtrEntry, bool) {
 			fl := s.Prog.Locs.Field(t.Loc, e.F)
 			return val.PtrEntry{Loc: fl, R: val.Region{Off: itv.Single(0), Sz: itv.Single(1)}}, true
@@ -119,19 +133,19 @@ func (s *Sem) Eval(e ir.Expr, m mem.Mem) val.Val {
 	case ir.FuncAddr:
 		return val.FromFunc(e.F)
 	case ir.Neg:
-		return val.FromItv(s.Eval(e.X, m).Itv().Neg())
+		return val.FromItv(eval(s, e.X, m).Itv().Neg())
 	case ir.Not:
-		return truthToVal(s.truth(e.X, m), true)
+		return truthToVal(truth(s, e.X, m), true)
 	case ir.Bin:
-		return s.evalBin(e, m)
+		return evalBin(s, e, m)
 	default:
 		return val.TopInt
 	}
 }
 
 // truth classifies the truthiness of a condition expression value.
-func (s *Sem) truth(e ir.Expr, m mem.Mem) int {
-	v := s.Eval(e, m)
+func truth[M Memory[M]](s *Sem, e ir.Expr, m M) int {
+	v := eval(s, e, m)
 	t := v.Itv().Truth()
 	if v.HasPtr() || len(v.Fns()) > 0 {
 		t |= itv.MaybeTrue // a concrete pointer/function is non-null
@@ -159,9 +173,9 @@ func truthToVal(t int, neg bool) val.Val {
 	}
 }
 
-func (s *Sem) evalBin(e ir.Bin, m mem.Mem) val.Val {
-	x := s.Eval(e.X, m)
-	y := s.Eval(e.Y, m)
+func evalBin[M Memory[M]](s *Sem, e ir.Bin, m M) val.Val {
+	x := eval(s, e.X, m)
+	y := eval(s, e.Y, m)
 	switch e.Op {
 	case ir.Add, ir.Sub:
 		return s.evalAddSub(e.Op, x, y)
@@ -367,24 +381,28 @@ func (s *Sem) storeTargets(pv val.Val, field string) []ir.LocID {
 // Transfer applies f#_c for the command at pt to m. The boolean result
 // reports reachability: false means the abstract state is unreachable past
 // this point (a refuted assume).
-func (s *Sem) Transfer(pt *ir.Point, m mem.Mem) (mem.Mem, bool) {
+func (s *Sem) Transfer(pt *ir.Point, m mem.Mem) (mem.Mem, bool) { return Transfer(s, pt, m) }
+
+// Transfer is (*Sem).Transfer over any memory. A refuted assume returns
+// M's zero value, which is bottom for mem.Mem.
+func Transfer[M Memory[M]](s *Sem, pt *ir.Point, m M) (M, bool) {
 	switch c := pt.Cmd.(type) {
 	case ir.Set:
-		v := s.Eval(c.E, m)
+		v := eval(s, c.E, m)
 		if s.IsSummaryLoc(c.L) {
 			return m.WeakSet(c.L, v), true
 		}
 		return m.Set(c.L, v), true
 	case ir.Store:
-		pv := s.Eval(c.P, m)
-		v := s.Eval(c.E, m)
-		return s.store(m, pv, "", v), true
+		pv := eval(s, c.P, m)
+		v := eval(s, c.E, m)
+		return store(s, m, pv, "", v), true
 	case ir.StoreField:
-		pv := s.Eval(c.P, m)
-		v := s.Eval(c.E, m)
-		return s.store(m, pv, c.F, v), true
+		pv := eval(s, c.P, m)
+		v := eval(s, c.E, m)
+		return store(s, m, pv, c.F, v), true
 	case ir.Alloc:
-		n := s.Eval(c.N, m).Itv()
+		n := eval(s, c.N, m).Itv()
 		al := s.Prog.Locs.Alloc(c.Site)
 		ptr := val.FromPtr(al, val.Region{Off: itv.Single(0), Sz: n})
 		// Heap cells start indeterminate.
@@ -394,7 +412,7 @@ func (s *Sem) Transfer(pt *ir.Point, m mem.Mem) (mem.Mem, bool) {
 		}
 		return m.Set(c.L, ptr), true
 	case ir.Assume:
-		return s.assume(c.E, m)
+		return assume(s, c.E, m)
 	case ir.Call:
 		// Argument evaluation has no state effect; formal binding happens on
 		// the call→entry edge (BindFormals).
@@ -423,7 +441,7 @@ func (s *Sem) Transfer(pt *ir.Point, m mem.Mem) (mem.Mem, bool) {
 	case ir.Return:
 		pr := s.Prog.ProcByID(pt.Proc)
 		if c.E != nil && pr.RetLoc != ir.None {
-			v := s.Eval(c.E, m)
+			v := eval(s, c.E, m)
 			if s.IsSummaryLoc(pr.RetLoc) {
 				return m.WeakSet(pr.RetLoc, v), true
 			}
@@ -446,7 +464,7 @@ func (s *Sem) Transfer(pt *ir.Point, m mem.Mem) (mem.Mem, bool) {
 	}
 }
 
-func (s *Sem) store(m mem.Mem, pv val.Val, field string, v val.Val) mem.Mem {
+func store[M Memory[M]](s *Sem, m M, pv val.Val, field string, v val.Val) M {
 	targets := s.storeTargets(pv, field)
 	if len(targets) == 1 && !s.IsSummaryLoc(targets[0]) {
 		return m.Set(targets[0], v) // strong update
@@ -461,21 +479,31 @@ func (s *Sem) store(m mem.Mem, pv val.Val, field string, v val.Val) mem.Mem {
 // with memory m: m with the callee's formals bound to the argument values.
 // Missing arguments bind to Unknown.
 func (s *Sem) BindFormals(callPt *ir.Point, callee *ir.Proc, m mem.Mem) mem.Mem {
+	return BindFormals(s, callPt, callee, m)
+}
+
+// BindFormals is (*Sem).BindFormals over any memory. Every argument is
+// evaluated against the pre-call state before the first formal is bound:
+// a frame updates in place, and a recursive call may pass its own formals
+// (f(b, a) inside f(a, b)).
+func BindFormals[M Memory[M]](s *Sem, callPt *ir.Point, callee *ir.Proc, m M) M {
 	c := callPt.Cmd.(ir.Call)
-	out := m
-	for i, f := range callee.Formals {
-		var v val.Val
+	var buf [8]val.Val
+	args := buf[:0]
+	for i := range callee.Formals {
+		v := val.TopInt
 		if i < len(c.Args) {
-			v = s.Eval(c.Args[i], m)
-		} else {
-			v = val.TopInt
+			v = eval(s, c.Args[i], m)
 		}
+		args = append(args, v)
+	}
+	for i, f := range callee.Formals {
 		// Formals are weakly updated: several call sites (and spurious
 		// callees from the approximate call graph) may bind them, and the
 		// sparse framework requires may-definitions to be uses (Def. 5).
-		out = out.WeakSet(f, v)
+		m = m.WeakSet(f, args[i])
 	}
-	return out
+	return m
 }
 
 // ---------- assume refinement ----------
@@ -483,50 +511,51 @@ func (s *Sem) BindFormals(callPt *ir.Point, callee *ir.Proc, m mem.Mem) mem.Mem 
 // assume filters m by the condition e. It refines interval bindings of
 // variables that appear directly in comparisons, and reports false when the
 // condition cannot hold.
-func (s *Sem) assume(e ir.Expr, m mem.Mem) (mem.Mem, bool) {
-	t := s.truth(e, m)
+func assume[M Memory[M]](s *Sem, e ir.Expr, m M) (M, bool) {
+	t := truth(s, e, m)
 	if t&itv.MaybeTrue == 0 {
-		return mem.Bot, false
+		var bot M
+		return bot, false
 	}
 	switch e := e.(type) {
 	case ir.Bin:
 		if e.Op.IsCmp() {
-			return s.refineCmp(e, m), true
+			return refineCmp(s, e, m), true
 		}
 		if e.Op == ir.LAnd {
-			m1, ok := s.assume(e.X, m)
+			m1, ok := assume(s, e.X, m)
 			if !ok {
-				return mem.Bot, false
+				return m1, false
 			}
-			return s.assume(e.Y, m1)
+			return assume(s, e.Y, m1)
 		}
 	case ir.Not:
 		// assume(!x): x == 0
 		if v, ok := e.X.(ir.VarE); ok {
-			return s.refineVar(v.L, ir.Eq, itv.Single(0), m), true
+			return refineVar(s, v.L, ir.Eq, itv.Single(0), m), true
 		}
 	case ir.VarE:
 		// assume(x): x != 0
-		return s.refineVar(e.L, ir.Ne, itv.Single(0), m), true
+		return refineVar(s, e.L, ir.Ne, itv.Single(0), m), true
 	}
 	return m, true
 }
 
 // refineCmp refines both operands of a comparison when they are variables.
-func (s *Sem) refineCmp(e ir.Bin, m mem.Mem) mem.Mem {
-	yv := s.Eval(e.Y, m).Itv()
+func refineCmp[M Memory[M]](s *Sem, e ir.Bin, m M) M {
+	yv := eval(s, e.Y, m).Itv()
 	if x, ok := e.X.(ir.VarE); ok && !yv.IsBot() {
-		m = s.refineVar(x.L, e.Op, yv, m)
+		m = refineVar(s, x.L, e.Op, yv, m)
 	}
-	xv := s.Eval(e.X, m).Itv()
+	xv := eval(s, e.X, m).Itv()
 	if y, ok := e.Y.(ir.VarE); ok && !xv.IsBot() {
-		m = s.refineVar(y.L, e.Op.Swap(), xv, m)
+		m = refineVar(s, y.L, e.Op.Swap(), xv, m)
 	}
 	return m
 }
 
 // refineVar narrows the interval of variable l under "l op bound".
-func (s *Sem) refineVar(l ir.LocID, op ir.BinOp, bound itv.Itv, m mem.Mem) mem.Mem {
+func refineVar[M Memory[M]](s *Sem, l ir.LocID, op ir.BinOp, bound itv.Itv, m M) M {
 	if s.IsSummaryLoc(l) {
 		return m // cannot strongly refine summaries
 	}

@@ -7,9 +7,11 @@ import (
 	"sparrow/internal/dug"
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
+	"sparrow/internal/oct"
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
+	"sparrow/internal/solver/sparse"
 )
 
 // BenchmarkOctFixpoint times the sparse octagon fixpoint alone on the first
@@ -31,9 +33,9 @@ func BenchmarkOctFixpoint(b *testing.B) {
 	g := dug.BuildFrom(src, dug.Options{Bypass: true})
 	b.Run("gen-2000/global", func(b *testing.B) {
 		b.ReportAllocs()
-		var res *Result
+		var res *sparse.Result[*oct.Oct]
 		for b.Loop() {
-			res = Analyze(prog, pre, s, g, Options{})
+			res = sparse.Analyze(prog, pre, sparse.Octagons(s), g, sparse.Options{})
 		}
 		b.ReportMetric(float64(res.Steps), "steps")
 		b.ReportMetric(float64(res.Joins), "joins")

@@ -14,9 +14,11 @@ import (
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
+	"sparrow/internal/solver/sparse"
 )
 
-// driverInputs are the reference test's programs: the corpus files,
+// driverInputs are the reference test's programs: the corpus files, a
+// recursive call that swaps its formals (testdata/regress/swapformals.c),
 // cgen.Fuzz programs with gotos and switches, and the first two programs of
 // the seed-7 gen-2000 suite (octagon-2k).
 func driverInputs(t *testing.T) map[string]string {
@@ -33,6 +35,11 @@ func driverInputs(t *testing.T) map[string]string {
 		}
 		srcs[filepath.Base(p)] = string(b)
 	}
+	b, err := os.ReadFile("../../../testdata/regress/swapformals.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["swapformals.c"] = string(b)
 	for _, seed := range []uint64{1, 2, 41} {
 		srcs[fmt.Sprintf("fuzz-%d", seed)] = cgen.Generate(gotoSwitchFuzz(seed, 600))
 	}
@@ -73,7 +80,7 @@ func checkOctDriver(t *testing.T, name, src string) {
 		for _, maxSteps := range []int{0, 1, 17, 500} {
 			opt := Options{MaxSteps: maxSteps}
 			label := fmt.Sprintf("%s bypass=%v maxsteps=%d", name, bypass, maxSteps)
-			assertSameOctSolve(t, label+" global", g, refAnalyze(prog, pre, s, g, opt), Analyze(prog, pre, s, g, opt))
+			assertSameOctSolve(t, label+" global", g, refAnalyze(prog, pre, s, g, opt), sparse.Analyze(prog, pre, sparse.Octagons(s), g, opt))
 		}
 	}
 }
@@ -94,7 +101,7 @@ func sameOMem(a, b octsem.OMem) bool {
 
 // assertSameOctSolve requires equal work counters, truncation,
 // reachability, and per-pack equal memories at every node.
-func assertSameOctSolve(t *testing.T, label string, g *dug.Graph, want, got *Result) {
+func assertSameOctSolve(t *testing.T, label string, g *dug.Graph, want *refResult, got *sparse.Result[*oct.Oct]) {
 	t.Helper()
 	if want.Steps != got.Steps || want.Joins != got.Joins || want.Widenings != got.Widenings {
 		t.Errorf("%s: steps/joins/widenings %d/%d/%d vs %d/%d/%d", label,
@@ -114,7 +121,7 @@ func assertSameOctSolve(t *testing.T, label string, g *dug.Graph, want, got *Res
 		for _, m := range []struct {
 			kind      string
 			want, got octsem.OMem
-		}{{"Acc", want.Acc[n], got.Acc[n]}, {"Out", want.Out[n], got.Out[n]}} {
+		}{{"Acc", want.Acc[n], octsem.FromSorted(got.Acc(dug.NodeID(n)))}, {"Out", want.Out[n], octsem.FromSorted(got.Out(dug.NodeID(n)))}} {
 			if !sameOMem(m.want, m.got) {
 				bad++
 				t.Errorf("%s: node %d %s differs:\n want %s\n got  %s", label, n, m.kind, m.want, m.got)

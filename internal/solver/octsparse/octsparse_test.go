@@ -1,3 +1,5 @@
+// Package octsparse holds the tests of the sparse solver's octagon instance
+// (sparse.Octagons), among them the reference loop it is pinned to.
 package octsparse
 
 import (
@@ -8,10 +10,12 @@ import (
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/itv"
+	"sparrow/internal/oct"
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
 	"sparrow/internal/solver/dense"
+	"sparrow/internal/solver/sparse"
 )
 
 type pipeline struct {
@@ -20,7 +24,7 @@ type pipeline struct {
 	packs *pack.Set
 	sem   *octsem.Sem
 	g     *dug.Graph
-	res   *Result
+	res   *sparse.Result[*oct.Oct]
 }
 
 func run(t *testing.T, src string, bypass bool) *pipeline {
@@ -37,7 +41,7 @@ func run(t *testing.T, src string, bypass bool) *pipeline {
 	packs := pack.Build(prog, 0)
 	s, dsrc := octsem.Source(prog, pre, packs)
 	g := dug.BuildFrom(dsrc, dug.Options{Bypass: bypass})
-	res := Analyze(prog, pre, s, g, Options{})
+	res := sparse.Analyze(prog, pre, sparse.Octagons(s), g, sparse.Options{})
 	if res.TimedOut {
 		t.Fatal("timed out")
 	}
@@ -53,11 +57,10 @@ func (p *pipeline) globalItv(t *testing.T, name string) itv.Itv {
 	}
 	sp, _ := p.packs.Singleton(loc)
 	root := p.prog.ProcByID(p.prog.Main)
-	m, tracked := p.res.ValueAt(p.g, root.Exit, sp)
+	o, tracked := p.res.Value(root.Exit, sp)
 	if !tracked {
 		t.Fatalf("global %q not tracked at root exit", name)
 	}
-	o := m.Get(sp)
 	if o == nil {
 		return itv.Bot
 	}
@@ -217,7 +220,7 @@ func TestOctDifferential(t *testing.T) {
 			packs := pack.Build(prog, 0)
 			s, dsrc := octsem.Source(prog, pre, packs)
 			g := dug.BuildFrom(dsrc, dug.Options{Bypass: bypass})
-			sp := Analyze(prog, pre, s, g, Options{})
+			sp := sparse.Analyze(prog, pre, sparse.Octagons(s), g, sparse.Options{})
 			dn := dense.Analyze(prog, pre, s, s.TopState(), accessedIn(dsrc), dense.OctagonStride, dense.Options{Localize: true})
 
 			for _, pt := range prog.Points {
@@ -233,7 +236,7 @@ func TestOctDifferential(t *testing.T) {
 				}
 				dOut := dn.Out(s, pt)
 				for _, p := range g.Defs[dug.NodeID(pt.ID)] {
-					so := sp.Out[pt.ID].Get(p)
+					so, _ := sp.Value(pt.ID, p)
 					do := dOut.Get(p)
 					switch {
 					case so == nil && do == nil:

@@ -3,6 +3,8 @@ package octsparse
 // The reference solver: the global-worklist octagon solver as it was before
 // the shared driver.Driver, kept verbatim (renamed) so
 // TestOctDriverMatchesReference and FuzzOctDriver can pin the driver to it.
+// It fills refResult, the whole-memory-per-node result the solver had
+// before its result became a view over the slots.
 
 import (
 	"sparrow/internal/dug"
@@ -12,8 +14,28 @@ import (
 	"sparrow/internal/octsem"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
+	"sparrow/internal/solver/sparse"
 	"sparrow/internal/worklist"
 )
+
+// Options, widenThreshold and entryWidenDelay are the solver's options and
+// widening constants, under the names the reference uses.
+type Options = sparse.Options
+
+const (
+	widenThreshold  = 40
+	entryWidenDelay = 4
+)
+
+type refResult struct {
+	Acc       []octsem.OMem
+	Out       []octsem.OMem
+	Reached   []bool
+	Steps     int
+	Joins     int
+	Widenings int
+	TimedOut  bool
+}
 
 type refSolver struct {
 	prog *ir.Program
@@ -21,7 +43,7 @@ type refSolver struct {
 	g    *dug.Graph
 	s    *octsem.Sem
 	opt  Options
-	res  *Result
+	res  *refResult
 	wl   *worklist.Worklist
 
 	counts  []int32
@@ -30,7 +52,7 @@ type refSolver struct {
 
 // refAnalyze runs the sparse relational analysis over the pack-level def-use
 // graph g.
-func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
+func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *refResult {
 	n := g.NumNodes()
 	sv := &refSolver{
 		prog: prog,
@@ -38,7 +60,7 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph
 		g:    g,
 		s:    s,
 		opt:  opt,
-		res: &Result{
+		res: &refResult{
 			Acc:     make([]octsem.OMem, n),
 			Out:     make([]octsem.OMem, n),
 			Reached: make([]bool, g.PointCount),

@@ -8,6 +8,7 @@ import (
 	"sparrow/internal/dug"
 	"sparrow/internal/frontend/lower"
 	"sparrow/internal/frontend/parser"
+	"sparrow/internal/lattice/val"
 	"sparrow/internal/prean"
 )
 
@@ -18,7 +19,8 @@ import (
 //     the program BenchmarkBuild/gen-4000 uses.
 //
 // Parsing, the pre-analysis and the def-use graph (bypass on, the CLI
-// default) are built before the timer starts.
+// default) are built before the timer starts. The steps, joins and
+// widenings it reports pin the work a faster solve must still do.
 func BenchmarkFixpoint(b *testing.B) {
 	for _, in := range []struct {
 		stmts int
@@ -38,11 +40,13 @@ func BenchmarkFixpoint(b *testing.B) {
 		s := pre.Sem(prog)
 		b.Run(name+"/global", func(b *testing.B) {
 			b.ReportAllocs()
-			var res *Result
+			var res *Result[val.Val]
 			for b.Loop() {
-				res = Analyze(prog, pre, s, g, Options{})
+				res = Analyze(prog, pre, Intervals(s), g, Options{})
 			}
 			b.ReportMetric(float64(res.Steps), "steps")
+			b.ReportMetric(float64(res.Joins), "joins")
+			b.ReportMetric(float64(res.Widenings), "widenings")
 		})
 	}
 }

@@ -3,6 +3,12 @@
 // the approximated data dependencies of the def-use graph instead of control
 // flow, visiting only the entries in D̂(c)/Û(c) at each node.
 //
+// The loop is generic over the value domain of the map-shaped domain
+// L# → V#: the interval analysis instantiates it with val.Val (Intervals)
+// and the packed relational analysis with octagons over packs (Octagons,
+// Octagon_sparse of Table 3). One global priority worklist schedules the
+// whole graph.
+//
 // The solver additionally tracks control reachability (the production dense
 // solver prunes CFG-unreachable code, so the sparse solver gates node
 // transfers on the same reachability to preserve its precision): a point
@@ -11,15 +17,14 @@
 package sparse
 
 import (
+	"slices"
+
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
-	"sparrow/internal/lattice/val"
-	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
-	"sparrow/internal/sem"
-	"sparrow/internal/solver/driver"
+	"sparrow/internal/worklist"
 )
 
 // Options configures the sparse solver.
@@ -28,8 +33,9 @@ type Options struct {
 	MaxSteps int
 	// Narrow runs this many descending (narrowing) Jacobi sweeps over the
 	// def-use graph after the ascending fixpoint, recovering precision lost
-	// to widening. Each sweep recomputes every node's incoming values from
-	// the current outputs and narrows the accumulated inputs towards them.
+	// to widening (intervals only; the octagon instance has no descending
+	// phase). Each sweep recomputes every node's incoming values from the
+	// current outputs and narrows the accumulated inputs towards them.
 	Narrow int
 	// Metrics, when non-nil, receives the solver's work counters (node
 	// firings, value-changing joins, effective widenings) when the run
@@ -37,9 +43,9 @@ type Options struct {
 	// flushes once, so the instrumented counters equal the Result's.
 	Metrics *metrics.Collector
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// polled every pollStride firings. On breach the solver stops exactly
-	// like a MaxSteps cut (TimedOut set, partial result); the core boundary
-	// inspects the budget to tell them apart.
+	// polled every stride firings (the domain's poll stride). On breach the
+	// solver stops exactly like a MaxSteps cut (TimedOut set, partial
+	// result); the core boundary inspects the budget to tell them apart.
 	// nil (the default) is free: the hot loop pays one pointer comparison
 	// per stride window.
 	Budget *rt.Budget
@@ -53,19 +59,48 @@ const (
 	// many changed pushes, cutting the spurious interprocedural feedback
 	// cycles exactly as the dense solver does.
 	entryWidenDelay = 4
-	// pollStride is the number of firings between two Budget polls.
-	pollStride = 256
 )
 
-// Result is the sparse fixpoint.
-type Result struct {
-	// Acc[n] is the partial memory accumulated at node n over its in-edge
-	// locations (the join of incoming dependency values); for a point these
-	// cover the Û(n) entries any dependency reaches.
-	Acc []mem.Mem
-	// Out[n] is the partial memory produced at node n over D̂(n). By
-	// Lemma 2 it agrees with the dense fixpoint on D̂(n).
-	Out []mem.Mem
+// Value is what the loop needs of every slot value: the change-reporting
+// join a frame's weak update applies.
+type Value[V any] interface {
+	JoinChanged(V) (V, bool)
+}
+
+// Domain is one instance of the loop: the semantics applied to a frame, the
+// value operations on slots, and the loop parameters that differ between
+// domains. Intervals and Octagons are its implementations.
+//
+// The value operations take a slot's value and its bound bit. An unbound
+// slot holds V's zero value: bottom for val.Val, nil for octagons.
+type Domain[V Value[V]] interface {
+	// transfer applies the command at point pt (not a call) to f; false
+	// reports a refuted assume.
+	transfer(pt *ir.Point, f *frame[V]) bool
+	// bindFormals binds callee's formals at the call callPt in f.
+	bindFormals(callPt *ir.Point, callee *ir.Proc, f *frame[V])
+	// joinOut joins the produced value v into an Out slot holding old and
+	// reports whether the slot grew.
+	joinOut(old V, bound bool, v V) (V, bool)
+	// widen widens the Out slot value old by joined, its grown value, and
+	// reports an effective widening (one that extrapolated past the join).
+	widen(old V, bound bool, joined V) (V, bool)
+	// joinAcc joins the pushed value v into an Acc slot holding old and
+	// reports whether the slot grew.
+	joinAcc(old V, bound bool, v V) (V, bool)
+	// params returns the number of firings between two Budget polls (it
+	// fixes the ordinals of the checkpoints fault injection counts) and
+	// whether the widening counters are per node instead of per Out slot.
+	params() (stride int, perNode bool)
+	// narrow runs up to passes descending sweeps over the solved state.
+	narrow(st *solver[V], passes int)
+}
+
+// Result is the sparse fixpoint. Its per-node memories are views over the
+// solver's slot arrays: Acc, Out and Value read them, and a caller that
+// needs a memory builds one from Acc or Out (mem.FromSorted,
+// octsem.FromSorted).
+type Result[V any] struct {
 	// Reached[pt] is control reachability per point.
 	Reached []bool
 	// Steps counts node firings.
@@ -79,338 +114,402 @@ type Result struct {
 	Joins int
 	// TimedOut reports an aborted run.
 	TimedOut bool
+
+	g              *dug.Graph
+	cbase          []int32
+	out, acc       []V
+	outSet, accSet []bool
 }
 
-// store is the interval half of a sparse solve: the value state and the
-// transfer loop body (fire, pushOuts). The scheduling half is the
-// driver.Driver d. The paper's F̂ keeps X(c) only on a set of (node,
-// location) cells fixed before solving, so the state is flat — one value
-// and one bound bit per cell — instead of a persistent memory per node that
-// every changed push would path-copy:
+// Acc returns node n's accumulated input (the join of incoming dependency
+// values): the bound entries of its Acc slots, in location order. For a
+// point these cover the Û(n) entries any dependency reaches.
+func (r *Result[V]) Acc(n dug.NodeID) ([]ir.LocID, []V) {
+	b := r.g.AccBase(n)
+	return boundEntries(r.g.InLocs(n), r.acc[b:], r.accSet[b:])
+}
+
+// Out returns the partial memory node n produced over D̂(n): the bound
+// entries of its Out slots, in location order. By Lemma 2 it agrees with
+// the dense fixpoint on D̂(n).
+func (r *Result[V]) Out(n dug.NodeID) ([]ir.LocID, []V) {
+	b := r.cbase[n]
+	return boundEntries(r.g.Defs[n], r.out[b:], r.outSet[b:])
+}
+
+// boundEntries returns the entries among locs whose bound bits (set,
+// parallel to vals) are on.
+func boundEntries[V any](locs []ir.LocID, vals []V, set []bool) ([]ir.LocID, []V) {
+	ls, vs := make([]ir.LocID, 0, len(locs)), make([]V, 0, len(locs))
+	for j, l := range locs {
+		if set[j] {
+			ls = append(ls, l)
+			vs = append(vs, vals[j])
+		}
+	}
+	return ls, vs
+}
+
+// Entries calls visit with every node's number of bound entries of its
+// accumulated input and of its output: the sizes of the memories Acc and
+// Out describe.
+func (r *Result[V]) Entries(visit func(acc, out int)) {
+	for n := range r.g.NumNodes() {
+		acc, out := 0, 0
+		b := r.g.AccBase(dug.NodeID(n))
+		for _, ok := range r.accSet[b : b+int32(len(r.g.InLocs(dug.NodeID(n))))] {
+			if ok {
+				acc++
+			}
+		}
+		for _, ok := range r.outSet[r.cbase[n]:r.cbase[n+1]] {
+			if ok {
+				out++
+			}
+		}
+		visit(acc, out)
+	}
+}
+
+// Value returns the sparse fixpoint value of l at point pt: its produced
+// value if l ∈ D̂(pt), otherwise the accumulated incoming value (l ∈ Û(pt)).
+// tracked reports whether the point tracks l at all. An unbound entry reads
+// as V's zero value.
+func (r *Result[V]) Value(pt ir.PointID, l ir.LocID) (v V, tracked bool) {
+	n := dug.NodeID(pt)
+	if i, ok := slices.BinarySearch(r.g.Defs[n], l); ok {
+		return r.out[r.cbase[n]+int32(i)], true
+	}
+	if _, ok := slices.BinarySearch(r.g.Uses[n], l); !ok {
+		return v, false
+	}
+	if j, ok := slices.BinarySearch(r.g.InLocs(n), l); ok {
+		v = r.acc[r.g.AccBase(n)+int32(j)]
+	}
+	return v, true
+}
+
+// solver is one sparse solve: the global worklist, control reachability,
+// the stop check and the slot state. The paper's F̂ keeps X(c) only on a
+// set of (node, location) cells fixed before solving, so the state is flat
+// — one value and one bound bit per cell — instead of a persistent memory
+// per node that every changed push would path-copy:
 //
-//   - Out slot cbase[n]+i holds n's output on Defs[n][i] and indexes the
-//     location's widening counter.
+//   - Out slot cbase[n]+i holds n's output on Defs[n][i].
 //   - Acc slot g.AccBase(n)+j holds n's accumulated input on
 //     g.InLocs(n)[j]. Values reach a node only along its in-edges, and
 //     those locations are not always in Û(n): linkage delivers values to
 //     Entry and RetBind nodes on locations they redefine.
 //
-// A bound slot may hold bottom, just as mem.Set and mem.WeakSet bind
-// explicit bottoms, so the memories materialized at the end (Result.Acc and
-// Result.Out) have the domains per-node memories would have had.
-type store struct {
+// A transfer reads the fired node's Acc slots through a frame, which
+// collects the new values of Defs[n]; no memory is built.
+type solver[V Value[V]] struct {
 	prog *ir.Program
 	pre  *prean.Result
 	g    *dug.Graph
-	s    *sem.Sem
+	dom  Domain[V]
 	opt  Options
-	d    *driver.Driver
+	res  *Result[V]
+	wl   *worklist.Worklist
+	lim  rt.Limits
+	mark func(ir.PointID) // markPoint as a func value, bound once so marking allocates nothing
 
-	out, acc       []val.Val
-	outSet, accSet []bool
-	// counts are the widening safety-valve counters, by Out slot: slot
-	// cbase[n]+i counts the value-changing pushes of Defs[n][i]. Keying the
-	// counters by location (not by firing) makes a location's widening
-	// schedule a function of its own update history alone, which is what
-	// lets a solve restricted to a subset of the locations reproduce the
-	// full solve's widening decisions exactly (the per-checker restricted
-	// runs rely on this).
-	counts []int32
-	cbase  []int32
+	// counts are the widening safety-valve counters, by Out slot or, with
+	// perNode, by node. Per slot, slot cbase[n]+i counts the
+	// value-changing pushes of Defs[n][i]: keying the counters by location
+	// (not by firing) makes a location's widening schedule a function of
+	// its own update history alone, which is what lets a solve restricted
+	// to a subset of the locations reproduce the full solve's widening
+	// decisions exactly (the per-checker interval runs rely on this). Per
+	// node, a firing that changed any Out slot counts once.
+	counts  []int32
+	perNode bool
 
-	joins, widenings int
-
-	// Scratch: memory entries under construction, and the new values of
-	// the fired node's definitions.
-	locs []ir.LocID
-	vals []val.Val
-	nv   []val.Val
+	f frame[V]
 }
 
-// newStore returns the state of one solve.
-func newStore(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt Options) *store {
+// Analyze runs the sparse analysis of the domain dom over the def-use
+// graph g.
+func Analyze[V Value[V]](prog *ir.Program, pre *prean.Result, dom Domain[V], g *dug.Graph, opt Options) *Result[V] {
 	n := g.NumNodes()
+	stride, perNode := dom.params()
 	cbase := make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		cbase[i+1] = cbase[i] + int32(len(g.Defs[i]))
 	}
-	st := &store{
-		prog:   prog,
-		pre:    pre,
-		g:      g,
-		s:      s,
-		opt:    opt,
-		out:    make([]val.Val, cbase[n]),
-		outSet: make([]bool, cbase[n]),
-		acc:    make([]val.Val, g.AccSlots()),
-		accSet: make([]bool, g.AccSlots()),
-		counts: make([]int32, cbase[n]),
-		cbase:  cbase,
+	st := &solver[V]{
+		prog:    prog,
+		pre:     pre,
+		g:       g,
+		dom:     dom,
+		opt:     opt,
+		perNode: perNode,
+		counts:  make([]int32, max(n, int(cbase[n]))),
+		wl:      worklist.New(n, g.Prio),
+		lim:     rt.NewLimits(opt.MaxSteps, opt.Budget, stride),
+		res: &Result[V]{
+			Reached: make([]bool, g.PointCount),
+			g:       g,
+			cbase:   cbase,
+			out:     make([]V, cbase[n]),
+			outSet:  make([]bool, cbase[n]),
+			acc:     make([]V, g.AccSlots()),
+			accSet:  make([]bool, g.AccSlots()),
+		},
 	}
-	st.d = driver.New(prog, pre, g, rt.NewLimits(opt.MaxSteps, opt.Budget, pollStride), st.fire)
-	return st
-}
-
-// Analyze runs the sparse analysis with the semantics s over the def-use
-// graph g.
-func Analyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt Options) *Result {
-	st := newStore(prog, pre, s, g, opt)
-	st.d.Global()
-	return st.finish()
-}
-
-// finish materializes the per-node memories into the result, runs the
-// descending phase over them, and flushes the work counters.
-func (st *store) finish() *Result {
-	n := st.g.NumNodes()
-	d := st.d
-	res := &Result{Reached: d.Reached, Steps: d.Steps, TimedOut: d.TimedOut}
-	res.Acc = make([]mem.Mem, n)
-	res.Out = make([]mem.Mem, n)
-	for i := 0; i < n; i++ {
-		res.Acc[i] = st.accMem(dug.NodeID(i))
-		b := st.cbase[i]
-		res.Out[i] = st.memOf(st.g.Defs[i], st.out[b:], st.outSet[b:])
+	st.mark = st.markPoint
+	st.run()
+	res := st.res
+	if opt.Narrow > 0 && !res.TimedOut {
+		dom.narrow(st, opt.Narrow)
 	}
-	res.Joins, res.Widenings = st.joins, st.widenings
-	if st.opt.Narrow > 0 && !res.TimedOut {
-		st.narrow(res, st.opt.Narrow)
-	}
-	flushMetrics(st.opt.Metrics, res)
+	opt.Metrics.Add(metrics.CtrPops, int64(res.Steps))
+	opt.Metrics.Add(metrics.CtrJoins, int64(res.Joins))
+	opt.Metrics.Add(metrics.CtrWidenings, int64(res.Widenings))
 	return res
 }
 
-// memOf builds the memory of the bound entries among locs, whose values
-// and bound bits start at vals and set.
-func (st *store) memOf(locs []ir.LocID, vals []val.Val, set []bool) mem.Mem {
-	st.locs, st.vals = st.locs[:0], st.vals[:0]
-	for j, l := range locs {
-		if set[j] {
-			st.locs = append(st.locs, l)
-			st.vals = append(st.vals, vals[j])
-		}
-	}
-	return mem.FromSorted(st.locs, st.vals)
-}
-
-// accMem returns node n's accumulated input as a memory.
-func (st *store) accMem(n dug.NodeID) mem.Mem {
-	b := st.g.AccBase(n)
-	return st.memOf(st.g.InLocs(n), st.acc[b:], st.accSet[b:])
-}
-
-// accGet returns node n's accumulated input on l (bottom if unbound).
-func (st *store) accGet(n dug.NodeID, l ir.LocID) val.Val {
-	for j, il := range st.g.InLocs(n) {
-		if il == l {
-			return st.acc[st.g.AccBase(n)+int32(j)]
-		}
-	}
-	return val.Bot
-}
-
-// flushMetrics pushes a completed run's work counters into the collector.
-func flushMetrics(col *metrics.Collector, res *Result) {
-	col.Add(metrics.CtrPops, int64(res.Steps))
-	col.Add(metrics.CtrJoins, int64(res.Joins))
-	col.Add(metrics.CtrWidenings, int64(res.Widenings))
-}
-
-// outOf recomputes a node's output memory from its current accumulated
-// input in res (the f#_c(acc) of the descending phase). ok is false for
-// refuted assumes and unreachable points.
-func (st *store) outOf(res *Result, n dug.NodeID) (mem.Mem, bool) {
-	if st.g.IsPhi(n) {
-		return res.Acc[n], true
-	}
-	pt := st.prog.Point(ir.PointID(n))
-	if !res.Reached[pt.ID] {
-		return mem.Bot, false
-	}
-	return st.transfer(pt, res.Acc[n])
-}
-
-// transfer applies point pt's command to its input; a call binds the
-// formals of every callee. ok is false for a refuted assume.
-func (st *store) transfer(pt *ir.Point, in mem.Mem) (mem.Mem, bool) {
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		for _, p := range st.pre.CalleesOf(pt.ID) {
-			in = st.s.BindFormals(pt, st.prog.ProcByID(p), in)
-		}
-		return in, true
-	}
-	return st.s.Transfer(pt, in)
-}
-
-// narrow runs descending Jacobi sweeps over the materialized memories:
-// recompute every node's output from its (current) input, rebuild the
-// inputs as the join of dependency predecessors' outputs, and narrow the
-// stored inputs/outputs towards them. Sweeps stop early at stability.
-func (st *store) narrow(res *Result, passes int) {
-	n := st.g.NumNodes()
-	for pass := 0; pass < passes; pass++ {
-		if st.opt.Budget != nil && st.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			res.TimedOut = true
-			return
-		}
-		outs := make([]mem.Mem, n)
-		okv := make([]bool, n)
-		for i := 0; i < n; i++ {
-			outs[i], okv[i] = st.outOf(res, dug.NodeID(i))
-		}
-		// Rebuild inputs from the recomputed outputs.
-		newAcc := make([]mem.Mem, n)
-		for i := 0; i < n; i++ {
-			if !okv[i] {
-				continue
-			}
-			cur := st.g.Out(dug.NodeID(i))
-			for _, l := range st.g.Defs[dug.NodeID(i)] {
-				v := outs[i].Get(l)
-				if v.IsBot() {
-					continue
-				}
-				for _, succ := range cur.Seek(l) {
-					newAcc[succ] = newAcc[succ].WeakSet(l, v)
-				}
-			}
-		}
-		stable := true
-		for i := 0; i < n; i++ {
-			na, nch := res.Acc[i].NarrowChanged(newAcc[i])
-			if nch {
-				stable = false
-				res.Acc[i] = na
-			}
-		}
-		// Refresh stored outputs from the narrowed inputs so Out keeps
-		// agreeing with f#(Acc) on D̂. Detect first (allocation-free), then
-		// rebuild only on change — the rebuild binds every def location,
-		// explicit bottoms included, exactly as before.
-		for i := 0; i < n; i++ {
-			out, ok := st.outOf(res, dug.NodeID(i))
-			if !ok {
-				continue
-			}
-			changed := false
-			for _, l := range st.g.Defs[dug.NodeID(i)] {
-				if _, ch := res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
-					changed = true
-					break
-				}
-			}
-			if !changed {
-				continue
-			}
-			refreshed := res.Out[i]
-			for _, l := range st.g.Defs[dug.NodeID(i)] {
-				refreshed = refreshed.Set(l, res.Out[i].Get(l).Narrow(out.Get(l)))
-			}
-			stable = false
-			res.Out[i] = refreshed
-		}
-		if stable {
-			return
-		}
-	}
-}
-
-// fire processes one node: transfer its command over the accumulated
-// partial memory, mark its control successors reachable, and push changed
-// definition values along dependencies. A phi joins the incoming values of
-// its single location; a point fires only once reachable, and a refuted
-// assume propagates neither values nor reachability.
-func (st *store) fire(n dug.NodeID) {
-	defs := st.g.Defs[n]
-	nv := st.nv[:0]
-	if st.g.IsPhi(n) {
-		for _, l := range defs {
-			nv = append(nv, st.accGet(n, l))
-		}
-	} else {
-		pt := st.prog.Point(ir.PointID(n))
-		if !st.d.Reached[pt.ID] {
-			return // values wait until the point becomes reachable
-		}
-		out, ok := st.transfer(pt, st.accMem(n))
+// run solves from main's entry until the worklist is empty or the stop
+// check fires. Steps counts the firing the stop check refused, too.
+func (st *solver[V]) run() {
+	root := st.prog.ProcByID(st.prog.Main).Entry
+	st.res.Reached[root] = true
+	st.wl.Add(int(root))
+	for {
+		id, ok := st.wl.Take()
 		if !ok {
 			return
 		}
-		st.d.MarkSuccs(pt)
-		for _, l := range defs {
-			nv = append(nv, out.Get(l))
+		st.res.Steps++
+		if st.lim.Stop(st.res.Steps) {
+			st.res.TimedOut = true
+			return
+		}
+		st.fire(dug.NodeID(id))
+	}
+}
+
+// markPoint records the reachability of t and schedules it the first time.
+func (st *solver[V]) markPoint(t ir.PointID) {
+	if !st.res.Reached[t] {
+		st.res.Reached[t] = true
+		st.wl.Add(int(t))
+	}
+}
+
+// reachTargets visits the control-reachability targets of one point: callee
+// entries for resolved calls, return sites for exits, plain CFG successors
+// otherwise (including calls with no resolved callee). The dense solvers
+// prune CFG-unreachable code, and the sparse solver keeps their precision
+// by tracking the same reachability.
+func reachTargets(prog *ir.Program, pre *prean.Result, pt *ir.Point, visit func(ir.PointID)) {
+	switch pt.Cmd.(type) {
+	case ir.Call:
+		callees := pre.CalleesOf(pt.ID)
+		if len(callees) == 0 {
+			for _, s := range pt.Succs {
+				visit(s)
+			}
+			return
+		}
+		for _, cp := range callees {
+			visit(prog.ProcByID(cp).Entry)
+		}
+	case ir.Exit:
+		for _, rs := range pre.RetSites[pt.Proc] {
+			visit(rs)
+		}
+	default:
+		for _, s := range pt.Succs {
+			visit(s)
 		}
 	}
-	st.nv = nv
-	st.pushOuts(n, nv)
+}
+
+// fire processes one node: apply its command to its accumulated input,
+// mark its control successors reachable, and push changed definition
+// values along dependencies.
+func (st *solver[V]) fire(n dug.NodeID) {
+	if !st.eval(n) {
+		return
+	}
+	if !st.g.IsPhi(n) {
+		reachTargets(st.prog, st.pre, st.prog.Point(ir.PointID(n)), st.mark)
+	}
+	st.pushOuts(n, st.f.nv)
+}
+
+// eval loads node n's input into the frame and applies n's command, so
+// that the frame's nv holds n's output on Defs[n]; a call binds the formals
+// of every callee, and a phi forwards its input. It reports false for a
+// point not yet reachable (its values wait) and for a refuted assume, which
+// propagates neither values nor reachability.
+func (st *solver[V]) eval(n dug.NodeID) bool {
+	if st.g.IsPhi(n) {
+		st.load(n)
+		return true
+	}
+	pt := st.prog.Point(ir.PointID(n))
+	if !st.res.Reached[pt.ID] {
+		return false
+	}
+	st.load(n)
+	if _, isCall := pt.Cmd.(ir.Call); isCall {
+		for _, p := range st.pre.CalleesOf(pt.ID) {
+			st.dom.bindFormals(pt, st.prog.ProcByID(p), &st.f)
+		}
+		return true
+	}
+	return st.dom.transfer(pt, &st.f)
 }
 
 // pushOuts joins the produced values nv (one per Defs[n] entry) into n's
-// Out slots, widens at widening nodes, and pushes the changed values to the
-// dependency successors' Acc slots.
-func (st *store) pushOuts(n dug.NodeID, nv []val.Val) {
+// Out slots, widens at widening nodes (and, past the safety-valve
+// thresholds, everywhere), and joins the changed values into the dependency
+// successors' Acc slots, scheduling each successor whose input grew.
+func (st *solver[V]) pushOuts(n dug.NodeID, nv []V) {
+	res := st.res
 	isEntry := false
 	if !st.g.IsPhi(n) {
 		_, isEntry = st.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
 	}
+	changed := false
 	cur := st.g.Out(n)
 	for i, l := range st.g.Defs[n] {
-		slot := st.cbase[n] + int32(i)
-		old := st.out[slot]
-		// Fused join: the steady-state case (nv ⊑ old) is a comparison with
-		// no allocation, replacing the Join-then-Eq pair.
-		joined, jch := old.JoinChanged(nv[i])
+		slot := res.cbase[n] + int32(i)
+		old, bound := res.out[slot], res.outSet[slot]
+		joined, jch := st.dom.joinOut(old, bound, nv[i])
 		if !jch {
 			continue
 		}
-		cnt := st.counts[slot]
-		st.counts[slot] = cnt + 1
-		st.joins++
-		forceWiden := int(cnt) > widenThreshold ||
-			(isEntry && int(cnt) > entryWidenDelay)
-		if st.g.Widen[n] || forceWiden {
-			wv, wch := old.WidenChanged(joined)
+		var cnt int32
+		if st.perNode {
+			cnt = st.counts[n]
+		} else {
+			cnt = st.counts[slot]
+			st.counts[slot] = cnt + 1
+		}
+		changed = true
+		res.Joins++
+		if st.g.Widen[n] || int(cnt) > widenThreshold || (isEntry && int(cnt) > entryWidenDelay) {
+			wv, wch := st.dom.widen(old, bound, joined)
 			if wch {
-				st.widenings++
+				res.Widenings++
 			}
 			joined = wv
 		}
-		st.out[slot], st.outSet[slot] = joined, true
+		res.out[slot], res.outSet[slot] = joined, true
 		succs, slots := cur.SeekSlots(l)
 		for k, succ := range succs {
-			st.push(succ, slots[k], joined)
+			a := slots[k]
+			if v, ch := st.dom.joinAcc(res.acc[a], res.accSet[a], joined); ch {
+				res.acc[a], res.accSet[a] = v, true
+				st.wl.Add(int(succ))
+			}
+		}
+	}
+	if st.perNode && changed {
+		st.counts[n]++
+	}
+}
+
+// frame is the memory a transfer reads and writes when node n fires. It
+// answers every read exactly as the persistent memory of n's bound Acc
+// slots would, reads after writes included:
+//
+//   - nv[i] (bound bit set[i]) holds the current value of Defs[n][i]. It
+//     starts as the Acc slot's value on that location, or unbound.
+//   - Other locations read their Acc slot, or an unbound zero value when n
+//     has no in-edge on them.
+//   - A write outside Defs[n] is kept in extra, so that a later read in the
+//     same transfer sees it; it never leaves the node, exactly as the
+//     solver only ever took Defs[n] out of a transfer's result memory.
+//
+// Set and WeakSet update in place and return the frame, so the semantics'
+// memory-threading code runs unchanged over it.
+type frame[V Value[V]] struct {
+	defs, in []ir.LocID
+	acc      []V
+	accSet   []bool
+
+	nv  []V
+	set []bool
+
+	extra  []ir.LocID
+	extraV []V
+}
+
+// load resets the frame to node n's input.
+func (st *solver[V]) load(n dug.NodeID) {
+	in := st.g.InLocs(n)
+	b := st.g.AccBase(n)
+	e := b + int32(len(in))
+	st.f.load(st.g.Defs[n], in, st.res.acc[b:e], st.res.accSet[b:e])
+}
+
+// load resets f to the input whose bound entries are those of in (sorted)
+// with a bound bit in accSet, valued by acc; defs (sorted) are the
+// locations whose values the frame collects.
+func (f *frame[V]) load(defs, in []ir.LocID, acc []V, accSet []bool) {
+	f.defs, f.in, f.acc, f.accSet = defs, in, acc, accSet
+	f.nv, f.set = f.nv[:0], f.set[:0]
+	f.extra, f.extraV = f.extra[:0], f.extraV[:0]
+	var zero V
+	j := 0
+	for _, l := range f.defs {
+		for j < len(f.in) && f.in[j] < l {
+			j++
+		}
+		if j < len(f.in) && f.in[j] == l {
+			f.nv, f.set = append(f.nv, f.acc[j]), append(f.set, f.accSet[j])
+		} else {
+			f.nv, f.set = append(f.nv, zero), append(f.set, false)
 		}
 	}
 }
 
-// push joins v into Acc slot slot of node n (a weak update, binding an
-// unbound slot to v) and schedules n if the slot grew.
-func (st *store) push(n dug.NodeID, slot int32, v val.Val) {
-	old := st.acc[slot]
-	if v.LessEq(old) {
-		return
+// lookup returns the current value of l and whether it is bound.
+func (f *frame[V]) lookup(l ir.LocID) (V, bool) {
+	if i, ok := slices.BinarySearch(f.defs, l); ok {
+		return f.nv[i], f.set[i]
 	}
-	if st.accSet[slot] {
-		v = old.Join(v)
+	for k := len(f.extra) - 1; k >= 0; k-- { // the latest write wins
+		if f.extra[k] == l {
+			return f.extraV[k], true
+		}
 	}
-	st.acc[slot], st.accSet[slot] = v, true
-	st.d.Schedule(n)
+	if j, ok := slices.BinarySearch(f.in, l); ok {
+		return f.acc[j], f.accSet[j]
+	}
+	var zero V
+	return zero, false
 }
 
-// ValueAt returns the sparse fixpoint value of location l at point pt: its
-// produced value if l ∈ D̂(pt), otherwise the accumulated incoming value
-// (l ∈ Û(pt)). The boolean reports whether the point tracks l at all.
-func (r *Result) ValueAt(g *dug.Graph, pt ir.PointID, l ir.LocID) (v mem.Mem, tracked bool) {
-	n := dug.NodeID(pt)
-	for _, dl := range g.Defs[n] {
-		if dl == l {
-			return r.Out[n], true
-		}
+// Get returns the value at l (the zero value if unbound).
+func (f *frame[V]) Get(l ir.LocID) V {
+	v, _ := f.lookup(l)
+	return v
+}
+
+// Set binds l to v (strong update).
+func (f *frame[V]) Set(l ir.LocID, v V) *frame[V] {
+	if i, ok := slices.BinarySearch(f.defs, l); ok {
+		f.nv[i], f.set[i] = v, true
+		return f
 	}
-	for _, ul := range g.Uses[n] {
-		if ul == l {
-			return r.Acc[n], true
+	f.extra, f.extraV = append(f.extra, l), append(f.extraV, v)
+	return f
+}
+
+// WeakSet joins v into the value of l (weak update). An unbound l is bound
+// to v; a bound l whose value already includes v keeps its value.
+func (f *frame[V]) WeakSet(l ir.LocID, v V) *frame[V] {
+	if old, ok := f.lookup(l); ok {
+		j, ch := old.JoinChanged(v)
+		if !ch {
+			return f
 		}
+		v = j
 	}
-	return mem.Bot, false
+	return f.Set(l, v)
 }

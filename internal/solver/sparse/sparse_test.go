@@ -13,6 +13,7 @@ import (
 	"sparrow/internal/frontend/parser"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/itv"
+	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
@@ -25,7 +26,7 @@ type pipeline struct {
 	prog *ir.Program
 	pre  *prean.Result
 	g    *dug.Graph
-	res  *Result
+	res  *Result[val.Val]
 }
 
 func run(t *testing.T, src string, dopt dug.Options) *pipeline {
@@ -40,7 +41,7 @@ func run(t *testing.T, src string, dopt dug.Options) *pipeline {
 	}
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dopt)
-	res := Analyze(prog, pre, pre.Sem(prog), g, Options{})
+	res := Analyze(prog, pre, Intervals(pre.Sem(prog)), g, Options{})
 	if res.TimedOut {
 		t.Fatal("sparse analysis timed out")
 	}
@@ -57,11 +58,11 @@ func (p *pipeline) globalAtMainExit(t *testing.T, name string) itv.Itv {
 		t.Fatalf("no global %q", name)
 	}
 	root := p.prog.ProcByID(p.prog.Main)
-	m, tracked := p.res.ValueAt(p.g, root.Exit, loc)
+	v, tracked := p.res.Value(root.Exit, loc)
 	if !tracked {
 		t.Fatalf("global %q not tracked at root exit", name)
 	}
-	return m.Get(loc).Itv()
+	return v.Itv()
 }
 
 func TestSparseConstantFlow(t *testing.T) {
@@ -334,7 +335,7 @@ int main() {
 				pre := prean.Run(prog)
 				g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 				s := pre.Sem(prog)
-				sp := Analyze(prog, pre, s, g, Options{})
+				sp := Analyze(prog, pre, Intervals(s), g, Options{})
 				dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 
 				for _, pt := range prog.Points {
@@ -351,7 +352,7 @@ int main() {
 					}
 					dOut := dn.Out(s, pt)
 					for _, l := range g.Defs[dug.NodeID(pt.ID)] {
-						sv := sp.Out[pt.ID].Get(l)
+						sv := outMem(sp, pt.ID).Get(l)
 						dv := dOut.Get(l)
 						if !sv.Eq(dv) {
 							t.Errorf("bypass=%v point %d (%s) loc %s: sparse %s != dense %s",
@@ -387,7 +388,7 @@ int main() {
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
 	s := pre.Sem(prog)
-	sp := Analyze(prog, pre, s, g, Options{})
+	sp := Analyze(prog, pre, Intervals(s), g, Options{})
 	dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 	for _, pt := range prog.Points {
 		if !dn.Reached[pt.ID] || !sp.Reached[pt.ID] {
@@ -395,9 +396,9 @@ int main() {
 		}
 		dOut := dn.Out(s, pt)
 		for _, l := range g.Defs[dug.NodeID(pt.ID)] {
-			if !dOut.Get(l).LessEq(sp.Out[pt.ID].Get(l)) {
+			if !dOut.Get(l).LessEq(outMem(sp, pt.ID).Get(l)) {
 				t.Errorf("point %d loc %s: dense %s not within sparse %s (unsound)",
-					pt.ID, prog.Locs.String(l), dOut.Get(l), sp.Out[pt.ID].Get(l))
+					pt.ID, prog.Locs.String(l), dOut.Get(l), outMem(sp, pt.ID).Get(l))
 			}
 		}
 	}
@@ -422,16 +423,16 @@ int main() {
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
 	s := pre.Sem(prog)
-	wide := Analyze(prog, pre, s, g, Options{})
-	narrow := Analyze(prog, pre, s, g, Options{Narrow: 8})
+	wide := Analyze(prog, pre, Intervals(s), g, Options{})
+	narrow := Analyze(prog, pre, Intervals(s), g, Options{Narrow: 8})
 	loc, _ := prog.Locs.Lookup(ir.Loc{Kind: ir.LVar, Proc: ir.None, Name: "g"})
 	root := prog.ProcByID(prog.Main)
-	mw, _ := wide.ValueAt(g, root.Exit, loc)
-	mn, _ := narrow.ValueAt(g, root.Exit, loc)
-	if !mw.Get(loc).Itv().Hi().IsPosInf() {
-		t.Fatalf("without narrowing g = %s (expected widened hi)", mw.Get(loc).Itv())
+	wv, _ := wide.Value(root.Exit, loc)
+	nv, _ := narrow.Value(root.Exit, loc)
+	if !wv.Itv().Hi().IsPosInf() {
+		t.Fatalf("without narrowing g = %s (expected widened hi)", wv.Itv())
 	}
-	got := mn.Get(loc).Itv()
+	got := nv.Itv()
 	if !got.Eq(itv.Single(100)) {
 		t.Errorf("with narrowing g = %s want [100,100]", got)
 	}
@@ -458,7 +459,7 @@ int main() {
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
 	s := pre.Sem(prog)
-	sp := Analyze(prog, pre, s, g, Options{Narrow: 6})
+	sp := Analyze(prog, pre, Intervals(s), g, Options{Narrow: 6})
 	dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true, Narrow: 6})
 	for _, pt := range prog.Points {
 		if !sp.Reached[pt.ID] || !dn.Reached[pt.ID] {
@@ -470,7 +471,7 @@ int main() {
 		dOut := dn.Out(s, pt)
 		for _, l := range g.Defs[dug.NodeID(pt.ID)] {
 			dv := dOut.Get(l)
-			sv := sp.Out[pt.ID].Get(l)
+			sv := outMem(sp, pt.ID).Get(l)
 			if !dv.Itv().LessEq(sv.Itv()) && !sv.Itv().LessEq(dv.Itv()) {
 				t.Errorf("point %d loc %s: narrowed results incomparable: sparse %s dense %s",
 					pt.ID, prog.Locs.String(l), sv, dv)
@@ -516,7 +517,7 @@ loop:
 	for _, bypass := range []bool{false, true} {
 		g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 		s := pre.Sem(prog)
-		sp := Analyze(prog, pre, s, g, Options{})
+		sp := Analyze(prog, pre, Intervals(s), g, Options{})
 		dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 		for _, pt := range prog.Points {
 			if !sp.Reached[pt.ID] || !dn.Reached[pt.ID] {
@@ -531,7 +532,7 @@ loop:
 			}
 			dOut := dn.Out(s, pt)
 			for _, l := range g.Defs[dug.NodeID(pt.ID)] {
-				sv := sp.Out[pt.ID].Get(l)
+				sv := outMem(sp, pt.ID).Get(l)
 				dv := dOut.Get(l)
 				if !sv.Eq(dv) {
 					t.Errorf("bypass=%v point %d (%s) loc %s: sparse %s != dense %s",
@@ -571,7 +572,7 @@ func TestDifferentialGenerated(t *testing.T) {
 		for _, bypass := range []bool{false, true} {
 			g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 			s := pre.Sem(prog)
-			sp := Analyze(prog, pre, s, g, Options{})
+			sp := Analyze(prog, pre, Intervals(s), g, Options{})
 			dn := dense.Analyze(prog, pre, s, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{Localize: true})
 			mismatches := 0
 			for _, pt := range prog.Points {
@@ -583,7 +584,7 @@ func TestDifferentialGenerated(t *testing.T) {
 				}
 				dOut := dn.Out(s, pt)
 				for _, l := range g.Defs[dug.NodeID(pt.ID)] {
-					sv := sp.Out[pt.ID].Get(l)
+					sv := outMem(sp, pt.ID).Get(l)
 					dv := dOut.Get(l)
 					if !sv.LessEq(dv) && !dv.LessEq(sv) {
 						mismatches++
@@ -597,11 +598,26 @@ func TestDifferentialGenerated(t *testing.T) {
 	}
 }
 
+// outMem builds the memory node n produced (n may be a phi).
+func outMem(r *Result[val.Val], n ir.PointID) mem.Mem {
+	return mem.FromSorted(r.Out(dug.NodeID(n)))
+}
+
 // The reference solver below is the tree-based fixpoint loop the slot store
 // replaced: every node's Acc and Out is a persistent memory, and each
 // changed push path-copies it. It is kept verbatim (renamed) so the slot
 // store can be checked against it value for value and counter for
 // counter; TestSlotStoreMatchesReference and FuzzSlotStore do that.
+
+// refResult is the result the reference fills: a whole memory per node,
+// the shape Result had before it became a view over the slots.
+type refResult struct {
+	Acc, Out         []mem.Mem
+	Reached          []bool
+	Steps            int
+	Widenings, Joins int
+	TimedOut         bool
+}
 
 type refSolver struct {
 	prog *ir.Program
@@ -609,7 +625,7 @@ type refSolver struct {
 	g    *dug.Graph
 	s    *sem.Sem
 	opt  Options
-	res  *Result
+	res  *refResult
 	wl   *worklist.Worklist
 
 	// counts are the widening safety-valve counters, one per (node, def
@@ -635,7 +651,7 @@ func refDefOffsets(g *dug.Graph) []int32 {
 }
 
 // refAnalyze is the tree-based Analyze.
-func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt Options) *Result {
+func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, opt Options) *refResult {
 	n := g.NumNodes()
 	cbase := refDefOffsets(g)
 	sv := &refSolver{
@@ -644,7 +660,7 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, g *dug.Graph, o
 		g:    g,
 		s:    s,
 		opt:  opt,
-		res: &Result{
+		res: &refResult{
 			Acc:     make([]mem.Mem, n),
 			Out:     make([]mem.Mem, n),
 			Reached: make([]bool, g.PointCount),
@@ -879,7 +895,8 @@ func (sv *refSolver) pushOuts(n dug.NodeID, m mem.Mem) {
 	}
 }
 
-// slotStoreInputs are the reference test's programs: the corpus files,
+// slotStoreInputs are the reference test's programs: the corpus files, a
+// recursive call that swaps its formals (testdata/regress/swapformals.c),
 // cgen.Fuzz programs with gotos and switches, and the first two programs of
 // the seed-7 gen-4000 suite (sparse-4k).
 func slotStoreInputs(t *testing.T) map[string]string {
@@ -896,6 +913,11 @@ func slotStoreInputs(t *testing.T) map[string]string {
 		}
 		srcs[filepath.Base(p)] = string(b)
 	}
+	b, err := os.ReadFile("../../../testdata/regress/swapformals.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["swapformals.c"] = string(b)
 	for _, seed := range []uint64{1, 2, 41} {
 		srcs[fmt.Sprintf("fuzz-%d", seed)] = cgen.Generate(gotoSwitchFuzz(seed, 600))
 	}
@@ -943,7 +965,7 @@ func checkSlotStore(t *testing.T, name, src string, bypassOnly bool) {
 			for _, maxSteps := range []int{0, 1, 17, 500} {
 				opt := Options{Narrow: narrow, MaxSteps: maxSteps}
 				label := fmt.Sprintf("%s bypass=%v narrow=%d maxsteps=%d", name, bypass, narrow, maxSteps)
-				assertSameSolve(t, label, g, refAnalyze(prog, pre, s, g, opt), Analyze(prog, pre, s, g, opt))
+				assertSameSolve(t, label, g, refAnalyze(prog, pre, s, g, opt), Analyze(prog, pre, Intervals(s), g, opt))
 			}
 		}
 	}
@@ -951,7 +973,7 @@ func checkSlotStore(t *testing.T, name, src string, bypassOnly bool) {
 
 // assertSameSolve requires equal reachability, memories (Eq and Len) and
 // counters.
-func assertSameSolve(t *testing.T, label string, g *dug.Graph, want, got *Result) {
+func assertSameSolve(t *testing.T, label string, g *dug.Graph, want *refResult, got *Result[val.Val]) {
 	t.Helper()
 	if want.Steps != got.Steps || want.Joins != got.Joins || want.Widenings != got.Widenings {
 		t.Errorf("%s: steps/joins/widenings %d/%d/%d vs %d/%d/%d", label,
@@ -971,7 +993,7 @@ func assertSameSolve(t *testing.T, label string, g *dug.Graph, want, got *Result
 		for _, m := range []struct {
 			kind      string
 			want, got mem.Mem
-		}{{"Acc", want.Acc[n], got.Acc[n]}, {"Out", want.Out[n], got.Out[n]}} {
+		}{{"Acc", want.Acc[n], mem.FromSorted(got.Acc(dug.NodeID(n)))}, {"Out", want.Out[n], outMem(got, ir.PointID(n))}} {
 			if !m.want.Eq(m.got) || m.want.Len() != m.got.Len() {
 				bad++
 				t.Errorf("%s: node %d %s differs:\n want %s\n got  %s", label, n, m.kind, m.want, m.got)
