@@ -55,13 +55,6 @@ func New(nvars int) *BDD {
 	return b
 }
 
-// NumVars returns the number of variables.
-func (b *BDD) NumVars() int { return int(b.nvars) }
-
-// ArenaSize returns the total number of allocated nodes (including
-// terminals), a proxy for memory use.
-func (b *BDD) ArenaSize() int { return len(b.nodes) }
-
 func (b *BDD) level(f Ref) int32 { return b.nodes[f].level }
 
 // mk returns the canonical node (level, low, high).

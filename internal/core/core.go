@@ -92,8 +92,6 @@ type Options struct {
 	// MaxSteps bounds the number of transfer applications (0 = none). A cut
 	// fixpoint is partial: Stats.TimedOut is set.
 	MaxSteps int
-	// PackCap bounds octagon pack sizes (0 = the paper's 10).
-	PackCap int
 	// Deprecated: ignored; the sparse analyzers have one schedule.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
@@ -213,12 +211,23 @@ type Result struct {
 	closure   *prean.ClosureIndex
 	lastSolve *restrictedSolve
 
+	// out is the domain-independent outcome of the run's solve; the typed
+	// solver results below hold the memories, and exactly one is set.
+	out   outcome
 	dres  *dense.Result[mem.Mem]
 	sres  *sparse.Result[val.Val]
 	osem  *octsem.Sem
 	packs *pack.Set
 	odres *dense.Result[octsem.OMem]
 	osres *sparse.Result[*oct.Oct]
+}
+
+// outcome is what every solve reports whatever its domain and mode.
+type outcome struct {
+	reached   []bool // control reachability per point
+	steps     int
+	widenings int // effective widenings
+	timedOut  bool
 }
 
 // AnalyzeSource parses, lowers and analyzes a C-like translation unit.
@@ -253,6 +262,12 @@ func countLines(src string) int {
 // *ConfigError values — the engine never silently falls back from an
 // unsupported configuration.
 func validateOptions(opt Options) error {
+	if opt.Domain > Octagon {
+		return &ConfigError{Opt: "Domain", Reason: fmt.Sprintf("unknown domain %d", opt.Domain)}
+	}
+	if opt.Mode > Sparse {
+		return &ConfigError{Opt: "Mode", Reason: fmt.Sprintf("unknown mode %d", opt.Mode)}
+	}
 	if hasKind(opt.kinds(), check.UninitRead) {
 		if opt.Domain != Interval {
 			return &ConfigError{Opt: "Checkers+Domain", Reason: "the uninitialized-read checker is interval-only"}
@@ -374,20 +389,14 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 	opt.Metrics.Set(metrics.CtrIRStatements, int64(prog.NumStatements()))
 	opt.Metrics.Set(metrics.CtrIRLocs, int64(prog.Locs.Len()))
 
-	switch opt.Domain {
-	case Interval:
-		if err := r.runInterval(opt); err != nil {
-			return nil, err
-		}
-	case Octagon:
-		if err := r.runOctagon(opt); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown domain %d", opt.Domain)
+	if opt.Domain == Octagon {
+		r.runOctagon(opt)
+	} else {
+		r.runInterval(opt)
 	}
 	r.phase = "finish"
 
+	r.Stats.Steps, r.Stats.TimedOut = r.out.steps, r.out.timedOut
 	r.Stats.TotalTime = time.Since(t0)
 	r.Stats.LOC = prog.SourceLOC
 	r.Stats.Functions = len(prog.Procs) - 1 // __start is synthetic
@@ -407,7 +416,7 @@ func (r *Result) recordResultShape(col *metrics.Collector) {
 		return
 	}
 	reached := int64(0)
-	for _, ok := range r.reachedSlice() {
+	for _, ok := range r.out.reached {
 		if ok {
 			reached++
 		}
@@ -450,127 +459,92 @@ func (r *Result) MetricsReport() *metrics.Report {
 	return rep
 }
 
-func (r *Result) runInterval(opt Options) error {
-	prog, pre := r.Prog, r.pre
-	switch opt.Mode {
-	case Vanilla, Base:
-		r.phase = "fixpoint"
-		t := time.Now()
-		stop := opt.Metrics.Phase(metrics.PhaseFix)
-		r.dres = dense.Analyze(prog, pre, r.isem, mem.Bot, pre.Accessed, dense.IntervalStride, dense.Options{
-			Localize: opt.Mode == Base,
-			MaxSteps: opt.MaxSteps,
-			Narrow:   opt.Narrow,
-			Metrics:  opt.Metrics,
-			Budget:   r.bud,
-		})
-		stop()
-		r.Stats.FixTime = time.Since(t)
-		r.Stats.DepTime = r.Stats.PreTime
-		r.Stats.Steps = r.dres.Steps
-		r.Stats.TimedOut = r.dres.TimedOut
-	case Sparse:
-		r.phase = "dug_build"
-		t := time.Now()
-		stop := opt.Metrics.Phase(metrics.PhaseDUG)
-		dopt := dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud}
-		if opt.DefUseChains {
-			r.graph = dug.BuildDefUseChains(prog, pre, dopt)
-		} else {
-			r.graph = dug.Build(prog, pre, dopt)
-		}
-		stop()
-		r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
-		t = time.Now()
-		r.phase = "fixpoint"
-		sopt := sparse.Options{
-			MaxSteps: opt.MaxSteps,
-			Narrow:   opt.Narrow,
-			Metrics:  opt.Metrics,
-			Budget:   r.bud,
-		}
-		if opt.restricted {
-			// Degradation-ladder rung: solve only the per-checker restricted
-			// graph (the union of the selected checkers' observed closures).
-			// Alarms for the selected kinds are exact by the restriction
-			// contract; memories outside the kept universe are not tracked.
-			r.solveRestricted(opt, sopt)
-		} else {
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.sres = sparse.Analyze(prog, pre, sparse.Intervals(r.isem), r.graph, sopt)
-			stop()
-		}
-		r.Stats.FixTime = time.Since(t)
-		r.Stats.Steps = r.sres.Steps
-		r.Stats.TimedOut = r.sres.TimedOut
-		r.Stats.DepEdges = r.graph.EdgeCount
-		r.Stats.Phis = len(r.graph.Phis)
-		r.Stats.AvgDefs, r.Stats.AvgUses = r.graph.AvgDefUse()
-	default:
-		return fmt.Errorf("core: unknown mode %d", opt.Mode)
+// runInterval sets up the interval domain and runs its one solve.
+func (r *Result) runInterval(opt Options) {
+	if opt.Mode != Sparse {
+		r.dres = runDense(r, opt, r.isem, mem.Bot, r.pre.Accessed, dense.IntervalStride)
+		return
 	}
-	return nil
+	build := dug.Build
+	if opt.DefUseChains {
+		build = dug.BuildDefUseChains
+	}
+	r.sres = runSparse(r, opt, sparse.Intervals(r.isem), func(o dug.Options) *dug.Graph {
+		return build(r.Prog, r.pre, o)
+	})
 }
 
-func (r *Result) runOctagon(opt Options) error {
-	prog, pre := r.Prog, r.pre
-	if opt.DefUseChains {
-		return fmt.Errorf("core: def-use-chain mode is interval-only")
-	}
+// runOctagon sets up the packed octagon domain and runs its one solve.
+func (r *Result) runOctagon(opt Options) {
 	r.phase = "pack"
-	r.packs = pack.Build(prog, opt.PackCap)
-	osem, src := octsem.Source(prog, pre, r.packs)
+	r.packs = pack.Build(r.Prog, pack.DefaultCap)
+	osem, src := octsem.Source(r.Prog, r.pre, r.packs)
 	r.osem = osem
 	r.Stats.PackCount = r.packs.NumPacks()
 	r.Stats.PackAvg = r.packs.AvgSize()
 	opt.Metrics.Set(metrics.CtrPacks, int64(r.packs.NumPacks()))
-	switch opt.Mode {
-	case Vanilla, Base:
-		r.phase = "fixpoint"
-		t := time.Now()
-		stop := opt.Metrics.Phase(metrics.PhaseFix)
+	if opt.Mode != Sparse {
 		// The initial memory is arbitrary: every pack starts at Top.
 		accessed := func(p ir.ProcID) []pack.ID { return octsem.Accessed(src, p) }
-		r.odres = dense.Analyze(prog, pre, osem, osem.TopState(), accessed, dense.OctagonStride, dense.Options{
-			Localize: opt.Mode == Base,
-			MaxSteps: opt.MaxSteps,
-			Narrow:   opt.Narrow,
-			Metrics:  opt.Metrics,
-			Budget:   r.bud,
-		})
-		stop()
-		r.Stats.FixTime = time.Since(t)
-		r.Stats.DepTime = r.Stats.PreTime
-		r.Stats.Steps = r.odres.Steps
-		r.Stats.TimedOut = r.odres.TimedOut
-	case Sparse:
-		r.phase = "dug_build"
-		t := time.Now()
-		stop := opt.Metrics.Phase(metrics.PhaseDUG)
-		r.graph = dug.BuildFrom(src, dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, Budget: r.bud})
-		stop()
-		r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
-		t = time.Now()
-		r.phase = "fixpoint"
-		stop = opt.Metrics.Phase(metrics.PhaseFix)
-		// The sparse octagon analysis has no descending phase: Narrow is
-		// not passed.
-		r.osres = sparse.Analyze(prog, pre, sparse.Octagons(osem), r.graph, sparse.Options{
-			MaxSteps: opt.MaxSteps,
-			Metrics:  opt.Metrics,
-			Budget:   r.bud,
-		})
-		stop()
-		r.Stats.FixTime = time.Since(t)
-		r.Stats.Steps = r.osres.Steps
-		r.Stats.TimedOut = r.osres.TimedOut
-		r.Stats.DepEdges = r.graph.EdgeCount
-		r.Stats.Phis = len(r.graph.Phis)
-		r.Stats.AvgDefs, r.Stats.AvgUses = r.graph.AvgDefUse()
-	default:
-		return fmt.Errorf("core: unknown mode %d", opt.Mode)
+		r.odres = runDense(r, opt, osem, osem.TopState(), accessed, dense.OctagonStride)
+		return
 	}
-	return nil
+	// The octagon domain has no descending phase: Narrow is a no-op there.
+	r.osres = runSparse(r, opt, sparse.Octagons(osem), func(o dug.Options) *dug.Graph {
+		return dug.BuildFrom(src, o)
+	})
+}
+
+// runDense runs the dense fixpoint of one domain (vanilla, or base with
+// access-based localization) and records its outcome and phase time.
+func runDense[M dense.Mem[M, K], K any](r *Result, opt Options, s dense.Sem[M], entry M, accessed func(ir.ProcID) []K, stride int) *dense.Result[M] {
+	r.phase = "fixpoint"
+	t := time.Now()
+	stop := opt.Metrics.Phase(metrics.PhaseFix)
+	res := dense.Analyze(r.Prog, r.pre, s, entry, accessed, stride, dense.Options{
+		Localize: opt.Mode == Base,
+		MaxSteps: opt.MaxSteps,
+		Narrow:   opt.Narrow,
+		Metrics:  opt.Metrics,
+		Budget:   r.bud,
+	})
+	stop()
+	r.Stats.FixTime = time.Since(t)
+	r.Stats.DepTime = r.Stats.PreTime
+	r.out = outcome{res.Reached, res.Steps, res.Widenings, res.TimedOut}
+	return res
+}
+
+// runSparse builds the def-use graph with build, restricts it on the
+// restricted-checkers rung, runs the sparse fixpoint of dom on it, and
+// records the graph statistics, the outcome and the phase times. FixTime
+// includes the restriction.
+func runSparse[V sparse.Value[V]](r *Result, opt Options, dom sparse.Domain[V], build func(dug.Options) *dug.Graph) *sparse.Result[V] {
+	r.phase = "dug_build"
+	t := time.Now()
+	stop := opt.Metrics.Phase(metrics.PhaseDUG)
+	r.graph = build(dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud})
+	stop()
+	r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
+	r.phase = "fixpoint"
+	t = time.Now()
+	if opt.restricted {
+		r.graph = r.restrictAll(r.graph)
+	}
+	stop = opt.Metrics.Phase(metrics.PhaseFix)
+	res := sparse.Analyze(r.Prog, r.pre, dom, r.graph, sparse.Options{
+		MaxSteps: opt.MaxSteps,
+		Narrow:   opt.Narrow,
+		Metrics:  opt.Metrics,
+		Budget:   r.bud,
+	})
+	stop()
+	r.Stats.FixTime = time.Since(t)
+	r.Stats.DepEdges = r.graph.EdgeCount
+	r.Stats.Phis = len(r.graph.Phis)
+	r.Stats.AvgDefs, r.Stats.AvgUses = r.graph.AvgDefUse()
+	r.out = outcome{res.Reached, res.Steps, res.Widenings, res.TimedOut}
+	return res
 }
 
 // Graph exposes the def-use graph of a sparse run (nil otherwise).
@@ -583,34 +557,7 @@ func (r *Result) Pre() *prean.Result { return r.pre }
 func (r *Result) Packs() *pack.Set { return r.packs }
 
 // Reached reports control reachability of a point.
-func (r *Result) Reached(pt ir.PointID) bool {
-	switch {
-	case r.dres != nil:
-		return r.dres.Reached[pt]
-	case r.sres != nil:
-		return r.sres.Reached[pt]
-	case r.odres != nil:
-		return r.odres.Reached[pt]
-	case r.osres != nil:
-		return r.osres.Reached[pt]
-	}
-	return false
-}
-
-// reachedSlice returns the solver's reachability vector.
-func (r *Result) reachedSlice() []bool {
-	switch {
-	case r.dres != nil:
-		return r.dres.Reached
-	case r.sres != nil:
-		return r.sres.Reached
-	case r.odres != nil:
-		return r.odres.Reached
-	case r.osres != nil:
-		return r.osres.Reached
-	}
-	return nil
-}
+func (r *Result) Reached(pt ir.PointID) bool { return r.out.reached[pt] }
 
 // MemAt returns the abstract memory before pt for interval runs. For sparse
 // runs this is the partial memory over Û(pt) ∪ D̂(pt) — exactly the entries
@@ -698,7 +645,7 @@ func (r *Result) GlobalValueAtExit(name string) (string, bool) {
 		return "", false
 	}
 	root := r.Prog.ProcByID(r.Prog.Main)
-	if r.dres != nil || r.sres != nil {
+	if r.Opts.Domain == Interval {
 		v, tracked := r.ValueAt(root.Exit, l)
 		if !tracked {
 			return "", false
@@ -741,28 +688,26 @@ func (r *Result) describeVal(v val.Val) string {
 // (interval domains; octagon runs report no alarms since pointer values
 // live in the interval analysis).
 func (r *Result) Alarms() []check.Alarm {
-	switch {
-	case r.dres != nil, r.sres != nil:
-		kinds := r.Opts.kinds()
-		stop := r.col.Phase(metrics.PhaseCheck)
-		alarms := check.RunKinds(r.Prog, r.isem, r.reachedSlice(), r.MemAt, kinds)
-		stop()
-		r.col.Set(metrics.CtrAlarms, int64(len(alarms)))
-		for _, k := range kinds {
-			if ctr, ok := alarmCounter(k); ok {
-				n := int64(0)
-				for _, a := range alarms {
-					if a.Kind == k {
-						n++
-					}
-				}
-				r.col.Set(ctr, n)
-			}
-		}
-		return alarms
-	default:
+	if r.Opts.Domain != Interval {
 		return nil
 	}
+	kinds := r.Opts.kinds()
+	stop := r.col.Phase(metrics.PhaseCheck)
+	alarms := check.RunKinds(r.Prog, r.isem, r.out.reached, r.MemAt, kinds)
+	stop()
+	r.col.Set(metrics.CtrAlarms, int64(len(alarms)))
+	for _, k := range kinds {
+		if ctr, ok := alarmCounter(k); ok {
+			n := int64(0)
+			for _, a := range alarms {
+				if a.Kind == k {
+					n++
+				}
+			}
+			r.col.Set(ctr, n)
+		}
+	}
+	return alarms
 }
 
 // alarmCounter maps a checker kind to its per-kind alarm-count counter.

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"sparrow/internal/cgen"
-	"sparrow/internal/dug"
-	"sparrow/internal/mem"
-	"sparrow/internal/octsem"
 )
 
 const determinismSrc = `
@@ -49,43 +46,16 @@ func runWorkers(t *testing.T, d Domain, src string, workers int) *Result {
 	return r
 }
 
-// assertSameAnalysis compares two completed analyses for identical solver
-// memories, reachability, and alarm sets.
+// assertSameAnalysis compares two completed sparse analyses for identical
+// solver memories, reachability, steps and alarm sets.
 func assertSameAnalysis(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	ra, rb := a.reachedSlice(), b.reachedSlice()
-	for pt := range ra {
-		if ra[pt] != rb[pt] {
-			t.Errorf("%s: point %d reachability %v vs %v", label, pt, ra[pt], rb[pt])
-		}
+	diffs, err := DiffSparseRuns(a, b, 10)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	switch {
-	case a.sres != nil:
-		if b.sres == nil {
-			t.Fatalf("%s: solver kind differs", label)
-		}
-		for n := range a.graph.NumNodes() {
-			id := dug.NodeID(n)
-			if !mem.FromSorted(a.sres.Acc(id)).Eq(mem.FromSorted(b.sres.Acc(id))) {
-				t.Errorf("%s: node %d Acc differs", label, n)
-			}
-			if !mem.FromSorted(a.sres.Out(id)).Eq(mem.FromSorted(b.sres.Out(id))) {
-				t.Errorf("%s: node %d Out differs", label, n)
-			}
-		}
-	case a.osres != nil:
-		if b.osres == nil {
-			t.Fatalf("%s: solver kind differs", label)
-		}
-		for n := range a.graph.NumNodes() {
-			id := dug.NodeID(n)
-			if !octsem.FromSorted(a.osres.Acc(id)).Eq(octsem.FromSorted(b.osres.Acc(id))) {
-				t.Errorf("%s: node %d octagon Acc differs", label, n)
-			}
-			if !octsem.FromSorted(a.osres.Out(id)).Eq(octsem.FromSorted(b.osres.Out(id))) {
-				t.Errorf("%s: node %d octagon Out differs", label, n)
-			}
-		}
+	for _, d := range diffs {
+		t.Errorf("%s: %s", label, d)
 	}
 	aAlarms, bAlarms := a.Alarms(), b.Alarms()
 	if len(aAlarms) != len(bAlarms) {
@@ -113,20 +83,6 @@ func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 			again := runWorkers(t, d, src, 1)
 			label := fmt.Sprintf("%s/%s", name, d)
 			assertSameAnalysis(t, label, first, again)
-			if again.Stats.Steps != first.Stats.Steps {
-				t.Errorf("%s: steps %d vs %d", label, first.Stats.Steps, again.Stats.Steps)
-			}
 		}
-	}
-}
-
-// TestWorkersZeroMatchesLegacy pins the compatibility contract of the
-// deprecated Workers field: Workers=1, which callers may still set, runs
-// the same analysis as Workers=0.
-func TestWorkersZeroMatchesLegacy(t *testing.T) {
-	for _, d := range []Domain{Interval, Octagon} {
-		zero := runWorkers(t, d, determinismSrc, 0)
-		one := runWorkers(t, d, determinismSrc, 1)
-		assertSameAnalysis(t, fmt.Sprintf("%s workers 0-vs-1", d), zero, one)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/mem"
+	"sparrow/internal/octsem"
+	"sparrow/internal/solver/sparse"
 )
 
 // This file hosts the differential-comparison primitives the fuzzing
@@ -17,17 +19,8 @@ import (
 // (a widening that changed the joined value). A run that never widened
 // computed the least fixpoint, which is schedule-independent — the surface
 // on which exact sparse/base equality (Lemma 2) is checkable on arbitrary
-// programs. Octagon runs do not track widenings; they report true
-// (conservatively: equality is not claimed for them).
-func (r *Result) Widened() bool {
-	switch {
-	case r.sres != nil:
-		return r.sres.Widenings > 0
-	case r.dres != nil:
-		return r.dres.Widenings > 0
-	}
-	return true
-}
+// programs.
+func (r *Result) Widened() bool { return r.out.widenings > 0 }
 
 // liveProcs is the set of procedures reachable from main through the
 // pre-analysis's resolved call graph. The dense engines deliver a callee's
@@ -160,7 +153,7 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 	return out, nil
 }
 
-// DiffSparseRuns compares two sparse interval results of the same program
+// DiffSparseRuns compares two sparse results of the same program and domain
 // bit-exactly: reachability, the Acc/Out partial memories at every def-use
 // node, and the deterministic step counter. It is the oracle wherever two
 // runs must agree exactly: repeated runs of one configuration (fuzz
@@ -168,39 +161,47 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 //
 // At most limit mismatches are reported (0 = no limit).
 func DiffSparseRuns(a, b *Result, limit int) ([]string, error) {
-	if a.sres == nil || b.sres == nil {
-		return nil, fmt.Errorf("core: DiffSparseRuns: both results must be sparse interval")
+	switch {
+	case a.sres != nil && b.sres != nil:
+		return diffSparse(a, b, a.sres, b.sres, mem.FromSorted, limit), nil
+	case a.osres != nil && b.osres != nil:
+		return diffSparse(a, b, a.osres, b.osres, octsem.FromSorted, limit), nil
 	}
+	return nil, fmt.Errorf("core: DiffSparseRuns: both results must be sparse runs of one domain")
+}
+
+// diffSparse is DiffSparseRuns over one domain's solver results; memOf
+// builds that domain's memory from a node's entries.
+func diffSparse[V any, M interface{ Eq(M) bool }](a, b *Result, sa, sb *sparse.Result[V], memOf func([]ir.LocID, []V) M, limit int) []string {
 	var out []string
 	report := func(format string, args ...any) bool {
 		out = append(out, fmt.Sprintf(format, args...))
 		return limit > 0 && len(out) >= limit
 	}
-	if a.sres.Steps != b.sres.Steps {
-		if report("steps %d vs %d", a.sres.Steps, b.sres.Steps) {
-			return out, nil
+	if a.out.steps != b.out.steps {
+		if report("steps %d vs %d", a.out.steps, b.out.steps) {
+			return out
 		}
 	}
-	for pt := range a.sres.Reached {
-		if a.sres.Reached[pt] != b.sres.Reached[pt] {
-			if report("point %d: reachability %v vs %v", pt, a.sres.Reached[pt], b.sres.Reached[pt]) {
-				return out, nil
+	for pt, ra := range a.out.reached {
+		if rb := b.out.reached[pt]; ra != rb {
+			if report("point %d: reachability %v vs %v", pt, ra, rb) {
+				return out
 			}
 		}
 	}
-	g := a.graph
-	for n := 0; n < g.NumNodes(); n++ {
+	for n := range a.graph.NumNodes() {
 		id := dug.NodeID(n)
-		if am, bm := mem.FromSorted(a.sres.Acc(id)), mem.FromSorted(b.sres.Acc(id)); !am.Eq(bm) {
-			if report("node %d: Acc differs:\n  a %s\n  b %s", n, am, bm) {
-				return out, nil
+		if am, bm := memOf(sa.Acc(id)), memOf(sb.Acc(id)); !am.Eq(bm) {
+			if report("node %d: Acc differs:\n  a %v\n  b %v", n, am, bm) {
+				return out
 			}
 		}
-		if am, bm := mem.FromSorted(a.sres.Out(id)), mem.FromSorted(b.sres.Out(id)); !am.Eq(bm) {
-			if report("node %d: Out differs:\n  a %s\n  b %s", n, am, bm) {
-				return out, nil
+		if am, bm := memOf(sa.Out(id)), memOf(sb.Out(id)); !am.Eq(bm) {
+			if report("node %d: Out differs:\n  a %v\n  b %v", n, am, bm) {
+				return out
 			}
 		}
 	}
-	return out, nil
+	return out
 }

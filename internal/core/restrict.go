@@ -130,38 +130,29 @@ func restrCounters(k check.Kind) (nodes, rows, triples metrics.Counter, ok bool)
 	return 0, 0, 0, false
 }
 
-// solveRestricted is the degradation ladder's cheapest rung: instead of the
-// full sparse fixpoint, solve only the graph restricted to the union of the
-// selected checkers' observed closures (plus control seeds). Alarms for the
+// restrictAll is the degradation ladder's cheapest rung, a filter between
+// the def-use-graph build and the fixpoint: it keeps only the part of g the
+// run's checkers can observe (the union of their keep sets). Alarms for the
 // selected kinds are exact by the restriction contract; abstract memories
 // outside the kept location universe are simply not tracked, which is why
-// this runs only as a last resort before a structured timeout. The solve is
-// sequential, like every restricted solve, and replaces r.graph/r.sres so
-// checkers and accessors see a consistent (restricted) view. The restricted
-// graph is not necessarily much smaller: on generated programs it keeps
-// 99.1–99.8% of the triples, so this rung saves little there. A restricted
-// solve kept by AnalyzeChecker is keyed on the replaced graph and so is
-// never reused after this swap.
-func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
+// this runs only as a last resort before a structured timeout. The
+// restricted graph is not necessarily much smaller: on generated programs
+// it keeps 99.1–99.8% of the triples, so this rung saves little there. A
+// restricted solve kept by AnalyzeChecker is keyed on the graph it filtered
+// and so is never reused on the returned one.
+func (r *Result) restrictAll(g *dug.Graph) *dug.Graph {
 	stop := r.col.Phase(metrics.PhaseRestrict)
-	var observed []ir.LocID
-	for _, k := range opt.kinds() {
-		observed = ir.MergeLocs(nil, observed, check.CheckerFor(k).Observed(r.Prog, r.isem, r.pre.Mem))
-	}
-	seeds := ir.MergeLocs(nil, observed, r.controlSeedsMemo())
-	keep := r.closureMemo().Closure(seeds)
-	rg := dug.BuildRestricted(r.graph, keep)
-	stop()
-	r.graph = rg
-	stop = r.col.Phase(metrics.PhaseFix)
-	r.sres = sparse.Analyze(r.Prog, r.pre, sparse.Intervals(r.isem), rg, sopt)
-	stop()
+	defer stop()
+	return dug.BuildRestricted(g, r.keepSet(r.Opts.kinds()...))
 }
 
-// keepSet is kind's restricted location universe: its observed locations
-// and the control seeds, closed backward over the D̂/Û index.
-func (r *Result) keepSet(kind check.Kind) []ir.LocID {
-	observed := check.CheckerFor(kind).Observed(r.Prog, r.isem, r.pre.Mem)
+// keepSet is the restricted location universe of kinds: their observed
+// locations and the control seeds, closed backward over the D̂/Û index.
+func (r *Result) keepSet(kinds ...check.Kind) []ir.LocID {
+	var observed []ir.LocID
+	for _, k := range kinds {
+		observed = ir.MergeLocs(nil, observed, check.CheckerFor(k).Observed(r.Prog, r.isem, r.pre.Mem))
+	}
 	seeds := ir.MergeLocs(nil, observed, r.controlSeedsMemo())
 	return r.closureMemo().Closure(seeds)
 }
@@ -181,7 +172,7 @@ func (r *Result) keepSet(kind check.Kind) []ir.LocID {
 // numbers, and only the restr_* size counters and the restricted phase
 // time are recorded.
 func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
-	if r.Opts.Domain != Interval || r.Opts.Mode != Sparse || r.graph == nil || r.sres == nil {
+	if r.sres == nil {
 		return nil, fmt.Errorf("core: AnalyzeChecker requires a completed sparse interval run")
 	}
 	if r.Opts.DefUseChains {

@@ -11,7 +11,6 @@ import (
 	"sparrow/internal/cgen"
 	"sparrow/internal/check"
 	"sparrow/internal/ir"
-	"sparrow/internal/solver/sparse"
 )
 
 // TestAnalyzeCheckerPrecondition checks AnalyzeChecker's guard: it needs
@@ -66,13 +65,6 @@ func analyzeAllKinds(t testing.TB, name, src string) *Result {
 // sameRun reports how got differs from want in everything a shared solve
 // must reproduce: alarms, universe and graph sizes, and solver steps.
 func sameRun(got, want *CheckerRun) string {
-	alarmStrings := func(as []check.Alarm) []string {
-		var out []string
-		for _, a := range as {
-			out = append(out, a.String())
-		}
-		return out
-	}
 	if got.Kind != want.Kind || got.Keep != want.Keep || got.Nodes != want.Nodes ||
 		got.Rows != want.Rows || got.Triples != want.Triples || got.Steps != want.Steps ||
 		got.TimedOut != want.TimedOut {
@@ -176,13 +168,11 @@ func TestSharedSolveTimedOut(t *testing.T) {
 }
 
 // TestSharedSolveGraphSwap: the kept solve is keyed on the graph, so it is
-// not reused after solveRestricted replaces the graph, even for an equal
-// keep set, and runs on the swapped graph match a fresh Result's.
+// not reused after the restricted rung's filter replaces the graph, even for
+// an equal keep set, and runs on the swapped graph match a fresh Result's.
 func TestSharedSolveGraphSwap(t *testing.T) {
 	src := corpusFile(t, "uninit.c")
-	swap := func(res *Result) {
-		res.solveRestricted(res.Opts, sparse.Options{Narrow: res.Opts.Narrow})
-	}
+	swap := func(res *Result) { res.graph = res.restrictAll(res.graph) }
 	res := analyzeAllKinds(t, "uninit.c", src)
 	before, err := res.AnalyzeChecker(check.UninitRead)
 	if err != nil {

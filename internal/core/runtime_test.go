@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,9 @@ func TestConfigGateViolations(t *testing.T) {
 		{"uninit-octagon", Options{Domain: Octagon, Mode: Sparse, Checkers: []check.Kind{check.UninitRead}}, "Checkers+Domain"},
 		{"uninit-duchains", Options{Domain: Interval, Mode: Sparse, DefUseChains: true, Checkers: []check.Kind{check.UninitRead}}, "Checkers+DefUseChains"},
 		{"octagon-duchains", Options{Domain: Octagon, Mode: Sparse, DefUseChains: true}, "Domain+DefUseChains"},
+		{"unknown-domain", Options{Domain: Octagon + 1, Mode: Sparse}, "Domain"},
+		{"unknown-mode", Options{Domain: Interval, Mode: Sparse + 1}, "Mode"},
+		{"octagon-unknown-mode", Options{Domain: Octagon, Mode: Sparse + 1}, "Mode"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,10 +67,10 @@ func TestInjectedPanicBecomesAnalysisError(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicJoined checks that a panic raised inside the sparse
-// solver is recovered and surfaces as an *AnalysisError with its stack
-// preserved.
-func TestWorkerPanicJoined(t *testing.T) {
+// TestFixpointPanicBecomesAnalysisError checks that a panic raised inside
+// the sparse fixpoint is recovered and surfaces as an *AnalysisError of the
+// fixpoint phase with its stack preserved.
+func TestFixpointPanicBecomesAnalysisError(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	plan := faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Phase: rt.PhaseFix, At: 1})
 	_, err := AnalyzeSource("wpanic.c", src, Options{
@@ -145,6 +149,57 @@ func TestDegradationLadderOctagonToInterval(t *testing.T) {
 	if got, want := len(res.Alarms()), len(direct.Alarms()); got != want {
 		t.Errorf("degraded run has %d alarms, direct run %d", got, want)
 	}
+}
+
+// TestLadderCompletesRestrictedRung walks the ladder down to its last rung
+// and lets that rung finish: two one-shot stalls breach the first two
+// attempts (prean checkpoint ordinals run on across attempts, so the second
+// stall waits at ordinal 2), and the restricted attempt completes. Its
+// alarms of every kind must equal those of a direct full run of the
+// configuration it degraded to.
+func TestLadderCompletesRestrictedRung(t *testing.T) {
+	for _, name := range []string{"overruns.c", "uninit.c"} {
+		t.Run(name, func(t *testing.T) {
+			src := corpusFile(t, name)
+			plan := faultinject.NewPlan(
+				faultinject.Fault{Kind: faultinject.Slow, Phase: rt.PhasePrean, At: 1, Delay: 400 * time.Millisecond},
+				faultinject.Fault{Kind: faultinject.Slow, Phase: rt.PhasePrean, At: 2, Delay: 400 * time.Millisecond},
+			)
+			res, err := AnalyzeSource(name, src, Options{
+				Domain: Interval, Mode: Sparse, Narrow: 2, Checkers: check.AllKinds,
+				Deadline:  100 * time.Millisecond,
+				FaultHook: plan.Hook(),
+			})
+			if err != nil {
+				t.Fatalf("degraded analysis failed outright: %v", err)
+			}
+			if want := []string{"skip-narrowing", "restricted-checkers"}; !slices.Equal(res.Degraded, want) {
+				t.Fatalf("Degraded = %v, want %v", res.Degraded, want)
+			}
+			if len(plan.Fired()) != 2 || !res.Opts.restricted {
+				t.Fatalf("fired %v, restricted %v; want both stalls and the restricted rung", plan.Fired(), res.Opts.restricted)
+			}
+			direct, err := AnalyzeSource(name, src, Options{Domain: Interval, Mode: Sparse, Checkers: check.AllKinds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := alarmStrings(res.Alarms()), alarmStrings(direct.Alarms())
+			if len(want) == 0 {
+				t.Fatal("the direct run raises no alarm; the comparison would be vacuous")
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("restricted rung alarms\n  %v\nwant\n  %v", got, want)
+			}
+		})
+	}
+}
+
+func alarmStrings(as []check.Alarm) []string {
+	out := make([]string, len(as))
+	for i, a := range as {
+		out[i] = a.String()
+	}
+	return out
 }
 
 // TestLadderExhaustsToBudgetError checks the ladder bottom: with a deadline

@@ -49,9 +49,6 @@ type Phi struct {
 type Options struct {
 	// Bypass enables the interprocedural chain-bypass optimization.
 	Bypass bool
-	// MaxSpliceFanout bounds |preds|×|succs| of a splice to avoid edge
-	// blowup (0 uses the default of 256).
-	MaxSpliceFanout int
 	// Metrics, when non-nil, receives the finished graph's size counters
 	// (nodes, dependency triples, phis, spliced triples, ΣD̂/ΣÛ) — the
 	// paper's first-class sparse-representation scalability metric.
@@ -68,6 +65,10 @@ type Options struct {
 	// free.
 	Budget *rt.Budget
 }
+
+// maxSpliceFanout bounds |preds|×|succs| of a bypass splice to avoid edge
+// blowup.
+const maxSpliceFanout = 256
 
 // Graph is the def-use graph.
 type Graph struct {
@@ -116,9 +117,6 @@ func (g *Graph) IsPhi(n NodeID) bool { return int(n) >= g.PointCount }
 
 // PhiOf returns the phi descriptor of a phi node.
 func (g *Graph) PhiOf(n NodeID) Phi { return g.Phis[int(n)-g.PointCount] }
-
-// PointOf returns the control point of a point node.
-func (g *Graph) PointOf(n NodeID) ir.PointID { return ir.PointID(n) }
 
 // Succs returns the dependency successors of n on location l (binary search
 // over n's CSR row keys). Solvers iterating Defs[n] in order should prefer
@@ -325,9 +323,6 @@ type builder struct {
 
 // newBuilder sizes the per-point tables and the per-procedure access sets.
 func newBuilder(src *Source, opt Options) *builder {
-	if opt.MaxSpliceFanout == 0 {
-		opt.MaxSpliceFanout = 256
-	}
 	prog := src.Prog
 	n := len(prog.Points)
 	b := &builder{
@@ -1105,7 +1100,7 @@ func (b *builder) bypass() {
 					}
 				}
 			}
-			if len(preds)*len(succs) > b.opt.MaxSpliceFanout {
+			if len(preds)*len(succs) > maxSpliceFanout {
 				continue
 			}
 			// Remove the relay (including any self-loop, which is an

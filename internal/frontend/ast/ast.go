@@ -344,13 +344,3 @@ type File struct {
 	Globals []*VarDecl
 	Funcs   []*FuncDef
 }
-
-// StructByName returns the struct definition with the given name, if any.
-func (f *File) StructByName(name string) *StructDef {
-	for _, s := range f.Structs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}

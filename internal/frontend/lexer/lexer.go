@@ -34,9 +34,6 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Errs returns the lexical errors encountered so far.
-func (l *Lexer) Errs() []*Error { return l.errs }
-
 // Tokenize scans all of src and returns the full token list (ending with an
 // EOF token) along with any errors.
 func Tokenize(src string) ([]token.Token, []*Error) {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"sparrow/internal/core"
@@ -54,6 +56,48 @@ func TestDifferentialShort(t *testing.T) {
 	}
 	for _, rep := range sum.Failures {
 		t.Errorf("seed %d:\n%s", rep.Seed, Transcript(rep, Options{}.withDefaults()))
+	}
+}
+
+// TestRunVisitsEverySeedOnce checks the campaign fan-out: with 1 and 4
+// workers, Run checks every seed exactly once and gives identical per-seed
+// reports. The synthetic oracle needs no analysis and fires on every
+// program, so Summary.Failures lists every report in seed order.
+func TestRunVisitsEverySeedOnce(t *testing.T) {
+	const n, seed = 23, 100
+	var reports [2][]*Report
+	for i, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		visits := map[string]int{}
+		visit := Oracle{Name: "visit", Check: func(ex *Exec) []Violation {
+			mu.Lock()
+			visits[ex.Name]++
+			mu.Unlock()
+			return []Violation{{Oracle: "visit", Detail: fmt.Sprintf("%s: %d bytes", ex.Name, len(ex.Src))}}
+		}}
+		sum, err := Run(Options{Seed: seed, N: n, Workers: workers, Stmts: 20, Oracles: []Oracle{visit}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(visits) != n || len(sum.Failures) != n {
+			t.Fatalf("workers=%d: %d programs visited, %d reports; want %d", workers, len(visits), len(sum.Failures), n)
+		}
+		for name, k := range visits {
+			if k != 1 {
+				t.Errorf("workers=%d: %s checked %d times", workers, name, k)
+			}
+		}
+		for j, rep := range sum.Failures {
+			if rep.Seed != seed+uint64(j) {
+				t.Fatalf("workers=%d: report %d has seed %d, want %d", workers, j, rep.Seed, seed+j)
+			}
+		}
+		reports[i] = sum.Failures
+	}
+	for j := range reports[0] {
+		if a, b := reports[0][j], reports[1][j]; !reflect.DeepEqual(a, b) {
+			t.Errorf("seed %d: reports differ between 1 and 4 workers:\n%+v\n%+v", a.Seed, a, b)
+		}
 	}
 }
 

@@ -5,9 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"sparrow/internal/cgen"
-	"sparrow/internal/par"
 )
 
 // Report is the outcome of one generated program.
@@ -58,17 +59,25 @@ func RunOne(seed uint64, opt Options) *Report {
 }
 
 // Run executes a campaign: opt.N programs from opt.Seed, fanned out over
-// opt.Workers goroutines, shrinking and writing repro artifacts for any
-// violation when configured. The seed→report mapping is deterministic;
-// only completion order varies with the worker count.
+// opt.Workers goroutines that each take the next unclaimed seed, shrinking
+// and writing repro artifacts for any violation when configured. The
+// seed→report mapping is deterministic; only completion order varies with
+// the worker count. A panic in a worker ends the process with its stack.
 func Run(opt Options) (*Summary, error) {
 	opt = opt.withDefaults()
 	reports := make([]*Report, opt.N)
-	par.For(opt.N, opt.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			reports[i] = RunOne(opt.Seed+uint64(i), opt)
-		}
-	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(opt.Workers, opt.N) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < opt.N; i = int(next.Add(1) - 1) {
+				reports[i] = RunOne(opt.Seed+uint64(i), opt)
+			}
+		}()
+	}
+	wg.Wait()
 	sum := &Summary{Programs: opt.N}
 	for _, rep := range reports {
 		if !rep.Failed() {

@@ -44,19 +44,6 @@ func LocsContain(s []LocID, l LocID) bool {
 	return lo < len(s) && s[lo] == l
 }
 
-// LocsFromSet converts a map-based set into a sorted slice.
-func LocsFromSet(set map[LocID]bool) []LocID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]LocID, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	SortLocs(out)
-	return out
-}
-
 // MergeLocs appends the sorted union of a and b to dst and returns it
 // (dst's existing contents are kept; pass dst[:0] to reuse a buffer).
 func MergeLocs(dst, a, b []LocID) []LocID {
