@@ -57,8 +57,11 @@ type PtrEntry struct {
 // A Val is 40 bytes: the interval, one pointer to the immutable reference
 // components, and the uninit bit. Values are copied by value through the
 // transfer functions, the joins and the memories, and most of them are pure
-// numbers, so the slices live behind the pointer (nil when both are empty)
-// and operations with a pointer-free side share the other side's.
+// numbers, so the slices live behind the pointer (nil when both are empty).
+// A join or widening whose reference components equal an operand's returns
+// that operand's pointer, so the fixpoint's joins copy nothing once the
+// points-to sets have stopped growing, and later comparisons of the result
+// take the pointer-equality shortcut.
 type Val struct {
 	I   itv.Itv
 	ref *refs
@@ -85,18 +88,62 @@ func mkRefs(ptr []PtrEntry, fns []ir.ProcID) *refs {
 	return &refs{ptr: ptr, fns: fns}
 }
 
-// mergeRefs merges two reference components, combining the regions of
-// common points-to targets with comb. A nil or identical side returns the
-// other side's pointer; comb must be idempotent (Join, Widen) for the
-// identical case.
+// mergeRefs merges two non-nil reference components into a fresh one,
+// combining the regions of common points-to targets with comb.
 func mergeRefs(a, b *refs, comb func(Region, Region) Region) *refs {
+	return &refs{ptr: mergePtr(a.ptr, b.ptr, comb), fns: mergeFns(a.fns, b.fns)}
+}
+
+// refsLessEq reports a ⊑ b on reference components: every points-to target
+// of a is one of b's with a region ⊑ b's, and a's functions are among b's.
+func refsLessEq(a, b *refs) bool {
 	switch {
-	case b == nil || a == b:
+	case a == nil || a == b:
+		return true
+	case b == nil:
+		return false
+	}
+	j := 0
+	for _, e := range a.ptr {
+		for j < len(b.ptr) && b.ptr[j].Loc < e.Loc {
+			j++
+		}
+		if j >= len(b.ptr) || b.ptr[j].Loc != e.Loc || !e.R.LessEq(b.ptr[j].R) {
+			return false
+		}
+	}
+	return fnsSubset(a.fns, b.fns)
+}
+
+// joinRefs returns the reference components of a join. When one side covers
+// the other (refsLessEq), the merge would equal it entry for entry — the
+// interval join of a region with one below it is that region, bit for bit —
+// so that side is returned itself; only when neither covers is a merged
+// copy built.
+func joinRefs(a, b *refs) *refs {
+	switch {
+	case refsLessEq(b, a):
 		return a
-	case a == nil:
+	case refsLessEq(a, b):
 		return b
 	}
-	return &refs{ptr: mergePtr(a.ptr, b.ptr, comb), fns: mergeFns(a.fns, b.fns)}
+	return mergeRefs(a, b, Region.Join)
+}
+
+// widenRefs returns the reference components of a ∇ b: b itself when the
+// widening keeps them (every target of a is one of b's whose region b's
+// does not widen past, and a's functions are among b's), a when b is nil,
+// and otherwise a merged copy.
+func widenRefs(a, b *refs) *refs {
+	switch {
+	case a == nil || a == b:
+		return b
+	case b == nil:
+		return a
+	case widenPtrKeeps(a.ptr, b.ptr) && fnsSubset(a.fns, b.fns):
+		return b
+	}
+	return mergeRefs(a, b, Region.Widen)
 }
 
 // Bot is the bottom value.
@@ -268,22 +315,25 @@ func mergeFns(a, b []ir.ProcID) []ir.ProcID {
 	return out
 }
 
-// Join returns the least upper bound.
+// Join returns the least upper bound. When one operand's reference
+// components cover the other's, the result shares them (see joinRefs).
 func (v Val) Join(w Val) Val {
 	return Val{
 		I:      v.I.Join(w.I),
-		ref:    mergeRefs(v.ref, w.ref, Region.Join),
+		ref:    joinRefs(v.ref, w.ref),
 		uninit: v.uninit || w.uninit,
 	}
 }
 
 // Widen returns the widening v ∇ w. Points-to sets and function sets are
 // finite (bounded by the program's locations), so set union suffices there;
-// the numeric parts widen. Regions of common targets widen pointwise.
+// the numeric parts widen. Regions of common targets widen pointwise. When
+// that changes nothing relative to w's reference components, the result
+// shares them (see widenRefs).
 func (v Val) Widen(w Val) Val {
 	return Val{
 		I:      v.I.Widen(w.I),
-		ref:    mergeRefs(v.ref, w.ref, Region.Widen),
+		ref:    widenRefs(v.ref, w.ref),
 		uninit: v.uninit || w.uninit,
 	}
 }
@@ -308,20 +358,16 @@ func (v Val) JoinChanged(w Val) (Val, bool) {
 // WidenChanged returns v.Widen(w) together with whether the widened value
 // differs from w (the ascended iterate: callers pass w = v ⊔ new, so the
 // flag reports an *effective* widening — one that extrapolated past the
-// plain join). When nothing extrapolates, w itself is returned and nothing
-// is allocated; the components are pre-checked without building the merge.
+// plain join). The widening shares w's reference components whenever it
+// keeps them, so the flag is a comparison of the numeric part, the shared
+// pointer and the uninit bit; when nothing extrapolates, w itself is
+// returned and nothing is allocated.
 func (v Val) WidenChanged(w Val) (Val, bool) {
-	wi := v.I.Widen(w.I)
-	if wi.Eq(w.I) && (v.ref == nil || v.ref == w.ref ||
-		widenPtrKeeps(v.Ptr(), w.Ptr()) && fnsSubset(v.Fns(), w.Fns())) &&
-		(!v.uninit || w.uninit) {
+	u := v.Widen(w)
+	if u.I.Eq(w.I) && u.ref == w.ref && u.uninit == w.uninit {
 		return w, false
 	}
-	return Val{
-		I:      wi,
-		ref:    mergeRefs(v.ref, w.ref, Region.Widen),
-		uninit: v.uninit || w.uninit,
-	}, true
+	return u, true
 }
 
 // widenPtrKeeps reports whether mergePtr(a, b, Region.Widen) equals b
@@ -373,27 +419,7 @@ func (v Val) NarrowChanged(w Val) (Val, bool) {
 
 // LessEq reports the lattice order.
 func (v Val) LessEq(w Val) bool {
-	if !v.I.LessEq(w.I) {
-		return false
-	}
-	if v.uninit && !w.uninit {
-		return false
-	}
-	if v.ref == nil || v.ref == w.ref {
-		return true
-	}
-	// v.ptr ⊆ w.ptr with region ordering.
-	wptr := w.Ptr()
-	j := 0
-	for _, e := range v.ref.ptr {
-		for j < len(wptr) && wptr[j].Loc < e.Loc {
-			j++
-		}
-		if j >= len(wptr) || wptr[j].Loc != e.Loc || !e.R.LessEq(wptr[j].R) {
-			return false
-		}
-	}
-	return fnsSubset(v.ref.fns, w.Fns())
+	return v.I.LessEq(w.I) && (!v.uninit || w.uninit) && refsLessEq(v.ref, w.ref)
 }
 
 // Eq reports equality.
