@@ -290,3 +290,62 @@ func TestAssignIntervalMatchesClosure(t *testing.T) {
 		}
 	}
 }
+
+// closeStored closes o's stored matrix from scratch, trusting no flag.
+func closeStored(o *Oct) *Oct {
+	if o.bot {
+		return o
+	}
+	c := alloc(o.n)
+	copy(c.m, o.m)
+	return c.closeOwned()
+}
+
+// forgetStable reports the first variable whose projection differs between
+// o with variable h forgotten and the fresh closure of that octagon's
+// stored matrix. Forgetting a variable of a normal octagon leaves it
+// normal, so the two agree unless o's closure was not normal.
+func forgetStable(o *Oct, h int) (int, itv.Itv, itv.Itv, bool) {
+	f := o.Closed().Forget(h)
+	g := closeStored(f)
+	if g.bot {
+		return 0, itv.Bot, itv.Bot, true
+	}
+	for k := 0; k < o.n; k++ {
+		if got, want := f.Interval(k), g.Interval(k); k != h && !got.Eq(want) {
+			return k, got, want, false
+		}
+	}
+	return 0, itv.Bot, itv.Bot, true
+}
+
+// TestSaturatedClosureNotNormal: a closure whose path sums saturate near
+// ±2^62 is not a fixpoint of the closure, so it must not be marked closed.
+// In both cases below a sum clamps (to the +∞ marker in the second), and
+// once x2 is forgotten, closing again bounds a variable the saturated
+// closure had left looser. A random sweep over near-overflow octagons
+// checks the same property.
+func TestSaturatedClosureNotNormal(t *testing.T) {
+	cases := []*Oct{
+		// x1 ≥ -2^62, x1 - x2 ≤ -16, x2 + x0 ≤ 14: x0 ≤ -2^62 - 2.
+		Top(3).AssignInterval(1, itv.Of(itv.Fin(-1<<62), itv.PosInf)).
+			Assume(XMinusYLe, 1, 2, -16).Assume(XPlusYLe, 2, 0, 14),
+		// x0 ≥ -(2^62 - 1), x0 - x2 ≤ 1, x1 + x2 ≤ 3: x1 ≤ 2^62 + 3.
+		Top(3).AssignInterval(0, itv.OfInts(-(1<<62-1), 2)).
+			Assume(XMinusYLe, 0, 2, 1).Assume(XPlusYLe, 1, 2, 3),
+	}
+	for i, o := range cases {
+		if k, got, want, ok := forgetStable(o, 2); !ok {
+			t.Errorf("case %d: x2 forgotten, x%d in %s; closing again gives %s", i, k, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 20000; trial++ {
+		n := 2 + r.Intn(4)
+		o := assignInput(r, n)
+		h := r.Intn(n)
+		if k, got, want, ok := forgetStable(o, h); !ok {
+			t.Fatalf("trial %d: %v with x%d forgotten: x%d in %s; closing again gives %s", trial, o, h, k, got, want)
+		}
+	}
+}
