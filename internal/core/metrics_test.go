@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/pprof"
+	"strings"
 	"testing"
 
 	"sparrow/internal/cgen"
@@ -11,6 +13,7 @@ import (
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
 	"sparrow/internal/octsem"
+	rt "sparrow/internal/runtime"
 )
 
 // counterRun analyzes src with an attached collector and returns the full
@@ -207,5 +210,44 @@ func TestEntryCountersMatchMemories(t *testing.T) {
 					c["mem_peak_entries"], c["mem_total_entries"], peak, total)
 			}
 		}
+	}
+}
+
+// goroutineProfile returns the goroutine profile in its debug=1 text form,
+// which prints each goroutine group's pprof labels.
+func goroutineProfile(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestPhaseProfilerLabels: while the fixpoint runs, the analyzing goroutine
+// carries the pprof label phase=fixpoint (a fault hook at a fixpoint
+// checkpoint reads the goroutine profile), and the run leaves no phase
+// label behind.
+func TestPhaseProfilerLabels(t *testing.T) {
+	var during string
+	hook := func(p rt.Phase, n uint64) {
+		if p == rt.PhaseFix && n == 1 {
+			during = goroutineProfile(t)
+		}
+	}
+	_, err := AnalyzeSource("labels.c", cgen.Generate(cgen.Default(3, 300)), Options{
+		Domain: Interval, Mode: Sparse, Metrics: metrics.New(), FaultHook: hook,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if during == "" {
+		t.Fatal("the hook never fired at a fixpoint checkpoint")
+	}
+	if !strings.Contains(during, `"phase":"fixpoint"`) {
+		t.Errorf("goroutine profile at a fixpoint checkpoint has no phase=fixpoint label:\n%s", during)
+	}
+	if after := goroutineProfile(t); strings.Contains(after, `"phase":`) {
+		t.Errorf("a phase label outlived the run:\n%s", after)
 	}
 }

@@ -3,6 +3,8 @@ package metrics
 import (
 	"encoding/json"
 	"reflect"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,5 +224,41 @@ func TestReportStableKeySet(t *testing.T) {
 		if _, ok := r.Counters[k.String()]; !ok {
 			t.Errorf("counter %s missing from budgeted report", k)
 		}
+	}
+}
+
+// TestPhaseLabelsNest: a phase labels the goroutine with its name, and
+// stopping a phase nested in another restores the outer label; stopping
+// the outer one removes the label.
+func TestPhaseLabelsNest(t *testing.T) {
+	label := func() string {
+		var b strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+			t.Fatal(err)
+		}
+		s := b.String()
+		for _, p := range []Phase{PhaseFix, PhaseRestrict} {
+			if strings.Contains(s, `"phase":"`+p.String()+`"`) {
+				return p.String()
+			}
+		}
+		return ""
+	}
+	c := New()
+	outer := c.Phase(PhaseFix)
+	if got := label(); got != "fixpoint" {
+		t.Fatalf("inside fixpoint: label %q", got)
+	}
+	inner := c.Phase(PhaseRestrict)
+	if got := label(); got != "restricted" {
+		t.Fatalf("inside restricted: label %q", got)
+	}
+	inner()
+	if got := label(); got != "fixpoint" {
+		t.Fatalf("after restricted: label %q, want the enclosing fixpoint", got)
+	}
+	outer()
+	if got := label(); got != "" {
+		t.Fatalf("after every phase: label %q", got)
 	}
 }
