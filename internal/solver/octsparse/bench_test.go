@@ -1,6 +1,7 @@
 package octsparse
 
 import (
+	"runtime"
 	"testing"
 
 	"sparrow/internal/cgen"
@@ -41,4 +42,37 @@ func BenchmarkOctFixpoint(b *testing.B) {
 		b.ReportMetric(float64(res.Joins), "joins")
 		b.ReportMetric(float64(res.Widenings), "widenings")
 	})
+}
+
+// TestOctFixpointAllocations bounds the bytes one octagon fixpoint
+// allocates on the first program of the seed-7 gen-1000 suite. Nearly all
+// of them are octagon matrices, so the bound pins the half-matrix layout:
+// one solve allocates 7,686,736 bytes, against 13,102,069 when every
+// matrix stored all (2n)² entries. The bound is 1.25 times the former.
+func TestOctFixpointAllocations(t *testing.T) {
+	const measured = 7686736
+	f, err := parser.Parse("gen-1000.c", cgen.Generate(cgen.Default(7<<16, 1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lower.File(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := prean.Run(prog)
+	s, src := octsem.Source(prog, pre, pack.Build(prog, 0))
+	g := dug.BuildFrom(src, dug.Options{Bypass: true})
+	solve := func() { sparse.Analyze(prog, pre, sparse.Octagons(s), g, sparse.Options{}) }
+	solve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bound := uint64(measured) * 5 / 4; got > bound {
+		t.Errorf("one solve allocates %d bytes, want at most %d", got, bound)
+	}
 }
