@@ -143,6 +143,39 @@ func (s *BDDStore) Add(from dug.NodeID, l ir.LocID, to dug.NodeID) {
 	}
 }
 
+// AddProduct inserts every triple ⟨f, l, t⟩ with f ∈ from, l ∈ locs and
+// t ∈ to. It conjoins one predicate per set, each the disjunction of that
+// field's cubes, so a block of |from|·|locs|·|to| triples costs
+// |from| + |locs| + |to| cubes instead of as many insertions as triples.
+func (s *BDDStore) AddProduct(from []dug.NodeID, locs []ir.LocID, to []dug.NodeID) {
+	f := field(s, from, func(b int) int { return 2 * (s.fromBits - 1 - b) }, s.fromBits)
+	t := field(s, to, func(b int) int { return 2*(s.fromBits-1-b) + 1 }, s.toBits)
+	l := field(s, locs, func(b int) int { return 2*s.fromBits + s.locBits - 1 - b }, s.locBits)
+	block := s.b.And(f, s.b.And(l, t))
+	// Every variable is a bit of the encoding, so each satisfying
+	// assignment of the block's new part is one new triple.
+	s.n += int(s.b.SatCount(s.b.Diff(block, s.rel)))
+	s.rel = s.b.Or(s.rel, block)
+}
+
+// field returns the predicate "this field of the encoding is one of
+// values": the disjunction of the cubes fixing the field's bits, where
+// varOf(b) is the variable of bit b (0 the least significant).
+func field[T dug.NodeID | ir.LocID](s *BDDStore, values []T, varOf func(b int) int, bits int) bdd.Ref {
+	vars, vals := make([]int, bits), make([]bool, bits)
+	for k := range vars {
+		vars[k] = varOf(bits - 1 - k)
+	}
+	r := bdd.False
+	for _, v := range values {
+		for k := range vals {
+			vals[k] = v&(1<<(bits-1-k)) != 0
+		}
+		r = s.b.Or(r, s.b.Cube(vars, vals))
+	}
+	return r
+}
+
 // Contains implements Store.
 func (s *BDDStore) Contains(from dug.NodeID, l ir.LocID, to dug.NodeID) bool {
 	s.encode(from, l, to)

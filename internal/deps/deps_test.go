@@ -136,3 +136,38 @@ func TestRedundancyCompression(t *testing.T) {
 			bddS.EstimatedBytes(), set.EstimatedBytes())
 	}
 }
+
+// TestAddProductMatchesAdd: inserting a block of triples as one product
+// must build the relation per-triple insertion builds — canonical ROBDDs
+// make it the same diagram — and count the same triples, also when the
+// block overlaps triples already stored.
+func TestAddProductMatchesAdd(t *testing.T) {
+	from := []dug.NodeID{0, 3, 5, 6, 7, 40}
+	locs := []ir.LocID{1, 2, 9, 17}
+	to := []dug.NodeID{8, 24, 40, 56, 511}
+	product, single := NewBDDStore(512, 32), NewBDDStore(512, 32)
+	for _, s := range []*BDDStore{product, single} {
+		s.Add(3, 9, 24) // inside the block
+		s.Add(2, 9, 24) // outside it
+	}
+	product.AddProduct(from, locs, to)
+	for _, f := range from {
+		for _, l := range locs {
+			for _, to := range to {
+				single.Add(f, l, to)
+			}
+		}
+	}
+	if product.Triples() != single.Triples() || product.Triples() != 1+len(from)*len(locs)*len(to) {
+		t.Errorf("Triples: product %d, per triple %d", product.Triples(), single.Triples())
+	}
+	if product.NodeCount() != single.NodeCount() {
+		t.Errorf("NodeCount: product %d, per triple %d", product.NodeCount(), single.NodeCount())
+	}
+	if product.SatCount() != single.SatCount() {
+		t.Errorf("SatCount: product %v, per triple %v", product.SatCount(), single.SatCount())
+	}
+	if !product.Contains(40, 17, 511) || !product.Contains(2, 9, 24) || product.Contains(1, 1, 8) || product.Contains(0, 3, 8) {
+		t.Error("product store membership wrong")
+	}
+}

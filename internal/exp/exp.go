@@ -285,16 +285,28 @@ func TableBDD(w io.Writer, suite []Benchmark) error {
 	// when many call sites share large accessed-location sets — dense
 	// ⟨callers × entries × locations⟩ blocks. A synthetic relation of that
 	// shape shows the crossover the benchmark suite is too small to reach.
-	set := deps.NewSetStore()
-	bddS := deps.NewBDDStore(1<<14, 1<<9)
+	// The BDD takes the block as one product of its three sets.
+	var from, to []dug.NodeID
+	var locs []ir.LocID
 	for f := 0; f < 512; f++ {
-		for t := 0; t < 64; t++ {
-			for l := 0; l < 48; l++ {
-				set.Add(dug.NodeID(f), ir.LocID(l), dug.NodeID(8192+t*16))
-				bddS.Add(dug.NodeID(f), ir.LocID(l), dug.NodeID(8192+t*16))
+		from = append(from, dug.NodeID(f))
+	}
+	for t := 0; t < 64; t++ {
+		to = append(to, dug.NodeID(8192+t*16))
+	}
+	for l := 0; l < 48; l++ {
+		locs = append(locs, ir.LocID(l))
+	}
+	set := deps.NewSetStore()
+	for _, f := range from {
+		for _, t := range to {
+			for _, l := range locs {
+				set.Add(f, l, t)
 			}
 		}
 	}
+	bddS := deps.NewBDDStore(1<<14, 1<<9)
+	bddS.AddProduct(from, locs, to)
 	ratio := fmt.Sprintf("%.0fx", float64(set.EstimatedBytes())/float64(bddS.EstimatedBytes()))
 	fmt.Fprintf(tw, "dense-linkage(synthetic)\t%d\t%d\t%d\t%d\t%s\t-\t-\n",
 		set.Triples(), set.EstimatedBytes()/1024,
