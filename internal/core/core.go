@@ -547,8 +547,9 @@ func runSparse[V sparse.Value[V]](r *Result, opt Options, dom sparse.Domain[V], 
 	return res
 }
 
-// Graph exposes the def-use graph of a sparse run (nil otherwise).
-func (r *Result) Graph() *dug.Graph { return r.graph }
+// Graph exposes the def-use graph of a sparse run (nil otherwise), with its
+// Defs/Uses slices filled.
+func (r *Result) Graph() *dug.Graph { return r.graph.Views() }
 
 // Pre exposes the pre-analysis result.
 func (r *Result) Pre() *prean.Result { return r.pre }

@@ -128,7 +128,7 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 			continue
 		}
 		dOut := base.dres.Out(base.isem, pt)
-		for _, l := range g.Defs[dug.NodeID(pt.ID)] {
+		for _, l := range g.DefsOf(dug.NodeID(pt.ID)) {
 			sv, _ := sp.sres.Value(pt.ID, l)
 			dv := dOut.Get(l)
 			bad := false

@@ -2,6 +2,7 @@ package dug_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sparrow/internal/cgen"
@@ -37,4 +38,30 @@ func BenchmarkBuild(b *testing.B) {
 			dug.BuildFrom(src, dug.Options{Bypass: true})
 		}
 	})
+}
+
+// TestBuildAllocations bounds the bytes one def-use-graph build allocates
+// on the first program of the seed-7 gen-4000 suite, bypass on. The bound
+// pins the lean build (DESIGN §34): one build allocates 16,319,288 bytes,
+// against 25,305,810 when the bypass doubled its arena around the holes,
+// the sorts had a second triple array, and every node had D̂/Û slice
+// headers. The bound is 1.25 times the former.
+func TestBuildAllocations(t *testing.T) {
+	const measured = 16319288
+	prog := lowerSource(t, "gen", cgen.Generate(cgen.Default(7<<16|0, 4000)))
+	pre := prean.Run(prog)
+	build := func() { dug.Build(prog, pre, dug.Options{Bypass: true}) }
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one build allocates %d bytes", got)
+	if bound := uint64(measured) * 5 / 4; got > bound {
+		t.Errorf("one build allocates %d bytes, want at most %d", got, bound)
+	}
 }

@@ -60,7 +60,7 @@ func TestCSRMatchesMapSets(t *testing.T) {
 			for i := 0; i < n; i++ {
 				nd := NodeID(i)
 				// Access sets must be strictly sorted (sorted + deduped).
-				for _, s := range [][]ir.LocID{g.Defs[nd], g.Uses[nd]} {
+				for _, s := range [][]ir.LocID{g.DefsOf(nd), g.UsesOf(nd)} {
 					for j := 1; j < len(s); j++ {
 						if s[j-1] >= s[j] {
 							t.Fatalf("seed %d bypass=%v node %d: access set not strictly sorted: %v", seed, byp, i, s)
@@ -70,7 +70,7 @@ func TestCSRMatchesMapSets(t *testing.T) {
 				// Succs must agree with Range on every defined location, and
 				// be empty on locations not defined here.
 				cur := g.Out(nd)
-				for _, l := range g.Defs[nd] {
+				for _, l := range g.DefsOf(nd) {
 					want := ranged[edgeKey{nd, l}]
 					got := g.Succs(nd, l)
 					if len(got) != len(want) {
@@ -106,8 +106,8 @@ func TestCSRMatchesMapSets(t *testing.T) {
 			// need not use l — interprocedural linkage edges deliver values
 			// to nodes that *redefine* the location, e.g. call→entry.)
 			g.Range(func(from NodeID, l ir.LocID, to NodeID) bool {
-				if !ir.LocsContain(g.Defs[from], l) {
-					t.Fatalf("seed %d bypass=%v: edge (%d,%d,%d): loc not in Defs[from]", seed, byp, from, l, to)
+				if !ir.LocsContain(g.DefsOf(from), l) {
+					t.Fatalf("seed %d bypass=%v: edge (%d,%d,%d): loc not in DefsOf(from)", seed, byp, from, l, to)
 				}
 				return true
 			})
@@ -149,7 +149,7 @@ func checkAccSlots(t *testing.T, label string, g *Graph) {
 	}
 	for i := 0; i < n; i++ {
 		cur := g.Out(NodeID(i))
-		for _, l := range g.Defs[i] {
+		for _, l := range g.DefsOf(NodeID(i)) {
 			succs, slots := cur.SeekSlots(l)
 			if len(slots) != len(succs) {
 				t.Fatalf("%s node %d loc %d: %d successors, %d slots", label, i, l, len(succs), len(slots))

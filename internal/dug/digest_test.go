@@ -55,8 +55,8 @@ func graphDigest(g *dug.Graph) string {
 			w = 1
 		}
 		put(w, g.Prio[n])
-		putLocs(g.Defs[n])
-		putLocs(g.Uses[n])
+		putLocs(g.DefsOf(dug.NodeID(n)))
+		putLocs(g.UsesOf(dug.NodeID(n)))
 	}
 	g.Range(func(from dug.NodeID, l ir.LocID, to dug.NodeID) bool {
 		put(int(from), int(l), int(to))

@@ -13,12 +13,15 @@
 // sparse.
 //
 // The graph is laid out for the solver hot path: per-node D̂/Û are sorted
-// dense-ID slices sharing contiguous backing arrays, and the successor
-// relation is a two-level CSR index (per-node sorted location keys with an
-// (offset, len) row of successors each) that the solvers read in place. The
-// builder itself stages dependency triples into one flat slice and orders
-// them with linear counting sorts instead of deduplicating through
-// per-⟨node, loc⟩ maps.
+// dense-ID runs of two offset tables, and the successor relation is a
+// two-level CSR index (per-node sorted location keys with an (offset, len)
+// row of successors each) that the solvers read in place; no table of the
+// finished graph holds a pointer. The builder itself stages dependency
+// triples into one flat slice and orders them with linear counting sorts
+// instead of deduplicating through per-⟨node, loc⟩ maps. Its transient heap
+// stays close to what it holds: the adjacency arena doubles as the sorts'
+// scratch space, and the bypass compacts the arena in place instead of
+// growing it.
 package dug
 
 import (
@@ -75,10 +78,6 @@ type Graph struct {
 	Prog       *ir.Program
 	PointCount int
 	Phis       []Phi
-	// Defs[n]/Uses[n] are D̂/Û per node (post-bypass), sorted. The
-	// per-node slices are views into two shared backing arrays.
-	Defs [][]ir.LocID
-	Uses [][]ir.LocID
 	// Widen[n] marks per-location widening nodes: the solver widening
 	// points (loop-head points, entries of recursive procedures and return
 	// sites of recursive calls) and phis at loop heads. The def-use-chain
@@ -91,6 +90,16 @@ type Graph struct {
 	// SplicedTriples counts triples removed+added by the bypass
 	// optimization.
 	SplicedTriples int
+
+	// Defs[n]/Uses[n] are D̂/Û per node as slices, for callers that index
+	// them; they stay nil until Views fills them (core.Result.Graph does).
+	// The analysis reads DefsOf/UsesOf instead, so the per-node slice
+	// headers, which the collector would scan, exist only on request.
+	Defs, Uses [][]ir.LocID
+	// The D̂/Û offset tables: node n's sorted D̂ is defLocs[defOff[n]:
+	// defOff[n+1]], its Û likewise.
+	defOff, useOff   []int32
+	defLocs, useLocs []ir.LocID
 
 	// CSR successor index: node n's rows live at edgeLocs[edgeRow[n]:
 	// edgeRow[n+1]] (sorted location keys); key index k's successors are
@@ -115,11 +124,37 @@ func (g *Graph) NumNodes() int { return g.PointCount + len(g.Phis) }
 // IsPhi reports whether n is a phi node.
 func (g *Graph) IsPhi(n NodeID) bool { return int(n) >= g.PointCount }
 
+// DefsOf returns D̂(n) (post-bypass), sorted. The slice aliases the graph.
+func (g *Graph) DefsOf(n NodeID) []ir.LocID {
+	lo, hi := g.defOff[n], g.defOff[n+1]
+	return g.defLocs[lo:hi:hi]
+}
+
+// UsesOf returns Û(n) (post-bypass), sorted. The slice aliases the graph.
+func (g *Graph) UsesOf(n NodeID) []ir.LocID {
+	lo, hi := g.useOff[n], g.useOff[n+1]
+	return g.useLocs[lo:hi:hi]
+}
+
+// Views fills Defs and Uses, unless they are filled already, and returns g
+// (nil for nil).
+func (g *Graph) Views() *Graph {
+	if g == nil || g.Defs != nil {
+		return g
+	}
+	n := g.NumNodes()
+	g.Defs, g.Uses = make([][]ir.LocID, n), make([][]ir.LocID, n)
+	for i := range n {
+		g.Defs[i], g.Uses[i] = g.DefsOf(NodeID(i)), g.UsesOf(NodeID(i))
+	}
+	return g
+}
+
 // PhiOf returns the phi descriptor of a phi node.
 func (g *Graph) PhiOf(n NodeID) Phi { return g.Phis[int(n)-g.PointCount] }
 
 // Succs returns the dependency successors of n on location l (binary search
-// over n's CSR row keys). Solvers iterating Defs[n] in order should prefer
+// over n's CSR row keys). Solvers iterating DefsOf(n) in order should prefer
 // the Out cursor, which advances in lockstep instead of searching.
 func (g *Graph) Succs(n NodeID, l ir.LocID) []NodeID {
 	lo, hi := g.edgeRow[n], g.edgeRow[n+1]
@@ -156,7 +191,7 @@ func (g *Graph) AccLoc(slot int32) ir.LocID { return g.accLocs[slot] }
 
 // OutCursor walks one node's successor rows in ascending location order.
 // Seek must be called with non-decreasing locations — exactly the order of
-// Defs[n] — and amortizes to O(1) per call where Succs pays a binary search.
+// DefsOf(n) — and amortizes to O(1) per call where Succs pays a binary search.
 type OutCursor struct {
 	locs  []ir.LocID
 	off   []int32
@@ -216,8 +251,8 @@ func (g *Graph) AvgDefUse() (avgD, avgU float64) {
 			continue
 		}
 		n++
-		sd += len(g.Defs[id])
-		su += len(g.Uses[id])
+		sd += len(g.DefsOf(NodeID(id)))
+		su += len(g.UsesOf(NodeID(id)))
 	}
 	if n == 0 {
 		return 0, 0
@@ -404,13 +439,8 @@ func (g *Graph) flushMetrics(col *metrics.Collector) {
 	col.Add(metrics.CtrDUGEdges, int64(g.EdgeCount))
 	col.Add(metrics.CtrDUGPhis, int64(len(g.Phis)))
 	col.Add(metrics.CtrDUGSpliced, int64(g.SplicedTriples))
-	var defs, uses int64
-	for n := range g.Defs {
-		defs += int64(len(g.Defs[n]))
-		uses += int64(len(g.Uses[n]))
-	}
-	col.Add(metrics.CtrDUGDefs, defs)
-	col.Add(metrics.CtrDUGUses, uses)
+	col.Add(metrics.CtrDUGDefs, int64(len(g.defLocs)))
+	col.Add(metrics.CtrDUGUses, int64(len(g.useLocs)))
 }
 
 // initScratch carries the reusable buffers of initNode.
@@ -865,6 +895,8 @@ type adjacency struct {
 	outLocs, inLocs   []ir.LocID
 	out, in           []span
 	refs              []edgeRef
+	// The rows below home lie in row order; the rows past it have moved.
+	home int32
 }
 
 func (a *adjacency) row(s span) []edgeRef { return a.refs[s.off : s.off+s.len] }
@@ -884,8 +916,7 @@ func (a *adjacency) remove(s *span, n NodeID) {
 
 // add appends e to row s unless the row already holds e.node. A full row
 // doubles its capacity: in place when it ends the arena, else by moving to
-// the arena's end (its old slot stays unused). The arena itself doubles when
-// full, so it is copied only O(log) times.
+// the arena's end, which leaves a hole.
 func (a *adjacency) add(s *span, e edgeRef) {
 	for _, x := range a.row(*s) {
 		if x.node == e.node {
@@ -893,22 +924,93 @@ func (a *adjacency) add(s *span, e edgeRef) {
 		}
 	}
 	if s.len == s.cap {
-		off, c := s.off, max(2*s.cap, 4)
-		if int(off+s.cap) != len(a.refs) {
-			off = int32(len(a.refs))
-		}
-		if need := int(off + c); need > cap(a.refs) {
-			refs := make([]edgeRef, need, max(2*cap(a.refs), need))
-			copy(refs, a.refs)
-			a.refs = refs
+		c := max(2*s.cap, 4)
+		a.reserve(c) // may compact, which moves s
+		if int(s.off+s.cap) != len(a.refs) {
+			off := int32(len(a.refs))
+			a.refs = a.refs[:off+c]
+			copy(a.refs[off:], a.row(*s))
+			s.off = off
 		} else {
-			a.refs = a.refs[:need]
+			a.refs = a.refs[:s.off+c]
 		}
-		copy(a.refs[off:], a.row(*s))
-		s.off, s.cap = off, c
+		s.cap = c
 	}
 	a.refs[s.off+s.len] = e
 	s.len++
+}
+
+// reserve makes room for c more entries at the arena's end. When the arena is
+// full it is first compacted in place; it is reallocated only if the live
+// rows would still fill more than three quarters of it.
+func (a *adjacency) reserve(c int32) {
+	if len(a.refs)+int(c) <= cap(a.refs) {
+		return
+	}
+	a.compact()
+	if need := len(a.refs) + int(c); need > cap(a.refs)*3/4 {
+		refs := make([]edgeRef, len(a.refs), max(2*cap(a.refs), 2*need))
+		copy(refs, a.refs)
+		a.refs = refs
+	}
+}
+
+// compact slides every row with entries to the arena's front, each keeping
+// its capacity; empty rows give up their space. The rows below home lie in
+// row order, so one pass over the row tables slides them. The rows that
+// moved past home lie in the order they moved: a moved row's first entry is
+// marked in place by a negative node (-1 - the row's id), whose real node
+// waits in the row's off field, and one scan past home finds them in arena
+// order, since every other entry there, dead or alive, names a real node.
+// The slid home rows end the new home.
+func (a *adjacency) compact() {
+	w := int32(0)
+	slide := func(s *span, from int32) {
+		if w != from {
+			for i := range s.len {
+				a.refs[w+i] = a.refs[from+i]
+			}
+		}
+		s.off = w
+		w += s.cap
+	}
+	// Sliding a home row writes below home only, so the same pass marks the
+	// moved rows.
+	for t, rows := range [2][]span{a.out, a.in} {
+		for r := range rows {
+			switch s := &rows[r]; {
+			case s.len == 0:
+				*s = span{}
+			case s.off < a.home:
+				slide(s, s.off)
+			default:
+				first := &a.refs[s.off]
+				s.off, first.node = int32(first.node), NodeID(-1-t*len(a.out)-r)
+			}
+		}
+	}
+	home := w
+	for p := a.home; p < int32(len(a.refs)); {
+		id := -1 - int(a.refs[p].node)
+		if id < 0 {
+			p++
+			continue
+		}
+		s := a.span(id)
+		a.refs[p].node = NodeID(s.off)
+		slide(s, p)
+		p += s.cap
+	}
+	a.home = home
+	a.refs = a.refs[:w]
+}
+
+// span returns the row with the given id: out rows first, then in rows.
+func (a *adjacency) span(id int) *span {
+	if id < len(a.out) {
+		return &a.out[id]
+	}
+	return &a.in[id-len(a.out)]
 }
 
 // Key fields of the counting sorts over triples.
@@ -918,27 +1020,54 @@ const (
 	byTo
 )
 
-// countingSort stably sorts src into dst by one key field, whose values lie
-// in [0, len(cnt)-1).
-func countingSort(dst, src []triple, cnt []int32, field int) {
-	key := func(t triple) int32 {
-		switch field {
-		case byFrom:
-			return int32(t.from)
-		case byLoc:
-			return int32(t.loc)
-		}
-		return int32(t.to)
+// key returns one key field of t.
+func key(t triple, field int) int32 {
+	switch field {
+	case byFrom:
+		return int32(t.from)
+	case byLoc:
+		return int32(t.loc)
 	}
-	clear(cnt)
+	return int32(t.to)
+}
+
+// spare views arena space that is not carved yet as a triple array: triple
+// i takes the two entries from 2i, so a pass writes each triple to one
+// place.
+type spare []edgeRef
+
+func (s spare) get(i int) triple {
+	return triple{from: s[2*i].node, loc: ir.LocID(s[2*i].row), to: s[2*i+1].node}
+}
+
+func (s spare) set(i int32, t triple) {
+	s[2*i] = edgeRef{node: t.from, row: int32(t.loc)}
+	s[2*i+1].node = t.to
+}
+
+// sortToSpare and sortFromSpare are the passes of a stable counting sort by
+// one key field, whose values lie in [0, len(cnt)-1), between ts and the
+// spare arena space.
+func sortToSpare(dst spare, src []triple, cnt []int32, field int) {
+	countKeys(cnt, src, field)
 	for _, t := range src {
-		cnt[key(t)+1]++
+		k := key(t, field)
+		dst.set(cnt[k], t)
+		cnt[k]++
+	}
+}
+
+func sortFromSpare(dst []triple, src spare, cnt []int32, field int) {
+	clear(cnt)
+	for i := range dst {
+		cnt[key(src.get(i), field)+1]++
 	}
 	for i := 1; i < len(cnt); i++ {
 		cnt[i] += cnt[i-1]
 	}
-	for _, t := range src {
-		k := key(t)
+	for i := range dst {
+		t := src.get(i)
+		k := key(t, field)
 		dst[cnt[k]] = t
 		cnt[k]++
 	}
@@ -946,70 +1075,88 @@ func countingSort(dst, src []triple, cnt []int32, field int) {
 
 // buildAdjacency turns the staged triples into adjacency rows with linear,
 // stable counting sorts over the exact key ranges (node count and location
-// count). Sorting by to, then loc, then from orders the triples by (from,
-// loc, to) and makes duplicates adjacent; the deduplicated runs of equal
-// (from, loc) are the out rows. Sorting the out entries by loc, then to,
-// keeps each (to, loc) group in from order; those groups are the in rows.
-// Each entry names its partner row. Every table is sized exactly, and the
-// rows are full-cap'd spans, so a bypass append relocates the row instead of
-// clobbering a neighbor.
+// count). The arena is allocated first, and its space serves the sorts
+// until the rows are carved into it. Sorting by to, then loc, then from
+// orders the triples by (from, loc, to) and makes duplicates adjacent; the
+// deduplicated runs of equal (from, loc) are the out rows. The in rows group
+// the out entries by (to, loc): a stable sort of their indices by loc, then
+// to, keeps each group in from order. Each entry names its partner row.
+// Every table is sized exactly, and the rows are full-cap'd spans, so a
+// bypass append relocates the row instead of clobbering a neighbor; with
+// the bypass on, the arena gets a quarter of slack for those relocations.
 func (b *builder) buildAdjacency() {
 	n := b.g.NumNodes()
 	ts := b.triples
 	b.triples = nil
 	a := &b.adj
-	nLocs := 0
-	for _, t := range ts {
-		nLocs = max(nLocs, int(t.loc)+1)
+	t := len(ts)
+	slack := 0
+	if b.opt.Bypass {
+		slack = t / 2 // a quarter of the out and in entries
 	}
-	tmp := make([]triple, len(ts))
+	a.refs = make([]edgeRef, 2*t, 2*t+slack)
+	nLocs := 0
+	for _, tr := range ts {
+		nLocs = max(nLocs, int(tr.loc)+1)
+	}
 	cnt := make([]int32, max(n, nLocs)+1)
-	countingSort(tmp, ts, cnt[:n+1], byTo)
-	countingSort(ts, tmp, cnt[:nLocs+1], byLoc)
-	countingSort(tmp, ts, cnt[:n+1], byFrom)
+	sp := spare(a.refs[:2*t])
+	sortToSpare(sp, ts, cnt[:n+1], byTo)
+	sortFromSpare(ts, sp, cnt[:nLocs+1], byLoc)
+	sortToSpare(sp, ts, cnt[:n+1], byFrom)
 	ded := ts[:0]
-	for k, t := range tmp {
-		if k == 0 || t != tmp[k-1] {
-			ded = append(ded, t)
+	for i := range t {
+		if tr := sp.get(i); i == 0 || tr != ded[len(ded)-1] {
+			ded = append(ded, tr)
 		}
 	}
 	m := len(ded)
-	// Out entry k is ded[k]; its row field holds its own row until the in
-	// rows are linked.
-	a.refs = make([]edgeRef, 2*m)
-	a.outStart, a.outLocs, a.out = carve(a.refs[:m], ded, n, 0)
-	rowFrom := make([]NodeID, len(a.out))
-	for i := 0; i < n; i++ {
-		for r := a.outStart[i]; r < a.outStart[i+1]; r++ {
-			rowFrom[r] = NodeID(i)
-		}
-	}
-	// In entries: the out entries keyed by (to, loc), carrying their index.
-	byIn := tmp[:m]
+	a.refs, a.home = a.refs[:2*m], int32(2*m)
+	// The in rows group the out entries by (to, loc), each group in from
+	// order, that is in out-entry order: a stable sort of the entry indices
+	// by loc, then by to. Before the rows are carved, the out half of the
+	// arena holds the indices by loc (node) with their to (row), and the row
+	// fields of the in half the indices by (to, loc, index).
+	out, in := a.refs[:m], a.refs[m:]
+	countKeys(cnt[:nLocs+1], ded, byLoc)
 	for k, t := range ded {
-		byIn[k] = triple{from: t.to, loc: t.loc, to: NodeID(k)}
+		out[cnt[t.loc]] = edgeRef{node: NodeID(k), row: int32(t.to)}
+		cnt[t.loc]++
 	}
-	countingSort(ts[:m], byIn, cnt[:nLocs+1], byLoc)
-	countingSort(byIn, ts[:m], cnt[:n+1], byFrom)
-	a.inStart, a.inLocs, a.in = carve(a.refs[m:], byIn, n, int32(m))
-	for j := range byIn {
-		in := &a.refs[m+j]
-		out := &a.refs[in.node]
-		in.node, in.row, out.row = rowFrom[out.row], out.row, in.row
+	countKeys(cnt[:n+1], ded, byTo)
+	for _, e := range out {
+		in[cnt[e.row]].row = int32(e.node)
+		cnt[e.row]++
+	}
+	// cnt[i] now ends node i's entries. Out entry k is ded[k]; its row field
+	// holds its own row until carveIn links the in rows.
+	a.outStart, a.outLocs, a.out = carveOut(out, ded, n)
+	a.inStart, a.inLocs, a.in = carveIn(a.refs, ded, cnt[:n])
+}
+
+// countKeys sets cnt[v] to the number of triples whose key field is below v,
+// for a counting sort's scatter pass.
+func countKeys(cnt []int32, ts []triple, field int) {
+	clear(cnt)
+	for _, t := range ts {
+		cnt[key(t, field)+1]++
+	}
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
 	}
 }
 
-// carve cuts ts, sorted by (from, loc), into one row per run of equal (from,
-// loc). It sets refs[j] to ts[j].to and entry j's row, and returns each
-// node's first row (with a final sentinel), the rows' location keys, and
-// their full-cap'd spans at offset base in the arena.
-func carve(refs []edgeRef, ts []triple, n int, base int32) (start []int32, locs []ir.LocID, rows []span) {
-	newRow := func(j int) bool {
-		return j == 0 || ts[j].from != ts[j-1].from || ts[j].loc != ts[j-1].loc
+// carveOut cuts ts, sorted by (from, loc), into one row per run of equal
+// (from, loc). It sets refs[k] to ts[k].to and entry k's row, and returns
+// each node's first row (with a final sentinel), the rows' location keys,
+// and their full-cap'd spans.
+func carveOut(refs []edgeRef, ts []triple, n int) (start []int32, locs []ir.LocID, rows []span) {
+	newRow := func(k int) bool {
+		return k == 0 || ts[k].from != ts[k-1].from || ts[k].loc != ts[k-1].loc
 	}
 	nRows := 0
-	for j := range ts {
-		if newRow(j) {
+	for k := range ts {
+		if newRow(k) {
 			nRows++
 		}
 	}
@@ -1017,21 +1164,89 @@ func carve(refs []edgeRef, ts []triple, n int, base int32) (start []int32, locs 
 	locs = make([]ir.LocID, nRows)
 	rows = make([]span, nRows)
 	r := int32(-1)
-	for j, t := range ts {
-		if newRow(j) {
+	for k, t := range ts {
+		if newRow(k) {
 			r++
 			locs[r] = t.loc
-			rows[r].off = base + int32(j)
+			rows[r].off = int32(k)
 			start[t.from+1]++
 		}
 		rows[r].len++
 		rows[r].cap++
-		refs[j] = edgeRef{node: t.to, row: r}
+		refs[k] = edgeRef{node: t.to, row: r}
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
 	return start, locs, rows
+}
+
+// carveIn cuts the in half of the arena, m = len(ts) entries whose row
+// fields list the out entries by (to, loc, index) and where node i's
+// entries end at end[i], into one row per run of equal (to, loc). In entry
+// j, for out entry k, becomes k seen from its target: its node is k's
+// source and its row k's out row, and k's row becomes j's in row. It
+// returns the in rows' starts, keys and spans, as carveOut does.
+func carveIn(refs []edgeRef, ts []triple, end []int32) (start []int32, locs []ir.LocID, rows []span) {
+	m := len(ts)
+	in := refs[m : 2*m]
+	nRows := 0
+	lo := int32(0)
+	prev := ir.LocID(0)
+	for _, hi := range end {
+		for j := lo; j < hi; j++ {
+			if l := ts[in[j].row].loc; j == lo || l != prev {
+				nRows++
+				prev = l
+			}
+		}
+		lo = hi
+	}
+	n := len(end)
+	start = make([]int32, n+1)
+	locs = make([]ir.LocID, nRows)
+	rows = make([]span, nRows)
+	r := int32(-1)
+	lo = 0
+	for i, hi := range end {
+		for j := lo; j < hi; j++ {
+			k := in[j].row
+			t := ts[k]
+			if j == lo || t.loc != prev {
+				r++
+				prev = t.loc
+				locs[r] = t.loc
+				rows[r].off = int32(m) + j
+				start[i+1]++
+			}
+			rows[r].len++
+			rows[r].cap++
+			in[j] = edgeRef{node: t.from, row: refs[k].row}
+			refs[k].row = r
+		}
+		lo = hi
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	return start, locs, rows
+}
+
+// sortByNode orders a row by node. Most rows are short, and an insertion
+// sort with the comparison inline beats the generic sort there.
+func sortByNode(row []edgeRef) {
+	if len(row) > 16 {
+		slices.SortFunc(row, func(x, y edgeRef) int { return int(x.node - y.node) })
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		e := row[i]
+		j := i
+		for ; j > 0 && row[j-1].node > e.node; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = e
+	}
 }
 
 // findRow advances the cursor i over the sorted keys to l and returns the
@@ -1157,45 +1372,34 @@ func (b *builder) bypass() {
 	}
 }
 
-// finalize compacts the access sets into shared backing arrays and builds
-// the CSR successor index and the Acc slots. The non-empty in rows of a node
-// are its distinct in-edge locations in ascending order, so they number its
-// slots, and every out entry names its partner in row.
+// finalize packs the access sets into the offset tables and builds the CSR
+// successor index and the Acc slots. The non-empty in rows of a node are its
+// distinct in-edge locations in ascending order, so they number its slots,
+// and every out entry names its partner in row.
 func (b *builder) finalize(info *cfg.Info) {
 	g := b.g
 	n := g.NumNodes()
-	g.Defs = make([][]ir.LocID, n)
-	g.Uses = make([][]ir.LocID, n)
 	g.Prio = make([]int, n)
 	totD, totU := len(g.Phis), len(g.Phis)
 	for i := range b.defs {
 		totD += len(b.defs[i])
 		totU += len(b.uses[i])
 	}
-	defBack := make([]ir.LocID, 0, totD)
-	useBack := make([]ir.LocID, 0, totU)
-	var phiSet [1]ir.LocID
+	g.defOff, g.defLocs = make([]int32, n+1), make([]ir.LocID, 0, totD)
+	g.useOff, g.useLocs = make([]int32, n+1), make([]ir.LocID, 0, totU)
 	for i := 0; i < n; i++ {
-		var d, u []ir.LocID
 		if i < g.PointCount {
-			d, u = b.defs[i], b.uses[i]
+			g.defLocs = append(g.defLocs, b.defs[i]...)
+			g.useLocs = append(g.useLocs, b.uses[i]...)
 			g.Prio[i] = info.Prio[i] * 2
 		} else {
 			ph := g.Phis[i-g.PointCount]
-			phiSet[0] = ph.Loc
-			d, u = phiSet[:], phiSet[:]
+			g.defLocs = append(g.defLocs, ph.Loc)
+			g.useLocs = append(g.useLocs, ph.Loc)
 			g.Prio[i] = info.Prio[ph.At]*2 - 1
 		}
-		if len(d) > 0 {
-			off := len(defBack)
-			defBack = append(defBack, d...)
-			g.Defs[i] = defBack[off:len(defBack):len(defBack)]
-		}
-		if len(u) > 0 {
-			off := len(useBack)
-			useBack = append(useBack, u...)
-			g.Uses[i] = useBack[off:len(useBack):len(useBack)]
-		}
+		g.defOff[i+1] = int32(len(g.defLocs))
+		g.useOff[i+1] = int32(len(g.useLocs))
 	}
 	a := &b.adj
 	var nLocs, nEdges, nSlots int
@@ -1210,14 +1414,15 @@ func (b *builder) finalize(info *cfg.Info) {
 			nSlots++
 		}
 	}
-	inSlot := make([]int32, len(a.in))
+	// The in rows' capacities are dead once the bypass is done; each
+	// non-empty in row's cap field now holds its Acc slot.
 	g.accOff = make([]int32, n+1)
 	g.accLocs = make([]ir.LocID, 0, nSlots)
 	for i := 0; i < n; i++ {
 		g.accOff[i] = int32(len(g.accLocs))
 		for r := a.inStart[i]; r < a.inStart[i+1]; r++ {
 			if a.in[r].len > 0 {
-				inSlot[r] = int32(len(g.accLocs))
+				a.in[r].cap = int32(len(g.accLocs))
 				g.accLocs = append(g.accLocs, a.inLocs[r])
 			}
 		}
@@ -1237,10 +1442,10 @@ func (b *builder) finalize(info *cfg.Info) {
 			}
 			g.edgeLocs = append(g.edgeLocs, a.outLocs[r])
 			g.succOff = append(g.succOff, int32(len(g.succs)))
-			slices.SortFunc(row, func(x, y edgeRef) int { return int(x.node - y.node) })
+			sortByNode(row)
 			for _, e := range row {
 				g.succs = append(g.succs, e.node)
-				g.succSlot = append(g.succSlot, inSlot[e.row])
+				g.succSlot = append(g.succSlot, a.in[e.row].cap)
 			}
 		}
 	}

@@ -18,15 +18,33 @@ import (
 // (nodes whose sets empty out simply stop relaying; phis on dropped
 // locations become inert).
 //
-// The restriction reuses nothing of the staging pipeline: it is a single
-// pass over the finished CSR, so building one per checker costs far less
-// than a rebuild.
+// The restriction reuses nothing of the staging pipeline: one pass over the
+// finished tables counts what survives, so every table is allocated at its
+// size, and a second fills them, so building one per checker costs far
+// less than a rebuild.
 func BuildRestricted(full *Graph, keep []ir.LocID) *Graph {
 	nLocs := full.Prog.Locs.Len()
 	inKeep := make([]bool, nLocs)
 	for _, l := range keep {
 		if l >= 0 && int(l) < nLocs {
 			inKeep[l] = true
+		}
+	}
+	kept := func(locs []ir.LocID) int {
+		c := 0
+		for _, l := range locs {
+			if inKeep[l] {
+				c++
+			}
+		}
+		return c
+	}
+	// One counting pass sizes every table exactly.
+	nRows, nSuccs := 0, 0
+	for k, l := range full.edgeLocs {
+		if inKeep[l] {
+			nRows++
+			nSuccs += int(full.succOff[k+1] - full.succOff[k])
 		}
 	}
 	n := full.NumNodes()
@@ -37,49 +55,47 @@ func BuildRestricted(full *Graph, keep []ir.LocID) *Graph {
 		Widen:          full.Widen,
 		Prio:           full.Prio,
 		SplicedTriples: full.SplicedTriples,
-		Defs:           make([][]ir.LocID, n),
-		Uses:           make([][]ir.LocID, n),
+		defOff:         make([]int32, n+1),
+		useOff:         make([]int32, n+1),
+		accOff:         make([]int32, n+1),
+		edgeRow:        make([]int32, n+1),
+		defLocs:        make([]ir.LocID, 0, kept(full.defLocs)),
+		useLocs:        make([]ir.LocID, 0, kept(full.useLocs)),
+		accLocs:        make([]ir.LocID, 0, kept(full.accLocs)),
+		edgeLocs:       make([]ir.LocID, 0, nRows),
+		succOff:        make([]int32, 0, nRows+1),
+		succs:          make([]NodeID, 0, nSuccs),
+		succSlot:       make([]int32, 0, nSuccs),
 	}
-	// Filter the per-node access sets into fresh shared backing arrays.
-	var defsBuf, usesBuf []ir.LocID
-	filter := func(buf []ir.LocID, s []ir.LocID) []ir.LocID {
-		for _, l := range s {
-			if inKeep[l] {
-				buf = append(buf, l)
+	// The D̂/Û sets and the Acc slots are the full ones on kept locations,
+	// in the same order.
+	filter := func(off []int32, locs []ir.LocID, fullOff []int32, fullLocs []ir.LocID) []ir.LocID {
+		for i := 0; i < n; i++ {
+			for _, l := range fullLocs[fullOff[i]:fullOff[i+1]] {
+				if inKeep[l] {
+					locs = append(locs, l)
+				}
 			}
+			off[i+1] = int32(len(locs))
 		}
-		return buf
+		return locs
 	}
-	for i := 0; i < n; i++ {
-		d0 := len(defsBuf)
-		defsBuf = filter(defsBuf, full.Defs[i])
-		if len(defsBuf) > d0 {
-			g.Defs[i] = defsBuf[d0:len(defsBuf):len(defsBuf)]
-		}
-		u0 := len(usesBuf)
-		usesBuf = filter(usesBuf, full.Uses[i])
-		if len(usesBuf) > u0 {
-			g.Uses[i] = usesBuf[u0:len(usesBuf):len(usesBuf)]
-		}
-	}
-	// The Acc slots are the full ones on kept locations, renumbered.
+	g.defLocs = filter(g.defOff, g.defLocs, full.defOff, full.defLocs)
+	g.useLocs = filter(g.useOff, g.useLocs, full.useOff, full.useLocs)
+	g.accLocs = filter(g.accOff, g.accLocs, full.accOff, full.accLocs)
+	// slot[k] renumbers the full Acc slot k (meaningful when it is kept).
 	slot := make([]int32, len(full.accLocs))
-	g.accOff = make([]int32, n+1)
-	for node := 0; node < n; node++ {
-		g.accOff[node] = int32(len(g.accLocs))
-		for k := full.accOff[node]; k < full.accOff[node+1]; k++ {
-			if l := full.accLocs[k]; inKeep[l] {
-				slot[k] = int32(len(g.accLocs))
-				g.accLocs = append(g.accLocs, l)
-			}
+	next := int32(0)
+	for k, l := range full.accLocs {
+		slot[k] = next
+		if inKeep[l] {
+			next++
 		}
 	}
-	g.accOff[n] = int32(len(g.accLocs))
 	// Filter the CSR: keep a node's row key (and its successor run) only
 	// when the key location survives. Key order and successor order are
 	// inherited, so the restricted CSR satisfies the same invariants the
 	// cursor and binary search rely on.
-	g.edgeRow = make([]int32, n+1)
 	for node := 0; node < n; node++ {
 		g.edgeRow[node] = int32(len(g.edgeLocs))
 		for k := full.edgeRow[node]; k < full.edgeRow[node+1]; k++ {
@@ -106,8 +122,8 @@ func BuildRestricted(full *Graph, keep []ir.LocID) *Graph {
 // On a restricted graph these are the per-checker size counters; on the
 // full graph nodes ≈ NumNodes (linkage makes most sets non-empty).
 func (g *Graph) ActiveStats() (nodes, rows, triples int) {
-	for n := range g.Defs {
-		if len(g.Defs[n]) > 0 || len(g.Uses[n]) > 0 {
+	for n := range g.NumNodes() {
+		if g.defOff[n+1] > g.defOff[n] || g.useOff[n+1] > g.useOff[n] {
 			nodes++
 		}
 	}

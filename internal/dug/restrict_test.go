@@ -66,8 +66,8 @@ func TestBuildRestrictedSubset(t *testing.T) {
 						}
 					}
 				}
-				checkFiltered("Defs", g.Defs[nd], rg.Defs[nd])
-				checkFiltered("Uses", g.Uses[nd], rg.Uses[nd])
+				checkFiltered("Defs", g.DefsOf(nd), rg.DefsOf(nd))
+				checkFiltered("Uses", g.UsesOf(nd), rg.UsesOf(nd))
 			}
 			// Triples: restricted == { (from, loc, to) ∈ full : loc kept },
 			// checked both ways through Range plus the Succs accessor.

@@ -484,7 +484,7 @@ func checkSoundness(ex *Exec) []Violation {
 
 // definesLoc reports whether l is in the def-use graph's D̂ set at pt.
 func definesLoc(g *dug.Graph, pt ir.PointID, l ir.LocID) bool {
-	for _, dl := range g.Defs[dug.NodeID(pt)] {
+	for _, dl := range g.DefsOf(dug.NodeID(pt)) {
 		if dl == l {
 			return true
 		}

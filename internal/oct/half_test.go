@@ -263,3 +263,45 @@ func FuzzOctOps(f *testing.F) {
 		runOps(t, c, n, min(len(data)/4+1, 256))
 	})
 }
+
+// BenchmarkCloseClosed times the closure of an already closed octagon, the
+// common case in the fixpoint, with the half kernel and the full-matrix
+// reference side by side: each iteration copies one fixed closed matrix
+// into the same octagon and closes it. In the dense matrix every variable is bounded and
+// each neighbouring pair has a difference and a sum bound; in the sparse
+// one only x0 is bounded and x1 - x0 ≤ 3, so most entries are +∞.
+func BenchmarkCloseClosed(b *testing.B) {
+	for _, n := range []int{2, 4, 10} {
+		var dense []Constraint
+		for x := 0; x < n; x++ {
+			dense = append(dense, Constraint{Op: XLe, X: x, C: int64(10 + x)}, Constraint{Op: XGe, X: x, C: int64(-x)})
+			if y := (x + 1) % n; y != x {
+				dense = append(dense, Constraint{Op: XMinusYLe, X: x, Y: y, C: 3}, Constraint{Op: XPlusYLe, X: x, Y: y, C: int64(12 + x)})
+			}
+		}
+		sparse := []Constraint{{Op: XLe, X: 0, C: 10}, {Op: XGe, X: 0, C: 0}, {Op: XMinusYLe, X: 1, Y: 0, C: 3}}
+		for _, shape := range []struct {
+			name string
+			cs   []Constraint
+		}{{"dense", dense}, {"sparse", sparse}} {
+			half, full := Top(n).AssumeAll(shape.cs...), refTop(n).AssumeAll(shape.cs...)
+			if !half.closed || !full.closed {
+				b.Fatalf("n=%d %s: the fixed octagon is not closed", n, shape.name)
+			}
+			b.Run(fmt.Sprintf("%s/n=%d/half", shape.name, n), func(b *testing.B) {
+				c := half.clone()
+				for b.Loop() {
+					copy(c.m, half.m)
+					c.closeInPlace()
+				}
+			})
+			b.Run(fmt.Sprintf("%s/n=%d/ref", shape.name, n), func(b *testing.B) {
+				c := full.clone()
+				for b.Loop() {
+					copy(c.m, full.m)
+					c.closeInPlace()
+				}
+			})
+		}
+	}
+}

@@ -222,14 +222,27 @@ func (c *Oct) closeOwned() *Oct {
 // per pair, and the octagon fixpoint ran about 25% slower with it
 // (DESIGN §33).
 func (c *Oct) closeInPlace() bool {
+	// Scratch for packs of up to ten variables stays on the stack, in
+	// arrays sized to the pack: zeroing the largest would take a good part
+	// of a small pack's closure.
 	d := 2 * c.n
-	// Scratch for packs of up to ten variables stays on the stack.
-	var rows [2 * 20]int64
-	var cols [20]int32
-	scratch, act := rows[:], cols[:0]
-	if 2*d > len(rows) {
-		scratch, act = make([]int64, 2*d), make([]int32, 0, d)
+	switch {
+	case d <= 8:
+		var rows [2 * 8]int64
+		var cols [8]int32
+		return c.closePairs(rows[:], cols[:0])
+	case d <= 20:
+		var rows [2 * 20]int64
+		var cols [20]int32
+		return c.closePairs(rows[:], cols[:0])
 	}
+	return c.closePairs(make([]int64, 2*d), make([]int32, 0, d))
+}
+
+// closePairs is closeInPlace with scratch for two full rows and a column
+// list.
+func (c *Oct) closePairs(scratch []int64, act []int32) bool {
+	d := 2 * c.n
 	pr, qr := scratch[:d], scratch[d:2*d]
 	for p := 0; p < d; p += 2 {
 		var ok bool
@@ -251,9 +264,10 @@ func (c *Oct) closeInPlace() bool {
 // pivotRows loads into pr and qr the full rows of the pivot pair p, p+1 of
 // the half matrix m, closed over the pair (p → p+1 → j and p+1 → p → j),
 // and appends to act, in increasing order, the columns j where either row
-// is finite. It reports whether every finite bound of the rows, before and
-// after, lies strictly between ±2^62: every sum of the pair step adds two
-// of them, so then none saturates.
+// is finite. It reports whether every finite bound of the rows lies
+// strictly between ±2^60. Then the closed rows' bounds, each at most the
+// sum of three of those, lie strictly between ±2^62, and every sum of the
+// pair step adds two of them, so none saturates.
 func pivotRows(m []int64, p int, pr, qr []int64, act []int32) ([]int32, bool) {
 	q := p + 1
 	// Rows p and q are stored up to column q; beyond it, m[p][j] = m[j̄][q]
@@ -270,12 +284,12 @@ func pivotRows(m []int64, p int, pr, qr []int64, act []int32) ([]int32, bool) {
 	}
 	pq, qp := pr[q], qr[p]
 	// Adding 1 wraps the +∞ marker to the smallest int64, out of the
-	// maximum's way. A closed entry is at most its old bound unless that
-	// was +∞, so the minimum is taken after and the maximum on both.
+	// maximum's way. When a bound is out of range, the sums may wrap, but
+	// then the caller discards the rows.
 	lo, hi := int64(0), int64(0)
 	for j, a := range pr {
 		b := qr[j]
-		hi = max(hi, a+1, b+1)
+		hi, lo = max(hi, a+1, b+1), min(lo, a, b)
 		if pq != inf && b != inf && pq+b < a {
 			a = pq + b
 			pr[j] = a
@@ -284,38 +298,54 @@ func pivotRows(m []int64, p int, pr, qr []int64, act []int32) ([]int32, bool) {
 			b = qp + a
 			qr[j] = b
 		}
-		hi, lo = max(hi, a+1, b+1), min(lo, a, b)
 		if a != inf || b != inf {
 			act = append(act, int32(j))
 		}
 	}
-	return act, hi <= 1<<62 && lo > -(1<<62)
+	return act, hi <= 1<<60 && lo > -(1<<60)
 }
 
 // relax lowers every entry (i, j) of the half matrix m by the paths
 // through the pivot pair whose closed full rows are pr and qr: m[i][p] +
 // m[p][j], with m[i][p] = m[p̄][ī] = qr[ī], and m[i][q] + m[q][j], with
 // m[i][q] = pr[ī]. Only the rows and columns in act, where a pivot row is
-// finite, can change; act is increasing, so a row's columns end at the
-// first one past its length.
+// finite, can change. act is increasing, and so is the length of row ī
+// along it, so the columns of each row are a growing prefix of act; a row
+// reached through only one pivot skips the other's sums.
 func relax(m, pr, qr []int64, act []int32) {
+	k := 0
 	for _, i1 := range act {
 		i := int(i1) ^ 1
 		a, b := qr[i1], pr[i1]
 		start := (i + 1) * (i + 1) / 2
 		r := m[start : start+(i|1)+1]
-		for _, j := range act {
-			if int(j) >= len(r) {
-				break
+		for k < len(act) && int(act[k]) < len(r) {
+			k++
+		}
+		switch {
+		case a == inf:
+			for _, j := range act[:k] {
+				if y := qr[j]; y != inf {
+					r[j] = min(r[j], b+y)
+				}
 			}
-			v := r[j]
-			if x := pr[j]; a != inf && x != inf {
-				v = min(v, a+x)
+		case b == inf:
+			for _, j := range act[:k] {
+				if x := pr[j]; x != inf {
+					r[j] = min(r[j], a+x)
+				}
 			}
-			if y := qr[j]; b != inf && y != inf {
-				v = min(v, b+y)
+		default:
+			for _, j := range act[:k] {
+				v := r[j]
+				if x := pr[j]; x != inf {
+					v = min(v, a+x)
+				}
+				if y := qr[j]; y != inf {
+					v = min(v, b+y)
+				}
+				r[j] = v
 			}
-			r[j] = v
 		}
 	}
 }
@@ -398,12 +428,17 @@ func (c *Oct) finishClosure(clamped bool) bool {
 // bound, so their order does not matter.
 func (c *Oct) strengthen(x int) {
 	d := 2 * c.n
-	var buf [20]int64
-	half := buf[:]
-	if d > len(buf) {
+	var half []int64
+	switch {
+	case d <= 8:
+		var buf [8]int64
+		half = buf[:d]
+	case d <= 20:
+		var buf [20]int64
+		half = buf[:d]
+	default:
 		half = make([]int64, d)
 	}
-	half = half[:d]
 	for i := range half {
 		half[i] = inf
 		if u := c.at(bar(i), i); u != inf {

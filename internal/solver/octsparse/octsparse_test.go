@@ -235,7 +235,7 @@ func TestOctDifferential(t *testing.T) {
 					continue
 				}
 				dOut := dn.Out(s, pt)
-				for _, p := range g.Defs[dug.NodeID(pt.ID)] {
+				for _, p := range g.DefsOf(dug.NodeID(pt.ID)) {
 					so, _ := sp.Value(pt.ID, p)
 					do := dOut.Get(p)
 					switch {

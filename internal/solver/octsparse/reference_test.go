@@ -168,7 +168,7 @@ func (sv *refSolver) pushOuts(n dug.NodeID, m octsem.OMem) {
 	}
 	changed := false
 	cur := sv.g.Out(n)
-	for _, l := range sv.g.Defs[n] {
+	for _, l := range sv.g.DefsOf(n) {
 		nv := m.Get(l)
 		if nv == nil {
 			continue

@@ -78,7 +78,7 @@ func (intervals) narrow(st *solver[val.Val], passes int) {
 				continue
 			}
 			cur := g.Out(dug.NodeID(i))
-			for k, l := range g.Defs[i] {
+			for k, l := range g.DefsOf(dug.NodeID(i)) {
 				v := next[res.cbase[i]+int32(k)]
 				if v.IsBot() {
 					continue

@@ -134,7 +134,7 @@ func (r *Result[V]) Acc(n dug.NodeID) ([]ir.LocID, []V) {
 // the dense fixpoint on D̂(n).
 func (r *Result[V]) Out(n dug.NodeID) ([]ir.LocID, []V) {
 	b := r.cbase[n]
-	return boundEntries(r.g.Defs[n], r.out[b:], r.outSet[b:])
+	return boundEntries(r.g.DefsOf(n), r.out[b:], r.outSet[b:])
 }
 
 // boundEntries returns the entries among locs whose bound bits (set,
@@ -177,10 +177,10 @@ func (r *Result[V]) Entries(visit func(acc, out int)) {
 // as V's zero value.
 func (r *Result[V]) Value(pt ir.PointID, l ir.LocID) (v V, tracked bool) {
 	n := dug.NodeID(pt)
-	if i, ok := slices.BinarySearch(r.g.Defs[n], l); ok {
+	if i, ok := slices.BinarySearch(r.g.DefsOf(n), l); ok {
 		return r.out[r.cbase[n]+int32(i)], true
 	}
-	if _, ok := slices.BinarySearch(r.g.Uses[n], l); !ok {
+	if _, ok := slices.BinarySearch(r.g.UsesOf(n), l); !ok {
 		return v, false
 	}
 	if j, ok := slices.BinarySearch(r.g.InLocs(n), l); ok {
@@ -195,14 +195,14 @@ func (r *Result[V]) Value(pt ir.PointID, l ir.LocID) (v V, tracked bool) {
 // — one value and one bound bit per cell — instead of a persistent memory
 // per node that every changed push would path-copy:
 //
-//   - Out slot cbase[n]+i holds n's output on Defs[n][i].
+//   - Out slot cbase[n]+i holds n's output on DefsOf(n)[i].
 //   - Acc slot g.AccBase(n)+j holds n's accumulated input on
 //     g.InLocs(n)[j]. Values reach a node only along its in-edges, and
 //     those locations are not always in Û(n): linkage delivers values to
 //     Entry and RetBind nodes on locations they redefine.
 //
 // A transfer reads the fired node's Acc slots through a frame, which
-// collects the new values of Defs[n]; no memory is built.
+// collects the new values of DefsOf(n); no memory is built.
 type solver[V Value[V]] struct {
 	prog *ir.Program
 	pre  *prean.Result
@@ -216,7 +216,7 @@ type solver[V Value[V]] struct {
 
 	// counts are the widening safety-valve counters, by Out slot or, with
 	// perNode, by node. Per slot, slot cbase[n]+i counts the
-	// value-changing pushes of Defs[n][i]: keying the counters by location
+	// value-changing pushes of DefsOf(n)[i]: keying the counters by location
 	// (not by firing) makes a location's widening schedule a function of
 	// its own update history alone, which is what lets a solve restricted
 	// to a subset of the locations reproduce the full solve's widening
@@ -235,7 +235,7 @@ func Analyze[V Value[V]](prog *ir.Program, pre *prean.Result, dom Domain[V], g *
 	stride, perNode := dom.params()
 	cbase := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		cbase[i+1] = cbase[i] + int32(len(g.Defs[i]))
+		cbase[i+1] = cbase[i] + int32(len(g.DefsOf(dug.NodeID(i))))
 	}
 	st := &solver[V]{
 		prog:    prog,
@@ -340,7 +340,7 @@ func (st *solver[V]) fire(n dug.NodeID) {
 }
 
 // eval loads node n's input into the frame and applies n's command, so
-// that the frame's nv holds n's output on Defs[n]; a call binds the formals
+// that the frame's nv holds n's output on DefsOf(n); a call binds the formals
 // of every callee, and a phi forwards its input. It reports false for a
 // point not yet reachable (its values wait) and for a refuted assume, which
 // propagates neither values nor reachability.
@@ -363,7 +363,7 @@ func (st *solver[V]) eval(n dug.NodeID) bool {
 	return st.dom.transfer(pt, &st.f)
 }
 
-// pushOuts joins the produced values nv (one per Defs[n] entry) into n's
+// pushOuts joins the produced values nv (one per DefsOf(n) entry) into n's
 // Out slots, widens at widening nodes (and, past the safety-valve
 // thresholds, everywhere), and joins the changed values into the dependency
 // successors' Acc slots, scheduling each successor whose input grew.
@@ -375,7 +375,7 @@ func (st *solver[V]) pushOuts(n dug.NodeID, nv []V) {
 	}
 	changed := false
 	cur := st.g.Out(n)
-	for i, l := range st.g.Defs[n] {
+	for i, l := range st.g.DefsOf(n) {
 		slot := res.cbase[n] + int32(i)
 		old, bound := res.out[slot], res.outSet[slot]
 		joined, jch := st.dom.joinOut(old, bound, nv[i])
@@ -417,13 +417,13 @@ func (st *solver[V]) pushOuts(n dug.NodeID, nv []V) {
 // answers every read exactly as the persistent memory of n's bound Acc
 // slots would, reads after writes included:
 //
-//   - nv[i] (bound bit set[i]) holds the current value of Defs[n][i]. It
+//   - nv[i] (bound bit set[i]) holds the current value of DefsOf(n)[i]. It
 //     starts as the Acc slot's value on that location, or unbound.
 //   - Other locations read their Acc slot, or an unbound zero value when n
 //     has no in-edge on them.
-//   - A write outside Defs[n] is kept in extra, so that a later read in the
+//   - A write outside DefsOf(n) is kept in extra, so that a later read in the
 //     same transfer sees it; it never leaves the node, exactly as the
-//     solver only ever took Defs[n] out of a transfer's result memory.
+//     solver only ever took DefsOf(n) out of a transfer's result memory.
 //
 // Set and WeakSet update in place and return the frame, so the semantics'
 // memory-threading code runs unchanged over it.
@@ -444,7 +444,7 @@ func (st *solver[V]) load(n dug.NodeID) {
 	in := st.g.InLocs(n)
 	b := st.g.AccBase(n)
 	e := b + int32(len(in))
-	st.f.load(st.g.Defs[n], in, st.res.acc[b:e], st.res.accSet[b:e])
+	st.f.load(st.g.DefsOf(n), in, st.res.acc[b:e], st.res.accSet[b:e])
 }
 
 // load resets f to the input whose bound entries are those of in (sorted)

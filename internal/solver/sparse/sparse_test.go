@@ -351,7 +351,7 @@ int main() {
 						continue // formal bindings live at entries in the dense world
 					}
 					dOut := dn.Out(s, pt)
-					for _, l := range g.Defs[dug.NodeID(pt.ID)] {
+					for _, l := range g.DefsOf(dug.NodeID(pt.ID)) {
 						sv := outMem(sp, pt.ID).Get(l)
 						dv := dOut.Get(l)
 						if !sv.Eq(dv) {
@@ -395,7 +395,7 @@ int main() {
 			continue
 		}
 		dOut := dn.Out(s, pt)
-		for _, l := range g.Defs[dug.NodeID(pt.ID)] {
+		for _, l := range g.DefsOf(dug.NodeID(pt.ID)) {
 			if !dOut.Get(l).LessEq(outMem(sp, pt.ID).Get(l)) {
 				t.Errorf("point %d loc %s: dense %s not within sparse %s (unsound)",
 					pt.ID, prog.Locs.String(l), dOut.Get(l), outMem(sp, pt.ID).Get(l))
@@ -469,7 +469,7 @@ int main() {
 			continue
 		}
 		dOut := dn.Out(s, pt)
-		for _, l := range g.Defs[dug.NodeID(pt.ID)] {
+		for _, l := range g.DefsOf(dug.NodeID(pt.ID)) {
 			dv := dOut.Get(l)
 			sv := outMem(sp, pt.ID).Get(l)
 			if !dv.Itv().LessEq(sv.Itv()) && !sv.Itv().LessEq(dv.Itv()) {
@@ -531,7 +531,7 @@ loop:
 				continue
 			}
 			dOut := dn.Out(s, pt)
-			for _, l := range g.Defs[dug.NodeID(pt.ID)] {
+			for _, l := range g.DefsOf(dug.NodeID(pt.ID)) {
 				sv := outMem(sp, pt.ID).Get(l)
 				dv := dOut.Get(l)
 				if !sv.Eq(dv) {
@@ -583,7 +583,7 @@ func TestDifferentialGenerated(t *testing.T) {
 					continue
 				}
 				dOut := dn.Out(s, pt)
-				for _, l := range g.Defs[dug.NodeID(pt.ID)] {
+				for _, l := range g.DefsOf(dug.NodeID(pt.ID)) {
 					sv := outMem(sp, pt.ID).Get(l)
 					dv := dOut.Get(l)
 					if !sv.LessEq(dv) && !dv.LessEq(sv) {
@@ -630,7 +630,7 @@ type refSolver struct {
 
 	// counts are the widening safety-valve counters, one per (node, def
 	// location): slot cbase[n]+i counts the value-changing pushes of
-	// Defs[n][i]. Keying the counters by location (not by firing) makes a
+	// DefsOf(n)[i]. Keying the counters by location (not by firing) makes a
 	// location's widening schedule a function of its own update history
 	// alone, which is what lets a solve restricted to a subset of the
 	// locations reproduce the full solve's widening decisions exactly (the
@@ -639,13 +639,13 @@ type refSolver struct {
 	cbase  []int32
 }
 
-// refDefOffsets returns the prefix sums of len(g.Defs[n]) — the slot bases of
+// refDefOffsets returns the prefix sums of len(g.DefsOf(n)) — the slot bases of
 // the per-(node, location) widening counters.
 func refDefOffsets(g *dug.Graph) []int32 {
 	n := g.NumNodes()
 	off := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + int32(len(g.Defs[i]))
+		off[i+1] = off[i] + int32(len(g.DefsOf(dug.NodeID(i))))
 	}
 	return off
 }
@@ -740,7 +740,7 @@ func (sv *refSolver) narrow(passes int) {
 				continue
 			}
 			cur := sv.g.Out(dug.NodeID(i))
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+			for _, l := range sv.g.DefsOf(dug.NodeID(i)) {
 				v := outs[i].Get(l)
 				if v.IsBot() {
 					continue
@@ -768,7 +768,7 @@ func (sv *refSolver) narrow(passes int) {
 				continue
 			}
 			changed := false
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+			for _, l := range sv.g.DefsOf(dug.NodeID(i)) {
 				if _, ch := sv.res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
 					changed = true
 					break
@@ -778,7 +778,7 @@ func (sv *refSolver) narrow(passes int) {
 				continue
 			}
 			refreshed := sv.res.Out[i]
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+			for _, l := range sv.g.DefsOf(dug.NodeID(i)) {
 				refreshed = refreshed.Set(l, sv.res.Out[i].Get(l).Narrow(out.Get(l)))
 			}
 			stable = false
@@ -862,7 +862,7 @@ func (sv *refSolver) pushOuts(n dug.NodeID, m mem.Mem) {
 	}
 	base := sv.cbase[n]
 	cur := sv.g.Out(n)
-	for i, l := range sv.g.Defs[n] {
+	for i, l := range sv.g.DefsOf(n) {
 		nv := m.Get(l)
 		old := sv.res.Out[n].Get(l)
 		// Fused join: the steady-state case (nv ⊑ old) is a comparison with
