@@ -1,6 +1,8 @@
 package dug
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -291,4 +293,68 @@ int main() {
 		t.Error("truncation marker missing")
 	}
 	_ = prog
+}
+
+// TestArenaCompaction drives the adjacency arena with random appends,
+// swap-with-last removals and relay kills, the row edits of the bypass, and
+// checks every row against a plain slice after each edit. The arena starts
+// with little or no slack, so rows move, grow in place at its end,
+// compact many times (moved rows and home rows alike) and force
+// reallocations; a compaction must keep every row's entries and their
+// order.
+func TestArenaCompaction(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nOut, nIn := 1+r.Intn(20), 1+r.Intn(20)
+		model := make([][]edgeRef, nOut+nIn)
+		var a adjacency
+		a.out, a.in = make([]span, nOut), make([]span, nIn)
+		for id := range model {
+			s := a.span(id)
+			s.off = int32(len(a.refs))
+			for range 1 + r.Intn(3) {
+				e := edgeRef{node: NodeID(r.Intn(12)), row: int32(r.Intn(1000))}
+				if !slices.ContainsFunc(model[id], func(x edgeRef) bool { return x.node == e.node }) {
+					model[id] = append(model[id], e)
+					a.refs = append(a.refs, e)
+				}
+			}
+			s.len = int32(len(model[id]))
+			s.cap = s.len
+		}
+		a.refs = slices.Clip(a.refs)
+		if seed%2 == 0 {
+			a.refs = slices.Grow(a.refs, r.Intn(8))
+		}
+		a.home = int32(len(a.refs))
+		for step := 0; step < 400; step++ {
+			id := r.Intn(len(model))
+			s := a.span(id)
+			switch op := r.Intn(10); {
+			case op < 6:
+				e := edgeRef{node: NodeID(r.Intn(12)), row: int32(r.Intn(1000))}
+				a.add(s, e)
+				if !slices.ContainsFunc(model[id], func(x edgeRef) bool { return x.node == e.node }) {
+					model[id] = append(model[id], e)
+				}
+			case op < 9:
+				if len(model[id]) == 0 {
+					continue
+				}
+				n := model[id][r.Intn(len(model[id]))].node
+				a.remove(s, n)
+				i := slices.IndexFunc(model[id], func(x edgeRef) bool { return x.node == n })
+				model[id][i] = model[id][len(model[id])-1]
+				model[id] = model[id][:len(model[id])-1]
+			default:
+				s.len = 0 // a spliced relay's rows
+				model[id] = nil
+			}
+			for id, want := range model {
+				if got := a.row(*a.span(id)); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: row %d = %v, want %v", seed, step, id, got, want)
+				}
+			}
+		}
+	}
 }
