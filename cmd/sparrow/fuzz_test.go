@@ -21,7 +21,8 @@ type fuzzFlag struct {
 }
 
 // fuzzFlags is the flag surface of run: every documented flag, plus unknown
-// ones (-workers among them), which must be usage errors.
+// ones (the removed -no-degrade and -workers among them), which must be
+// usage errors.
 var fuzzFlags = []fuzzFlag{
 	{name: "domain", vals: []string{"interval", "octagon"}},
 	{name: "mode", vals: []string{"vanilla", "base", "sparse"}},

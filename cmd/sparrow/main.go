@@ -6,7 +6,7 @@
 //	sparrow [-domain interval|octagon] [-mode vanilla|base|sparse]
 //	        [-checkers buf,null,div,uninit|all] [-restricted]
 //	        [-duchains] [-nobypass] [-narrow N]
-//	        [-timeout D] [-mem-budget N[KMG]] [-no-degrade]
+//	        [-timeout D] [-mem-budget N[KMG]]
 //	        [-cpuprofile f] [-memprofile f] [-globals] [-stats] [-stats-json]
 //	        file.c
 //
@@ -22,7 +22,7 @@
 //	3 — analysis error (frontend problem, invalid configuration, or an
 //	    internal failure recovered into a structured error)
 //	4 — resource budget breached: the deadline or memory budget stopped the
-//	    analysis, or it completed only after degrading (see -no-degrade)
+//	    analysis
 package main
 
 import (
@@ -89,9 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	duchains := fs.Bool("duchains", false, "use conventional def-use chains (less precise; sparse interval only)")
 	nobypass := fs.Bool("nobypass", false, "disable the chain-bypass optimization")
 	narrow := fs.Int("narrow", 0, "descending (narrowing) sweeps after the ascending fixpoint (dense and sparse interval modes)")
-	timeout := fs.Duration("timeout", 0, "wall-clock deadline per analysis attempt; on breach the engine degrades (see -no-degrade) or exits 4 (0 = none)")
-	memBudget := fs.String("mem-budget", "", "soft heap budget with optional K/M/G suffix, e.g. 512M; on breach the engine degrades or exits 4 (\"\" = none)")
-	noDegrade := fs.Bool("no-degrade", false, "fail immediately (exit 4) on a deadline/memory breach instead of retrying cheaper configurations")
+	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the whole analysis; on breach the run stops and exits 4 (0 = none)")
+	memBudget := fs.String("mem-budget", "", "soft heap budget with optional K/M/G suffix, e.g. 512M; on breach the run stops and exits 4 (\"\" = none)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	globals := fs.Bool("globals", false, "print the final interval of every global variable")
@@ -152,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Narrow:       *narrow,
 		Deadline:     *timeout,
 		MemBudget:    budget,
-		NoDegrade:    *noDegrade,
 		Metrics:      metrics.New(),
 	}
 	if *checkers != "" {
@@ -189,10 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitBudget
 		}
 		return fail(err)
-	}
-	if len(res.Degraded) > 0 {
-		fmt.Fprintf(stderr, "sparrow: analysis degraded under the resource budget: %s (results below are sound for the degraded configuration)\n",
-			strings.Join(res.Degraded, ", "))
 	}
 	// The frontend accepts translation units without an entry point (it
 	// synthesizes an empty __start), so the analysis "succeeds" on inputs
@@ -232,14 +226,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			runs = append(runs, cr)
 		}
 	}
-	// Final code: budget effects (degradation, truncation) dominate the
-	// alarm signal — a caller that gets 4 knows to re-run with more budget.
 	exit := exitClean
 	if len(alarms) > 0 {
 		exit = exitAlarms
-	}
-	if len(res.Degraded) > 0 || res.Stats.TimedOut {
-		exit = exitBudget
 	}
 	if *statsJSON {
 		rep := res.MetricsReport()
@@ -249,17 +238,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "%s\n", b)
-		if res.Stats.TimedOut {
-			fmt.Fprintln(stderr, "sparrow: analysis timed out (partial results)")
-		}
 		return exit
 	}
-	if res.Stats.TimedOut {
-		fmt.Fprintln(stdout, "analysis timed out (partial results below)")
-	}
 	if *stats {
-		// res.Opts is the configuration that actually ran, which under a
-		// breached budget is a degradation rung below the requested one.
 		s := res.Stats
 		fmt.Fprintf(stdout, "%s/%s: LOC=%d functions=%d statements=%d blocks=%d maxSCC=%d abslocs=%d\n",
 			res.Opts.Domain, res.Opts.Mode, s.LOC, s.Functions, s.Statements, s.Blocks, s.MaxSCC, s.AbsLocs)

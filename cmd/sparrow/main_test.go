@@ -269,19 +269,19 @@ func TestRestrictedAgreesWithDefault(t *testing.T) {
 }
 
 // TestBudgetFlags pins the resource-limit surface: an impossible deadline
-// exits 4 with a diagnostic (after exhausting the degradation ladder), and
-// -no-degrade fails on the first breach. A generous deadline changes
-// nothing: exit 0 and no degradation notice.
+// exits 4 with a diagnostic naming the breach, and the removed -no-degrade
+// is a usage error. A generous deadline changes nothing: exit 0 and an
+// empty stderr.
 func TestBudgetFlags(t *testing.T) {
 	code, _, errb := runCLI(t, "-timeout", "1ns", "testdata/good.c")
 	if code != 4 {
 		t.Fatalf("impossible deadline: exit %d want 4, stderr: %s", code, errb)
 	}
-	if !strings.Contains(errb, "deadline") {
-		t.Errorf("stderr %q does not mention the deadline", errb)
+	if !strings.Contains(errb, "deadline exceeded") || strings.Contains(errb, "degrad") {
+		t.Errorf("stderr %q does not name the deadline breach alone", errb)
 	}
-	if code, _, errb := runCLI(t, "-timeout", "1ns", "-no-degrade", "testdata/good.c"); code != 4 || strings.Contains(errb, "degrading") {
-		t.Errorf("-no-degrade: exit %d, stderr %q", code, errb)
+	if code, _, errb := runCLI(t, "-timeout", "1ns", "-no-degrade", "testdata/good.c"); code != 2 {
+		t.Errorf("-no-degrade: exit %d want 2, stderr %q", code, errb)
 	}
 	if code, out, errb := runCLI(t, "-timeout", "1h", "-mem-budget", "4G", "testdata/good.c"); code != 0 || errb != "" {
 		t.Errorf("generous budget: exit %d, stderr %q, stdout %q", code, errb, out)

@@ -111,29 +111,19 @@ type Options struct {
 	// and the run returns a *BudgetError wrapping context.Canceled. nil
 	// means no cancellation.
 	Ctx context.Context
-	// Deadline bounds each analysis attempt's wall-clock time. On breach
-	// the engine walks the degradation ladder — octagon→interval, then skip
-	// narrowing, then a per-checker restricted solve — granting each rung a
-	// fresh window, and only returns a *BudgetError once every rung has
-	// breached; completed rungs are stamped in Result.Degraded. Unlike
-	// MaxSteps (which truncates the fixpoint and returns a partial result),
-	// a Deadline never yields unsound partial memories.
+	// Deadline bounds the wall-clock time of the whole call. A breach
+	// returns a *BudgetError at once. Unlike MaxSteps (which truncates the
+	// fixpoint and returns a partial result), a Deadline never yields
+	// unsound partial memories.
 	Deadline time.Duration
 	// MemBudget is a soft cap, in bytes, on sampled heap growth above the
 	// baseline at analysis start (internal/metrics heap sampler; 5ms
-	// granularity). Breaches degrade exactly like Deadline breaches.
+	// granularity). A breach ends the run like a Deadline breach.
 	MemBudget uint64
-	// NoDegrade disables the degradation ladder: the first deadline or heap
-	// breach returns a *BudgetError immediately.
-	NoDegrade bool
 	// FaultHook is the fault-injection checkpoint hook (internal/faultinject;
 	// tests only). Installing it activates the budget layer even when no
 	// limit is set.
 	FaultHook rt.Hook
-
-	// restricted marks a degradation-ladder attempt that solves only the
-	// per-checker restricted graph (set by degradeStep, never by callers).
-	restricted bool
 }
 
 // Kinds returns the checker kinds the run reports: Options.Checkers, or
@@ -187,13 +177,6 @@ type Result struct {
 	Prog  *ir.Program
 	Opts  Options
 	Stats Stats
-
-	// Degraded lists the degradation-ladder rungs taken before this result
-	// was produced, in order (e.g. ["octagon-to-interval"]). Empty for a
-	// full-fidelity run. A degraded result is still sound — each rung is a
-	// coarser but correct analysis — and Opts reflects the configuration
-	// that actually ran.
-	Degraded []string
 
 	bud   *rt.Budget // active budget (nil on the unbudgeted path)
 	phase string     // pipeline stage in flight, for panic attribution
@@ -282,30 +265,12 @@ func validateOptions(opt Options) error {
 	return nil
 }
 
-// degradeStep picks the next degradation-ladder rung for a breached
-// configuration: a strictly cheaper analysis that is still sound.
-func degradeStep(opt Options) (Options, string, bool) {
-	switch {
-	case opt.Domain == Octagon:
-		opt.Domain = Interval
-		return opt, "octagon-to-interval", true
-	case opt.Narrow > 0:
-		opt.Narrow = 0
-		return opt, "skip-narrowing", true
-	case opt.Mode == Sparse && !opt.DefUseChains && !opt.restricted:
-		opt.restricted = true
-		return opt, "restricted-checkers", true
-	}
-	return opt, "", false
-}
-
 // AnalyzeProgram analyzes an already-lowered program.
 //
 // With a budget configured (Ctx, Deadline, MemBudget, or FaultHook), the
-// analysis is attempt-structured: a breach discards the attempt, degrades
-// the configuration one ladder rung (unless NoDegrade or a cancellation),
-// and retries with a fresh budget window. Panics anywhere inside an attempt
-// surface as *AnalysisError, never as a crash.
+// analysis runs once under that budget, and its first breach returns a
+// *BudgetError. Panics anywhere inside the analysis surface as
+// *AnalysisError, never as a crash.
 func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 	if err := validateOptions(opt); err != nil {
 		return nil, err
@@ -317,43 +282,20 @@ func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 		Hook:       opt.FaultHook,
 		Metrics:    opt.Metrics,
 	})
-	if bud == nil {
-		return analyzeAttempt(prog, opt, nil)
-	}
 	defer bud.Close()
-	var degraded []string
-	cur := opt
-	for {
-		bud.Reset()
-		res, err := analyzeAttempt(prog, cur, bud)
-		reason := bud.Reason()
-		if err != nil {
-			be, isBudget := err.(*BudgetError)
-			if !isBudget {
-				return nil, err // *AnalysisError or a mode error: no ladder
-			}
-			reason = be.Reason
-		} else if reason == rt.OK {
-			res.Degraded = degraded
-			return res, nil
-		}
-		if reason == rt.ReasonCanceled || cur.NoDegrade {
-			return nil, &BudgetError{Reason: reason, Degraded: degraded}
-		}
-		next, step, ok := degradeStep(cur)
-		if !ok {
-			return nil, &BudgetError{Reason: reason, Degraded: degraded}
-		}
-		degraded = append(degraded, step)
-		bud.DegradeStep()
-		cur = next
+	res, err := analyzeAttempt(prog, opt, bud)
+	if reason := bud.Reason(); err == nil && reason != rt.OK {
+		// Only the fixpoint loops poll without aborting: a breach that let
+		// the pipeline finish cut a solve short.
+		return nil, &BudgetError{Reason: reason, Phase: rt.PhaseFix.String()}
 	}
+	return res, err
 }
 
-// analyzeAttempt runs one full pipeline pass under bud (nil = unbudgeted,
-// today's exact code path). It is the panic-isolation boundary: any panic
-// below here is recovered into *AnalysisError, and budget aborts from
-// phases that cannot return partial results (rt.Abort) become *BudgetError.
+// analyzeAttempt runs the pipeline once under bud (nil = unbudgeted). It is
+// the panic-isolation boundary: any panic below here is recovered into
+// *AnalysisError, and budget aborts from phases that cannot return partial
+// results (rt.Abort) become *BudgetError.
 func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result, err error) {
 	r := &Result{Prog: prog, Opts: opt, col: opt.Metrics, bud: bud, phase: "setup"}
 	defer func() {
@@ -515,10 +457,9 @@ func runDense[M dense.Mem[M, K], K any](r *Result, opt Options, s dense.Sem[M], 
 	return res
 }
 
-// runSparse builds the def-use graph with build, restricts it on the
-// restricted-checkers rung, runs the sparse fixpoint of dom on it, and
-// records the graph statistics, the outcome and the phase times. FixTime
-// includes the restriction.
+// runSparse builds the def-use graph with build, runs the sparse fixpoint
+// of dom on it, and records the graph statistics, the outcome and the phase
+// times.
 func runSparse[V sparse.Value[V]](r *Result, opt Options, dom sparse.Domain[V], build func(dug.Options) *dug.Graph) *sparse.Result[V] {
 	r.phase = "dug_build"
 	t := time.Now()
@@ -528,9 +469,6 @@ func runSparse[V sparse.Value[V]](r *Result, opt Options, dom sparse.Domain[V], 
 	r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
 	r.phase = "fixpoint"
 	t = time.Now()
-	if opt.restricted {
-		r.graph = r.restrictAll(r.graph)
-	}
 	stop = opt.Metrics.Phase(metrics.PhaseFix)
 	res := sparse.Analyze(r.Prog, r.pre, dom, r.graph, sparse.Options{
 		MaxSteps: opt.MaxSteps,

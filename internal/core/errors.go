@@ -3,8 +3,7 @@
 //
 //	*ConfigError    the Options combination is invalid (caller bug)
 //	*AnalysisError  a panic escaped an analysis phase (engine bug, isolated)
-//	*BudgetError    deadline/heap/cancellation breach after the degradation
-//	                ladder (if any) was exhausted
+//	*BudgetError    deadline/heap/cancellation breach
 //
 // All are errors.As-matchable; BudgetError additionally unwraps to
 // context.DeadlineExceeded or context.Canceled so generic context plumbing
@@ -13,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	rt "sparrow/internal/runtime"
 )
@@ -45,21 +43,16 @@ func (e *AnalysisError) Error() string {
 
 // BudgetError reports that an analysis could not complete within its
 // resource budget: the context was canceled, or the wall-clock deadline or
-// heap budget was breached and every degradation rung (Degraded lists the
-// ones attempted) breached too.
+// heap budget was breached.
 type BudgetError struct {
-	Reason   rt.Reason
-	Phase    string   // stage active at the final breach ("" when unknown)
-	Degraded []string // ladder rungs attempted before giving up
+	Reason rt.Reason
+	Phase  string // checkpoint phase of the breach: "prean", "dug" or "fix"
 }
 
 func (e *BudgetError) Error() string {
 	msg := fmt.Sprintf("core: analysis aborted: %s", e.Reason)
 	if e.Phase != "" {
 		msg += " during " + e.Phase
-	}
-	if len(e.Degraded) > 0 {
-		msg += " (after degrading: " + strings.Join(e.Degraded, ", ") + ")"
 	}
 	return msg
 }

@@ -17,8 +17,8 @@
 // and division by zero usually do), and the last two steps depend on the
 // universe only: an equal keep set filters the same graph, and the
 // sequential solver is deterministic on it. So a kind whose keep set equals
-// that of the previous restricted solve on the same graph reuses that solve
-// and only runs its own checker (CheckerRun.SharedWith).
+// that of the previous restricted solve reuses that solve and only runs its
+// own checker (CheckerRun.SharedWith).
 package core
 
 import (
@@ -68,18 +68,17 @@ type CheckerRun struct {
 // restrictedSolve is one solved restricted graph, kept on the Result so the
 // next kind with the same universe can reuse it.
 type restrictedSolve struct {
-	graph                *dug.Graph // the graph it was filtered from
 	keep                 []ir.LocID
 	kind                 check.Kind // the kind whose call solved it
 	nodes, rows, triples int
 	sres                 *sparse.Result[val.Val]
 }
 
-// reuseSolve returns the kept solve if it was filtered from the current
-// graph with exactly keep. Otherwise it drops the kept solve, so that at
-// most one solved result is alive beside the one the caller builds next.
+// reuseSolve returns the kept solve if it was filtered with exactly keep.
+// Otherwise it drops the kept solve, so that at most one solved result is
+// alive beside the one the caller builds next.
 func (r *Result) reuseSolve(keep []ir.LocID) *restrictedSolve {
-	if s := r.lastSolve; s != nil && s.graph == r.graph && slices.Equal(s.keep, keep) {
+	if s := r.lastSolve; s != nil && slices.Equal(s.keep, keep) {
 		return s
 	}
 	r.lastSolve = nil
@@ -130,29 +129,10 @@ func restrCounters(k check.Kind) (nodes, rows, triples metrics.Counter, ok bool)
 	return 0, 0, 0, false
 }
 
-// restrictAll is the degradation ladder's cheapest rung, a filter between
-// the def-use-graph build and the fixpoint: it keeps only the part of g the
-// run's checkers can observe (the union of their keep sets). Alarms for the
-// selected kinds are exact by the restriction contract; abstract memories
-// outside the kept location universe are simply not tracked, which is why
-// this runs only as a last resort before a structured timeout. The
-// restricted graph is not necessarily much smaller: on generated programs
-// it keeps 99.1–99.8% of the triples, so this rung saves little there. A
-// restricted solve kept by AnalyzeChecker is keyed on the graph it filtered
-// and so is never reused on the returned one.
-func (r *Result) restrictAll(g *dug.Graph) *dug.Graph {
-	stop := r.col.Phase(metrics.PhaseRestrict)
-	defer stop()
-	return dug.BuildRestricted(g, r.keepSet(r.Opts.kinds()...))
-}
-
-// keepSet is the restricted location universe of kinds: their observed
+// keepSet is the restricted location universe of kind: its observed
 // locations and the control seeds, closed backward over the D̂/Û index.
-func (r *Result) keepSet(kinds ...check.Kind) []ir.LocID {
-	var observed []ir.LocID
-	for _, k := range kinds {
-		observed = ir.MergeLocs(nil, observed, check.CheckerFor(k).Observed(r.Prog, r.isem, r.pre.Mem))
-	}
+func (r *Result) keepSet(kind check.Kind) []ir.LocID {
+	observed := check.CheckerFor(kind).Observed(r.Prog, r.isem, r.pre.Mem)
 	seeds := ir.MergeLocs(nil, observed, r.controlSeedsMemo())
 	return r.closureMemo().Closure(seeds)
 }
@@ -165,12 +145,11 @@ func (r *Result) keepSet(kinds ...check.Kind) []ir.LocID {
 // the full run's alarms of the kind. The restricted graph is rarely small:
 // on generated programs it keeps 99.1–99.8% of the full triples, which is
 // why solves are shared. If kind's keep set equals that of the previous
-// restricted solve on the same graph (and that solve did not time out),
-// this call reuses its graph statistics and fixpoint and runs only kind's
-// checker; SharedWith names the kind that paid for the solve. The solve
-// feeds its work counters nowhere: the run collector keeps the full solve's
-// numbers, and only the restr_* size counters and the restricted phase
-// time are recorded.
+// restricted solve (and that solve did not time out), this call reuses its
+// graph statistics and fixpoint and runs only kind's checker; SharedWith
+// names the kind that paid for the solve. The solve feeds its work counters
+// nowhere: the run collector keeps the full solve's numbers, and only the
+// restr_* size counters and the restricted phase time are recorded.
 func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 	if r.sres == nil {
 		return nil, fmt.Errorf("core: AnalyzeChecker requires a completed sparse interval run")
@@ -188,7 +167,7 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 	var solve time.Duration
 	if !shared {
 		rg := dug.BuildRestricted(r.graph, keep)
-		s = &restrictedSolve{graph: r.graph, keep: keep, kind: kind}
+		s = &restrictedSolve{keep: keep, kind: kind}
 		s.nodes, s.rows, s.triples = rg.ActiveStats()
 		ts := time.Now()
 		s.sres = sparse.Analyze(r.Prog, r.pre, sparse.Intervals(r.isem), rg, sparse.Options{

@@ -78,6 +78,14 @@ func sameRun(got, want *CheckerRun) string {
 	return ""
 }
 
+func alarmStrings(as []check.Alarm) []string {
+	out := make([]string, len(as))
+	for i, a := range as {
+		out[i] = a.String()
+	}
+	return out
+}
+
 // TestSharedSolveExact pins the sharing contract: whatever order the kinds
 // run in on one Result, each run equals that kind's run alone on a fresh
 // Result, and a run reuses a solve exactly when its keep set equals the
@@ -164,41 +172,6 @@ func TestSharedSolveTimedOut(t *testing.T) {
 		if run.TimedOut || (run.SharedWith != nil) != (i == 1) {
 			t.Errorf("unbounded %v: timed out %v, shared %v; want shared only for the second call", k, run.TimedOut, run.SharedWith)
 		}
-	}
-}
-
-// TestSharedSolveGraphSwap: the kept solve is keyed on the graph, so it is
-// not reused after the restricted rung's filter replaces the graph, even for
-// an equal keep set, and runs on the swapped graph match a fresh Result's.
-func TestSharedSolveGraphSwap(t *testing.T) {
-	src := corpusFile(t, "uninit.c")
-	swap := func(res *Result) { res.graph = res.restrictAll(res.graph) }
-	res := analyzeAllKinds(t, "uninit.c", src)
-	before, err := res.AnalyzeChecker(check.UninitRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := res.keepSet(check.UninitRead)
-	swap(res)
-	if !slices.Equal(res.keepSet(check.UninitRead), keep) {
-		t.Fatal("uninit.c: the swap changed uninit's keep set; the test needs it unchanged")
-	}
-	after, err := res.AnalyzeChecker(check.UninitRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.SharedWith != nil || after.FullTriples >= before.FullTriples {
-		t.Errorf("after the swap: shared %v, full triples %d (before %d); want an own solve on the smaller graph",
-			after.SharedWith, after.FullTriples, before.FullTriples)
-	}
-	fresh := analyzeAllKinds(t, "uninit.c", src)
-	swap(fresh)
-	want, err := fresh.AnalyzeChecker(check.UninitRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := sameRun(after, want); diff != "" {
-		t.Error(diff)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +91,8 @@ func TestFixpointPanicBecomesAnalysisError(t *testing.T) {
 }
 
 // TestPreCanceledContext checks that cancellation returns a *BudgetError
-// unwrapping to context.Canceled, without walking the degradation ladder.
+// unwrapping to context.Canceled, raised at the first pre-analysis
+// checkpoint.
 func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -106,141 +106,93 @@ func TestPreCanceledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err does not unwrap to context.Canceled: %v", err)
 	}
-	if len(be.Degraded) != 0 {
-		t.Errorf("canceled run walked the ladder: %v", be.Degraded)
+	if be.Phase != "prean" {
+		t.Errorf("Phase = %q want prean", be.Phase)
 	}
 }
 
-// TestDegradationLadderOctagonToInterval is the end-to-end ladder check: an
-// octagon-sparse run whose first attempt breaches its deadline (a one-shot
-// injected stall) degrades to interval-sparse, completes, and reports the
-// same alarms and exit state as a direct interval-sparse run.
-func TestDegradationLadderOctagonToInterval(t *testing.T) {
-	plan := faultinject.NewPlan(faultinject.Fault{
-		Kind: faultinject.Slow, Phase: rt.PhasePrean, At: 1, Delay: 400 * time.Millisecond,
-	})
-	res, err := AnalyzeSource("ladder.c", demo, Options{
-		Domain: Octagon, Mode: Sparse,
-		Deadline:  100 * time.Millisecond,
-		FaultHook: plan.Hook(),
-	})
+// TestBreachEndsRun checks that the first budget breach ends the analysis:
+// whatever breaches (deadline, stall, heap spike, cancellation), the call
+// returns a *BudgetError with the breach's reason, sentinel and phase, and
+// the checkpoint hook sees the pre-analysis polled by one run only — a
+// breach is never followed by another attempt.
+func TestBreachEndsRun(t *testing.T) {
+	base := Options{Domain: Octagon, Mode: Sparse, Narrow: 2}
+	// analyze runs base under plan and counts the pre-analysis polls.
+	analyze := func(opt Options, plan *faultinject.Plan) (preanPolls int, err error) {
+		hook := plan.Hook()
+		opt.FaultHook = func(p rt.Phase, n uint64) {
+			if p == rt.PhasePrean {
+				preanPolls++
+			}
+			hook(p, n)
+		}
+		_, err = AnalyzeSource("breach.c", demo, opt)
+		return preanPolls, err
+	}
+	fullPrean, err := analyze(base, faultinject.NewPlan())
 	if err != nil {
-		t.Fatalf("degraded analysis failed outright: %v", err)
-	}
-	if len(res.Degraded) != 1 || res.Degraded[0] != "octagon-to-interval" {
-		t.Fatalf("Degraded = %v, want [octagon-to-interval]", res.Degraded)
-	}
-	if res.Opts.Domain != Interval {
-		t.Errorf("executed domain = %v, want Interval", res.Opts.Domain)
-	}
-	if !plan.FiredKind(faultinject.Slow) {
-		t.Error("stall fault never fired; the breach came from elsewhere")
+		t.Fatalf("unbudgeted run: %v", err)
 	}
 
-	direct, err := AnalyzeSource("ladder.c", demo, Options{Domain: Interval, Mode: Sparse})
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name      string
+		deadline  time.Duration
+		memBudget uint64
+		faults    []faultinject.Fault
+		cancel    bool
+		reason    rt.Reason
+		sentinel  error
+		phase     string
+		prean     int // pre-analysis polls up to the breach
+	}{
+		{name: "deadline", deadline: time.Nanosecond,
+			reason: rt.ReasonDeadline, sentinel: context.DeadlineExceeded, phase: "prean", prean: 1},
+		{name: "stall", deadline: 100 * time.Millisecond,
+			faults: []faultinject.Fault{{Kind: faultinject.Slow, Phase: rt.PhaseDUG, At: 1, Delay: 200 * time.Millisecond}},
+			reason: rt.ReasonDeadline, sentinel: context.DeadlineExceeded, phase: "dug", prean: fullPrean},
+		// The stall after the spike lets the 5ms heap sampler see it before
+		// the checkpoint's own checks run.
+		{name: "alloc-spike", memBudget: 16 << 20,
+			faults: []faultinject.Fault{
+				{Kind: faultinject.AllocSpike, Phase: rt.PhaseDUG, At: 1, Bytes: 64 << 20},
+				{Kind: faultinject.Slow, Phase: rt.PhaseDUG, At: 1, Delay: 100 * time.Millisecond},
+			},
+			reason: rt.ReasonHeap, sentinel: context.DeadlineExceeded, phase: "dug", prean: fullPrean},
+		{name: "cancel", cancel: true,
+			faults: []faultinject.Fault{{Kind: faultinject.Cancel, Phase: rt.PhasePrean, At: 1}},
+			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: "prean", prean: 1},
 	}
-	if diffs, err := DiffSparseRuns(res, direct, 5); err != nil {
-		t.Fatalf("diff: %v", err)
-	} else if len(diffs) != 0 {
-		t.Errorf("degraded result differs from direct interval-sparse run: %v", diffs)
-	}
-	if got, want := len(res.Alarms()), len(direct.Alarms()); got != want {
-		t.Errorf("degraded run has %d alarms, direct run %d", got, want)
-	}
-}
-
-// TestLadderCompletesRestrictedRung walks the ladder down to its last rung
-// and lets that rung finish: two one-shot stalls breach the first two
-// attempts (prean checkpoint ordinals run on across attempts, so the second
-// stall waits at ordinal 2), and the restricted attempt completes. Its
-// alarms of every kind must equal those of a direct full run of the
-// configuration it degraded to.
-func TestLadderCompletesRestrictedRung(t *testing.T) {
-	for _, name := range []string{"overruns.c", "uninit.c"} {
-		t.Run(name, func(t *testing.T) {
-			src := corpusFile(t, name)
-			plan := faultinject.NewPlan(
-				faultinject.Fault{Kind: faultinject.Slow, Phase: rt.PhasePrean, At: 1, Delay: 400 * time.Millisecond},
-				faultinject.Fault{Kind: faultinject.Slow, Phase: rt.PhasePrean, At: 2, Delay: 400 * time.Millisecond},
-			)
-			res, err := AnalyzeSource(name, src, Options{
-				Domain: Interval, Mode: Sparse, Narrow: 2, Checkers: check.AllKinds,
-				Deadline:  100 * time.Millisecond,
-				FaultHook: plan.Hook(),
-			})
-			if err != nil {
-				t.Fatalf("degraded analysis failed outright: %v", err)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := faultinject.NewPlan(tc.faults...)
+			defer plan.Release()
+			opt := base
+			opt.Deadline, opt.MemBudget = tc.deadline, tc.memBudget
+			if tc.cancel {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				plan.BindCancel(cancel)
+				opt.Ctx = ctx
 			}
-			if want := []string{"skip-narrowing", "restricted-checkers"}; !slices.Equal(res.Degraded, want) {
-				t.Fatalf("Degraded = %v, want %v", res.Degraded, want)
+			prean, err := analyze(opt, plan)
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("err = %v, want *BudgetError", err)
 			}
-			if len(plan.Fired()) != 2 || !res.Opts.restricted {
-				t.Fatalf("fired %v, restricted %v; want both stalls and the restricted rung", plan.Fired(), res.Opts.restricted)
+			if be.Reason != tc.reason || be.Phase != tc.phase {
+				t.Errorf("breach %v during %q, want %v during %q", be.Reason, be.Phase, tc.reason, tc.phase)
 			}
-			direct, err := AnalyzeSource(name, src, Options{Domain: Interval, Mode: Sparse, Checkers: check.AllKinds})
-			if err != nil {
-				t.Fatal(err)
+			if !errors.Is(err, tc.sentinel) {
+				t.Errorf("err %v does not unwrap to %v", err, tc.sentinel)
 			}
-			got, want := alarmStrings(res.Alarms()), alarmStrings(direct.Alarms())
-			if len(want) == 0 {
-				t.Fatal("the direct run raises no alarm; the comparison would be vacuous")
+			if len(plan.Fired()) != len(tc.faults) {
+				t.Errorf("fired %v of %v", plan.Fired(), tc.faults)
 			}
-			if !slices.Equal(got, want) {
-				t.Errorf("restricted rung alarms\n  %v\nwant\n  %v", got, want)
+			if prean != tc.prean {
+				t.Errorf("pre-analysis polled %d times, want %d (a full run polls %d)", prean, tc.prean, fullPrean)
 			}
 		})
-	}
-}
-
-func alarmStrings(as []check.Alarm) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.String()
-	}
-	return out
-}
-
-// TestLadderExhaustsToBudgetError checks the ladder bottom: with a deadline
-// no configuration can meet, every rung is attempted and the final error
-// lists them all and unwraps to context.DeadlineExceeded.
-func TestLadderExhaustsToBudgetError(t *testing.T) {
-	_, err := AnalyzeSource("exhaust.c", demo, Options{
-		Domain: Octagon, Mode: Sparse, Narrow: 2,
-		Deadline: time.Nanosecond,
-	})
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err does not unwrap to DeadlineExceeded: %v", err)
-	}
-	want := []string{"octagon-to-interval", "skip-narrowing", "restricted-checkers"}
-	if len(be.Degraded) != len(want) {
-		t.Fatalf("Degraded = %v, want %v", be.Degraded, want)
-	}
-	for i := range want {
-		if be.Degraded[i] != want[i] {
-			t.Fatalf("Degraded = %v, want %v", be.Degraded, want)
-		}
-	}
-}
-
-// TestNoDegradeFailsFast checks NoDegrade turns the first breach into the
-// final error without retrying cheaper configurations.
-func TestNoDegradeFailsFast(t *testing.T) {
-	_, err := AnalyzeSource("nodegrade.c", demo, Options{
-		Domain: Octagon, Mode: Sparse,
-		Deadline: time.Nanosecond, NoDegrade: true,
-	})
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
-	}
-	if len(be.Degraded) != 0 {
-		t.Errorf("NoDegrade still degraded: %v", be.Degraded)
 	}
 }
 
@@ -259,9 +211,6 @@ func TestBudgetedRunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(budgeted.Degraded) != 0 {
-		t.Fatalf("budgeted run degraded: %v", budgeted.Degraded)
-	}
 	if diffs, err := DiffSparseRuns(plain, budgeted, 5); err != nil {
 		t.Fatal(err)
 	} else if len(diffs) != 0 {
@@ -274,7 +223,8 @@ func TestBudgetedRunBitIdentical(t *testing.T) {
 
 // TestMidFlightCancellationNoLeaks drives mid-flight cancellation (an
 // injected Cancel fault) through the sparse solver and the graph builder
-// and checks no goroutine survives the aborted analysis.
+// and checks that the error names the phase and no goroutine survives the
+// aborted analysis.
 func TestMidFlightCancellationNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	for _, phase := range []rt.Phase{rt.PhaseDUG, rt.PhaseFix} {
@@ -296,8 +246,9 @@ func TestMidFlightCancellationNoLeaks(t *testing.T) {
 				t.Fatalf("goroutines leaked: %d -> %d\n%s", before, after, dump)
 			}
 			if fired {
-				if !errors.Is(err, context.Canceled) {
-					t.Errorf("canceled run returned %v, want context.Canceled", err)
+				var be *BudgetError
+				if !errors.As(err, &be) || !errors.Is(err, context.Canceled) || be.Phase != phase.String() {
+					t.Errorf("canceled run returned %v, want a canceled *BudgetError during %s", err, phase)
 				}
 			} else if err != nil {
 				t.Errorf("fault never fired but analysis failed: %v", err)

@@ -221,7 +221,7 @@ func PerfTable(w io.Writer, suite []Benchmark, opt PerfOptions) error {
 	for _, b := range suite {
 		src := b.Source()
 		mk := func(mode core.Mode) core.Options {
-			return core.Options{Domain: opt.Domain, Mode: mode, Deadline: opt.Timeout, NoDegrade: true}
+			return core.Options{Domain: opt.Domain, Mode: mode, Deadline: opt.Timeout}
 		}
 		vanSkip := opt.VanillaCap > 0 && b.Stmts > opt.VanillaCap
 		baseSkip := opt.BaseCap > 0 && b.Stmts > opt.BaseCap
@@ -384,7 +384,7 @@ func TablePrecision(w io.Writer, suite []Benchmark, timeout time.Duration) error
 			{Domain: core.Interval, Mode: core.Sparse},
 			{Domain: core.Interval, Mode: core.Sparse, DefUseChains: true},
 		} {
-			opt.Deadline, opt.NoDegrade = timeout, true
+			opt.Deadline = timeout
 			res, err := core.AnalyzeSource(b.Name, src, opt)
 			if pastDeadline(err) {
 				counts[i] = "∞"

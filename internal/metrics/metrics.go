@@ -38,7 +38,7 @@ import (
 // Schema is the version of the Report wire format. Bump it when counters
 // are added, removed, or change meaning; regression snapshots carry it so
 // stale baselines fail loudly instead of comparing apples to oranges.
-const Schema = 3
+const Schema = 4
 
 // Phase identifies one timed stage of the analysis pipeline.
 type Phase uint8
@@ -135,13 +135,11 @@ const (
 	CtrRestrUninitTriples
 
 	// Fault-tolerant runtime (internal/runtime): cooperative checkpoint
-	// polls, budget breaches (deadline/heap/cancel), and degradation-ladder
-	// rungs taken. Emitted only when a budget was active (checkpoints > 0)
-	// so budget-free runs — and the committed baselines — keep their
-	// counter key set.
+	// polls and budget breaches (deadline/heap/cancel). Emitted only when a
+	// budget was active (checkpoints > 0) so budget-free runs — and the
+	// committed baselines — keep their counter key set.
 	CtrRuntimeCheckpoints
 	CtrRuntimeBreaches
-	CtrRuntimeDegradeSteps
 
 	NumCounters
 )
@@ -186,9 +184,8 @@ var counterNames = [NumCounters]string{
 	CtrRestrUninitEdges:   "restr_uninit_edges",
 	CtrRestrUninitTriples: "restr_uninit_triples",
 
-	CtrRuntimeCheckpoints:  "runtime_checkpoints",
-	CtrRuntimeBreaches:     "runtime_breaches",
-	CtrRuntimeDegradeSteps: "runtime_degraded_steps",
+	CtrRuntimeCheckpoints: "runtime_checkpoints",
+	CtrRuntimeBreaches:    "runtime_breaches",
 }
 
 func (c Counter) String() string { return counterNames[c] }
@@ -447,10 +444,9 @@ type Report struct {
 // regression baselines — byte-stable.
 func (c *Collector) Report() *Report {
 	r := &Report{Schema: Schema, Counters: make(map[string]int64, NumCounters)}
-	budgetRan := c.Get(CtrRuntimeCheckpoints) != 0 || c.Get(CtrRuntimeBreaches) != 0 ||
-		c.Get(CtrRuntimeDegradeSteps) != 0
+	budgetRan := c.Get(CtrRuntimeCheckpoints) != 0 || c.Get(CtrRuntimeBreaches) != 0
 	for k := Counter(0); k < NumCounters; k++ {
-		if (k == CtrRuntimeCheckpoints || k == CtrRuntimeBreaches || k == CtrRuntimeDegradeSteps) && !budgetRan {
+		if (k == CtrRuntimeCheckpoints || k == CtrRuntimeBreaches) && !budgetRan {
 			continue
 		}
 		r.Counters[counterNames[k]] = c.Get(k)

@@ -86,7 +86,7 @@ func TestNilCollector(t *testing.T) {
 	}
 	r := c.Report()
 	// The conditional runtime group is absent on a nil collector.
-	if r.Schema != Schema || len(r.Counters) != int(NumCounters)-3 {
+	if r.Schema != Schema || len(r.Counters) != int(NumCounters)-2 {
 		t.Errorf("nil collector report malformed: %+v", r)
 	}
 }
@@ -197,7 +197,7 @@ var sink []byte
 // omitting it otherwise keeps ordinary runs' reports (and the committed
 // baselines) byte-stable.
 func TestReportStableKeySet(t *testing.T) {
-	rtGroup := map[Counter]bool{CtrRuntimeCheckpoints: true, CtrRuntimeBreaches: true, CtrRuntimeDegradeSteps: true}
+	rtGroup := map[Counter]bool{CtrRuntimeCheckpoints: true, CtrRuntimeBreaches: true}
 	r := New().Report()
 	if want := int(NumCounters) - len(rtGroup); len(r.Counters) != want {
 		t.Fatalf("ordinary report has %d counters, want %d", len(r.Counters), want)

@@ -1,15 +1,14 @@
 // Package runtime is the engine's budget and cancellation layer.
 //
-// A Budget carries the caller's context, a per-attempt wall-clock deadline,
-// and a soft heap budget through the whole pipeline. Phases poll it at
-// amortized checkpoints (every N worklist pops in the solvers, between
-// stages elsewhere); a nil *Budget is the disabled instrument, so the
-// budget-free hot path pays one pointer comparison per checkpoint window
-// and stays bit-identical to an unbudgeted engine.
+// A Budget carries the caller's context, a wall-clock deadline for the
+// whole analysis, and a soft heap budget through the pipeline. Phases poll
+// it at amortized checkpoints (every N worklist pops in the solvers,
+// between stages elsewhere); a nil *Budget is the disabled instrument, so
+// the budget-free hot path pays one pointer comparison per checkpoint
+// window and stays bit-identical to an unbudgeted engine.
 //
-// Breaches are sticky within one attempt. Cancellation (context done) is
-// permanent; deadline and heap breaches are cleared by Reset so the
-// degradation ladder in core can grant each rung a fresh slice.
+// The first breach is sticky: the Budget never recovers, and core ends the
+// analysis with a budget error.
 //
 // The Hook field is the fault-injection seam (internal/faultinject): it is
 // called at the top of every checkpoint poll with the phase and that
@@ -56,9 +55,7 @@ func (p Phase) String() string {
 // Reason classifies a budget breach. OK means the budget is intact.
 type Reason uint8
 
-// Breach reasons, in increasing permanence: deadline and heap breaches are
-// cleared by Reset (the degradation ladder retries a cheaper
-// configuration), cancellation is sticky for the Budget's lifetime.
+// Breach reasons.
 const (
 	OK Reason = iota
 	ReasonDeadline
@@ -102,8 +99,8 @@ type Hook func(phase Phase, n uint64)
 
 // Abort is the panic value raised by Checkpoint in phases that cannot
 // return a partial result (pre-analysis, graph construction). It unwinds
-// to the core boundary, which converts it into a budget error or a
-// degradation step — it is never seen by callers.
+// to the core boundary, which converts it into a budget error — it is
+// never seen by callers.
 type Abort struct {
 	Reason Reason
 	Phase  Phase
@@ -115,7 +112,7 @@ type Abort struct {
 type Config struct {
 	// Ctx cancels the analysis cooperatively. nil means context.Background.
 	Ctx context.Context
-	// Deadline bounds one attempt's wall time; Reset restarts the window.
+	// Deadline bounds the wall time from New on.
 	Deadline time.Duration
 	// HeapBudget is the soft cap, in bytes, on sampled heap growth above
 	// the baseline taken when the Budget is created. Enforcement lags by
@@ -134,15 +131,14 @@ type Config struct {
 // Checkpoint is a no-op.
 type Budget struct {
 	ctx        context.Context
-	window     time.Duration // per-attempt deadline width (0 = none)
-	deadline   atomic.Int64  // current attempt's deadline, ns since epoch
+	deadline   int64 // ns since epoch (0 = none)
 	heapBudget uint64
 	heapCol    *metrics.Collector // owns the sampler (may differ from col)
 	stopHeap   func()
 	col        *metrics.Collector
 	hook       Hook
 
-	breach      atomic.Uint32 // Reason, sticky until Reset
+	breach      atomic.Uint32 // Reason of the first breach, sticky
 	phaseCounts [NumPhases]atomic.Uint64
 	polls       atomic.Int64 // checkpoint polls (flushed to metrics on Close)
 	breaches    atomic.Int64 // breach transitions
@@ -158,13 +154,15 @@ func New(cfg Config) *Budget {
 	}
 	b := &Budget{
 		ctx:        cfg.Ctx,
-		window:     cfg.Deadline,
 		heapBudget: cfg.HeapBudget,
 		col:        cfg.Metrics,
 		hook:       cfg.Hook,
 	}
 	if b.ctx == nil {
 		b.ctx = context.Background()
+	}
+	if cfg.Deadline > 0 {
+		b.deadline = time.Now().Add(cfg.Deadline).UnixNano()
 	}
 	if cfg.HeapBudget > 0 {
 		b.heapCol = cfg.Metrics
@@ -173,27 +171,12 @@ func New(cfg Config) *Budget {
 		}
 		b.stopHeap = b.heapCol.StartHeapSampler(0)
 	}
-	b.Reset()
 	return b
 }
 
-// Reset starts a fresh attempt window: the deadline restarts from now and
-// deadline/heap breaches are cleared. Cancellation is permanent and stays.
-// The degradation ladder calls this before each rung.
-func (b *Budget) Reset() {
-	if b == nil {
-		return
-	}
-	if b.window > 0 {
-		b.deadline.Store(time.Now().Add(b.window).UnixNano())
-	}
-	b.breach.CompareAndSwap(uint32(ReasonDeadline), uint32(OK))
-	b.breach.CompareAndSwap(uint32(ReasonHeap), uint32(OK))
-}
-
 // Close stops the heap sampler and flushes the runtime counters and the
-// checkpoint timer to the metrics collector. Idempotent only in effect —
-// call it once, after the final attempt.
+// checkpoint timer to the metrics collector. Call it once, after the
+// analysis.
 func (b *Budget) Close() {
 	if b == nil {
 		return
@@ -206,15 +189,7 @@ func (b *Budget) Close() {
 	b.col.AddPhase(metrics.PhaseRuntime, time.Duration(b.pollNS.Load()))
 }
 
-// DegradeStep records one degradation-ladder rung in the metrics.
-func (b *Budget) DegradeStep() {
-	if b == nil {
-		return
-	}
-	b.col.Add(metrics.CtrRuntimeDegradeSteps, 1)
-}
-
-// Reason returns the sticky breach reason for the current attempt.
+// Reason returns the sticky breach reason (OK while the budget holds).
 func (b *Budget) Reason() Reason {
 	if b == nil {
 		return OK
@@ -243,7 +218,7 @@ func (b *Budget) Poll(p Phase) Reason {
 	case <-b.ctx.Done():
 		r = ReasonCanceled
 	default:
-		if b.window > 0 && time.Now().UnixNano() > b.deadline.Load() {
+		if b.deadline != 0 && time.Now().UnixNano() > b.deadline {
 			r = ReasonDeadline
 		} else if b.heapBudget > 0 && b.heapCol.PeakHeapBytes() > b.heapBudget {
 			r = ReasonHeap

@@ -16,9 +16,7 @@ func TestNilBudget(t *testing.T) {
 		t.Fatalf("New(empty) = %v, want nil", b)
 	}
 	var b *Budget
-	b.Reset()
 	b.Close()
-	b.DegradeStep()
 	b.Checkpoint(PhaseFix)
 	if r := b.Poll(PhaseFix); r != OK {
 		t.Errorf("nil Poll = %v want OK", r)
@@ -28,8 +26,8 @@ func TestNilBudget(t *testing.T) {
 	}
 }
 
-// TestDeadlineBreachAndReset checks that a deadline breach is sticky within
-// an attempt and cleared by Reset (the ladder's fresh-window contract).
+// TestDeadlineBreachAndReset checks that a deadline breach is sticky: the
+// deadline is set once, in New, and nothing resets it or the breach.
 func TestDeadlineBreachAndReset(t *testing.T) {
 	b := New(Config{Deadline: time.Millisecond})
 	defer b.Close()
@@ -44,14 +42,13 @@ func TestDeadlineBreachAndReset(t *testing.T) {
 	if r := b.Reason(); r != ReasonDeadline {
 		t.Fatalf("Reason = %v want deadline", r)
 	}
-	b.Reset()
-	if r := b.Poll(PhasePrean); r != OK {
-		t.Fatalf("Poll after Reset = %v want OK (fresh window)", r)
+	if r := b.Poll(PhasePrean); r != ReasonDeadline {
+		t.Fatalf("Poll after the breach = %v want deadline (sticky)", r)
 	}
 }
 
-// TestCancellationIsPermanent checks that context cancellation survives
-// Reset: the ladder must not retry a canceled analysis.
+// TestCancellationIsPermanent checks that context cancellation is a sticky
+// breach.
 func TestCancellationIsPermanent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := New(Config{Ctx: ctx})
@@ -63,9 +60,8 @@ func TestCancellationIsPermanent(t *testing.T) {
 	if r := b.Poll(PhaseFix); r != ReasonCanceled {
 		t.Fatalf("canceled Poll = %v want canceled", r)
 	}
-	b.Reset()
 	if r := b.Reason(); r != ReasonCanceled {
-		t.Fatalf("Reset cleared a cancellation: %v", r)
+		t.Fatalf("Reason after cancellation = %v want canceled", r)
 	}
 }
 
@@ -160,16 +156,12 @@ func TestMetricsFlush(t *testing.T) {
 	b.Poll(PhaseFix)
 	cancel()
 	b.Poll(PhaseFix)
-	b.DegradeStep()
 	b.Close()
 	if got := col.Get(metrics.CtrRuntimeCheckpoints); got != 2 {
 		t.Errorf("checkpoints = %d want 2", got)
 	}
 	if got := col.Get(metrics.CtrRuntimeBreaches); got != 1 {
 		t.Errorf("breaches = %d want 1", got)
-	}
-	if got := col.Get(metrics.CtrRuntimeDegradeSteps); got != 1 {
-		t.Errorf("degrade steps = %d want 1", got)
 	}
 }
 

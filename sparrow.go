@@ -55,8 +55,8 @@ type ConfigError = core.ConfigError
 type AnalysisError = core.AnalysisError
 
 // BudgetError reports that the deadline, heap budget, or context
-// cancellation stopped the analysis after every degradation rung (if any)
-// was exhausted. It unwraps to context.DeadlineExceeded or context.Canceled.
+// cancellation stopped the analysis. The first breach ends the run; nothing
+// is retried. It unwraps to context.DeadlineExceeded or context.Canceled.
 type BudgetError = core.BudgetError
 
 // Domain selects the abstract domain.
