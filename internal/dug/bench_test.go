@@ -17,10 +17,12 @@ import (
 //   - gen-4000: the first program of the seed-7 gen-4000 suite (sparse-4k);
 //   - gen-12000: the seed-7 gen-12000 program, the baseline program of the
 //     per-layer profiles;
+//   - gen-24000: the seed-7 gen-24000 program, where the builder's share of
+//     an analysis has grown to about half;
 //   - octagon-2000: the octagon pack source of the first program of the
 //     seed-7 gen-2000 suite (octagon-2k).
 func BenchmarkBuild(b *testing.B) {
-	for _, stmts := range []int{4000, 12000} {
+	for _, stmts := range []int{4000, 12000, 24000} {
 		b.Run(fmt.Sprintf("gen-%d", stmts), func(b *testing.B) {
 			prog := lowerSource(b, "gen", cgen.Generate(cgen.Default(7<<16|0, stmts)))
 			pre := prean.Run(prog)
@@ -42,12 +44,13 @@ func BenchmarkBuild(b *testing.B) {
 
 // TestBuildAllocations bounds the bytes one def-use-graph build allocates
 // on the first program of the seed-7 gen-4000 suite, bypass on. The bound
-// pins the lean build (DESIGN §34): one build allocates 16,319,288 bytes,
-// against 25,305,810 when the bypass doubled its arena around the holes,
-// the sorts had a second triple array, and every node had D̂/Û slice
-// headers. The bound is 1.25 times the former.
+// pins the lean build (DESIGN §34): one build allocates 11,364,024 bytes,
+// against 16,319,288 when the triples were staged beside the arena, every
+// point had three slice headers and the phis and the undo log grew by
+// append, and 25,305,810 before that, when the bypass doubled its arena
+// around the holes. The bound is 1.25 times the first.
 func TestBuildAllocations(t *testing.T) {
-	const measured = 16319288
+	const measured = 11364024
 	prog := lowerSource(t, "gen", cgen.Generate(cgen.Default(7<<16|0, 4000)))
 	pre := prean.Run(prog)
 	build := func() { dug.Build(prog, pre, dug.Options{Bypass: true}) }

@@ -35,10 +35,18 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 	b.initNodes()
 	info := cfg.Compute(prog, src.CG, src.Callees)
 	b.g.Widen = slices.Clone(info.Widen)
+	// The chains are not counted ahead, so they are collected first and then
+	// staged in an arena of their size.
+	var ts []triple
+	add := func(from NodeID, l ir.LocID, to NodeID) { ts = append(ts, triple{from: from, loc: l, to: to}) }
 	for _, pr := range prog.Procs {
-		b.buildProcChains(pr, info)
+		b.buildProcChains(pr, info, add)
 	}
-	b.linkInterproc(b.addEdge)
+	b.linkInterproc(add)
+	b.adj.refs = make([]edgeRef, stagingLen(len(ts)))
+	for _, t := range ts {
+		b.addEdge(t.from, t.loc, t.to)
+	}
 	b.buildAdjacency()
 	if opt.Bypass {
 		b.bypass()
@@ -49,8 +57,8 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 }
 
 // buildProcChains runs per-location reaching-definitions over one procedure
-// and adds def→use edges for every reaching definition.
-func (b *builder) buildProcChains(pr *ir.Proc, info *cfg.Info) {
+// and passes a def→use edge for every reaching definition to add.
+func (b *builder) buildProcChains(pr *ir.Proc, info *cfg.Info, add func(from NodeID, l ir.LocID, to NodeID)) {
 	if len(pr.Points) == 0 || pr.Entry == ir.None {
 		return
 	}
@@ -73,10 +81,10 @@ func (b *builder) buildProcChains(pr *ir.Proc, info *cfg.Info) {
 	killsOf := make([]map[ir.LocID]bool, n)
 	var locs []ir.LocID
 	for i, id := range order {
-		defsOf[i] = b.defs[id]
+		defsOf[i] = b.sets.defs(int(id))
 		killsOf[i] = map[ir.LocID]bool(b.src.AlwaysKills(b.prog.Point(id)))
-		locs = append(locs, b.defs[id]...)
-		locs = append(locs, b.uses[id]...)
+		locs = append(locs, b.sets.defs(int(id))...)
+		locs = append(locs, b.sets.uses(int(id))...)
 	}
 	locs = ir.DedupLocs(locs)
 
@@ -140,7 +148,7 @@ func (b *builder) buildProcChains(pr *ir.Proc, info *cfg.Info) {
 		}
 		// Edges: every reaching definition flows to every use.
 		for i, id := range order {
-			if !ir.LocsContain(b.uses[id], l) {
+			if !ir.LocsContain(b.sets.uses(int(id)), l) {
 				continue
 			}
 			for w := range in[i] {
@@ -149,7 +157,7 @@ func (b *builder) buildProcChains(pr *ir.Proc, info *cfg.Info) {
 					bit := bitsW & (-bitsW)
 					d := w*64 + bits.TrailingZeros64(bit)
 					bitsW ^= bit
-					b.addEdge(NodeID(order[d]), l, NodeID(id))
+					add(NodeID(order[d]), l, NodeID(id))
 				}
 			}
 		}

@@ -17,11 +17,12 @@
 // two-level CSR index (per-node sorted location keys with an (offset, len)
 // row of successors each) that the solvers read in place; no table of the
 // finished graph holds a pointer. The builder itself stages dependency
-// triples into one flat slice and orders them with linear counting sorts
-// instead of deduplicating through per-⟨node, loc⟩ maps. Its transient heap
-// stays close to what it holds: the adjacency arena doubles as the sorts'
-// scratch space, and the bypass compacts the arena in place instead of
-// growing it.
+// triples in the adjacency arena, whose size a first SSA pass bounds, and
+// orders them there with linear counting sorts instead of deduplicating
+// through per-⟨node, loc⟩ maps. Its transient heap stays close to what it
+// holds: no second copy of the triples exists, the bypass compacts the arena
+// in place instead of growing it, and finalize releases the builder's
+// tables as it fills the graph's.
 package dug
 
 import (
@@ -313,24 +314,105 @@ type triple struct {
 	to   NodeID
 }
 
-// arena hands out stable []ir.LocID views backed by large shared blocks, so
-// the three small per-node access sets don't cost one allocation each.
-type arena struct{ buf []ir.LocID }
+// pointSets holds the points' D̂ and Û, sorted, back to back in shared
+// blocks, so that the small sets of a point cost neither an allocation nor a
+// slice header each: point i's D̂ is the nd entries at off in block blk,
+// its Û the nu entries after them. The sets stay as built; the bypass
+// marks what it splices out instead of shrinking them.
+type pointSets struct {
+	blocks [][]ir.LocID
+	at     []setRef
+	// One bit per entry, numbered from at[i].bit over D̂(i) then Û(i):
+	// pass marks the D̂ members that are linkage only, the bypass
+	// candidates, and spliced the entries spliced out; nSpliced counts
+	// those of D̂ and of Û.
+	pass, spliced []uint64
+	nbits         int32
+	nSpliced      [2]int
+}
 
-func (a *arena) place(s []ir.LocID) []ir.LocID {
-	if len(s) == 0 {
-		return nil
+type setRef struct{ blk, off, nd, nu, bit int32 }
+
+func (s *pointSets) defs(i int) []ir.LocID {
+	r := s.at[i]
+	return s.blocks[r.blk][r.off : r.off+r.nd]
+}
+
+func (s *pointSets) uses(i int) []ir.LocID {
+	r := s.at[i]
+	return s.blocks[r.blk][r.off+r.nd : r.off+r.nd+r.nu]
+}
+
+// put stores point i's sets; p, the linkage-only members, is a subset of d.
+func (s *pointSets) put(i int, d, u, p []ir.LocID) {
+	need := len(d) + len(u)
+	k := len(s.blocks) - 1
+	if k < 0 || len(s.blocks[k])+need > cap(s.blocks[k]) {
+		s.blocks = append(s.blocks, make([]ir.LocID, 0, max(1<<14, need)))
+		k++
 	}
-	if len(a.buf)+len(s) > cap(a.buf) {
-		n := 1 << 14
-		if len(s) > n {
-			n = len(s)
+	off := len(s.blocks[k])
+	s.blocks[k] = append(append(s.blocks[k], d...), u...)
+	s.at[i] = setRef{blk: int32(k), off: int32(off), nd: int32(len(d)), nu: int32(len(u)), bit: s.nbits}
+	s.nbits += int32(need)
+	for len(s.pass)*64 < int(s.nbits) {
+		s.pass = append(s.pass, 0)
+	}
+	j := 0
+	for _, l := range p {
+		for d[j] < l {
+			j++
 		}
-		a.buf = make([]ir.LocID, 0, n)
+		setBit(s.pass, s.at[i].bit+int32(j))
 	}
-	off := len(a.buf)
-	a.buf = append(a.buf, s...)
-	return a.buf[off:len(a.buf):len(a.buf)]
+}
+
+func setBit(bits []uint64, i int32)      { bits[i>>6] |= 1 << (i & 63) }
+func clearBit(bits []uint64, i int32)    { bits[i>>6] &^= 1 << (i & 63) }
+func hasBit(bits []uint64, i int32) bool { return bits[i>>6]&(1<<(i&63)) != 0 }
+
+// relays reports whether l is a bypass candidate of point i.
+func (s *pointSets) relays(i int, l ir.LocID) bool {
+	j, ok := slices.BinarySearch(s.defs(i), l)
+	return ok && hasBit(s.pass, s.at[i].bit+int32(j))
+}
+
+// spliceOut records that point i no longer relays, defines or uses the
+// members of ls, a sorted subset of its candidates.
+func (s *pointSets) spliceOut(i int, ls []ir.LocID) {
+	r := s.at[i]
+	for k, set := range [2][]ir.LocID{s.defs(i), s.uses(i)} {
+		bit := r.bit + int32(k)*r.nd
+		j := 0
+		for _, l := range ls {
+			for j < len(set) && set[j] < l {
+				j++
+			}
+			if j < len(set) && set[j] == l {
+				clearBit(s.pass, bit+int32(j))
+				setBit(s.spliced, bit+int32(j))
+				s.nSpliced[k]++
+			}
+		}
+	}
+}
+
+// kept appends to dst the entries of D̂(i) (uses false) or Û(i) (uses true)
+// that point i keeps after the bypass.
+func (s *pointSets) kept(dst []ir.LocID, i int, uses bool) []ir.LocID {
+	set, bit := s.defs(i), s.at[i].bit
+	if uses {
+		set, bit = s.uses(i), bit+s.at[i].nd
+	}
+	if s.spliced == nil {
+		return append(dst, set...)
+	}
+	for j, l := range set {
+		if !hasBit(s.spliced, bit+int32(j)) {
+			dst = append(dst, l)
+		}
+	}
+	return dst
 }
 
 // builder carries construction state.
@@ -343,17 +425,14 @@ type builder struct {
 	// access[p] is UseSummary[p] ∪ DefSummary[p]: everything a call of p
 	// relays, p's entry defines and p's exit returns.
 	access [][]ir.LocID
-	// defs/uses/pass are the per-point D̂/Û/linkage-only sets as sorted
-	// deduplicated slices (pass members are the bypass candidates). The
-	// bypass optimization shrinks them in place. A phi's D̂ and Û are its
-	// location and its pass set is empty, so the tables stop at the points.
-	defs [][]ir.LocID
-	uses [][]ir.LocID
-	pass [][]ir.LocID
-	// triples stages dependency edges flat, duplicates included; the
-	// counting sorts of buildAdjacency order and deduplicate them.
-	triples []triple
-	adj     adjacency
+	// sets holds the per-point D̂/Û and which D̂ members are linkage only
+	// (the bypass candidates). A phi's D̂ and Û are its location and it
+	// relays nothing, so the table stops at the points.
+	sets pointSets
+	// adj stages the dependency triples in its arena (see addEdge), nt of
+	// them, until buildAdjacency sorts them into rows in place.
+	adj adjacency
+	nt  int
 }
 
 // newBuilder sizes the per-point tables and the per-procedure access sets.
@@ -366,9 +445,7 @@ func newBuilder(src *Source, opt Options) *builder {
 		opt:    opt,
 		g:      &Graph{Prog: prog, PointCount: n},
 		access: make([][]ir.LocID, len(prog.Procs)),
-		defs:   make([][]ir.LocID, n),
-		uses:   make([][]ir.LocID, n),
-		pass:   make([][]ir.LocID, n),
+		sets:   pointSets{at: make([]setRef, n)},
 	}
 	for p := range b.access {
 		b.access[p] = ir.MergeLocs(nil, src.UseSummary[p], src.DefSummary[p])
@@ -392,21 +469,19 @@ func BuildFrom(src *Source, opt Options) *Graph {
 	b.initNodes()
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	info := cfg.Compute(prog, src.CG, src.Callees)
-	// Stage every triple into one allocation: the linkage triples are
-	// counted up front; the SSA triples are one per use at a point plus the
-	// phi inputs, which in practice stay below the use count.
+	b.stage("init")
+	// SSA in two passes over the procedures. The first computes dominators
+	// and places the phis, which numbers them, and bounds the triples the
+	// second, the renaming, stages; with the linkage triples counted too,
+	// the arena that stages and sorts them is allocated once, at its size.
+	sc := newStageScratch(prog)
 	size := 0
 	b.linkInterproc(func(NodeID, ir.LocID, NodeID) { size++ })
-	for _, u := range b.uses {
-		size += 2 * len(u)
-	}
-	b.triples = make([]triple, 0, size)
-	// Per-procedure SSA in procedure order (dominators, phi placement,
-	// renaming), which numbers the phis.
-	sc := stageScratch{rpo: make([]int32, len(prog.Points))}
 	for _, pr := range prog.Procs {
-		b.stageProc(pr, info, &sc)
+		size += b.placePhis(pr, info, sc)
 	}
+	b.g.Phis = sc.takePhis()
+	b.adj.refs = make([]edgeRef, stagingLen(size))
 	// Point nodes inherit the solver widening points (loop heads, recursive
 	// entries and return sites); phis widen at loop heads. Widening nodes
 	// are also pinned by the bypass optimization so that every dependency
@@ -417,17 +492,36 @@ func BuildFrom(src *Source, opt Options) *Graph {
 		b.g.Widen[b.g.PointCount+k] = info.LoopHead[ph.At]
 	}
 	opt.Budget.Checkpoint(rt.PhaseDUG)
+	sc.startRenaming()
+	phis := b.g.Phis
+	for _, pr := range prog.Procs {
+		phis = b.rename(pr, info, sc, phis)
+	}
 	b.linkInterproc(b.addEdge)
+	b.access = nil
+	b.stage("staged")
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	b.buildAdjacency()
+	b.stage("adjacency")
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	if opt.Bypass {
 		b.bypass()
 	}
+	b.stage("bypass")
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	b.finalize(info)
 	b.g.flushMetrics(opt.Metrics)
 	return b.g
+}
+
+// stageHook, when non-nil, runs at the stage boundaries of BuildFrom and at
+// the peak of finalize; a test reads the live heap there.
+var stageHook func(stage string, b *builder)
+
+func (b *builder) stage(name string) {
+	if stageHook != nil {
+		stageHook(name, b)
+	}
 }
 
 // flushMetrics records the finished graph's size counters.
@@ -449,7 +543,6 @@ type initScratch struct {
 	d, u, p    []ir.LocID // the node's final sets
 	acc, tmp   []ir.LocID // union of several callees' access sets
 	ret        []ir.LocID // return channels of a RetBind's callees
-	ar         arena
 }
 
 // initNodes computes the per-point D̂/Û including interprocedural linkage
@@ -568,9 +661,7 @@ func (b *builder) initNode(pt *ir.Point, sc *initScratch) {
 			u = sc.u
 		}
 	}
-	b.defs[n] = sc.ar.place(d)
-	b.uses[n] = sc.ar.place(u)
-	b.pass[n] = sc.ar.place(p)
+	b.sets.put(int(n), d, u, p)
 }
 
 // removeLocs deletes the members of sorted rem from sorted s in place.
@@ -613,19 +704,33 @@ func insertLoc(s []ir.LocID, l ir.LocID) []ir.LocID {
 // noDef marks a location with no reaching definition during renaming.
 const noDef = NodeID(math.MaxInt32)
 
-// stageScratch carries the dense tables and the dominance buffers of
-// stageProc. The point and location tables are indexed by global ID and hold
-// local index+1 (0 = absent); stageProc clears every entry it sets before
-// returning.
+// stageScratch carries the buffers of the two SSA passes. The point and
+// location tables are indexed by global ID and hold local index+1 (0 =
+// absent); each pass clears every entry it sets before returning.
 type stageScratch struct {
 	rpo  []int32 // point → RPO index in the current procedure
-	lidx []int32 // location → index among the procedure's defined locations
+	lidx []int32 // location → index among the procedure's tracked locations
 	locs []ir.LocID
 	// Local location li's definition sites are sites[siteOff[li]:
 	// siteOff[li+1]] (RPO indices, ascending).
 	sites, siteOff []int32
 	dom            ssa.Dom
 	idf            ssa.IDF
+	// phis collects one procedure's phis; procPhis keeps each procedure's
+	// (the first pass only), and phisAt[i] counts those at RPO index i.
+	phis     []Phi
+	procPhis [][]Phi
+	phisAt   []int32
+	// The first pass keeps every procedure's dominator tree for the second:
+	// tree[treeOff[j]:treeOff[j+1]] are the children (RPO indices) of the
+	// procedure's RPO index j-base, base being the procedure's first slot.
+	tree, treeOff []int32
+	base          int
+	// depth[i] bounds the undo log at RPO index i: the definitions and
+	// phis on the dominator-tree path down to it.
+	depth []int32
+	// maxLocs and maxUndo size top and undo once for every procedure.
+	maxLocs, maxUndo int
 	// phiHead[i] is the last local phi placed at RPO index i, and
 	// phiNext[k] the phi placed there before phi k (-1 ends the chain).
 	phiHead, phiNext []int32
@@ -640,15 +745,49 @@ type reaching struct {
 	prev NodeID
 }
 
-// stageProc runs per-location SSA over one procedure: phi placement at
-// iterated dominance frontiers of definition sites, then a single renaming
-// walk over the dominator tree appending def→use dependency triples. It only
-// reads the per-point tables, which are complete after initNodes. The
-// procedure's phis take the next node IDs in placement order: locations
-// ascending, each location's sites in discovery order.
-func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
+func newStageScratch(prog *ir.Program) *stageScratch {
+	n := len(prog.Points)
+	return &stageScratch{
+		rpo:      make([]int32, n),
+		procPhis: make([][]Phi, 0, len(prog.Procs)),
+		tree:     make([]int32, 0, n),
+		treeOff:  append(make([]int32, 0, n+1), 0),
+	}
+}
+
+// takePhis returns every procedure's phis in procedure order, in one slice
+// of their exact size.
+func (sc *stageScratch) takePhis() []Phi {
+	n := 0
+	for _, ps := range sc.procPhis {
+		n += len(ps)
+	}
+	all := make([]Phi, 0, n)
+	for _, ps := range sc.procPhis {
+		all = append(all, ps...)
+	}
+	sc.procPhis = nil
+	return all
+}
+
+// startRenaming sizes the renaming tables for the largest procedure.
+func (sc *stageScratch) startRenaming() {
+	sc.top = make([]NodeID, 0, sc.maxLocs)
+	sc.undo = make([]reaching, 0, sc.maxUndo)
+	sc.base = 0
+}
+
+// placePhis is the first SSA pass over one procedure: it computes the
+// dominator tree and places phis at the iterated dominance frontiers of the
+// definition sites, in placement order (locations ascending, each
+// location's sites in discovery order), which numbers them. It keeps the
+// dominator tree for rename and returns a bound on the triples rename will
+// stage: one per use of a defined location at a reachable point and one per
+// phi per reachable CFG predecessor. It only reads the per-point tables,
+// which are complete after initNodes.
+func (b *builder) placePhis(pr *ir.Proc, info *cfg.Info, sc *stageScratch) int {
 	if len(pr.Points) == 0 || pr.Entry == ir.None {
-		return
+		return 0
 	}
 	order := info.ProcRPO(pr.ID)
 	for i, id := range order {
@@ -661,7 +800,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 	// rank then lists each location's sites in ascending RPO order.
 	locs := sc.locs[:0]
 	for _, id := range order {
-		for _, l := range b.defs[id] {
+		for _, l := range b.sets.defs(int(id)) {
 			if int(l) >= len(sc.lidx) {
 				sc.lidx = append(sc.lidx, make([]int32, int(l)+1-len(sc.lidx))...)
 			}
@@ -678,7 +817,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 		sc.lidx[l] = int32(li + 1)
 	}
 	for _, id := range order {
-		for _, l := range b.defs[id] {
+		for _, l := range b.sets.defs(int(id)) {
 			off[sc.lidx[l]]++
 		}
 	}
@@ -687,7 +826,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 	}
 	sites := slices.Grow(sc.sites[:0], int(off[len(locs)]))[:off[len(locs)]]
 	for i, id := range order {
-		for _, l := range b.defs[id] {
+		for _, l := range b.sets.defs(int(id)) {
 			li := sc.lidx[l] - 1
 			sites[off[li]] = int32(i)
 			off[li]++
@@ -698,38 +837,107 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 	sc.locs, sc.sites, sc.siteOff = locs, sites, off
 
 	// Phi placement, location by location.
+	at := slices.Grow(sc.phisAt[:0], len(order))[:len(order)]
+	clear(at)
+	phis := sc.phis[:0]
+	for li, l := range locs {
+		for _, i := range sc.idf.Of(dom, sites[off[li]:off[li+1]]) {
+			phis = append(phis, Phi{At: order[i], Loc: l})
+			at[i]++
+		}
+	}
+	sc.phis, sc.phisAt = phis, at
+	sc.procPhis = append(sc.procPhis, slices.Clone(phis))
+
+	depth := slices.Grow(sc.depth[:0], len(order))[:len(order)]
+	size := 0
+	for i, id := range order {
+		sc.tree = append(sc.tree, dom.Children(i)...)
+		sc.treeOff = append(sc.treeOff, int32(len(sc.tree)))
+		for _, l := range b.sets.uses(int(id)) {
+			if int(l) < len(sc.lidx) && sc.lidx[l] > 0 {
+				size++
+			}
+		}
+		for _, s := range b.prog.Point(id).Succs {
+			if si := sc.rpo[s]; si > 0 {
+				size += int(at[si-1])
+			}
+		}
+		depth[i] = int32(len(b.sets.defs(int(id)))) + at[i]
+		if i > 0 {
+			depth[i] += depth[dom.Idom[i]]
+		}
+		sc.maxUndo = max(sc.maxUndo, int(depth[i]))
+	}
+	sc.depth = depth
+	sc.maxLocs = max(sc.maxLocs, len(locs))
+
+	for _, id := range order {
+		sc.rpo[id] = 0
+	}
+	for _, l := range locs {
+		sc.lidx[l] = 0
+	}
+	return size
+}
+
+// rename is the second SSA pass over one procedure: a single renaming walk
+// over the dominator tree that placePhis kept, staging def→use dependency
+// triples. phis starts with the procedure's phis, which take the next node
+// IDs; rename returns the rest. Locations take local indices at their first
+// definition on the walk: a use met before any definition of its location
+// has no reaching definition either way.
+func (b *builder) rename(pr *ir.Proc, info *cfg.Info, sc *stageScratch, phis []Phi) []Phi {
+	if len(pr.Points) == 0 || pr.Entry == ir.None {
+		return phis
+	}
+	order := info.ProcRPO(pr.ID)
+	for i, id := range order {
+		sc.rpo[id] = int32(i + 1)
+	}
+	tree, treeOff := sc.tree, sc.treeOff[sc.base:]
+	sc.base += len(order)
+	// The procedure's phis are the leading ones placed at its points. Local
+	// phi k is node base+k; the chains list each RPO index's phis latest
+	// first, as placePhis placed them.
+	nOwn := 0
+	for nOwn < len(phis) && sc.rpo[phis[nOwn].At] > 0 {
+		nOwn++
+	}
+	own := phis[:nOwn]
+	base := NodeID(b.g.NumNodes() - len(phis))
 	head := slices.Grow(sc.phiHead[:0], len(order))[:len(order)]
 	for i := range head {
 		head[i] = -1
 	}
-	next := sc.phiNext[:0]
-	first := len(b.g.Phis)
-	for li, l := range locs {
-		for _, i := range sc.idf.Of(dom, sites[off[li]:off[li+1]]) {
-			b.g.Phis = append(b.g.Phis, Phi{At: order[i], Loc: l})
-			next = append(next, head[i])
-			head[i] = int32(len(next) - 1)
-		}
+	next := slices.Grow(sc.phiNext[:0], len(own))[:len(own)]
+	for k, ph := range own {
+		i := sc.rpo[ph.At] - 1
+		next[k] = head[i]
+		head[i] = int32(k)
 	}
 	sc.phiHead, sc.phiNext = head, next
-	// Local phi k is node base+k.
-	phis := b.g.Phis[first:]
-	base := NodeID(b.g.PointCount + first)
 
-	top := slices.Grow(sc.top[:0], len(locs))[:len(locs)]
-	for i := range top {
-		top[i] = noDef
-	}
-	undo := sc.undo[:0]
-	push := func(li int32, d NodeID) {
+	top, undo, locs := sc.top[:0], sc.undo[:0], sc.locs[:0]
+	push := func(l ir.LocID, d NodeID) {
+		li := sc.lidx[l] - 1
+		if li < 0 {
+			li = int32(len(top))
+			sc.lidx[l] = li + 1
+			top = append(top, noDef)
+			locs = append(locs, l)
+		}
 		undo = append(undo, reaching{li, top[li]})
 		top[li] = d
 	}
-	local := func(l ir.LocID) int32 {
+	reach := func(l ir.LocID) NodeID {
 		if int(l) < len(sc.lidx) {
-			return sc.lidx[l] - 1
+			if li := sc.lidx[l] - 1; li >= 0 {
+				return top[li]
+			}
 		}
-		return -1
+		return noDef
 	}
 
 	// Renaming: one preorder walk of the dominator tree.
@@ -741,19 +949,19 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 		// Phis first: they join the incoming paths and dominate the point's
 		// own use/def.
 		for k := head[i]; k >= 0; k = next[k] {
-			push(sc.lidx[phis[k].Loc]-1, base+NodeID(k))
+			push(own[k].Loc, base+NodeID(k))
 		}
 		// Uses read the value reaching the point (after phis).
-		for _, l := range b.uses[n] {
-			if li := local(l); li >= 0 && top[li] != noDef {
-				b.addEdge(top[li], l, n)
+		for _, l := range b.sets.uses(int(pid)) {
+			if d := reach(l); d != noDef {
+				b.addEdge(d, l, n)
 			}
 		}
 		// Defs kill for dominated points. (Weak definitions are also uses,
 		// so their incoming value still flows — Definition 3's treatment of
 		// may-kills.)
-		for _, l := range b.defs[n] {
-			push(sc.lidx[l]-1, n)
+		for _, l := range b.sets.defs(int(pid)) {
+			push(l, n)
 		}
 		// Feed phi inputs of CFG successors.
 		for _, s := range b.prog.Point(pid).Succs {
@@ -762,13 +970,13 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 				continue
 			}
 			for k := head[si]; k >= 0; k = next[k] {
-				l := phis[k].Loc
-				if d := top[sc.lidx[l]-1]; d != noDef {
+				l := own[k].Loc
+				if d := reach(l); d != noDef {
 					b.addEdge(d, l, base+NodeID(k))
 				}
 			}
 		}
-		for _, c := range dom.Children(i) {
+		for _, c := range tree[treeOff[i]:treeOff[i+1]] {
 			visit(int(c))
 		}
 		for len(undo) > mark {
@@ -778,7 +986,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 		}
 	}
 	visit(0)
-	sc.top, sc.undo = top, undo
+	sc.locs = locs
 
 	for _, id := range order {
 		sc.rpo[id] = 0
@@ -786,6 +994,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 	for _, l := range locs {
 		sc.lidx[l] = 0
 	}
+	return phis[len(own):]
 }
 
 // addEdge stages the dependency triple ⟨from, l, to⟩. Duplicates are fine —
@@ -796,7 +1005,8 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info, sc *stageScratch) {
 // single transfer node, and the solver must keep iterating that cycle
 // exactly as the dense analysis does.
 func (b *builder) addEdge(from NodeID, l ir.LocID, to NodeID) {
-	b.triples = append(b.triples, triple{from: from, loc: l, to: to})
+	b.adj.put(b.nt, triple{from: from, loc: l, to: to})
+	b.nt++
 }
 
 // linkInterproc passes the call→entry and exit→return-site dependencies to
@@ -880,8 +1090,16 @@ type edgeRef struct {
 	row  int32
 }
 
-// span is one adjacency row: refs[off:off+len] with room up to off+cap.
-type span struct{ off, len, cap int32 }
+// freeNode marks an arena entry that is spare capacity of the row before it.
+// A row can take over the free entries that directly follow it, so no row
+// header records a capacity.
+const freeNode = NodeID(-1)
+
+var freeRef = edgeRef{node: freeNode}
+
+// span is one adjacency row: refs[off:off+len], followed by its free
+// entries.
+type span struct{ off, len int32 }
 
 // adjacency is the graph under construction: per node, sorted location keys
 // with one row of neighbors each, in both directions. Node n's out-keys are
@@ -902,42 +1120,48 @@ type adjacency struct {
 func (a *adjacency) row(s span) []edgeRef { return a.refs[s.off : s.off+s.len] }
 
 // remove deletes the entry of n from row s by moving the last entry into its
-// place.
+// place; the last entry becomes free.
 func (a *adjacency) remove(s *span, n NodeID) {
 	row := a.row(*s)
 	for i, e := range row {
 		if e.node == n {
-			row[i] = row[len(row)-1]
+			last := len(row) - 1
+			row[i] = row[last]
+			row[last] = freeRef
 			s.len--
 			return
 		}
 	}
 }
 
-// add appends e to row s unless the row already holds e.node. A full row
-// doubles its capacity: in place when it ends the arena, else by moving to
-// the arena's end, which leaves a hole.
+// add appends e to row s unless the row already holds e.node. A row takes
+// the free entry that follows it; a full row doubles: in place when it ends
+// the arena, else by moving to the arena's end, which leaves a hole.
 func (a *adjacency) add(s *span, e edgeRef) {
 	for _, x := range a.row(*s) {
 		if x.node == e.node {
 			return
 		}
 	}
-	if s.len == s.cap {
-		c := max(2*s.cap, 4)
-		a.reserve(c) // may compact, which moves s
-		if int(s.off+s.cap) != len(a.refs) {
-			off := int32(len(a.refs))
-			a.refs = a.refs[:off+c]
-			copy(a.refs[off:], a.row(*s))
-			s.off = off
-		} else {
-			a.refs = a.refs[:s.off+c]
-		}
-		s.cap = c
+	if end := int(s.off + s.len); end < len(a.refs) && a.refs[end].node == freeNode {
+		a.refs[end] = e
+		s.len++
+		return
 	}
+	c := max(2*s.len, 4)
+	a.reserve(c) // may compact, which moves s
+	if int(s.off+s.len) != len(a.refs) {
+		off := int32(len(a.refs))
+		a.refs = append(a.refs, a.row(*s)...)
+		s.off = off
+	}
+	end := int(s.off + c)
+	a.refs = a.refs[:end]
 	a.refs[s.off+s.len] = e
 	s.len++
+	for i := int(s.off + s.len); i < end; i++ {
+		a.refs[i] = freeRef
+	}
 }
 
 // reserve makes room for c more entries at the arena's end. When the arena is
@@ -955,14 +1179,15 @@ func (a *adjacency) reserve(c int32) {
 	}
 }
 
-// compact slides every row with entries to the arena's front, each keeping
-// its capacity; empty rows give up their space. The rows below home lie in
-// row order, so one pass over the row tables slides them. The rows that
-// moved past home lie in the order they moved: a moved row's first entry is
-// marked in place by a negative node (-1 - the row's id), whose real node
-// waits in the row's off field, and one scan past home finds them in arena
-// order, since every other entry there, dead or alive, names a real node.
-// The slid home rows end the new home.
+// compact slides every row with entries to the arena's front, giving up
+// its free entries; empty rows give up their space and restart past the
+// arena's end. The rows below home lie in row order, so one pass over the
+// row tables slides them. The rows that moved past home lie in the order
+// they moved: a moved row's first entry is marked in place by the node -2 -
+// the row's id, whose real node waits in the row's off field, and one scan
+// past home finds them in arena order, since every other entry there, dead
+// or alive, names a real node or is free. The slid home rows end the new
+// home.
 func (a *adjacency) compact() {
 	w := int32(0)
 	slide := func(s *span, from int32) {
@@ -972,26 +1197,27 @@ func (a *adjacency) compact() {
 			}
 		}
 		s.off = w
-		w += s.cap
+		w += s.len
 	}
-	// Sliding a home row writes below home only, so the same pass marks the
+	// Sliding a home row writes below it only, so the same pass marks the
 	// moved rows.
+	restart := int32(len(a.refs))
 	for t, rows := range [2][]span{a.out, a.in} {
 		for r := range rows {
 			switch s := &rows[r]; {
 			case s.len == 0:
-				*s = span{}
+				*s = span{off: restart}
 			case s.off < a.home:
 				slide(s, s.off)
 			default:
 				first := &a.refs[s.off]
-				s.off, first.node = int32(first.node), NodeID(-1-t*len(a.out)-r)
+				s.off, first.node = int32(first.node), NodeID(-2-t*len(a.out)-r)
 			}
 		}
 	}
 	home := w
 	for p := a.home; p < int32(len(a.refs)); {
-		id := -1 - int(a.refs[p].node)
+		id := -2 - int(a.refs[p].node)
 		if id < 0 {
 			p++
 			continue
@@ -999,7 +1225,7 @@ func (a *adjacency) compact() {
 		s := a.span(id)
 		a.refs[p].node = NodeID(s.off)
 		slide(s, p)
-		p += s.cap
+		p += s.len
 	}
 	a.home = home
 	a.refs = a.refs[:w]
@@ -1013,223 +1239,189 @@ func (a *adjacency) span(id int) *span {
 	return &a.in[id-len(a.out)]
 }
 
-// Key fields of the counting sorts over triples.
-const (
-	byFrom = iota
-	byLoc
-	byTo
-)
+// stagingLen is the arena length that stages and sorts t triples: staged,
+// two triples take three entries; every sorting pass writes one entry per
+// triple, and the first must not overlap the staged triples. With the bypass
+// on, what the rows leave of it (a quarter) is their room to grow.
+func stagingLen(t int) int { return 3*((t+1)/2) + t }
 
-// key returns one key field of t.
-func key(t triple, field int) int32 {
-	switch field {
-	case byFrom:
-		return int32(t.from)
-	case byLoc:
-		return int32(t.loc)
-	}
-	return int32(t.to)
-}
-
-// spare views arena space that is not carved yet as a triple array: triple
-// i takes the two entries from 2i, so a pass writes each triple to one
-// place.
-type spare []edgeRef
-
-func (s spare) get(i int) triple {
-	return triple{from: s[2*i].node, loc: ir.LocID(s[2*i].row), to: s[2*i+1].node}
-}
-
-func (s spare) set(i int32, t triple) {
-	s[2*i] = edgeRef{node: t.from, row: int32(t.loc)}
-	s[2*i+1].node = t.to
-}
-
-// sortToSpare and sortFromSpare are the passes of a stable counting sort by
-// one key field, whose values lie in [0, len(cnt)-1), between ts and the
-// spare arena space.
-func sortToSpare(dst spare, src []triple, cnt []int32, field int) {
-	countKeys(cnt, src, field)
-	for _, t := range src {
-		k := key(t, field)
-		dst.set(cnt[k], t)
-		cnt[k]++
+// put stages triple i: triples 2j and 2j+1 share entries 3j to 3j+2, the
+// third holding both targets.
+func (a *adjacency) put(i int, t triple) {
+	e := a.refs[3*(i>>1) : 3*(i>>1)+3]
+	if i&1 == 0 {
+		e[0] = edgeRef{node: t.from, row: int32(t.loc)}
+		e[2].node = t.to
+	} else {
+		e[1] = edgeRef{node: t.from, row: int32(t.loc)}
+		e[2].row = int32(t.to)
 	}
 }
 
-func sortFromSpare(dst []triple, src spare, cnt []int32, field int) {
-	clear(cnt)
-	for i := range dst {
-		cnt[key(src.get(i), field)+1]++
+// staged returns the staged triple i.
+func (a *adjacency) staged(i int) triple {
+	e := a.refs[3*(i>>1) : 3*(i>>1)+3]
+	if i&1 == 0 {
+		return triple{from: e[0].node, loc: ir.LocID(e[0].row), to: e[2].node}
 	}
+	return triple{from: e[1].node, loc: ir.LocID(e[1].row), to: NodeID(e[2].row)}
+}
+
+// prefixSums turns per-key counts at cnt[k+1] into bucket starts at cnt[k].
+func prefixSums(cnt []int32) {
 	for i := 1; i < len(cnt); i++ {
 		cnt[i] += cnt[i-1]
 	}
-	for i := range dst {
-		t := src.get(i)
-		k := key(t, field)
-		dst[cnt[k]] = t
-		cnt[k]++
-	}
 }
 
-// buildAdjacency turns the staged triples into adjacency rows with linear,
-// stable counting sorts over the exact key ranges (node count and location
-// count). The arena is allocated first, and its space serves the sorts
-// until the rows are carved into it. Sorting by to, then loc, then from
-// orders the triples by (from, loc, to) and makes duplicates adjacent; the
-// deduplicated runs of equal (from, loc) are the out rows. The in rows group
-// the out entries by (to, loc): a stable sort of their indices by loc, then
-// to, keeps each group in from order. Each entry names its partner row.
-// Every table is sized exactly, and the rows are full-cap'd spans, so a
-// bypass append relocates the row instead of clobbering a neighbor; with
-// the bypass on, the arena gets a quarter of slack for those relocations.
+// buildAdjacency sorts the staged triples into adjacency rows inside the
+// arena, with three linear, stable counting sorts over the exact key ranges
+// (node count and location count): by to, by loc, by from. Each pass writes
+// one entry per triple, the key it sorts by being implied by the bucket, so
+// the passes alternate between arena regions of t entries: staged [0, 1.5t)
+// → [len-t, len) → [0, t) → [t, 2t). The pass by from reads the triples in
+// (loc, to) order, so it also numbers the rows: each new (loc, to) pair is
+// the next in row of to, and each from's first triple on a location starts
+// an out row. The deduplicated runs of equal (from, loc) are the out rows,
+// whose entries land in [0, m) in final form (to, in row); a last pass over
+// them fills the in rows in [m, 2m), each in from order. Every table is
+// sized exactly, and the rows are full spans, so a bypass append relocates
+// the row instead of clobbering a neighbor.
 func (b *builder) buildAdjacency() {
-	n := b.g.NumNodes()
-	ts := b.triples
-	b.triples = nil
 	a := &b.adj
-	t := len(ts)
-	slack := 0
-	if b.opt.Bypass {
-		slack = t / 2 // a quarter of the out and in entries
-	}
-	a.refs = make([]edgeRef, 2*t, 2*t+slack)
+	n := b.g.NumNodes()
+	t := b.nt
+	refs := a.refs
 	nLocs := 0
-	for _, tr := range ts {
+	// By to: t1 holds (from, loc); node v's bucket ends at end[v].
+	end := make([]int32, n+1)
+	for i := range t {
+		tr := a.staged(i)
+		end[tr.to+1]++
 		nLocs = max(nLocs, int(tr.loc)+1)
 	}
-	cnt := make([]int32, max(n, nLocs)+1)
-	sp := spare(a.refs[:2*t])
-	sortToSpare(sp, ts, cnt[:n+1], byTo)
-	sortFromSpare(ts, sp, cnt[:nLocs+1], byLoc)
-	sortToSpare(sp, ts, cnt[:n+1], byFrom)
-	ded := ts[:0]
+	prefixSums(end)
+	t1 := refs[len(refs)-t:]
 	for i := range t {
-		if tr := sp.get(i); i == 0 || tr != ded[len(ded)-1] {
-			ded = append(ded, tr)
-		}
+		tr := a.staged(i)
+		t1[end[tr.to]] = edgeRef{node: tr.from, row: int32(tr.loc)}
+		end[tr.to]++
 	}
-	m := len(ded)
-	a.refs, a.home = a.refs[:2*m], int32(2*m)
-	// The in rows group the out entries by (to, loc), each group in from
-	// order, that is in out-entry order: a stable sort of the entry indices
-	// by loc, then by to. Before the rows are carved, the out half of the
-	// arena holds the indices by loc (node) with their to (row), and the row
-	// fields of the in half the indices by (to, loc, index).
-	out, in := a.refs[:m], a.refs[m:]
-	countKeys(cnt[:nLocs+1], ded, byLoc)
-	for k, t := range ded {
-		out[cnt[t.loc]] = edgeRef{node: NodeID(k), row: int32(t.to)}
-		cnt[t.loc]++
+	// By loc: t2 holds (from, to); location l's bucket ends at locEnd[l].
+	locEnd := make([]int32, nLocs+1)
+	for _, e := range t1 {
+		locEnd[e.row+1]++
 	}
-	countKeys(cnt[:n+1], ded, byTo)
-	for _, e := range out {
-		in[cnt[e.row]].row = int32(e.node)
-		cnt[e.row]++
-	}
-	// cnt[i] now ends node i's entries. Out entry k is ded[k]; its row field
-	// holds its own row until carveIn links the in rows.
-	a.outStart, a.outLocs, a.out = carveOut(out, ded, n)
-	a.inStart, a.inLocs, a.in = carveIn(a.refs, ded, cnt[:n])
-}
-
-// countKeys sets cnt[v] to the number of triples whose key field is below v,
-// for a counting sort's scatter pass.
-func countKeys(cnt []int32, ts []triple, field int) {
-	clear(cnt)
-	for _, t := range ts {
-		cnt[key(t, field)+1]++
-	}
-	for i := 1; i < len(cnt); i++ {
-		cnt[i] += cnt[i-1]
-	}
-}
-
-// carveOut cuts ts, sorted by (from, loc), into one row per run of equal
-// (from, loc). It sets refs[k] to ts[k].to and entry k's row, and returns
-// each node's first row (with a final sentinel), the rows' location keys,
-// and their full-cap'd spans.
-func carveOut(refs []edgeRef, ts []triple, n int) (start []int32, locs []ir.LocID, rows []span) {
-	newRow := func(k int) bool {
-		return k == 0 || ts[k].from != ts[k-1].from || ts[k].loc != ts[k-1].loc
-	}
-	nRows := 0
-	for k := range ts {
-		if newRow(k) {
-			nRows++
-		}
-	}
-	start = make([]int32, n+1)
-	locs = make([]ir.LocID, nRows)
-	rows = make([]span, nRows)
-	r := int32(-1)
-	for k, t := range ts {
-		if newRow(k) {
-			r++
-			locs[r] = t.loc
-			rows[r].off = int32(k)
-			start[t.from+1]++
-		}
-		rows[r].len++
-		rows[r].cap++
-		refs[k] = edgeRef{node: t.to, row: r}
-	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	return start, locs, rows
-}
-
-// carveIn cuts the in half of the arena, m = len(ts) entries whose row
-// fields list the out entries by (to, loc, index) and where node i's
-// entries end at end[i], into one row per run of equal (to, loc). In entry
-// j, for out entry k, becomes k seen from its target: its node is k's
-// source and its row k's out row, and k's row becomes j's in row. It
-// returns the in rows' starts, keys and spans, as carveOut does.
-func carveIn(refs []edgeRef, ts []triple, end []int32) (start []int32, locs []ir.LocID, rows []span) {
-	m := len(ts)
-	in := refs[m : 2*m]
-	nRows := 0
+	prefixSums(locEnd)
+	t2 := refs[:t]
 	lo := int32(0)
-	prev := ir.LocID(0)
-	for _, hi := range end {
-		for j := lo; j < hi; j++ {
-			if l := ts[in[j].row].loc; j == lo || l != prev {
-				nRows++
-				prev = l
-			}
+	for v := range n {
+		for _, e := range t1[lo:end[v]] {
+			t2[locEnd[e.row]] = edgeRef{node: e.node, row: int32(v)}
+			locEnd[e.row]++
 		}
-		lo = hi
+		lo = end[v]
 	}
-	n := len(end)
-	start = make([]int32, n+1)
-	locs = make([]ir.LocID, nRows)
-	rows = make([]span, nRows)
-	r := int32(-1)
+	// By from, numbering the in rows and the out rows: t3 holds (to, in
+	// row), the in row complemented where the entry starts an out row. The
+	// triples come loc by loc, so last[f] == l+1 tells that from f has met
+	// l already.
+	clear(end)
+	inStart := make([]int32, n+1)
+	outStart := make([]int32, n+1)
+	last := make([]int32, n)
 	lo = 0
-	for i, hi := range end {
-		for j := lo; j < hi; j++ {
-			k := in[j].row
-			t := ts[k]
-			if j == lo || t.loc != prev {
-				r++
-				prev = t.loc
-				locs[r] = t.loc
-				rows[r].off = int32(m) + j
-				start[i+1]++
+	for l := range nLocs {
+		for p := lo; p < locEnd[l]; p++ {
+			e := t2[p]
+			end[e.node+1]++
+			if p == lo || e.row != t2[p-1].row {
+				inStart[e.row+1]++
 			}
-			rows[r].len++
-			rows[r].cap++
-			in[j] = edgeRef{node: t.from, row: refs[k].row}
-			refs[k].row = r
+			if last[e.node] != int32(l+1) {
+				last[e.node] = int32(l + 1)
+				outStart[e.node+1]++
+			}
 		}
-		lo = hi
+		lo = locEnd[l]
 	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
+	prefixSums(end)
+	prefixSums(inStart)
+	prefixSums(outStart)
+	a.inLocs, a.in = make([]ir.LocID, inStart[n]), make([]span, inStart[n])
+	a.outLocs, a.out = make([]ir.LocID, outStart[n]), make([]span, outStart[n])
+	clear(last)
+	t3 := refs[t : 2*t]
+	r := int32(0)
+	lo = 0
+	for l := range nLocs {
+		for p := lo; p < locEnd[l]; p++ {
+			e := t2[p]
+			if p == lo || e.row != t2[p-1].row {
+				r = inStart[e.row]
+				inStart[e.row]++
+				a.inLocs[r] = ir.LocID(l)
+			}
+			mark := r
+			if last[e.node] != int32(l+1) {
+				last[e.node] = int32(l + 1)
+				mark = ^r
+			}
+			t3[end[e.node]] = edgeRef{node: NodeID(e.row), row: mark}
+			end[e.node]++
+		}
+		lo = locEnd[l]
 	}
-	return start, locs, rows
+	copy(inStart[1:], inStart[:n])
+	inStart[0] = 0
+	a.inStart, a.outStart = inStart, outStart
+	m := a.carveOut(t3, end)
+	// The in rows follow the out entries, and each takes its entries in out
+	// entry order, that is in from order.
+	off := int32(m)
+	for r := range a.in {
+		s := &a.in[r]
+		s.off, off, s.len = off, off+s.len, 0
+	}
+	for v := range n {
+		for r := a.outStart[v]; r < a.outStart[v+1]; r++ {
+			for _, e := range a.row(a.out[r]) {
+				s := &a.in[e.row]
+				refs[s.off+s.len] = edgeRef{node: NodeID(v), row: r}
+				s.len++
+			}
+		}
+	}
+	a.refs, a.home = refs[:2*m], int32(2*m)
+}
+
+// carveOut cuts t3, the triples by (from, loc, to) as (to, in row) entries
+// where node v's end at end[v] and each out row's first is marked, into the
+// out rows, dropping duplicates. Out entry k lands in refs[k], which trails
+// the entry it was read from; the in rows count their entries. It returns
+// the entry count.
+func (a *adjacency) carveOut(t3 []edgeRef, end []int32) int {
+	k, r := int32(0), int32(-1)
+	lo := int32(0)
+	for v := range end[:len(end)-1] {
+		for p := lo; p < end[v]; p++ {
+			e := t3[p]
+			if e.row < 0 {
+				e.row = ^e.row
+				r++
+				a.outLocs[r] = a.inLocs[e.row]
+				a.out[r].off = k
+			} else if prev := t3[p-1]; e.node == prev.node && (e.row == prev.row || e.row == ^prev.row) {
+				continue // a duplicate triple
+			}
+			a.out[r].len++
+			a.in[e.row].len++
+			a.refs[k] = e
+			k++
+		}
+		lo = end[v]
+	}
+	return int(k)
 }
 
 // sortByNode orders a row by node. Most rows are short, and an insertion
@@ -1267,12 +1459,19 @@ func findRow(keys []ir.LocID, i *int, base int32, l ir.LocID) int32 {
 // connecting its predecessors directly to its successors.
 func (b *builder) bypass() {
 	a := &b.adj
-	work := make([]NodeID, 0, len(b.pass))
-	inWork := make([]bool, len(b.pass))
-	for n := range b.pass {
-		if len(b.pass[n]) > 0 {
-			work = append(work, NodeID(n))
-			inWork[n] = true
+	sets := &b.sets
+	points := b.g.PointCount
+	sets.spliced = make([]uint64, len(sets.pass))
+	work := make([]NodeID, 0, points)
+	inWork := make([]bool, points)
+	for n := range points {
+		r := sets.at[n]
+		for j := range r.nd {
+			if hasBit(sets.pass, r.bit+j) {
+				work = append(work, NodeID(n))
+				inWork[n] = true
+				break
+			}
 		}
 	}
 	rootProc := b.prog.ProcByID(b.prog.Main)
@@ -1295,9 +1494,13 @@ func (b *builder) bypass() {
 		outKeys := a.outLocs[a.outStart[n]:a.outStart[n+1]]
 		ii, oi := 0, 0
 		spliced = spliced[:0]
-		// pass[n] is ascending and only shrinks after the loop, so n's own
-		// rows are found by two cursors.
-		for _, l := range b.pass[n] {
+		// The candidates are ascending, and none leaves the candidates
+		// before the loop ends, so n's own rows are found by two cursors.
+		bit := sets.at[n].bit
+		for j, l := range sets.defs(int(n)) {
+			if !hasBit(sets.pass, bit+int32(j)) {
+				continue
+			}
 			preds, succs = preds[:0], succs[:0]
 			inRow := findRow(inKeys, &ii, a.inStart[n], l)
 			outRow := findRow(outKeys, &oi, a.outStart[n], l)
@@ -1346,9 +1549,10 @@ func (b *builder) bypass() {
 			if outRow >= 0 {
 				a.out[outRow].len = 0
 			}
-			// Phis (past the pass table) relay nothing.
+			// Phis (past the point table) relay nothing; n is neither a pred
+			// nor a succ.
 			requeue := func(m NodeID) {
-				if int(m) < len(b.pass) && !inWork[m] && ir.LocsContain(b.pass[m], l) {
+				if int(m) < points && !inWork[m] && sets.relays(int(m), l) {
 					work = append(work, m)
 					inWork[m] = true
 				}
@@ -1365,32 +1569,33 @@ func (b *builder) bypass() {
 			spliced = append(spliced, l)
 		}
 		if len(spliced) > 0 {
-			b.pass[n] = removeLocs(b.pass[n], spliced)
-			b.defs[n] = removeLocs(b.defs[n], spliced)
-			b.uses[n] = removeLocs(b.uses[n], spliced)
+			sets.spliceOut(int(n), spliced)
 		}
 	}
 }
 
-// finalize packs the access sets into the offset tables and builds the CSR
-// successor index and the Acc slots. The non-empty in rows of a node are its
-// distinct in-edge locations in ascending order, so they number its slots,
-// and every out entry names its partner in row.
+// finalize packs the access sets into the offset tables and builds the Acc
+// slots and the CSR successor index, releasing each builder table once it
+// has been read, so that the graph grows while the builder shrinks. The
+// non-empty in rows of a node are its distinct in-edge locations in
+// ascending order, so they number its slots; every out entry names its
+// partner in row, and so its slot.
 func (b *builder) finalize(info *cfg.Info) {
 	g := b.g
 	n := g.NumNodes()
 	g.Prio = make([]int, n)
-	totD, totU := len(g.Phis), len(g.Phis)
-	for i := range b.defs {
-		totD += len(b.defs[i])
-		totU += len(b.uses[i])
+	totD := len(g.Phis) - b.sets.nSpliced[0]
+	totU := len(g.Phis) - b.sets.nSpliced[1]
+	for _, r := range b.sets.at {
+		totD += int(r.nd)
+		totU += int(r.nu)
 	}
 	g.defOff, g.defLocs = make([]int32, n+1), make([]ir.LocID, 0, totD)
 	g.useOff, g.useLocs = make([]int32, n+1), make([]ir.LocID, 0, totU)
 	for i := 0; i < n; i++ {
 		if i < g.PointCount {
-			g.defLocs = append(g.defLocs, b.defs[i]...)
-			g.useLocs = append(g.useLocs, b.uses[i]...)
+			g.defLocs = b.sets.kept(g.defLocs, i, false)
+			g.useLocs = b.sets.kept(g.useLocs, i, true)
 			g.Prio[i] = info.Prio[i] * 2
 		} else {
 			ph := g.Phis[i-g.PointCount]
@@ -1401,38 +1606,47 @@ func (b *builder) finalize(info *cfg.Info) {
 		g.defOff[i+1] = int32(len(g.defLocs))
 		g.useOff[i+1] = int32(len(g.useLocs))
 	}
+	b.sets = pointSets{}
 	a := &b.adj
-	var nLocs, nEdges, nSlots int
-	for _, row := range a.out {
-		if row.len > 0 {
-			nLocs++
-			nEdges += int(row.len)
-		}
-	}
+	// Each non-empty in row's off field now holds its Acc slot, and then
+	// each out entry's row field the slot of its partner; the in rows are
+	// done.
+	nSlots := 0
 	for _, row := range a.in {
 		if row.len > 0 {
 			nSlots++
 		}
 	}
-	// The in rows' capacities are dead once the bypass is done; each
-	// non-empty in row's cap field now holds its Acc slot.
 	g.accOff = make([]int32, n+1)
 	g.accLocs = make([]ir.LocID, 0, nSlots)
 	for i := 0; i < n; i++ {
 		g.accOff[i] = int32(len(g.accLocs))
 		for r := a.inStart[i]; r < a.inStart[i+1]; r++ {
 			if a.in[r].len > 0 {
-				a.in[r].cap = int32(len(g.accLocs))
+				a.in[r].off = int32(len(g.accLocs))
 				g.accLocs = append(g.accLocs, a.inLocs[r])
 			}
 		}
 	}
 	g.accOff[n] = int32(len(g.accLocs))
+	var nLocs, nEdges int
+	for _, row := range a.out {
+		if row.len > 0 {
+			nLocs++
+			nEdges += int(row.len)
+			for i := range a.row(row) {
+				e := &a.refs[row.off+int32(i)]
+				e.row = a.in[e.row].off
+			}
+		}
+	}
+	a.in, a.inLocs, a.inStart = nil, nil, nil
 	g.edgeLocs = make([]ir.LocID, 0, nLocs)
 	g.edgeRow = make([]int32, n+1)
 	g.succOff = make([]int32, 0, nLocs+1)
 	g.succs = make([]NodeID, 0, nEdges)
 	g.succSlot = make([]int32, 0, nEdges)
+	b.stage("finalize")
 	for i := 0; i < n; i++ {
 		g.edgeRow[i] = int32(len(g.edgeLocs))
 		for r := a.outStart[i]; r < a.outStart[i+1]; r++ {
@@ -1445,7 +1659,7 @@ func (b *builder) finalize(info *cfg.Info) {
 			sortByNode(row)
 			for _, e := range row {
 				g.succs = append(g.succs, e.node)
-				g.succSlot = append(g.succSlot, a.in[e.row].cap)
+				g.succSlot = append(g.succSlot, e.row)
 			}
 		}
 	}

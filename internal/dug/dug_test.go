@@ -1,6 +1,7 @@
 package dug
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -295,66 +296,104 @@ int main() {
 	_ = prog
 }
 
-// TestArenaCompaction drives the adjacency arena with random appends,
-// swap-with-last removals and relay kills, the row edits of the bypass, and
-// checks every row against a plain slice after each edit. The arena starts
-// with little or no slack, so rows move, grow in place at its end,
+// editRows drives an adjacency arena with appends, swap-with-last removals
+// and relay kills, the row edits of the bypass, and checks every row against
+// a plain slice after each edit. next(n) picks each choice in [0, n) and
+// reports false when the script ends. The arena starts with little or no
+// slack, so rows move, grow in place at its end, take free entries back,
 // compact many times (moved rows and home rows alike) and force
 // reallocations; a compaction must keep every row's entries and their
 // order.
-func TestArenaCompaction(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		nOut, nIn := 1+r.Intn(20), 1+r.Intn(20)
-		model := make([][]edgeRef, nOut+nIn)
-		var a adjacency
-		a.out, a.in = make([]span, nOut), make([]span, nIn)
-		for id := range model {
-			s := a.span(id)
-			s.off = int32(len(a.refs))
-			for range 1 + r.Intn(3) {
-				e := edgeRef{node: NodeID(r.Intn(12)), row: int32(r.Intn(1000))}
-				if !slices.ContainsFunc(model[id], func(x edgeRef) bool { return x.node == e.node }) {
-					model[id] = append(model[id], e)
-					a.refs = append(a.refs, e)
-				}
+func editRows(t testing.TB, label string, next func(n int) (int, bool)) {
+	pick := func(n int) int {
+		v, _ := next(n)
+		return v
+	}
+	nOut, nIn := 1+pick(20), 1+pick(20)
+	model := make([][]edgeRef, nOut+nIn)
+	var a adjacency
+	a.out, a.in = make([]span, nOut), make([]span, nIn)
+	for id := range model {
+		s := a.span(id)
+		s.off = int32(len(a.refs))
+		for range 1 + pick(3) {
+			e := edgeRef{node: NodeID(pick(12)), row: int32(pick(1000))}
+			if !slices.ContainsFunc(model[id], func(x edgeRef) bool { return x.node == e.node }) {
+				model[id] = append(model[id], e)
+				a.refs = append(a.refs, e)
 			}
-			s.len = int32(len(model[id]))
-			s.cap = s.len
 		}
-		a.refs = slices.Clip(a.refs)
-		if seed%2 == 0 {
-			a.refs = slices.Grow(a.refs, r.Intn(8))
+		s.len = int32(len(model[id]))
+	}
+	a.refs = slices.Clip(a.refs)
+	a.refs = slices.Grow(a.refs, pick(8))
+	a.home = int32(len(a.refs))
+	for step := 0; ; step++ {
+		id, ok := next(len(model))
+		if !ok {
+			return
 		}
-		a.home = int32(len(a.refs))
-		for step := 0; step < 400; step++ {
-			id := r.Intn(len(model))
-			s := a.span(id)
-			switch op := r.Intn(10); {
-			case op < 6:
-				e := edgeRef{node: NodeID(r.Intn(12)), row: int32(r.Intn(1000))}
-				a.add(s, e)
-				if !slices.ContainsFunc(model[id], func(x edgeRef) bool { return x.node == e.node }) {
-					model[id] = append(model[id], e)
-				}
-			case op < 9:
-				if len(model[id]) == 0 {
-					continue
-				}
-				n := model[id][r.Intn(len(model[id]))].node
-				a.remove(s, n)
-				i := slices.IndexFunc(model[id], func(x edgeRef) bool { return x.node == n })
-				model[id][i] = model[id][len(model[id])-1]
-				model[id] = model[id][:len(model[id])-1]
-			default:
-				s.len = 0 // a spliced relay's rows
-				model[id] = nil
+		s := a.span(id)
+		switch op := pick(10); {
+		case op < 6:
+			e := edgeRef{node: NodeID(pick(12)), row: int32(pick(1000))}
+			a.add(s, e)
+			if !slices.ContainsFunc(model[id], func(x edgeRef) bool { return x.node == e.node }) {
+				model[id] = append(model[id], e)
 			}
-			for id, want := range model {
-				if got := a.row(*a.span(id)); !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d: row %d = %v, want %v", seed, step, id, got, want)
-				}
+		case op < 9:
+			if len(model[id]) == 0 {
+				continue
+			}
+			n := model[id][pick(len(model[id]))].node
+			a.remove(s, n)
+			i := slices.IndexFunc(model[id], func(x edgeRef) bool { return x.node == n })
+			model[id][i] = model[id][len(model[id])-1]
+			model[id] = model[id][:len(model[id])-1]
+		default:
+			s.len = 0 // a spliced relay's rows
+			model[id] = nil
+		}
+		for id, want := range model {
+			if got := a.row(*a.span(id)); !slices.Equal(got, want) {
+				t.Fatalf("%s step %d: row %d = %v, want %v", label, step, id, got, want)
 			}
 		}
 	}
+}
+
+// TestArenaCompaction runs editRows on 40 seeded random scripts of 2,000
+// choices, about 450 edits each.
+func TestArenaCompaction(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		steps := 0
+		editRows(t, fmt.Sprintf("seed %d", seed), func(n int) (int, bool) {
+			steps++
+			return r.Intn(n), steps <= 2000
+		})
+	}
+}
+
+// FuzzAdjacency runs editRows on scripts read from the fuzz input, one byte
+// per choice; the script ends with the input.
+//
+//	go test -fuzz=FuzzAdjacency -run '^$' ./internal/dug
+func FuzzAdjacency(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, 600)
+		r.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		editRows(t, "script", func(n int) (int, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v, true
+		})
+	})
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"runtime/pprof"
 	"runtime/trace"
 	"sync"
@@ -355,7 +356,8 @@ func (c *Collector) PhaseTime(p Phase) time.Duration {
 // samples runtime heap usage every interval until the returned stop function
 // is called, tracking the peak. The peak-above-baseline appears in the
 // report as PeakHeapBytes (a non-deterministic gauge: GC timing and sampling
-// jitter move it run to run). interval <= 0 uses 5ms.
+// jitter move it run to run). interval <= 0 uses 5ms. SampleHeap adds
+// samples between the ticks.
 func (c *Collector) StartHeapSampler(interval time.Duration) (stop func()) {
 	if c == nil {
 		return func() {}
@@ -364,19 +366,7 @@ func (c *Collector) StartHeapSampler(interval time.Duration) (stop func()) {
 		interval = 5 * time.Millisecond
 	}
 	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	c.heapBase = ms.HeapAlloc
-	sample := func() {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		for {
-			old := c.heapPeak.Load()
-			if m.HeapAlloc <= old || c.heapPeak.CompareAndSwap(old, m.HeapAlloc) {
-				return
-			}
-		}
-	}
+	c.heapBase = heapObjectBytes()
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
@@ -388,18 +378,42 @@ func (c *Collector) StartHeapSampler(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				sample()
+				c.SampleHeap()
 			}
 		}
 	}()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			sample()
+			c.SampleHeap()
 			close(done)
 			<-finished
 		})
 	}
+}
+
+// SampleHeap reads the current heap allocation and folds it into the peak.
+// It does not stop the world, so a caller may sample as often as it checks
+// the peak.
+func (c *Collector) SampleHeap() {
+	if c == nil {
+		return
+	}
+	h := heapObjectBytes()
+	for {
+		old := c.heapPeak.Load()
+		if h <= old || c.heapPeak.CompareAndSwap(old, h) {
+			return
+		}
+	}
+}
+
+// heapObjectBytes returns the bytes of allocated heap objects, the
+// MemStats.HeapAlloc figure, read through runtime/metrics.
+func heapObjectBytes() uint64 {
+	s := [1]rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // PeakHeapBytes returns the sampled peak heap growth above the baseline

@@ -115,8 +115,9 @@ type Config struct {
 	// Deadline bounds the wall time from New on.
 	Deadline time.Duration
 	// HeapBudget is the soft cap, in bytes, on sampled heap growth above
-	// the baseline taken when the Budget is created. Enforcement lags by
-	// the sampling interval (5ms), hence "soft".
+	// the baseline taken when the Budget is created. Every poll samples
+	// the heap, and a 5ms sampler adds samples between polls; a peak that
+	// both miss goes unseen, hence "soft".
 	HeapBudget uint64
 	// Hook is the fault-injection checkpoint hook (tests only).
 	Hook Hook
@@ -220,8 +221,11 @@ func (b *Budget) Poll(p Phase) Reason {
 	default:
 		if b.deadline != 0 && time.Now().UnixNano() > b.deadline {
 			r = ReasonDeadline
-		} else if b.heapBudget > 0 && b.heapCol.PeakHeapBytes() > b.heapBudget {
-			r = ReasonHeap
+		} else if b.heapBudget > 0 {
+			b.heapCol.SampleHeap()
+			if b.heapCol.PeakHeapBytes() > b.heapBudget {
+				r = ReasonHeap
+			}
 		}
 	}
 	if r != OK && b.breach.CompareAndSwap(uint32(OK), uint32(r)) {
