@@ -53,9 +53,6 @@ func TestCorpusAllAnalyzers(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v/%v: %v", domain, mode, err)
 					}
-					if res.Stats.TimedOut {
-						t.Errorf("%v/%v: timed out", domain, mode)
-					}
 					if domain == sparrow.Interval && mode != sparrow.Vanilla {
 						set := map[string]bool{}
 						for _, a := range res.Alarms() {

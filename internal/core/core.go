@@ -89,9 +89,6 @@ type Options struct {
 	// (dense and sparse interval modes; octagon sparse has no descending
 	// phase).
 	Narrow int
-	// MaxSteps bounds the number of transfer applications (0 = none). A cut
-	// fixpoint is partial: Stats.TimedOut is set.
-	MaxSteps int
 	// Deprecated: ignored; the sparse analyzers have one schedule.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
@@ -111,10 +108,9 @@ type Options struct {
 	// and the run returns a *BudgetError wrapping context.Canceled. nil
 	// means no cancellation.
 	Ctx context.Context
-	// Deadline bounds the wall-clock time of the whole call. A breach
-	// returns a *BudgetError at once. Unlike MaxSteps (which truncates the
-	// fixpoint and returns a partial result), a Deadline never yields
-	// unsound partial memories.
+	// Deadline bounds the wall-clock time of the whole call. A breach in
+	// any phase returns a *BudgetError at once: a cut fixpoint is not a
+	// post-fixpoint, so no partial memory is ever returned.
 	Deadline time.Duration
 	// MemBudget is a soft cap, in bytes, on sampled heap growth above the
 	// baseline at analysis start (internal/metrics heap sampler; 5ms
@@ -161,7 +157,6 @@ type Stats struct {
 	TotalTime time.Duration
 
 	Steps     int
-	TimedOut  bool
 	DepEdges  int // dependency triples (sparse)
 	Phis      int
 	AvgDefs   float64 // avg |D̂(c)| per statement (sparse)
@@ -210,7 +205,6 @@ type outcome struct {
 	reached   []bool // control reachability per point
 	steps     int
 	widenings int // effective widenings
-	timedOut  bool
 }
 
 // AnalyzeSource parses, lowers and analyzes a C-like translation unit.
@@ -268,9 +262,9 @@ func validateOptions(opt Options) error {
 // AnalyzeProgram analyzes an already-lowered program.
 //
 // With a budget configured (Ctx, Deadline, MemBudget, or FaultHook), the
-// analysis runs once under that budget, and its first breach returns a
-// *BudgetError. Panics anywhere inside the analysis surface as
-// *AnalysisError, never as a crash.
+// analysis runs once under that budget, and its first breach, in whatever
+// phase, returns a *BudgetError. Panics anywhere inside the analysis
+// surface as *AnalysisError, never as a crash.
 func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 	if err := validateOptions(opt); err != nil {
 		return nil, err
@@ -283,19 +277,13 @@ func AnalyzeProgram(prog *ir.Program, opt Options) (*Result, error) {
 		Metrics:    opt.Metrics,
 	})
 	defer bud.Close()
-	res, err := analyzeAttempt(prog, opt, bud)
-	if reason := bud.Reason(); err == nil && reason != rt.OK {
-		// Only the fixpoint loops poll without aborting: a breach that let
-		// the pipeline finish cut a solve short.
-		return nil, &BudgetError{Reason: reason, Phase: rt.PhaseFix.String()}
-	}
-	return res, err
+	return analyzeAttempt(prog, opt, bud)
 }
 
 // analyzeAttempt runs the pipeline once under bud (nil = unbudgeted). It is
 // the panic-isolation boundary: any panic below here is recovered into
-// *AnalysisError, and budget aborts from phases that cannot return partial
-// results (rt.Abort) become *BudgetError.
+// *AnalysisError, and a budget abort (rt.Abort, raised by a checkpoint of
+// any phase) becomes *BudgetError.
 func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result, err error) {
 	r := &Result{Prog: prog, Opts: opt, col: opt.Metrics, bud: bud, phase: "setup"}
 	defer func() {
@@ -310,11 +298,8 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 	}()
 	t0 := time.Now()
 
-	r.phase = "prean"
-	stop := opt.Metrics.Phase(metrics.PhasePrean)
-	pre := prean.RunBudget(prog, bud)
-	stop()
-	r.pre = pre
+	r.timed("prean", metrics.PhasePrean, func() { r.pre = prean.RunBudget(prog, bud) })
+	pre := r.pre
 	if hasKind(opt.kinds(), check.UninitRead) {
 		r.marks = entryMarksFor(prog, pre)
 	}
@@ -338,7 +323,7 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 	}
 	r.phase = "finish"
 
-	r.Stats.Steps, r.Stats.TimedOut = r.out.steps, r.out.timedOut
+	r.Stats.Steps = r.out.steps
 	r.Stats.TotalTime = time.Since(t0)
 	r.Stats.LOC = prog.SourceLOC
 	r.Stats.Functions = len(prog.Procs) - 1 // __start is synthetic
@@ -437,23 +422,32 @@ func (r *Result) runOctagon(opt Options) {
 	})
 }
 
+// timed runs body as the pipeline stage name, timed as the metrics phase
+// p, and returns its wall time. The phase is closed by a defer, so a budget
+// abort or a panic that unwinds body still ends its pprof labels and trace
+// region and records its time.
+func (r *Result) timed(name string, p metrics.Phase, body func()) time.Duration {
+	r.phase = name
+	t := time.Now()
+	defer r.col.Phase(p)()
+	body()
+	return time.Since(t)
+}
+
 // runDense runs the dense fixpoint of one domain (vanilla, or base with
 // access-based localization) and records its outcome and phase time.
 func runDense[M dense.Mem[M, K], K any](r *Result, opt Options, s dense.Sem[M], entry M, accessed func(ir.ProcID) []K, stride int) *dense.Result[M] {
-	r.phase = "fixpoint"
-	t := time.Now()
-	stop := opt.Metrics.Phase(metrics.PhaseFix)
-	res := dense.Analyze(r.Prog, r.pre, s, entry, accessed, stride, dense.Options{
-		Localize: opt.Mode == Base,
-		MaxSteps: opt.MaxSteps,
-		Narrow:   opt.Narrow,
-		Metrics:  opt.Metrics,
-		Budget:   r.bud,
+	var res *dense.Result[M]
+	r.Stats.FixTime = r.timed("fixpoint", metrics.PhaseFix, func() {
+		res = dense.Analyze(r.Prog, r.pre, s, entry, accessed, stride, dense.Options{
+			Localize: opt.Mode == Base,
+			Narrow:   opt.Narrow,
+			Metrics:  opt.Metrics,
+			Budget:   r.bud,
+		})
 	})
-	stop()
-	r.Stats.FixTime = time.Since(t)
 	r.Stats.DepTime = r.Stats.PreTime
-	r.out = outcome{res.Reached, res.Steps, res.Widenings, res.TimedOut}
+	r.out = outcome{res.Reached, res.Steps, res.Widenings}
 	return res
 }
 
@@ -461,27 +455,21 @@ func runDense[M dense.Mem[M, K], K any](r *Result, opt Options, s dense.Sem[M], 
 // of dom on it, and records the graph statistics, the outcome and the phase
 // times.
 func runSparse[V sparse.Value[V]](r *Result, opt Options, dom sparse.Domain[V], build func(dug.Options) *dug.Graph) *sparse.Result[V] {
-	r.phase = "dug_build"
-	t := time.Now()
-	stop := opt.Metrics.Phase(metrics.PhaseDUG)
-	r.graph = build(dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud})
-	stop()
-	r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
-	r.phase = "fixpoint"
-	t = time.Now()
-	stop = opt.Metrics.Phase(metrics.PhaseFix)
-	res := sparse.Analyze(r.Prog, r.pre, dom, r.graph, sparse.Options{
-		MaxSteps: opt.MaxSteps,
-		Narrow:   opt.Narrow,
-		Metrics:  opt.Metrics,
-		Budget:   r.bud,
+	r.Stats.DepTime = r.Stats.PreTime + r.timed("dug_build", metrics.PhaseDUG, func() {
+		r.graph = build(dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud})
 	})
-	stop()
-	r.Stats.FixTime = time.Since(t)
+	var res *sparse.Result[V]
+	r.Stats.FixTime = r.timed("fixpoint", metrics.PhaseFix, func() {
+		res = sparse.Analyze(r.Prog, r.pre, dom, r.graph, sparse.Options{
+			Narrow:  opt.Narrow,
+			Metrics: opt.Metrics,
+			Budget:  r.bud,
+		})
+	})
 	r.Stats.DepEdges = r.graph.EdgeCount
 	r.Stats.Phis = len(r.graph.Phis)
 	r.Stats.AvgDefs, r.Stats.AvgUses = r.graph.AvgDefUse()
-	r.out = outcome{res.Reached, res.Steps, res.Widenings, res.TimedOut}
+	r.out = outcome{res.Reached, res.Steps, res.Widenings}
 	return res
 }
 

@@ -59,10 +59,9 @@ type CheckerRun struct {
 	// TotalTime covers the whole per-checker pipeline.
 	SolveTime time.Duration
 	TotalTime time.Duration
-	// Steps and TimedOut mirror the result of the solve that produced
-	// Alarms, whichever call ran it.
-	Steps    int
-	TimedOut bool
+	// Steps mirrors the result of the solve that produced Alarms,
+	// whichever call ran it.
+	Steps int
 }
 
 // restrictedSolve is one solved restricted graph, kept on the Result so the
@@ -83,15 +82,6 @@ func (r *Result) reuseSolve(keep []ir.LocID) *restrictedSolve {
 	}
 	r.lastSolve = nil
 	return nil
-}
-
-// keepSolve records s for reuse unless it was cut short: a timed-out
-// fixpoint is partial, so it is never shared.
-func (r *Result) keepSolve(s *restrictedSolve) {
-	if s.sres.TimedOut {
-		return
-	}
-	r.lastSolve = s
 }
 
 // controlSeedsMemo returns (and caches) the branch-condition seed set.
@@ -145,11 +135,11 @@ func (r *Result) keepSet(kind check.Kind) []ir.LocID {
 // the full run's alarms of the kind. The restricted graph is rarely small:
 // on generated programs it keeps 99.1–99.8% of the full triples, which is
 // why solves are shared. If kind's keep set equals that of the previous
-// restricted solve (and that solve did not time out), this call reuses its
-// graph statistics and fixpoint and runs only kind's checker; SharedWith
-// names the kind that paid for the solve. The solve feeds its work counters
-// nowhere: the run collector keeps the full solve's numbers, and only the
-// restr_* size counters and the restricted phase time are recorded.
+// restricted solve, this call reuses its graph statistics and fixpoint and
+// runs only kind's checker; SharedWith names the kind that paid for the
+// solve. The solve feeds its work counters nowhere: the run collector keeps
+// the full solve's numbers, and only the restr_* size counters and the
+// restricted phase time are recorded.
 func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 	if r.sres == nil {
 		return nil, fmt.Errorf("core: AnalyzeChecker requires a completed sparse interval run")
@@ -171,11 +161,10 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 		s.nodes, s.rows, s.triples = rg.ActiveStats()
 		ts := time.Now()
 		s.sres = sparse.Analyze(r.Prog, r.pre, sparse.Intervals(r.isem), rg, sparse.Options{
-			MaxSteps: r.Opts.MaxSteps,
-			Narrow:   r.Opts.Narrow,
+			Narrow: r.Opts.Narrow,
 		})
 		solve = time.Since(ts)
-		r.keepSolve(s)
+		r.lastSolve = s
 	}
 	if cn, cr, ct, ok := restrCounters(kind); ok {
 		r.col.Set(cn, int64(s.nodes))
@@ -196,7 +185,6 @@ func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 		FullTriples: r.graph.EdgeCount,
 		SolveTime:   solve,
 		Steps:       sres.Steps,
-		TimedOut:    sres.TimedOut,
 	}
 	if shared {
 		by := s.kind

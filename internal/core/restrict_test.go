@@ -66,11 +66,10 @@ func analyzeAllKinds(t testing.TB, name, src string) *Result {
 // must reproduce: alarms, universe and graph sizes, and solver steps.
 func sameRun(got, want *CheckerRun) string {
 	if got.Kind != want.Kind || got.Keep != want.Keep || got.Nodes != want.Nodes ||
-		got.Rows != want.Rows || got.Triples != want.Triples || got.Steps != want.Steps ||
-		got.TimedOut != want.TimedOut {
-		return fmt.Sprintf("%v keep %d nodes %d rows %d triples %d steps %d timedout %v; want %v %d %d %d %d %d %v",
-			got.Kind, got.Keep, got.Nodes, got.Rows, got.Triples, got.Steps, got.TimedOut,
-			want.Kind, want.Keep, want.Nodes, want.Rows, want.Triples, want.Steps, want.TimedOut)
+		got.Rows != want.Rows || got.Triples != want.Triples || got.Steps != want.Steps {
+		return fmt.Sprintf("%v keep %d nodes %d rows %d triples %d steps %d; want %v %d %d %d %d %d",
+			got.Kind, got.Keep, got.Nodes, got.Rows, got.Triples, got.Steps,
+			want.Kind, want.Keep, want.Nodes, want.Rows, want.Triples, want.Steps)
 	}
 	if g, w := alarmStrings(got.Alarms), alarmStrings(want.Alarms); !slices.Equal(g, w) {
 		return fmt.Sprintf("%v alarms %v; want %v", got.Kind, g, w)
@@ -102,8 +101,8 @@ func TestSharedSolveExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if run.SharedWith != nil || run.TimedOut {
-				t.Fatalf("%s %v: first run on a fresh Result shared %v / timed out %v", name, k, run.SharedWith, run.TimedOut)
+			if run.SharedWith != nil {
+				t.Fatalf("%s %v: first run on a fresh Result shared %v", name, k, run.SharedWith)
 			}
 			alone[k] = run
 		}
@@ -142,35 +141,6 @@ func TestSharedSolveExact(t *testing.T) {
 			if shared == 0 && slices.Equal(order, orders[0]) {
 				t.Errorf("%s order %v: no run shared a solve (buf and null close alike on every program here)", name, order)
 			}
-		}
-	}
-}
-
-// TestSharedSolveTimedOut: a restricted solve cut short by MaxSteps is
-// never reused, and a later complete solve of the same universe is.
-func TestSharedSolveTimedOut(t *testing.T) {
-	res := analyzeAllKinds(t, "overruns.c", corpusFile(t, "overruns.c"))
-	if !slices.Equal(res.keepSet(check.BufferOverrun), res.keepSet(check.NullDeref)) {
-		t.Fatal("overruns.c: buf and null universes differ; the test needs them equal")
-	}
-	res.Opts.MaxSteps = 3
-	for _, k := range []check.Kind{check.BufferOverrun, check.NullDeref} {
-		run, err := res.AnalyzeChecker(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !run.TimedOut || run.SharedWith != nil {
-			t.Errorf("MaxSteps=3 %v: timed out %v, shared %v; want a timed-out unshared solve", k, run.TimedOut, run.SharedWith)
-		}
-	}
-	res.Opts.MaxSteps = 0
-	for i, k := range []check.Kind{check.NullDeref, check.BufferOverrun} {
-		run, err := res.AnalyzeChecker(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.TimedOut || (run.SharedWith != nil) != (i == 1) {
-			t.Errorf("unbounded %v: timed out %v, shared %v; want shared only for the second call", k, run.TimedOut, run.SharedWith)
 		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"sparrow/internal/check"
 	"sparrow/internal/faultinject"
 	"sparrow/internal/leakcheck"
+	"sparrow/internal/metrics"
 	rt "sparrow/internal/runtime"
+	"sparrow/internal/solver/dense"
 )
 
 // TestConfigGateViolations pins that every unsupported Options combination
@@ -112,87 +114,142 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestBreachEndsRun checks that the first budget breach ends the analysis:
-// whatever breaches (deadline, stall, heap spike, cancellation), the call
-// returns a *BudgetError with the breach's reason, sentinel and phase, and
-// the checkpoint hook sees the pre-analysis polled by one run only — a
-// breach is never followed by another attempt.
+// whatever breaches (deadline, stall, heap spike, cancellation), and in
+// whatever phase, the call returns no result and a *BudgetError with the
+// breach's reason, sentinel and phase; the breached phase is closed, so its
+// time is recorded; and the checkpoint hook sees the pre-analysis polled by
+// one run only — a breach is never followed by another attempt. The fix
+// cases cancel at the last fix checkpoint of a full run, which falls in a
+// narrowing pass.
 func TestBreachEndsRun(t *testing.T) {
 	base := Options{Domain: Octagon, Mode: Sparse, Narrow: 2}
-	// analyze runs base under plan and counts the pre-analysis polls.
-	analyze := func(opt Options, plan *faultinject.Plan) (preanPolls int, err error) {
+	// analyze runs opt under plan and counts the checkpoints per phase.
+	analyze := func(opt Options, plan *faultinject.Plan) (res *Result, polls [rt.NumPhases]int, err error) {
 		hook := plan.Hook()
 		opt.FaultHook = func(p rt.Phase, n uint64) {
-			if p == rt.PhasePrean {
-				preanPolls++
-			}
+			polls[p]++
 			hook(p, n)
 		}
-		_, err = AnalyzeSource("breach.c", demo, opt)
-		return preanPolls, err
+		res, err = AnalyzeSource("breach.c", demo, opt)
+		return res, polls, err
 	}
-	fullPrean, err := analyze(base, faultinject.NewPlan())
+	_, full, err := analyze(base, faultinject.NewPlan())
 	if err != nil {
 		t.Fatalf("unbudgeted run: %v", err)
+	}
+	fullPrean := full[rt.PhasePrean]
+	cancelAt := func(p rt.Phase, at int) []faultinject.Fault {
+		return []faultinject.Fault{{Kind: faultinject.Cancel, Phase: p, At: uint64(at)}}
 	}
 
 	tests := []struct {
 		name      string
+		opt       *Options // nil: base
 		deadline  time.Duration
 		memBudget uint64
 		faults    []faultinject.Fault
 		cancel    bool
+		lastFix   bool // cancel at the last fix checkpoint of a full run
 		reason    rt.Reason
 		sentinel  error
-		phase     string
-		prean     int // pre-analysis polls up to the breach
+		phase     metrics.Phase
 	}{
 		{name: "deadline", deadline: time.Nanosecond,
-			reason: rt.ReasonDeadline, sentinel: context.DeadlineExceeded, phase: "prean", prean: 1},
+			reason: rt.ReasonDeadline, sentinel: context.DeadlineExceeded, phase: metrics.PhasePrean},
 		{name: "stall", deadline: 100 * time.Millisecond,
 			faults: []faultinject.Fault{{Kind: faultinject.Slow, Phase: rt.PhaseDUG, At: 1, Delay: 200 * time.Millisecond}},
-			reason: rt.ReasonDeadline, sentinel: context.DeadlineExceeded, phase: "dug", prean: fullPrean},
+			reason: rt.ReasonDeadline, sentinel: context.DeadlineExceeded, phase: metrics.PhaseDUG},
 		// The checkpoint's own heap sample sees the spike: no stall lets the
 		// 5ms sampler catch it first.
 		{name: "alloc-spike", memBudget: 16 << 20,
 			faults: []faultinject.Fault{
 				{Kind: faultinject.AllocSpike, Phase: rt.PhaseDUG, At: 1, Bytes: 64 << 20},
 			},
-			reason: rt.ReasonHeap, sentinel: context.DeadlineExceeded, phase: "dug", prean: fullPrean},
-		{name: "cancel", cancel: true,
-			faults: []faultinject.Fault{{Kind: faultinject.Cancel, Phase: rt.PhasePrean, At: 1}},
-			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: "prean", prean: 1},
+			reason: rt.ReasonHeap, sentinel: context.DeadlineExceeded, phase: metrics.PhaseDUG},
+		{name: "cancel", cancel: true, faults: cancelAt(rt.PhasePrean, 1),
+			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: metrics.PhasePrean},
+		{name: "fix-interval-vanilla", opt: &Options{Domain: Interval, Mode: Vanilla, Narrow: 2}, cancel: true, lastFix: true,
+			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: metrics.PhaseFix},
+		{name: "fix-interval-base", opt: &Options{Domain: Interval, Mode: Base, Narrow: 2}, cancel: true, lastFix: true,
+			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: metrics.PhaseFix},
+		{name: "fix-interval-sparse", opt: &Options{Domain: Interval, Mode: Sparse, Narrow: 2}, cancel: true, lastFix: true,
+			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: metrics.PhaseFix},
+		{name: "fix-octagon-base", opt: &Options{Domain: Octagon, Mode: Base, Narrow: 2}, cancel: true, lastFix: true,
+			reason: rt.ReasonCanceled, sentinel: context.Canceled, phase: metrics.PhaseFix},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			plan := faultinject.NewPlan(tc.faults...)
-			defer plan.Release()
 			opt := base
+			if tc.opt != nil {
+				opt = *tc.opt
+			}
+			faults := tc.faults
+			wantPrean := fullPrean
+			if tc.phase == metrics.PhasePrean {
+				wantPrean = 1
+			}
+			if tc.lastFix {
+				res, full, err := analyze(opt, faultinject.NewPlan())
+				if err != nil {
+					t.Fatalf("unbudgeted run: %v", err)
+				}
+				stride := dense.IntervalStride
+				if opt.Domain == Octagon {
+					stride = dense.OctagonStride
+				}
+				if full[rt.PhaseFix] <= res.Stats.Steps/stride {
+					t.Fatalf("%d fix checkpoints in %d steps at stride %d: none in a narrowing pass",
+						full[rt.PhaseFix], res.Stats.Steps, stride)
+				}
+				faults = cancelAt(rt.PhaseFix, full[rt.PhaseFix])
+				wantPrean = full[rt.PhasePrean]
+			}
+			plan := faultinject.NewPlan(faults...)
+			defer plan.Release()
 			opt.Deadline, opt.MemBudget = tc.deadline, tc.memBudget
+			opt.Metrics = metrics.New()
 			if tc.cancel {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				plan.BindCancel(cancel)
 				opt.Ctx = ctx
 			}
-			prean, err := analyze(opt, plan)
+			res, polls, err := analyze(opt, plan)
+			if res != nil {
+				t.Errorf("a breached run returned a result")
+			}
 			var be *BudgetError
 			if !errors.As(err, &be) {
 				t.Fatalf("err = %v, want *BudgetError", err)
 			}
-			if be.Reason != tc.reason || be.Phase != tc.phase {
-				t.Errorf("breach %v during %q, want %v during %q", be.Reason, be.Phase, tc.reason, tc.phase)
+			if want := breachPhase(tc.phase); be.Reason != tc.reason || be.Phase != want {
+				t.Errorf("breach %v during %q, want %v during %q", be.Reason, be.Phase, tc.reason, want)
 			}
 			if !errors.Is(err, tc.sentinel) {
 				t.Errorf("err %v does not unwrap to %v", err, tc.sentinel)
 			}
-			if len(plan.Fired()) != len(tc.faults) {
-				t.Errorf("fired %v of %v", plan.Fired(), tc.faults)
+			if len(plan.Fired()) != len(faults) {
+				t.Errorf("fired %v of %v", plan.Fired(), faults)
 			}
-			if prean != tc.prean {
-				t.Errorf("pre-analysis polled %d times, want %d (a full run polls %d)", prean, tc.prean, fullPrean)
+			if polls[rt.PhasePrean] != wantPrean {
+				t.Errorf("pre-analysis polled %d times, want %d (a full run polls %d)", polls[rt.PhasePrean], wantPrean, fullPrean)
+			}
+			if opt.Metrics.PhaseTime(tc.phase) <= 0 {
+				t.Errorf("the breached phase %v recorded no time: it was not closed", tc.phase)
 			}
 		})
 	}
+}
+
+// breachPhase is the BudgetError phase of a breach during the timed phase p.
+func breachPhase(p metrics.Phase) string {
+	switch p {
+	case metrics.PhasePrean:
+		return rt.PhasePrean.String()
+	case metrics.PhaseDUG:
+		return rt.PhaseDUG.String()
+	}
+	return rt.PhaseFix.String()
 }
 
 // TestBudgetedRunBitIdentical checks that merely having a budget (generous

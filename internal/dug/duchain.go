@@ -42,7 +42,7 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 	for _, pr := range prog.Procs {
 		b.buildProcChains(pr, info, add)
 	}
-	b.linkInterproc(add)
+	b.linkInterproc(retBindsOf(prog), add)
 	b.adj.refs = make([]edgeRef, stagingLen(len(ts)))
 	for _, t := range ts {
 		b.addEdge(t.from, t.loc, t.to)

@@ -475,8 +475,9 @@ func BuildFrom(src *Source, opt Options) *Graph {
 	// second, the renaming, stages; with the linkage triples counted too,
 	// the arena that stages and sorts them is allocated once, at its size.
 	sc := newStageScratch(prog)
+	retBinds := retBindsOf(prog)
 	size := 0
-	b.linkInterproc(func(NodeID, ir.LocID, NodeID) { size++ })
+	b.linkInterproc(retBinds, func(NodeID, ir.LocID, NodeID) { size++ })
 	for _, pr := range prog.Procs {
 		size += b.placePhis(pr, info, sc)
 	}
@@ -497,7 +498,7 @@ func BuildFrom(src *Source, opt Options) *Graph {
 	for _, pr := range prog.Procs {
 		phis = b.rename(pr, info, sc, phis)
 	}
-	b.linkInterproc(b.addEdge)
+	b.linkInterproc(retBinds, b.addEdge)
 	b.access = nil
 	b.stage("staged")
 	opt.Budget.Checkpoint(rt.PhaseDUG)
@@ -1009,19 +1010,24 @@ func (b *builder) addEdge(from NodeID, l ir.LocID, to NodeID) {
 	b.nt++
 }
 
-// linkInterproc passes the call→entry and exit→return-site dependencies to
-// add.
-func (b *builder) linkInterproc(add func(from NodeID, l ir.LocID, to NodeID)) {
-	// retBindOf[c] is the return-site point of call point c.
-	retBindOf := make([]ir.PointID, len(b.prog.Points))
+// retBindsOf returns, for every call point c, the return-site point that
+// binds c's result (ir.None at the other points).
+func retBindsOf(prog *ir.Program) []ir.PointID {
+	retBindOf := make([]ir.PointID, len(prog.Points))
 	for i := range retBindOf {
 		retBindOf[i] = ir.None
 	}
-	for _, pt := range b.prog.Points {
+	for _, pt := range prog.Points {
 		if rb, ok := pt.Cmd.(ir.RetBind); ok {
 			retBindOf[rb.CallPt] = pt.ID
 		}
 	}
+	return retBindOf
+}
+
+// linkInterproc passes the call→entry and exit→return-site dependencies to
+// add; retBindOf is retBindsOf(b.prog).
+func (b *builder) linkInterproc(retBindOf []ir.PointID, add func(from NodeID, l ir.LocID, to NodeID)) {
 	var sc initScratch
 	var retChans []ir.LocID
 	for _, pt := range b.prog.Points {

@@ -80,22 +80,12 @@ type Run struct {
 	Err      error
 }
 
-// TimedOut reports whether the analyzer ran out of its budget: a deadline
-// breach or a MaxSteps cut.
-func (r Run) TimedOut() bool {
-	return pastDeadline(r.Err) || (r.Err == nil && r.Stats.TimedOut)
-}
-
 // pastDeadline reports whether err is a *core.BudgetError for a breached
 // deadline.
 func pastDeadline(err error) bool {
 	var be *core.BudgetError
 	return errors.As(err, &be) && be.Reason == rt.ReasonDeadline
 }
-
-// done reports whether the analyzer completed, so that its time and memory
-// figures mean something.
-func (r Run) done() bool { return r.Err == nil && !r.Stats.TimedOut }
 
 // Measure analyzes src under opt, sampling heap growth with the shared
 // internal/metrics sampler. A collector is attached when opt.Metrics is nil,
@@ -170,7 +160,7 @@ type PerfOptions struct {
 // cell formats seconds or the paper's ∞ marker.
 func cell(r Run, skipped bool) string {
 	switch {
-	case skipped, r.TimedOut():
+	case skipped, pastDeadline(r.Err):
 		return "∞"
 	case r.Err != nil:
 		return "err"
@@ -180,7 +170,7 @@ func cell(r Run, skipped bool) string {
 }
 
 func memCell(r Run, skipped bool) string {
-	if skipped || !r.done() {
+	if skipped || r.Err != nil {
 		return "-"
 	}
 	return fmt.Sprintf("%.0f", float64(r.PeakHeap)/(1<<20))
@@ -188,7 +178,7 @@ func memCell(r Run, skipped bool) string {
 
 // num formats one of r's figures, or "-" when r did not complete.
 func num(r Run, format string, v float64) string {
-	if !r.done() {
+	if r.Err != nil {
 		return "-"
 	}
 	return fmt.Sprintf(format, v)
@@ -196,7 +186,7 @@ func num(r Run, format string, v float64) string {
 
 // speedup renders a/b as "N x".
 func speedup(a, b Run, aSkip, bSkip bool) string {
-	if aSkip || bSkip || !a.done() || !b.done() {
+	if aSkip || bSkip || a.Err != nil || b.Err != nil {
 		return "-"
 	}
 	bt := b.Stats.TotalTime.Seconds()
@@ -207,7 +197,7 @@ func speedup(a, b Run, aSkip, bSkip bool) string {
 }
 
 func memSave(a, b Run, aSkip, bSkip bool) string {
-	if aSkip || bSkip || !a.done() || !b.done() || a.PeakHeap == 0 {
+	if aSkip || bSkip || a.Err != nil || b.Err != nil || a.PeakHeap == 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.0f%%", 100*(1-float64(b.PeakHeap)/float64(a.PeakHeap)))
@@ -233,7 +223,7 @@ func PerfTable(w io.Writer, suite []Benchmark, opt PerfOptions) error {
 			bas = Measure(b.Name, src, mk(core.Base))
 		}
 		sp := Measure(b.Name, src, mk(core.Sparse))
-		if sp.Err != nil && !sp.TimedOut() {
+		if sp.Err != nil && !pastDeadline(sp.Err) {
 			return fmt.Errorf("%s: sparse: %w", b.Name, sp.Err)
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",

@@ -86,9 +86,6 @@ type Exec struct {
 	// Faults holds the fault oracle's runs: a fault-free baseline and the
 	// same solve under a seed-derived fault schedule.
 	Faults *FaultExec
-	// AnalyzeViolations records configs that timed out (the implicit
-	// "every analyzer completes" check).
-	AnalyzeViolations []Violation
 }
 
 // FaultExec holds the fault oracle's two runs of the sparse interval solve:
@@ -231,20 +228,7 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		Octagon:  map[core.Mode]*core.Result{},
 	}
 	run := func(domain core.Domain, mode core.Mode) (*core.Result, error) {
-		res, err := core.AnalyzeSource(name, src, core.Options{
-			Domain: domain,
-			Mode:   mode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if res.Stats.TimedOut {
-			ex.AnalyzeViolations = append(ex.AnalyzeViolations, Violation{
-				Oracle: "analyze",
-				Detail: fmt.Sprintf("%v/%v: timed out", domain, mode),
-			})
-		}
-		return res, nil
+		return core.AnalyzeSource(name, src, core.Options{Domain: domain, Mode: mode})
 	}
 	modeNeeds := []struct {
 		n    need
@@ -296,12 +280,6 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res.Stats.TimedOut {
-			ex.AnalyzeViolations = append(ex.AnalyzeViolations, Violation{
-				Oracle: "analyze",
-				Detail: "interval/sparse (all checkers): timed out",
-			})
-		}
 		ex.Restricted = res
 	}
 	if needs&needFaults != 0 {
@@ -325,10 +303,12 @@ func faultSeed(src string) uint64 {
 
 // buildFaults runs the fault oracle's pipeline: a fault-free baseline solve,
 // then the same solve under a seeded fault schedule with cancellation bound
-// to the run's context. The error reports an invalid program (baseline
-// failure) — faulted-run errors are the oracle's subject and land in Err.
+// to the run's context. Both narrow twice, so that fix-phase faults can land
+// in the descending sweeps too. The error reports an invalid program
+// (baseline failure) — faulted-run errors are the oracle's subject and land
+// in Err.
 func buildFaults(name, src string, leakCheck bool) (*FaultExec, error) {
-	opts := core.Options{Domain: core.Interval, Mode: core.Sparse}
+	opts := core.Options{Domain: core.Interval, Mode: core.Sparse, Narrow: 2}
 	baseline, err := core.AnalyzeSource(name, src, opts)
 	if err != nil {
 		return nil, err
@@ -356,7 +336,7 @@ func buildFaults(name, src string, leakCheck bool) (*FaultExec, error) {
 
 // Check runs the oracle set over an already-built Exec.
 func Check(ex *Exec, oracles []Oracle) []Violation {
-	vs := append([]Violation{}, ex.AnalyzeViolations...)
+	vs := []Violation{}
 	for _, o := range oracles {
 		vs = append(vs, o.Check(ex)...)
 	}
@@ -381,7 +361,7 @@ func CheckSource(name, src string, oracles []Oracle, opt Options) (*Exec, []Viol
 var soundnessInputs = []int64{3, -7, 12, 0, 45, -2, 8, 63, -31, 1}
 
 const (
-	soundnessMaxSteps      = 20000
+	soundnessSteps         = 20000
 	soundnessMaxViolations = 3
 )
 
@@ -418,7 +398,7 @@ func checkSoundness(ex *Exec) []Violation {
 	var vs []Violation
 	seenPts := map[ir.PointID]bool{}
 	_, err := interp.Run(prog, interp.Options{
-		MaxSteps:       soundnessMaxSteps,
+		MaxSteps:       soundnessSteps,
 		Inputs:         soundnessInputs,
 		TrapOverflow:   true,
 		TrapMissingRet: true,

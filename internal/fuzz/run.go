@@ -113,8 +113,8 @@ func Run(opt Options) (*Summary, error) {
 func shrinkReport(rep *Report, opt Options) {
 	oracle, ok := oracleByName(opt.Oracles, rep.Violations[0].Oracle)
 	if !ok {
-		// "generate"/"analyze" violations have no oracle to re-check;
-		// shrink under program validity alone.
+		// "generate" violations have no oracle to re-check; shrink under
+		// program validity alone.
 		oracle = Oracle{Name: rep.Violations[0].Oracle, Needs: 0,
 			Check: func(*Exec) []Violation { return nil }}
 	}
@@ -123,9 +123,6 @@ func shrinkReport(rep *Report, opt Options) {
 		ex, err := Execute(rep.Name+".c", src, oracle.Needs, opt)
 		if err != nil {
 			return oracle.Name == "generate" // invalid source only "reproduces" generator bugs
-		}
-		if oracle.Name == "analyze" {
-			return len(ex.AnalyzeViolations) > 0
 		}
 		for _, v := range oracle.Check(ex) {
 			if v.Oracle == oracle.Name && violationClass(v.Detail) == class {

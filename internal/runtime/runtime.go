@@ -1,14 +1,16 @@
 // Package runtime is the engine's budget and cancellation layer.
 //
 // A Budget carries the caller's context, a wall-clock deadline for the
-// whole analysis, and a soft heap budget through the pipeline. Phases poll
-// it at amortized checkpoints (every N worklist pops in the solvers,
-// between stages elsewhere); a nil *Budget is the disabled instrument, so
-// the budget-free hot path pays one pointer comparison per checkpoint
-// window and stays bit-identical to an unbudgeted engine.
+// whole analysis, and a soft heap budget through the pipeline. Every phase
+// calls its one stop check, Checkpoint, at amortized points (every N
+// worklist pops in the solvers, between stages elsewhere); a nil *Budget is
+// the disabled instrument, so the budget-free hot path pays one pointer
+// comparison per checkpoint window and stays bit-identical to an
+// unbudgeted engine.
 //
-// The first breach is sticky: the Budget never recovers, and core ends the
-// analysis with a budget error.
+// A breach panics with *Abort, which unwinds to core's recover: no phase
+// returns a partial result. The first breach is sticky: the Budget never
+// recovers, and core ends the analysis with a budget error.
 //
 // The Hook field is the fault-injection seam (internal/faultinject): it is
 // called at the top of every checkpoint poll with the phase and that
@@ -97,10 +99,9 @@ func (r Reason) Err() error {
 // and is recovered at the core boundary.
 type Hook func(phase Phase, n uint64)
 
-// Abort is the panic value raised by Checkpoint in phases that cannot
-// return a partial result (pre-analysis, graph construction). It unwinds
-// to the core boundary, which converts it into a budget error — it is
-// never seen by callers.
+// Abort is the panic value Checkpoint raises on a breach. It unwinds to
+// the core boundary, which converts it into a budget error — it is never
+// seen by callers.
 type Abort struct {
 	Reason Reason
 	Phase  Phase
@@ -128,8 +129,8 @@ type Config struct {
 }
 
 // Budget is the cooperative cancellation token threaded through the
-// pipeline. The nil Budget is fully functional and free: Poll returns OK,
-// Checkpoint is a no-op.
+// pipeline. The nil Budget is fully functional and free: Checkpoint is a
+// no-op.
 type Budget struct {
 	ctx        context.Context
 	deadline   int64 // ns since epoch (0 = none)
@@ -143,7 +144,7 @@ type Budget struct {
 	phaseCounts [NumPhases]atomic.Uint64
 	polls       atomic.Int64 // checkpoint polls (flushed to metrics on Close)
 	breaches    atomic.Int64 // breach transitions
-	pollNS      atomic.Int64 // wall time spent inside Poll slow paths
+	pollNS      atomic.Int64 // wall time spent inside Checkpoint slow paths
 }
 
 // New builds a Budget, or nil when cfg requests nothing (no context, no
@@ -190,24 +191,19 @@ func (b *Budget) Close() {
 	b.col.AddPhase(metrics.PhaseRuntime, time.Duration(b.pollNS.Load()))
 }
 
-// Reason returns the sticky breach reason (OK while the budget holds).
-func (b *Budget) Reason() Reason {
+// Checkpoint is the one stop check of every phase: fire the fault hook,
+// then check cancellation, deadline, and heap growth, in that order, and
+// panic with *Abort on a breach. The first breach is sticky: a later
+// checkpoint aborts with it at once, without firing the hook. The
+// fixpoint loops amortize it over a stride of steps. Call it from the
+// goroutine running the analysis, so that the abort reaches core's
+// recover directly.
+func (b *Budget) Checkpoint(p Phase) {
 	if b == nil {
-		return OK
-	}
-	return Reason(b.breach.Load())
-}
-
-// Poll is the checkpoint slow path: fire the fault hook, then check
-// cancellation, deadline, and heap growth, in that order. The first breach
-// is sticky (later polls return it without re-firing the hook). Callers
-// amortize: guard the call behind `bud != nil` and a stride counter.
-func (b *Budget) Poll(p Phase) Reason {
-	if b == nil {
-		return OK
+		return
 	}
 	if r := Reason(b.breach.Load()); r != OK {
-		return r
+		panic(&Abort{Reason: r, Phase: p})
 	}
 	start := time.Now()
 	b.polls.Add(1)
@@ -232,44 +228,7 @@ func (b *Budget) Poll(p Phase) Reason {
 		b.breaches.Add(1)
 	}
 	b.pollNS.Add(time.Since(start).Nanoseconds())
-	return Reason(b.breach.Load())
-}
-
-// Checkpoint polls and panics with *Abort on breach. Phases that cannot
-// carry a partial result use it; call it from the goroutine running the
-// analysis so the abort reaches core's recover directly.
-func (b *Budget) Checkpoint(p Phase) {
-	if b == nil {
-		return
+	if r != OK {
+		panic(&Abort{Reason: Reason(b.breach.Load()), Phase: p})
 	}
-	if r := b.Poll(p); r != OK {
-		panic(&Abort{Reason: r, Phase: p})
-	}
-}
-
-// Limits is the stop check of the fixpoint worklist loops: a step budget
-// and a Budget poll, the latter amortized over a stride of steps. The zero
-// Limits never stops a loop.
-type Limits struct {
-	maxSteps int
-	bud      *Budget
-	stride   int
-}
-
-// NewLimits returns the stop check of a fixpoint loop that may return a
-// partial result: stop after maxSteps steps (0 = none) or, polled every
-// stride steps, once bud breaches in PhaseFix.
-func NewLimits(maxSteps int, bud *Budget, stride int) Limits {
-	return Limits{maxSteps: maxSteps, bud: bud, stride: stride}
-}
-
-// Stop reports whether a loop must stop before its step-th step.
-func (l *Limits) Stop(step int) bool {
-	if l.maxSteps > 0 && step > l.maxSteps {
-		return true
-	}
-	if l.bud == nil || step%l.stride != 0 {
-		return false
-	}
-	return l.bud.Poll(PhaseFix) != OK
 }

@@ -9,6 +9,26 @@ import (
 	"sparrow/internal/metrics"
 )
 
+// checkpoint runs b.Checkpoint(p) and returns the reason of the *Abort it
+// raised, or OK when it returned.
+func checkpoint(t *testing.T, b *Budget, p Phase) (r Reason) {
+	t.Helper()
+	defer func() {
+		if x := recover(); x != nil {
+			a, ok := x.(*Abort)
+			if !ok {
+				panic(x)
+			}
+			if a.Phase != p {
+				t.Errorf("Abort phase %v, want %v", a.Phase, p)
+			}
+			r = a.Reason
+		}
+	}()
+	b.Checkpoint(p)
+	return OK
+}
+
 // TestNilBudget pins the disabled-instrument contract: New returns nil for
 // an empty config, and every method is safe and free on the nil receiver.
 func TestNilBudget(t *testing.T) {
@@ -17,12 +37,8 @@ func TestNilBudget(t *testing.T) {
 	}
 	var b *Budget
 	b.Close()
-	b.Checkpoint(PhaseFix)
-	if r := b.Poll(PhaseFix); r != OK {
-		t.Errorf("nil Poll = %v want OK", r)
-	}
-	if r := b.Reason(); r != OK {
-		t.Errorf("nil Reason = %v want OK", r)
+	if r := checkpoint(t, b, PhaseFix); r != OK {
+		t.Errorf("nil Checkpoint aborted: %v", r)
 	}
 }
 
@@ -31,19 +47,16 @@ func TestNilBudget(t *testing.T) {
 func TestDeadlineBreachAndReset(t *testing.T) {
 	b := New(Config{Deadline: time.Millisecond})
 	defer b.Close()
-	if r := b.Poll(PhaseFix); r != OK {
+	if r := checkpoint(t, b, PhaseFix); r != OK {
 		t.Fatalf("fresh budget breached immediately: %v", r)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if r := b.Poll(PhaseFix); r != ReasonDeadline {
-		t.Fatalf("expired budget Poll = %v want deadline", r)
+	if r := checkpoint(t, b, PhaseFix); r != ReasonDeadline {
+		t.Fatalf("expired budget Checkpoint = %v want deadline", r)
 	}
 	// Sticky: the breach persists without re-checking.
-	if r := b.Reason(); r != ReasonDeadline {
-		t.Fatalf("Reason = %v want deadline", r)
-	}
-	if r := b.Poll(PhasePrean); r != ReasonDeadline {
-		t.Fatalf("Poll after the breach = %v want deadline (sticky)", r)
+	if r := checkpoint(t, b, PhasePrean); r != ReasonDeadline {
+		t.Fatalf("Checkpoint after the breach = %v want deadline (sticky)", r)
 	}
 }
 
@@ -53,20 +66,20 @@ func TestCancellationIsPermanent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := New(Config{Ctx: ctx})
 	defer b.Close()
-	if r := b.Poll(PhaseFix); r != OK {
-		t.Fatalf("live context Poll = %v want OK", r)
+	if r := checkpoint(t, b, PhaseFix); r != OK {
+		t.Fatalf("live context Checkpoint = %v want OK", r)
 	}
 	cancel()
-	if r := b.Poll(PhaseFix); r != ReasonCanceled {
-		t.Fatalf("canceled Poll = %v want canceled", r)
+	if r := checkpoint(t, b, PhaseFix); r != ReasonCanceled {
+		t.Fatalf("canceled Checkpoint = %v want canceled", r)
 	}
-	if r := b.Reason(); r != ReasonCanceled {
-		t.Fatalf("Reason after cancellation = %v want canceled", r)
+	if r := checkpoint(t, b, PhaseDUG); r != ReasonCanceled {
+		t.Fatalf("Checkpoint after cancellation = %v want canceled", r)
 	}
 }
 
-// TestCheckpointPanicsAbort checks the panicking checkpoint used by phases
-// that cannot return partial results.
+// TestCheckpointPanicsAbort checks that a breached checkpoint panics with
+// *Abort naming the breach and the phase.
 func TestCheckpointPanicsAbort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -94,10 +107,10 @@ func TestHookOrdinals(t *testing.T) {
 	var calls []call
 	b := New(Config{Hook: func(p Phase, n uint64) { calls = append(calls, call{p, n}) }})
 	defer b.Close()
-	b.Poll(PhaseFix)
-	b.Poll(PhaseFix)
-	b.Poll(PhasePrean)
-	b.Poll(PhaseFix)
+	b.Checkpoint(PhaseFix)
+	b.Checkpoint(PhaseFix)
+	b.Checkpoint(PhasePrean)
+	b.Checkpoint(PhaseFix)
 	want := []call{{PhaseFix, 1}, {PhaseFix, 2}, {PhasePrean, 1}, {PhaseFix, 3}}
 	if len(calls) != len(want) {
 		t.Fatalf("hook called %d times want %d", len(calls), len(want))
@@ -120,7 +133,7 @@ func TestHeapBudgetBreach(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if b.Poll(PhaseFix) == ReasonHeap {
+		if checkpoint(t, b, PhaseFix) == ReasonHeap {
 			ballast = nil
 			return
 		}
@@ -153,51 +166,14 @@ func TestMetricsFlush(t *testing.T) {
 	col := metrics.New()
 	ctx, cancel := context.WithCancel(context.Background())
 	b := New(Config{Ctx: ctx, Metrics: col})
-	b.Poll(PhaseFix)
+	checkpoint(t, b, PhaseFix)
 	cancel()
-	b.Poll(PhaseFix)
+	checkpoint(t, b, PhaseFix)
 	b.Close()
 	if got := col.Get(metrics.CtrRuntimeCheckpoints); got != 2 {
 		t.Errorf("checkpoints = %d want 2", got)
 	}
 	if got := col.Get(metrics.CtrRuntimeBreaches); got != 1 {
 		t.Errorf("breaches = %d want 1", got)
-	}
-}
-
-// TestLimits pins the fixpoint loops' stop check: the step budget stops
-// before step maxSteps+1, and the budget is polled only every stride steps
-// and in PhaseFix.
-func TestLimits(t *testing.T) {
-	var zero Limits
-	if zero.Stop(1 << 20) {
-		t.Errorf("zero Limits stopped a loop")
-	}
-	steps := NewLimits(3, nil, 4)
-	for step := 1; step <= 4; step++ {
-		if got, want := steps.Stop(step), step > 3; got != want {
-			t.Errorf("MaxSteps 3: Stop(%d) = %v want %v", step, got, want)
-		}
-	}
-
-	var polls []Phase
-	b := New(Config{Hook: func(p Phase, _ uint64) { polls = append(polls, p) }})
-	defer b.Close()
-	lim := NewLimits(0, b, 4)
-	for step := 1; step <= 8; step++ {
-		if lim.Stop(step) {
-			t.Fatalf("unbreached budget stopped the loop at %d", step)
-		}
-	}
-	if len(polls) != 2 || polls[0] != PhaseFix {
-		t.Errorf("polls %v, want two PhaseFix polls in 8 steps at stride 4", polls)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	breached := New(Config{Ctx: ctx})
-	defer breached.Close()
-	if lim := NewLimits(0, breached, 4); lim.Stop(3) || !lim.Stop(4) {
-		t.Errorf("canceled budget: want a stop at the first poll only")
 	}
 }

@@ -52,9 +52,6 @@ type Sem[M any] interface {
 type Options struct {
 	// Localize enables access-based localization at procedure boundaries.
 	Localize bool
-	// MaxSteps aborts after this many transfer applications (0 = none).
-	// An aborted analysis sets Result.TimedOut.
-	MaxSteps int
 	// Narrow runs this many descending (narrowing) passes after the
 	// ascending fixpoint stabilizes.
 	Narrow int
@@ -65,8 +62,8 @@ type Options struct {
 	// per step.
 	Metrics *metrics.Collector
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// polled every stride steps; a breach stops the solver like a
-	// MaxSteps cut (TimedOut set). nil is free.
+	// checked every stride steps and before every narrowing pass; a breach
+	// panics with *rt.Abort, so no partial result is returned. nil is free.
 	Budget *rt.Budget
 }
 
@@ -82,9 +79,9 @@ const (
 	// small delay keeps precision for plain multi-site argument joins while
 	// cutting the feedback cycles.
 	entryWidenDelay = 4
-	// IntervalStride and OctagonStride are the poll strides of the two
-	// instances: the steps between two polls of the Budget. They fix the ordinals of the budget
-	// checkpoints that fault injection counts.
+	// IntervalStride and OctagonStride are the checkpoint strides of the
+	// two instances: the steps between two Budget checkpoints. They fix the
+	// ordinals of the checkpoints that fault injection counts.
 	IntervalStride = 256
 	OctagonStride  = 64
 )
@@ -110,8 +107,6 @@ type Result[M any] struct {
 	// caller-memory complements routed around callees to return sites
 	// (Localize only; ascending phase).
 	Bypasses int
-	// TimedOut is set when MaxSteps or a Budget breach aborted the run.
-	TimedOut bool
 }
 
 // Out returns the post-state of pt (the transfer applied to In[pt]).
@@ -132,13 +127,13 @@ type solver[M Mem[M, K], K any] struct {
 
 	counts []int32
 	acc    [][]K // per proc: accessed keys (Localize only)
-	lim    rt.Limits
+	stride int
 }
 
 // Analyze runs the dense analysis of prog with the semantics s, using the
 // pre-analysis pre for call resolution. Main's entry starts from entry.
 // With Options.Localize, accessed(p) is the sorted key set procedure p
-// accesses. The Budget is polled every stride steps.
+// accesses. The Budget is checked every stride steps.
 func Analyze[M Mem[M, K], K any](prog *ir.Program, pre *prean.Result, s Sem[M], entry M, accessed func(ir.ProcID) []K, stride int, opt Options) *Result[M] {
 	sv := &solver[M, K]{
 		prog:  prog,
@@ -152,7 +147,7 @@ func Analyze[M Mem[M, K], K any](prog *ir.Program, pre *prean.Result, s Sem[M], 
 			Reached: make([]bool, len(prog.Points)),
 		},
 		counts: make([]int32, len(prog.Points)),
-		lim:    rt.NewLimits(opt.MaxSteps, opt.Budget, stride),
+		stride: stride,
 	}
 	if opt.Localize {
 		sv.acc = make([][]K, len(prog.Procs))
@@ -161,7 +156,7 @@ func Analyze[M Mem[M, K], K any](prog *ir.Program, pre *prean.Result, s Sem[M], 
 		}
 	}
 	sv.run()
-	if opt.Narrow > 0 && !sv.res.TimedOut {
+	if opt.Narrow > 0 {
 		sv.narrow(opt.Narrow)
 	}
 	opt.Metrics.Add(metrics.CtrPops, int64(sv.res.Steps))
@@ -183,9 +178,8 @@ func (sv *solver[M, K]) run() {
 			return
 		}
 		sv.res.Steps++
-		if sv.lim.Stop(sv.res.Steps) {
-			sv.res.TimedOut = true
-			return
+		if sv.opt.Budget != nil && sv.res.Steps%sv.stride == 0 {
+			sv.opt.Budget.Checkpoint(rt.PhaseFix)
 		}
 		pt := sv.prog.Point(ir.PointID(id))
 		if out, ok := sv.s.Transfer(pt, sv.res.In[pt.ID]); ok {
@@ -294,10 +288,7 @@ func (sv *solver[M, K]) deliver(target ir.PointID, m M, bypass bool) {
 // the sweeps and iteration stops early at stability.
 func (sv *solver[M, K]) narrow(passes int) {
 	for i := 0; i < passes; i++ {
-		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			sv.res.TimedOut = true
-			return
-		}
+		sv.opt.Budget.Checkpoint(rt.PhaseFix)
 		stable := true
 		next := make([]M, len(sv.prog.Points))
 		reached := make([]bool, len(sv.prog.Points))

@@ -38,9 +38,6 @@ func analyze(t *testing.T, src string, opt Options) (*ir.Program, *prean.Result,
 	t.Helper()
 	prog, pre := parse(t, src)
 	res := analyzeInterval(prog, pre, opt)
-	if res.TimedOut {
-		t.Fatalf("analysis timed out")
-	}
 	return prog, pre, res
 }
 

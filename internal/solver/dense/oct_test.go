@@ -51,9 +51,6 @@ int main() { int x; x = 4; g = x * 1 + 3; return 0; }
 	prog, pre, s, dsrc := setup(t, src)
 	for _, localize := range []bool{false, true} {
 		res := analyzeOctagon(prog, pre, s, dsrc, Options{Localize: localize})
-		if res.TimedOut {
-			t.Fatal("timed out")
-		}
 		got := globalItv(t, prog, s, res, "g")
 		if !itv.Single(7).LessEq(got) {
 			t.Errorf("localize=%v: g = %s must contain 7", localize, got)
@@ -85,21 +82,5 @@ int main() {
 	}
 	if ni.Hi().IsPosInf() && !wi.Hi().IsPosInf() {
 		t.Errorf("narrowing made result coarser: %s vs %s", ni, wi)
-	}
-}
-
-func TestOctDenseMaxSteps(t *testing.T) {
-	src := `
-int g;
-int main() {
-	int i;
-	for (i = 0; i < 1000; i++) { g = g + i; }
-	return g;
-}
-`
-	prog, pre, s, dsrc := setup(t, src)
-	res := analyzeOctagon(prog, pre, s, dsrc, Options{MaxSteps: 3})
-	if !res.TimedOut {
-		t.Error("MaxSteps=3 did not abort")
 	}
 }

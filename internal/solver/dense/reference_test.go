@@ -14,7 +14,6 @@ import (
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
-	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 	"sparrow/internal/worklist"
 )
@@ -30,7 +29,6 @@ type refSolver struct {
 
 	counts   []int32
 	accCache [][]ir.LocID // per proc: accessed set (Localize only)
-	lim      rt.Limits
 }
 
 // refAnalyze runs the dense analysis of prog using the pre-analysis pre for
@@ -54,9 +52,8 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *sem.Sem, opt Options) *R
 			sv.accCache[pr.ID] = pre.Accessed(pr.ID)
 		}
 	}
-	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Budget, 256)
 	sv.run()
-	if opt.Narrow > 0 && !sv.res.TimedOut {
+	if opt.Narrow > 0 {
 		sv.narrow(opt.Narrow)
 	}
 	opt.Metrics.Add(metrics.CtrPops, int64(sv.res.Steps))
@@ -77,10 +74,6 @@ func (sv *refSolver) run() {
 			return
 		}
 		sv.res.Steps++
-		if sv.lim.Stop(sv.res.Steps) {
-			sv.res.TimedOut = true
-			return
-		}
 		sv.step(sv.prog.Point(ir.PointID(id)))
 	}
 }
@@ -183,10 +176,6 @@ func (sv *refSolver) deliver(target ir.PointID, m mem.Mem) {
 // the sweeps and iteration stops early at stability.
 func (sv *refSolver) narrow(passes int) {
 	for i := 0; i < passes; i++ {
-		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			sv.res.TimedOut = true
-			return
-		}
 		stable := true
 		next := make([]mem.Mem, len(sv.prog.Points))
 		reached := make([]bool, len(sv.prog.Points))
@@ -272,7 +261,6 @@ type octRefSolver struct {
 
 	counts   []int32
 	accCache [][]pack.ID
-	lim      rt.Limits
 }
 
 // refAnalyzeOct runs the dense relational analysis with the given packing
@@ -297,9 +285,8 @@ func refAnalyzeOct(prog *ir.Program, pre *prean.Result, s *octsem.Sem, src *dug.
 			sv.accCache[pr.ID] = octsem.Accessed(src, pr.ID)
 		}
 	}
-	sv.lim = rt.NewLimits(opt.MaxSteps, opt.Budget, 64)
 	sv.run()
-	if opt.Narrow > 0 && !sv.res.TimedOut {
+	if opt.Narrow > 0 {
 		sv.narrow(opt.Narrow)
 	}
 	opt.Metrics.Add(metrics.CtrPops, int64(sv.res.Steps))
@@ -322,10 +309,6 @@ func (sv *octRefSolver) run() {
 			return
 		}
 		sv.res.Steps++
-		if sv.lim.Stop(sv.res.Steps) {
-			sv.res.TimedOut = true
-			return
-		}
 		sv.step(sv.prog.Point(ir.PointID(id)))
 	}
 }
@@ -419,10 +402,6 @@ func (sv *octRefSolver) deliver(target ir.PointID, m octsem.OMem) {
 // narrow runs Jacobi descending sweeps (see the interval solver).
 func (sv *octRefSolver) narrow(passes int) {
 	for i := 0; i < passes; i++ {
-		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			sv.res.TimedOut = true
-			return
-		}
 		stable := true
 		next := make([]octsem.OMem, len(sv.prog.Points))
 		reached := make([]bool, len(sv.prog.Points))

@@ -60,9 +60,8 @@ func gotoSwitchFuzz(seed uint64, stmts int) cgen.Config {
 	return c
 }
 
-// checkOctDriver solves src with and without the chain bypass and under
-// step budgets of 0 (none), 1, 17 and 500, and requires each result to
-// equal the reference solver's.
+// checkOctDriver solves src with and without the chain bypass and requires
+// each result to equal the reference solver's.
 func checkOctDriver(t *testing.T, name, src string) {
 	t.Helper()
 	f, err := parser.Parse(name, src)
@@ -77,11 +76,8 @@ func checkOctDriver(t *testing.T, name, src string) {
 	s, dsrc := octsem.Source(prog, pre, pack.Build(prog, 0))
 	for _, bypass := range []bool{true, false} {
 		g := dug.BuildFrom(dsrc, dug.Options{Bypass: bypass})
-		for _, maxSteps := range []int{0, 1, 17, 500} {
-			opt := Options{MaxSteps: maxSteps}
-			label := fmt.Sprintf("%s bypass=%v maxsteps=%d", name, bypass, maxSteps)
-			assertSameOctSolve(t, label+" global", g, refAnalyze(prog, pre, s, g, opt), sparse.Analyze(prog, pre, sparse.Octagons(s), g, opt))
-		}
+		label := fmt.Sprintf("%s bypass=%v", name, bypass)
+		assertSameOctSolve(t, label+" global", g, refAnalyze(prog, pre, s, g, Options{}), sparse.Analyze(prog, pre, sparse.Octagons(s), g, Options{}))
 	}
 }
 
@@ -99,16 +95,12 @@ func sameOMem(a, b octsem.OMem) bool {
 	return same
 }
 
-// assertSameOctSolve requires equal work counters, truncation,
-// reachability, and per-pack equal memories at every node.
+// assertSameOctSolve requires equal work counters, reachability, and per-pack equal memories at every node.
 func assertSameOctSolve(t *testing.T, label string, g *dug.Graph, want *refResult, got *sparse.Result[*oct.Oct]) {
 	t.Helper()
 	if want.Steps != got.Steps || want.Joins != got.Joins || want.Widenings != got.Widenings {
 		t.Errorf("%s: steps/joins/widenings %d/%d/%d vs %d/%d/%d", label,
 			want.Steps, want.Joins, want.Widenings, got.Steps, got.Joins, got.Widenings)
-	}
-	if want.TimedOut != got.TimedOut {
-		t.Errorf("%s: timed out %v vs %v", label, want.TimedOut, got.TimedOut)
 	}
 	bad := 0
 	for pt := range want.Reached {

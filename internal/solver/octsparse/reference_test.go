@@ -13,7 +13,6 @@ import (
 	"sparrow/internal/oct"
 	"sparrow/internal/octsem"
 	"sparrow/internal/prean"
-	rt "sparrow/internal/runtime"
 	"sparrow/internal/solver/sparse"
 	"sparrow/internal/worklist"
 )
@@ -34,7 +33,6 @@ type refResult struct {
 	Steps     int
 	Joins     int
 	Widenings int
-	TimedOut  bool
 }
 
 type refSolver struct {
@@ -78,16 +76,6 @@ func refAnalyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph
 			break
 		}
 		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
-			sv.res.TimedOut = true
-			break
-		}
-		if sv.opt.Budget != nil && sv.res.Steps%64 == 0 {
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				break
-			}
-		}
 		sv.fire(dug.NodeID(id))
 	}
 	opt.Metrics.Add(metrics.CtrPops, int64(sv.res.Steps))

@@ -61,10 +61,7 @@ func (intervals) narrow(st *solver[val.Val], passes int) {
 	newAcc := make([]val.Val, len(res.acc))
 	newSet := make([]bool, len(res.acc))
 	for pass := 0; pass < passes; pass++ {
-		if st.opt.Budget != nil && st.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			res.TimedOut = true
-			return
-		}
+		st.opt.Budget.Checkpoint(rt.PhaseFix)
 		for i := range n {
 			if ok[i] = st.eval(dug.NodeID(i)); ok[i] {
 				copy(next[res.cbase[i]:], st.f.nv)

@@ -29,8 +29,6 @@ import (
 
 // Options configures the sparse solver.
 type Options struct {
-	// MaxSteps aborts after this many node firings (0 = none).
-	MaxSteps int
 	// Narrow runs this many descending (narrowing) Jacobi sweeps over the
 	// def-use graph after the ascending fixpoint, recovering precision lost
 	// to widening (intervals only; the octagon instance has no descending
@@ -43,11 +41,10 @@ type Options struct {
 	// flushes once, so the instrumented counters equal the Result's.
 	Metrics *metrics.Collector
 	// Budget is the cooperative cancellation token (internal/runtime),
-	// polled every stride firings (the domain's poll stride). On breach the
-	// solver stops exactly like a MaxSteps cut (TimedOut set, partial
-	// result); the core boundary inspects the budget to tell them apart.
-	// nil (the default) is free: the hot loop pays one pointer comparison
-	// per stride window.
+	// checked every stride firings (the domain's checkpoint stride) and
+	// before every narrowing sweep. A breach panics with *rt.Abort, so no
+	// partial result is returned. nil (the default) is free: the hot loop
+	// pays one pointer comparison per firing.
 	Budget *rt.Budget
 }
 
@@ -88,8 +85,8 @@ type Domain[V Value[V]] interface {
 	// joinAcc joins the pushed value v into an Acc slot holding old and
 	// reports whether the slot grew.
 	joinAcc(old V, bound bool, v V) (V, bool)
-	// params returns the number of firings between two Budget polls (it
-	// fixes the ordinals of the checkpoints fault injection counts) and
+	// params returns the number of firings between two Budget checkpoints
+	// (it fixes the ordinals of the checkpoints fault injection counts) and
 	// whether the widening counters are per node instead of per Out slot.
 	params() (stride int, perNode bool)
 	// narrow runs up to passes descending sweeps over the solved state.
@@ -112,8 +109,6 @@ type Result[V any] struct {
 	// Joins counts per-location pushes that changed a node's stored output
 	// (ascending phase only).
 	Joins int
-	// TimedOut reports an aborted run.
-	TimedOut bool
 
 	g              *dug.Graph
 	cbase          []int32
@@ -189,11 +184,11 @@ func (r *Result[V]) Value(pt ir.PointID, l ir.LocID) (v V, tracked bool) {
 	return v, true
 }
 
-// solver is one sparse solve: the global worklist, control reachability,
-// the stop check and the slot state. The paper's F̂ keeps X(c) only on a
-// set of (node, location) cells fixed before solving, so the state is flat
-// — one value and one bound bit per cell — instead of a persistent memory
-// per node that every changed push would path-copy:
+// solver is one sparse solve: the global worklist, control reachability
+// and the slot state. The paper's F̂ keeps X(c) only on a set of (node,
+// location) cells fixed before solving, so the state is flat — one value
+// and one bound bit per cell — instead of a persistent memory per node that
+// every changed push would path-copy:
 //
 //   - Out slot cbase[n]+i holds n's output on DefsOf(n)[i].
 //   - Acc slot g.AccBase(n)+j holds n's accumulated input on
@@ -211,7 +206,6 @@ type solver[V Value[V]] struct {
 	opt  Options
 	res  *Result[V]
 	wl   *worklist.Worklist
-	lim  rt.Limits
 	mark func(ir.PointID) // markPoint as a func value, bound once so marking allocates nothing
 
 	// counts are the widening safety-valve counters, by Out slot or, with
@@ -224,6 +218,7 @@ type solver[V Value[V]] struct {
 	// node, a firing that changed any Out slot counts once.
 	counts  []int32
 	perNode bool
+	stride  int // firings between two Budget checkpoints
 
 	f frame[V]
 }
@@ -246,7 +241,7 @@ func Analyze[V Value[V]](prog *ir.Program, pre *prean.Result, dom Domain[V], g *
 		perNode: perNode,
 		counts:  make([]int32, max(n, int(cbase[n]))),
 		wl:      worklist.New(n, g.Prio),
-		lim:     rt.NewLimits(opt.MaxSteps, opt.Budget, stride),
+		stride:  stride,
 		res: &Result[V]{
 			Reached: make([]bool, g.PointCount),
 			g:       g,
@@ -260,7 +255,7 @@ func Analyze[V Value[V]](prog *ir.Program, pre *prean.Result, dom Domain[V], g *
 	st.mark = st.markPoint
 	st.run()
 	res := st.res
-	if opt.Narrow > 0 && !res.TimedOut {
+	if opt.Narrow > 0 {
 		dom.narrow(st, opt.Narrow)
 	}
 	opt.Metrics.Add(metrics.CtrPops, int64(res.Steps))
@@ -269,8 +264,7 @@ func Analyze[V Value[V]](prog *ir.Program, pre *prean.Result, dom Domain[V], g *
 	return res
 }
 
-// run solves from main's entry until the worklist is empty or the stop
-// check fires. Steps counts the firing the stop check refused, too.
+// run solves from main's entry until the worklist is empty.
 func (st *solver[V]) run() {
 	root := st.prog.ProcByID(st.prog.Main).Entry
 	st.res.Reached[root] = true
@@ -281,9 +275,8 @@ func (st *solver[V]) run() {
 			return
 		}
 		st.res.Steps++
-		if st.lim.Stop(st.res.Steps) {
-			st.res.TimedOut = true
-			return
+		if st.opt.Budget != nil && st.res.Steps%st.stride == 0 {
+			st.opt.Budget.Checkpoint(rt.PhaseFix)
 		}
 		st.fire(dug.NodeID(id))
 	}
